@@ -21,9 +21,6 @@ from .dynamics import TWOPI, SignalTrace
 from .errors import FitError, NoSignalError, TauRangeError
 from .params import DeviceParams, derive
 
-Z99 = norm.ppf(0.99)
-
-
 # ---------------------------------------------------------------------------
 # weights and integration
 # ---------------------------------------------------------------------------
@@ -65,19 +62,14 @@ def integrate_shot(record, weights: WeightFunction, kappa_p: float) -> float:
     return float(math.sqrt(TWOPI * kappa_p) * np.sum(samples[:n] * weights.w) * weights.dt)
 
 
-def integrate_batch(records, weights: WeightFunction, kappa_p: float):
-    """Vectorized integrate_shot; returns (q values, preparation labels)."""
+def integrate_batch(batch, weights: WeightFunction, kappa_p: float):
+    """integrate_shot for every row of a ShotBatch as one matrix-vector
+    product; returns (q values, preparation labels)."""
     n = len(weights.w)
-    q = np.empty(len(records))
-    prep = np.empty(len(records), dtype="U1")
+    if batch.n_bins < n:
+        raise TauRangeError("shot record does not cover the weight support")
     scale = math.sqrt(TWOPI * kappa_p) * weights.dt
-    for i, rec in enumerate(records):
-        samples = rec.samples
-        if len(samples) < n:
-            raise TauRangeError("shot record does not cover the weight support")
-        q[i] = scale * float(np.dot(samples[:n], weights.w))
-        prep[i] = rec.prep
-    return q, prep
+    return scale * (batch.samples[:, :n] @ weights.w), batch.prep
 
 
 # ---------------------------------------------------------------------------

@@ -267,30 +267,55 @@ def cmd_rate(cfg: dict, args) -> int:
     return 0
 
 
+#: shot rows formatted per write by the shot-file writer
+_SHOT_CHUNK = 2048
+
+
+def _write_shot_csv(path: Path, cfg: dict, batch: shots.ShotBatch, wide: bool):
+    """Write the shot CSV with the bytes _write_csv would give.
+
+    Wide: one row per shot (shot_id, prep, preselect_value, q0, q1, ...);
+    long: one row per bin (shot_id, prep, t_ns, Q). Each chunk of
+    _SHOT_CHUNK shots is formatted with one %-template that repeats the
+    csv.writer row, so no per-value list of the whole file is built.
+    """
+    n_bins = batch.n_bins
+    if wide:
+        columns = ["shot_id", "prep", "preselect_value"] + \
+                  [f"q{k}" for k in range(n_bins)]
+        row = "%d,%s,%.9g" + ",%.9g" * n_bins + "\r\n"
+        fields = 3 + n_bins
+    else:
+        columns = ["shot_id", "prep", "t_ns", "Q"]
+        t_ns = (np.arange(n_bins) + 0.5) * cfg["dt_bin"] * 1e9
+        row = "".join(f"%d,%s,{_fmt(t)},%.9g\r\n" for t in t_ns.tolist())
+        fields = 3 * n_bins
+    with open(path, "w", newline="") as fh:
+        for line in _header_lines(cfg, "simulate"):
+            fh.write(line + "\n")
+        csv.writer(fh).writerow(columns)
+        for a in range(0, len(batch), _SHOT_CHUNK):
+            b = min(a + _SHOT_CHUNK, len(batch))
+            values = np.empty((b - a, fields), dtype=object)
+            if wide:
+                values[:, 0] = np.arange(a, b)
+                values[:, 1] = batch.prep[a:b]
+                values[:, 2] = batch.preselect[a:b]
+                values[:, 3:] = batch.samples[a:b]
+            else:
+                values[:, 0::3] = np.arange(a, b)[:, None]
+                values[:, 1::3] = batch.prep[a:b, None]
+                values[:, 2::3] = batch.samples[a:b]
+            fh.write((row * (b - a)) % tuple(values.ravel().tolist()))
+
+
 def cmd_simulate(cfg: dict, args) -> int:
     device = build_device(cfg)
     pulse = build_pulse(cfg)
     shot_cfg = build_shot_config(cfg)
     batch = shots.simulate_batch(device, pulse, shot_cfg)
     out_dir = Path(cfg["output_dir"])
-    if args.wide:
-        n_bins = len(batch[0].samples)
-        cols = ["shot_id", "prep", "preselect_value"] + \
-               [f"q{k}" for k in range(n_bins)]
-        rows = [
-            [i, rec.prep,
-             float("nan") if rec.preselect_value is None else rec.preselect_value,
-             *rec.samples]
-            for i, rec in enumerate(batch)
-        ]
-        _write_csv(out_dir / "shots.csv", cfg, "simulate", cols, rows)
-    else:
-        rows = []
-        for i, rec in enumerate(batch):
-            for k, q in enumerate(rec.samples):
-                rows.append((i, rec.prep, (k + 0.5) * cfg["dt_bin"] * 1e9, q))
-        _write_csv(out_dir / "shots.csv", cfg, "simulate",
-                   ("shot_id", "prep", "t_ns", "Q"), rows)
+    _write_shot_csv(out_dir / "shots.csv", cfg, batch, args.wide)
     if shot_cfg.preselect:
         kept, rejected = shots.run_preselection(device, shot_cfg, batch)
         _write_report(out_dir / "preselect_summary.txt", cfg, "simulate",
@@ -299,24 +324,46 @@ def cmd_simulate(cfg: dict, args) -> int:
     return 0
 
 
-def _read_shot_csv(path: str):
-    """Read wide-format shot CSV back into (prep, samples, preselect) arrays."""
-    preps, samples, presel = [], [], []
+#: configuration keys that fix the mean quadratures of a shot file
+_SHOT_FILE_KEYS = _DEVICE_KEYS + ("pulse_kind", "pulse_amplitude", "boost_factor",
+                                  "boost_duration", "pulse_duration", "dt_bin",
+                                  "measure_duration")
+
+
+def _read_shot_csv(path: str, cfg: dict) -> shots.ShotBatch:
+    """Read a wide-format shot CSV that matches the configuration.
+
+    The '#' header must echo the same device, pulse, dt_bin and
+    measure_duration as `cfg`, and the file must hold the configuration's
+    number of bins; otherwise ConfigError names the difference.
+    """
+    header = {}
     with open(path) as fh:
-        reader = csv.reader(r for r in fh if not r.startswith("#"))
-        header = next(reader)
-        if header[:2] != ["shot_id", "prep"]:
+        line = fh.readline()
+        while line.startswith("#"):
+            key, _, value = line[1:].partition("=")
+            header[key.strip()] = value.strip()
+            line = fh.readline()
+        if line.split(",")[:3] != ["shot_id", "prep", "preselect_value"]:
             raise ConfigError("analyze expects the wide shot CSV format")
-        for row in reader:
-            preps.append(row[1])
-            presel.append(float(row[2]))
-            samples.append([float(v) for v in row[3:]])
-    records = []
-    for p, s, pre in zip(preps, samples, presel):
-        rec = shots.ShotRecord(prep=p, samples=np.asarray(s),
-                               preselect_value=None if math.isnan(pre) else pre)
-        records.append(rec)
-    return records
+        for key in _SHOT_FILE_KEYS:
+            if header.get(key) != _fmt(cfg[key]):
+                raise ConfigError(
+                    f"shot file has {key} = {header.get(key, '(missing)')}, "
+                    f"the configuration {_fmt(cfg[key])}")
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2,
+                              converters={1: {"g": 0.0, "e": 1.0}.__getitem__})
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"malformed shot file {path}: {exc}") from exc
+    if len(data) == 0:
+        raise ConfigError(f"shot file {path} holds no shots")
+    n_bins = shots.window_bins(build_pulse(cfg), build_shot_config(cfg))
+    if data.shape[1] - 3 != n_bins:
+        raise ConfigError(f"shot file holds {data.shape[1] - 3} bins, the "
+                          f"configuration's window {n_bins}")
+    return shots.ShotBatch(prep=np.where(data[:, 1] == 1.0, "e", "g"),
+                           samples=data[:, 3:], preselect=data[:, 2])
 
 
 def cmd_analyze(cfg: dict, args) -> int:
@@ -325,14 +372,14 @@ def cmd_analyze(cfg: dict, args) -> int:
     device = build_device(cfg)
     d = derive(device)
     pulse = build_pulse(cfg)
-    records = _read_shot_csv(args.input)
-    n_bins = len(records[0].samples)
+    batch = _read_shot_csv(args.input, cfg)
+    n_bins = batch.n_bins
     times = np.arange(0.0, n_bins * cfg["dt_bin"] + cfg["grid_step"],
                       cfg["grid_step"])
     qt = mean_quadrature_traces(device, pulse, times, derived=d, method="exact")
     centers, idx = _bin_centers_and_index(cfg, n_bins)
     weights = analysis.build_weights(centers, qt.q_g[idx], qt.q_e[idx], cfg["tau"])
-    q, prep = analysis.integrate_batch(records, weights, d.kappa_p)
+    q, prep = analysis.integrate_batch(batch, weights, d.kappa_p)
     fit, bin_centers, hist_g, hist_e = analysis.fit_shot_histograms(q, prep)
     budget = analysis.error_budget(q, prep, fit)
     out_dir = Path(cfg["output_dir"])

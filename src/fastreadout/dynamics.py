@@ -84,15 +84,6 @@ class PulseEnvelope:
 
 
 @dataclass
-class CavityState:
-    """Instantaneous complex field amplitudes of resonator and filter."""
-
-    alpha_field: complex
-    beta_field: complex
-    t: float
-
-
-@dataclass
 class SignalTrace:
     """S(t) samples on a uniform time grid; model is 'QSS' or 'full'."""
 
@@ -235,6 +226,68 @@ class TwoCavityModel:
                 idx += 1
             x = xss + V @ (np.exp(lam * (b - t_cur)) * c)
             t_cur = b
+        return out
+
+    def switched_traces(self, s0, switch_times, pulse: PulseEnvelope,
+                        times) -> np.ndarray:
+        """Exact fields at `times` for many trajectories with qubit jumps.
+
+        Row k starts from vacuum at t = 0 in qubit state s0[k] and flips the
+        state at each entry of switch_times[k] (ascending; pad short rows
+        with +inf). The segment edges of a row are its switch times merged
+        with the drive edges of `pulse`; on each segment the field is the
+        closed form x_ss + V exp(lambda (t - a)) c of `trace`, evaluated for
+        all rows at once. Returns shape (rows, len(times), 2).
+        """
+        s0 = np.asarray(s0)
+        times = np.asarray(times, dtype=float)
+        n_rows = len(s0)
+        t_max = float(times[-1])
+        # switches after the last time only add empty segments at t_max
+        switch = np.minimum(np.asarray(switch_times, dtype=float).reshape(n_rows, -1),
+                            t_max)
+        drive = sorted({t for a, b, _ in pulse.segments() for t in (a, b)
+                        if 0.0 < t < t_max})
+        edges = np.concatenate([np.zeros((n_rows, 1)), switch,
+                                np.tile(drive, (n_rows, 1))], axis=1)
+        flips = np.concatenate([np.zeros((n_rows, 1), dtype=int),
+                                np.ones(switch.shape, dtype=int),
+                                np.zeros((n_rows, len(drive)), dtype=int)], axis=1)
+        order = np.argsort(edges, axis=1, kind="stable")
+        edges = np.take_along_axis(edges, order, axis=1)
+        flips = np.cumsum(np.take_along_axis(flips, order, axis=1), axis=1)
+        state = np.where(flips % 2 == 0, s0[:, None], -s0[:, None])
+        # per segment: eigen-table index, drive and steady state
+        sidx = (state > 0).astype(int)
+        eps = self.eps0 * pulse.envelope(edges)
+        xss = np.zeros(edges.shape + (2,), dtype=complex)
+        for s in (-1, +1):
+            for level in np.unique(eps):
+                xss[(state == s) & (eps == level)] = self.steady_state(s, float(level))
+        lam = np.array([self._eig[s][0] for s in (-1, +1)])
+        V = np.array([self._eig[s][1] for s in (-1, +1)])
+        Vi = np.array([self._eig[s][2] for s in (-1, +1)])
+
+        c = np.empty_like(xss)
+        x = np.zeros((n_rows, 2), dtype=complex)
+        n_seg = edges.shape[1]
+        for j in range(n_seg):
+            k = sidx[:, j]
+            c[:, j] = np.einsum("rab,rb->ra", Vi[k], x - xss[:, j])
+            if j + 1 < n_seg:
+                dt = (edges[:, j + 1] - edges[:, j])[:, None]
+                x = xss[:, j] + np.einsum("rab,rb->ra", V[k],
+                                          np.exp(lam[k] * dt) * c[:, j])
+
+        out = np.empty((n_rows, len(times), 2), dtype=complex)
+        rows = np.arange(n_rows)
+        for i, t in enumerate(times.tolist()):
+            # segment of t: the last edge strictly before it (or the first)
+            j = np.maximum(np.sum(edges < t, axis=1) - 1, 0)
+            k = sidx[rows, j]
+            growth = np.exp(lam[k] * (t - edges[rows, j])[:, None])
+            out[:, i] = xss[rows, j] + np.einsum("rab,rb->ra", V[k],
+                                                 growth * c[rows, j])
         return out
 
     def rk4_trace(self, s: int, pulse: PulseEnvelope, times: np.ndarray,

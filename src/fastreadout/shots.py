@@ -8,15 +8,17 @@ noise of variance sigma_bin^2 = 1/(4 eta * 2 pi kappa_p * dt_bin). That
 variance is the unique choice for which the mode-matched integral
 q_tau = sqrt(2 pi kappa_p) * sum Q_k w_k dt has Var[q_tau] = 1/(4 eta).
 
-Shots are mutually independent and bit-reproducible: shot i uses its own
-Philox generator keyed by (master_seed, i), so batches are identical for any
-execution order or parallel split.
+Shots are mutually independent and bit-reproducible: shot i draws from a
+Philox generator keyed by (master_seed, i) at counter 0, so batches are
+identical for any execution order or parallel split. A batch is held
+columnar (ShotBatch); the per-shot loop only draws, and the conditioned
+means of all shots are computed on arrays afterwards.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import curve_fit
@@ -27,6 +29,10 @@ from .params import DeviceParams, derive
 
 #: one-sided z score of the 99% Gaussian CDF point
 Z99 = 2.3263478740408408
+
+#: rows per step when adding the mean quadratures in place; bounds the
+#: temporaries of the batched jump path
+_CHUNK = 1024
 
 
 def noise_sigma_bin(eta: float, kappa_p: float, dt_bin: float) -> float:
@@ -68,14 +74,88 @@ class ShotConfig:
             raise ConfigError("need 0 < premeasure_window <= premeasure_duration")
 
 
-@dataclass
+def window_bins(pulse: PulseEnvelope, cfg: ShotConfig) -> int:
+    """Number of dt_bin bins in the measurement window (measure_duration,
+    or the whole pulse)."""
+    duration = cfg.measure_duration
+    if duration is None:
+        duration = pulse.total_duration
+    return int(math.floor(duration / cfg.dt_bin + 1e-9))
+
+
+@dataclass(frozen=True)
 class ShotRecord:
     """One repetition: preparation label, binned samples, hidden diagnostics."""
 
     prep: str
     samples: np.ndarray
-    jump_times: list = field(default_factory=list)
+    jump_times: tuple = ()
     preselect_value: float | None = None
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a = a.view()
+    a.flags.writeable = False
+    return a
+
+
+class ShotBatch:
+    """Columnar shot data: one row per shot, hidden jumps held sparsely.
+
+    prep (N,) holds the labels 'g'/'e'; samples (N, n_bins) the binned
+    quadratures; preselect (N,) the premeasurement values, NaN without
+    preselection. jump_shot, jump_time and jump_kind (J,) list every
+    qubit jump of the measurement window by row ('eg' decay, 'ge'
+    excitation), rows ascending and times ascending within a row. All
+    arrays are read-only; len, batch[i] and iteration give read-only
+    ShotRecord views.
+    """
+
+    def __init__(self, prep, samples, preselect=None, jump_shot=(), jump_time=(),
+                 jump_kind=()):
+        self.samples = _read_only(np.asarray(samples, dtype=float))
+        n = len(self.samples)
+        self.prep = _read_only(np.asarray(prep, dtype="U1"))
+        if preselect is None:
+            preselect = np.full(n, np.nan)
+        self.preselect = _read_only(np.asarray(preselect, dtype=float))
+        self.jump_shot = _read_only(np.asarray(jump_shot, dtype=np.int64))
+        self.jump_time = _read_only(np.asarray(jump_time, dtype=float))
+        self.jump_kind = _read_only(np.asarray(jump_kind, dtype="U2"))
+        if self.samples.ndim != 2 or self.prep.shape != (n,) \
+                or self.preselect.shape != (n,):
+            raise ValueError("prep, samples and preselect need one row per shot")
+        # jumps of row i: [_jump_start[i], _jump_start[i + 1])
+        self._jump_start = np.searchsorted(self.jump_shot, np.arange(n + 1))
+
+    @property
+    def n_bins(self) -> int:
+        return self.samples.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.samples)
+
+    def __getitem__(self, i) -> ShotRecord:
+        i = range(len(self))[i]
+        a, b = self._jump_start[i], self._jump_start[i + 1]
+        pre = float(self.preselect[i])
+        jumps = () if a == b else tuple(zip(self.jump_time[a:b].tolist(),
+                                            self.jump_kind[a:b].tolist()))
+        return ShotRecord(prep=str(self.prep[i]), samples=self.samples[i],
+                          jump_times=jumps,
+                          preselect_value=None if math.isnan(pre) else pre)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def select(self, keep) -> ShotBatch:
+        """The shots where the boolean mask `keep` is true, renumbered."""
+        keep = np.asarray(keep, dtype=bool)
+        row = np.cumsum(keep) - 1
+        jumps = keep[self.jump_shot]
+        return ShotBatch(self.prep[keep], self.samples[keep], self.preselect[keep],
+                         row[self.jump_shot[jumps]], self.jump_time[jumps],
+                         self.jump_kind[jumps])
 
 
 class _ShotEngine:
@@ -87,10 +167,7 @@ class _ShotEngine:
         self.derived = derive(device)
         self.model = TwoCavityModel(device, self.derived)
 
-        duration = cfg.measure_duration
-        if duration is None:
-            duration = pulse.total_duration
-        self.n_bins = int(math.floor(duration / cfg.dt_bin + 1e-9))
+        self.n_bins = window_bins(pulse, cfg)
         if self.n_bins < 1:
             raise GridError("sampling window shorter than one bin")
         if pulse.total_duration < self.n_bins * cfg.dt_bin - 1e-12:
@@ -125,121 +202,162 @@ class _ShotEngine:
                 s: self.model.trace(s, self.pre_pulse, self.pre_centers)
                 for s in (-1, +1)
             }
+            # only the last n_win bins enter the premeasurement value
             self.pre_bins = {
-                s: np.real(rot * pre_fields[s][:, 1]) for s in (-1, +1)
+                s: np.real(rot * pre_fields[s][-self.n_win:, 1]) for s in (-1, +1)
             }
+            self.p_reset = 1.0 - math.exp(-cfg.reset_gap / device.T1)
 
         self.down_rate = 1.0 / device.T1 + cfg.gamma_mix_down
         self.up_rate = cfg.gamma_mix_up
 
-    # -- trajectory machinery ------------------------------------------------
+    # -- random draws of one shot ----------------------------------------------
 
-    def _jumps(self, rng, s: int, t0: float, t1: float):
-        """Markov-chain jump times in [t0, t1); returns (jumps, final state)."""
-        jumps = []
-        t = t0
+    def _jumps(self, rng, row: int, s: int, t1: float, out: list) -> int:
+        """Append the Markov-chain jumps in [0, t1) to out as (row, time,
+        kind); returns the final state."""
+        t = 0.0
         while True:
             rate = self.down_rate if s == +1 else self.up_rate
             if rate <= 0.0:
-                break
+                return s
             t = t + rng.exponential(1.0 / rate)
             if t >= t1:
-                break
-            jumps.append((t, "eg" if s == +1 else "ge"))
+                return s
+            out.append((row, t, "eg" if s == +1 else "ge"))
             s = -s
-        return jumps, s
 
-    def _mean_samples(self, s0: int, jumps, pulse, centers, mean_bins):
-        """Noise-free bin-center quadratures conditioned on a jump list."""
-        if not jumps:
-            return mean_bins[s0].copy()
-        out = np.empty(len(centers))
-        t_edges = [0.0] + [t for t, _ in jumps] + [centers[-1] + 1.0e-9]
-        x = np.zeros(2, dtype=complex)
-        s = s0
-        idx = 0
-        for a, b in zip(t_edges[:-1], t_edges[1:]):
-            sel = (centers >= a - 1e-15) & (centers < b - 1e-15)
-            ts = np.append(centers[sel], b)
-            vals = self.model.trace(s, pulse, ts, x0=x, t0=a)
-            n_sel = int(np.count_nonzero(sel))
-            out[idx: idx + n_sel] = np.real(self.rot * vals[:n_sel, 1])
-            idx += n_sel
-            x = vals[-1]
-            s = -s
-        return out
+    # -- noise-free means, all shots at once ------------------------------------
 
-    # -- one shot ------------------------------------------------------------
+    def _add_means(self, out, s0, jumps, pulse, times, mean_bins):
+        """out += noise-free quadratures at `times` per row, conditioned on
+        the row's jumps; in place, so out = mean + noise bit for bit."""
+        rows = np.array([r for r, _, _ in jumps], dtype=int)
+        jump_rows, first, counts = np.unique(rows, return_index=True,
+                                             return_counts=True)
+        jump_noise = out[jump_rows]
+        for a in range(0, len(out), _CHUNK):
+            out[a:a + _CHUNK] += np.where(s0[a:a + _CHUNK, None] > 0,
+                                          mean_bins[+1], mean_bins[-1])
+        times_of = np.array([t for _, t, _ in jumps])
+        for a in range(0, len(jump_rows), _CHUNK):
+            # jump times of these rows, padded with +inf
+            n_jumps, start = counts[a:a + _CHUNK], first[a:a + _CHUNK]
+            switch = np.full((len(n_jumps), n_jumps.max()), np.inf)
+            row_of = np.repeat(np.arange(len(n_jumps)), n_jumps)
+            index = np.arange(len(row_of)) + start[0]
+            switch[row_of, index - start[row_of]] = times_of[index]
+            chunk = jump_rows[a:a + _CHUNK]
+            fields = self.model.switched_traces(s0[chunk], switch, pulse, times)
+            out[chunk] = np.real(self.rot * fields[..., 1]) + jump_noise[a:a + _CHUNK]
 
-    def run_shot(self, prep: str, index: int) -> ShotRecord:
-        if prep not in ("g", "e"):
-            raise ConfigError(f"preparation must be 'g' or 'e', got {prep!r}")
+    # -- a batch of shots --------------------------------------------------------
+
+    def run(self, indices, prep) -> ShotBatch:
+        """Shots `indices` with labels `prep`; shot i depends only on
+        (master_seed, i).
+
+        The draws of shot i come from a Philox generator keyed by
+        (master_seed, i) at counter 0, in the order: thermal state,
+        premeasurement jumps and noise, reset, preparation, jumps, noise.
+        One generator is re-keyed per shot; the means are computed for all
+        shots afterwards.
+        """
         cfg = self.cfg
-        rng = np.random.Generator(
-            np.random.Philox(key=[cfg.master_seed & 0xFFFFFFFFFFFFFFFF, index])
-        )
-        s = +1 if rng.random() < cfg.p_thermal else -1
+        prep = np.asarray(prep, dtype="U1")
+        n = len(prep)
+        bits = np.random.Philox(key=[cfg.master_seed & 0xFFFFFFFFFFFFFFFF, 0])
+        rng = np.random.Generator(bits)
+        fresh = bits.state  # counter 0, empty buffer
+        key = fresh["state"]["key"]
 
-        q_p = None
+        s_main = np.empty(n, dtype=int)
+        noise = np.empty((n, self.n_bins))
+        jumps: list = []
         if cfg.preselect:
-            s0 = s
-            pre_jumps, s = self._jumps(rng, s, 0.0, cfg.premeasure_duration)
-            pre_mean = self._mean_samples(
-                s0, pre_jumps, self.pre_pulse, self.pre_centers, self.pre_bins
-            )
-            pre_samples = pre_mean + rng.standard_normal(self.n_pre) * self.sigma_bin
-            q_p = float(np.mean(pre_samples[-self.n_win:]))
-            # reset gap: cavity returns to vacuum, qubit only decays
-            if s == +1 and rng.random() < 1.0 - math.exp(-cfg.reset_gap / self.device.T1):
-                s = -1
-
-        if prep == "e":
-            if rng.random() >= cfg.prep_error:
+            s_pre = np.empty(n, dtype=int)
+            pre_noise = np.empty((n, self.n_win))
+            pre_draw = np.empty(self.n_pre)
+            pre_jumps: list = []
+        excite = prep == "e"
+        window = self.n_bins * cfg.dt_bin
+        for row, index in enumerate(np.asarray(indices).tolist()):
+            key[1] = index
+            bits.state = fresh
+            s = +1 if rng.random() < cfg.p_thermal else -1
+            if cfg.preselect:
+                s_pre[row] = s
+                s = self._jumps(rng, row, s, cfg.premeasure_duration, pre_jumps)
+                rng.standard_normal(out=pre_draw)
+                pre_noise[row] = pre_draw[-self.n_win:]
+                # reset gap: cavity returns to vacuum, qubit only decays
+                if s == +1 and rng.random() < self.p_reset:
+                    s = -1
+            if excite[row] and rng.random() >= cfg.prep_error:
                 s = -s
+            s_main[row] = s
+            self._jumps(rng, row, s, window, jumps)
+            rng.standard_normal(out=noise[row])
 
-        jumps, _ = self._jumps(rng, s, 0.0, self.n_bins * cfg.dt_bin)
-        mean = self._mean_samples(s, jumps, self.pulse, self.bin_centers, self.mean_bins)
-        samples = mean + rng.standard_normal(self.n_bins) * self.sigma_bin
-        return ShotRecord(prep=prep, samples=samples, jump_times=jumps,
-                          preselect_value=q_p)
+        # samples = mean + noise * sigma, as in a per-shot loop
+        noise *= self.sigma_bin
+        self._add_means(noise, s_main, jumps, self.pulse, self.bin_centers,
+                        self.mean_bins)
+        preselect = None
+        if cfg.preselect:
+            pre_noise *= self.sigma_bin
+            self._add_means(pre_noise, s_pre, pre_jumps, self.pre_pulse,
+                            self.pre_centers[-self.n_win:], self.pre_bins)
+            preselect = np.mean(pre_noise, axis=1)
+        return ShotBatch(prep, noise, preselect,
+                         jump_shot=[r for r, _, _ in jumps],
+                         jump_time=[t for _, t, _ in jumps],
+                         jump_kind=[k for _, _, k in jumps])
+
+
+def _check_prep(prep: str):
+    if prep not in ("g", "e"):
+        raise ConfigError(f"preparation must be 'g' or 'e', got {prep!r}")
 
 
 def simulate_shot(device: DeviceParams, pulse: PulseEnvelope, cfg: ShotConfig,
                   prep: str, index: int = 0) -> ShotRecord:
     """Generate one shot; deterministic given (cfg.master_seed, index)."""
-    return _ShotEngine(device, pulse, cfg).run_shot(prep, index)
+    _check_prep(prep)
+    return _ShotEngine(device, pulse, cfg).run([index], [prep])[0]
 
 
 def simulate_batch(device: DeviceParams, pulse: PulseEnvelope, cfg: ShotConfig,
-                   prep: str | None = None) -> list[ShotRecord]:
-    """Generate cfg.n_shots shots.
+                   prep: str | None = None) -> ShotBatch:
+    """Generate cfg.n_shots shots as a ShotBatch.
 
     prep None alternates g, e, g, e, ... (shot index parity); 'g' or 'e'
     prepares a single class. Order-independent: shot i depends only on
     (master_seed, i).
     """
-    engine = _ShotEngine(device, pulse, cfg)
-    out = []
-    for i in range(cfg.n_shots):
-        p = prep if prep is not None else ("g" if i % 2 == 0 else "e")
-        out.append(engine.run_shot(p, i))
-    return out
+    index = np.arange(cfg.n_shots)
+    if prep is None:
+        labels = np.where(index % 2 == 0, "g", "e")
+    else:
+        _check_prep(prep)
+        labels = np.full(cfg.n_shots, prep)
+    return _ShotEngine(device, pulse, cfg).run(index, labels)
 
 
 # ---------------------------------------------------------------------------
 # preselection
 # ---------------------------------------------------------------------------
 
-def run_preselection(device: DeviceParams, cfg: ShotConfig, records):
+def run_preselection(device: DeviceParams, cfg: ShotConfig, batch: ShotBatch):
     """Reject shots whose premeasurement flags an initially excited qubit.
 
     Fits a single Gaussian to the q_p histogram, thresholds at the 99% point
-    of the fitted CDF (mu + 2.326 sigma) and drops records above it. Returns
-    (surviving records, rejected fraction).
+    of the fitted CDF (mu + 2.326 sigma) and drops shots above it. Returns
+    (surviving ShotBatch, rejected fraction).
     """
-    if len(records) < 100:
+    if len(batch) < 100:
         raise FitError("preselection needs at least 100 records")
-    q_p = np.array([r.preselect_value for r in records], dtype=float)
+    q_p = batch.preselect
     if np.any(~np.isfinite(q_p)):
         raise FitError("records lack preselection values")
 
@@ -264,6 +382,6 @@ def run_preselection(device: DeviceParams, cfg: ShotConfig, records):
         raise FitError(f"preselection Gaussian fit failed: {exc}") from exc
     mu, sigma = float(popt[1]), abs(float(popt[2]))
     threshold = mu + Z99 * sigma
-    kept = [r for r in records if r.preselect_value <= threshold]
-    rejected = 1.0 - len(kept) / len(records)
+    kept = batch.select(q_p <= threshold)
+    rejected = 1.0 - len(kept) / len(batch)
     return kept, rejected

@@ -15,7 +15,7 @@ from fastreadout.dynamics import (PulseEnvelope, SignalTrace, TWOPI,
                                   qss_steady_signal)
 from fastreadout.errors import FitError, NoSignalError, TauRangeError
 from fastreadout.params import derive
-from fastreadout.shots import ShotConfig, ShotRecord, simulate_batch
+from fastreadout.shots import ShotBatch, ShotConfig, ShotRecord, simulate_batch
 
 
 @pytest.fixture(scope="module")
@@ -103,10 +103,9 @@ class TestIntegration:
         rng = np.random.default_rng(11)
         centers, idx = bin_grid(7)
         w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 56e-9)
-        recs = [ShotRecord(prep="g", samples=rng.normal(size=7))
-                for _ in range(5)]
-        q, prep = integrate_batch(recs, w, d.kappa_p)
-        for i, rec in enumerate(recs):
+        batch = ShotBatch(prep=["g"] * 5, samples=rng.normal(size=(5, 7)))
+        q, prep = integrate_batch(batch, w, d.kappa_p)
+        for i, rec in enumerate(batch):
             assert q[i] == pytest.approx(integrate_shot(rec, w, d.kappa_p),
                                          rel=1e-12)
         assert list(prep) == ["g"] * 5

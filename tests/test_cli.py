@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fastreadout import cli
 from fastreadout.calib import SpectrumParams, transmission
 from fastreadout.cli import main
+from fastreadout.shots import ShotBatch
 
 REFERENCE_CONF = resources.files("fastreadout.data") / "reference.conf"
 
@@ -169,6 +171,79 @@ class TestSimulateAnalyze:
         a = (tmp_path / "a" / "shots.csv").read_text()
         b = (tmp_path / "b" / "shots.csv").read_text()
         assert a != b
+
+
+def reference_shot_csv(path: Path, cfg: dict, batch: ShotBatch, wide: bool):
+    """The shot file written row by row through csv.writer and _fmt."""
+    with open(path, "w", newline="") as fh:
+        for line in cli._header_lines(cfg, "simulate"):
+            fh.write(line + "\n")
+        writer = csv.writer(fh)
+        if wide:
+            writer.writerow(["shot_id", "prep", "preselect_value"]
+                            + [f"q{k}" for k in range(batch.n_bins)])
+        else:
+            writer.writerow(["shot_id", "prep", "t_ns", "Q"])
+        for i, rec in enumerate(batch):
+            pre = float("nan") if rec.preselect_value is None else rec.preselect_value
+            rows = [[i, rec.prep, pre, *rec.samples]] if wide else [
+                (i, rec.prep, (k + 0.5) * cfg["dt_bin"] * 1e9, q)
+                for k, q in enumerate(rec.samples)]
+            for row in rows:
+                writer.writerow([cli._fmt(v) for v in row])
+
+
+class TestShotFile:
+    @pytest.fixture()
+    def small(self, conf):
+        cfg = cli.resolve_config(conf, ["pulse_duration=40ns"])
+        rng = np.random.default_rng(5)
+        samples = rng.normal(size=(7, 5)) * 10.0 ** rng.uniform(-12, 8, (7, 5))
+        samples[0, :2] = (0.0, -0.0)
+        pre = np.array([np.nan, 0.5, np.nan, -1.25e-7, np.nan, 3.0, np.nan])
+        return cfg, ShotBatch(prep=list("gegeeeg"), samples=samples, preselect=pre)
+
+    @pytest.mark.parametrize("wide", [True, False])
+    def test_bytes_match_csv_writer(self, small, tmp_path, monkeypatch, wide):
+        cfg, batch = small
+        monkeypatch.setattr(cli, "_SHOT_CHUNK", 3)  # chunk edges inside the batch
+        cli._write_shot_csv(tmp_path / "new.csv", cfg, batch, wide)
+        reference_shot_csv(tmp_path / "ref.csv", cfg, batch, wide)
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
+    def test_read_back_identical(self, small, tmp_path):
+        cfg, batch = small
+        cli._write_shot_csv(tmp_path / "shots.csv", cfg, batch, True)
+        back = cli._read_shot_csv(str(tmp_path / "shots.csv"), cfg)
+        written = np.vectorize(lambda v: float("%.9g" % v))
+        assert list(back.prep) == list(batch.prep)
+        assert np.array_equal(back.samples, written(batch.samples))
+        assert np.array_equal(back.preselect, written(batch.preselect),
+                              equal_nan=True)
+
+    @pytest.mark.parametrize("key,value", [("n_drive", "3.5"), ("dt_bin", "4ns")])
+    def test_config_mismatch_exits_2(self, conf, tmp_path, capsys, key, value):
+        out = str(tmp_path)
+        assert run("simulate", "--config", conf, "--output-dir", out, "--wide",
+                   "--n-shots", "200", "--set", "pulse_duration=160ns",
+                   "--set", f"{key}={value}") == 0
+        capsys.readouterr()
+        code = run("analyze", "--config", conf, "--output-dir", out,
+                   "--input", str(tmp_path / "shots.csv"),
+                   "--set", "pulse_duration=160ns")
+        assert code == 2
+        assert key in capsys.readouterr().err
+
+    def test_bin_count_mismatch_exits_2(self, small, conf, tmp_path, capsys):
+        cfg, batch = small
+        short = ShotBatch(prep=batch.prep, samples=batch.samples[:, :4])
+        cli._write_shot_csv(tmp_path / "shots.csv", cfg, short, True)
+        code = run("analyze", "--config", conf, "--output-dir", str(tmp_path),
+                   "--input", str(tmp_path / "shots.csv"),
+                   "--set", "pulse_duration=40ns")
+        assert code == 2
+        assert "bins" in capsys.readouterr().err
 
 
 class TestOptimize:

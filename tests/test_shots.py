@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ from scipy import stats
 
 from conftest import bin_grid, make_device
 from fastreadout.analysis import build_weights, integrate_batch
-from fastreadout.dynamics import PulseEnvelope, mean_quadrature_traces
+from fastreadout.dynamics import (DEFAULT_RK4_STEP, PulseEnvelope,
+                                  mean_quadrature_traces)
 from fastreadout.errors import ConfigError, FitError, GridError
 from fastreadout.params import derive
-from fastreadout.shots import (ShotConfig, noise_sigma_bin, run_preselection,
-                               simulate_batch, simulate_shot)
+from fastreadout.shots import (ShotConfig, _ShotEngine, noise_sigma_bin,
+                               run_preselection, simulate_batch, simulate_shot)
 
 
 class TestShotConfig:
@@ -189,3 +191,196 @@ class TestPreselection:
         recs = simulate_batch(device, gated_pulse, cfg)
         with pytest.raises(FitError):
             run_preselection(device, cfg, recs)
+
+
+class TestShotBatch:
+    def test_views_match_columns(self, gated_pulse):
+        dev = make_device(T1=0.5e-6)
+        cfg = ShotConfig(n_shots=30, master_seed=6, gamma_mix_up=2e6,
+                         preselect=True, measure_duration=160e-9)
+        batch = simulate_batch(dev, gated_pulse, cfg)
+        assert len(batch) == 30 and batch.n_bins == 20
+        recs = list(batch)
+        assert [r.prep for r in recs] == list(batch.prep)
+        assert sum(len(r.jump_times) for r in recs) == len(batch.jump_time)
+        for i, r in enumerate(recs):
+            assert np.array_equal(r.samples, batch.samples[i])
+            assert r.preselect_value == batch.preselect[i]
+            with pytest.raises(ValueError):
+                r.samples[0] = 0.0  # read-only view
+
+    def test_select_renumbers_jumps(self, gated_pulse):
+        dev = make_device(T1=0.3e-6)
+        batch = simulate_batch(dev, gated_pulse,
+                               ShotConfig(n_shots=40, master_seed=8))
+        keep = np.arange(40) % 3 != 0
+        kept = batch.select(keep)
+        expected = [r for r, k in zip(batch, keep) if k]
+        assert len(kept) == len(expected)
+        for a, b in zip(kept, expected):
+            assert a.prep == b.prep and a.jump_times == b.jump_times
+            assert np.array_equal(a.samples, b.samples)
+
+
+def _stream_config(n_shots: int) -> ShotConfig:
+    # jumps in both windows, preparation errors and preselection: every draw
+    return ShotConfig(n_shots=n_shots, master_seed=2024, p_thermal=0.2,
+                      gamma_mix_up=3e6, gamma_mix_down=2e6, prep_error=0.1,
+                      preselect=True, measure_duration=160e-9)
+
+
+class TestStreamPinning:
+    def test_shot_independent_of_batch_size(self, device, gated_pulse):
+        small = simulate_batch(device, gated_pulse, _stream_config(8))
+        large = simulate_batch(device, gated_pulse, _stream_config(50))
+        assert any(r.jump_times for r in small)
+        for i in range(8):
+            solo = simulate_shot(device, gated_pulse, _stream_config(50),
+                                 small[i].prep, i)
+            for rec in (large[i], solo):
+                assert rec.prep == small[i].prep
+                assert np.array_equal(rec.samples, small[i].samples)
+                assert rec.jump_times == small[i].jump_times
+                assert rec.preselect_value == small[i].preselect_value
+
+    def test_no_jump_noise_is_philox_stream(self, device, gated_pulse):
+        # shot i: thermal draw, preparation draw (e only), one exponential
+        # waiting time when the state can jump, then the bin noise
+        cfg = ShotConfig(n_shots=40, master_seed=77, p_thermal=0.1,
+                         prep_error=0.05)
+        batch = simulate_batch(device, gated_pulse, cfg)
+        engine = _ShotEngine(device, gated_pulse, cfg)
+        checked = 0
+        for i, rec in enumerate(batch):
+            if rec.jump_times:
+                continue
+            rng = np.random.Generator(np.random.Philox(key=[cfg.master_seed, i]))
+            s = +1 if rng.random() < cfg.p_thermal else -1
+            if rec.prep == "e" and rng.random() >= cfg.prep_error:
+                s = -s
+            if s == +1:
+                rng.exponential(device.T1)
+            noise = engine.sigma_bin * rng.standard_normal(engine.n_bins)
+            assert np.array_equal(rec.samples, engine.mean_bins[s] + noise)
+            checked += 1
+        assert checked >= 35
+
+
+# ---------------------------------------------------------------------------
+# batched jump-conditioned means against independent solves
+# ---------------------------------------------------------------------------
+
+def random_device(rng):
+    """A device inside its dispersive guard: |Delta| > guard * g."""
+    g = rng.uniform(80e6, 250e6)
+    guard = rng.uniform(4.0, 10.0)
+    omega_r = rng.uniform(4.5e9, 7.0e9)
+    delta = rng.choice([-1.0, 1.0]) * guard * g * rng.uniform(1.05, 2.0)
+    return make_device(g=g, dispersive_guard=guard, omega_r=omega_r,
+                       omega_q=omega_r + delta,
+                       omega_p=omega_r + rng.uniform(-10e6, 10e6),
+                       alpha=-rng.uniform(150e6, 350e6), J=rng.uniform(10e6, 40e6),
+                       Q_p=rng.uniform(30.0, 150.0), T1=rng.uniform(1e-6, 30e-6),
+                       eta=rng.uniform(0.2, 1.0), n_drive=rng.uniform(0.5, 6.0))
+
+
+def piecewise_trace_means(model, rot, s0, jumps, pulse, centers):
+    """Conditioned means from one TwoCavityModel.trace solve per segment
+    between jumps, each started from the field where the last one ended."""
+    out = np.empty(len(centers))
+    t_edges = [0.0] + list(jumps) + [centers[-1] + 1.0e-9]
+    x = np.zeros(2, dtype=complex)
+    s = s0
+    idx = 0
+    for a, b in zip(t_edges[:-1], t_edges[1:]):
+        sel = (centers >= a - 1e-15) & (centers < b - 1e-15)
+        vals = model.trace(s, pulse, np.append(centers[sel], b), x0=x, t0=a)
+        n_sel = int(np.count_nonzero(sel))
+        out[idx: idx + n_sel] = np.real(rot * vals[:n_sel, 1])
+        idx += n_sel
+        x = vals[-1]
+        s = -s
+    return out
+
+
+def rk4_switching_means(model, rot, s0, jumps, pulse, centers,
+                        step=DEFAULT_RK4_STEP):
+    """Fixed-step RK4 from vacuum at t = 0 whose qubit state flips at each
+    jump. Steps end on every jump, drive edge and output time, so the
+    right-hand side is constant within a step."""
+    t_end = float(centers[-1])
+    stops = sorted({0.0, *centers.tolist(),
+                    *(t for a, b, _ in pulse.segments() for t in (a, b) if t < t_end),
+                    *(t for t in jumps if t < t_end)})
+    y0 = y1 = 0j
+    out = {}
+    for a, b in zip(stops[:-1], stops[1:]):
+        mid = 0.5 * (a + b)
+        s = s0 * (-1) ** sum(t < mid for t in jumps)
+        (m00, m01), (m10, m11) = model._A[s].tolist()
+        d1 = complex(model._b[1]) * model.eps0 * float(pulse.envelope(mid))
+
+        def f(u0, u1):
+            return m00 * u0 + m01 * u1, m10 * u0 + m11 * u1 + d1
+
+        n = max(1, math.ceil((b - a) / step - 1e-9))
+        h = (b - a) / n
+        for _ in range(n):
+            k1 = f(y0, y1)
+            k2 = f(y0 + 0.5 * h * k1[0], y1 + 0.5 * h * k1[1])
+            k3 = f(y0 + 0.5 * h * k2[0], y1 + 0.5 * h * k2[1])
+            k4 = f(y0 + h * k3[0], y1 + h * k3[1])
+            y0 += h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+            y1 += h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        out[b] = y1
+    return np.array([np.real(rot * out[t]) for t in centers.tolist()])
+
+
+def batched_means(engine, s0, jump_lists, pulse, times, mean_bins):
+    """The engine's conditioned means, all rows in one call."""
+    jumps = [(row, t, "") for row, ts in enumerate(jump_lists) for t in ts]
+    out = np.zeros((len(s0), len(times)))
+    engine._add_means(out, np.asarray(s0), jumps, pulse, times, mean_bins)
+    return out
+
+
+def _random_cases(seed: int):
+    """Engine, then (pulse, times, mean_bins, s0, jump lists) per window:
+    gated, two-step and the premeasurement pulse."""
+    rng = np.random.default_rng(seed)
+    dev = random_device(rng)
+    dt_bin = rng.choice([4e-9, 8e-9])
+    n_bins = int(rng.integers(6, 20))
+    cfg = ShotConfig(n_shots=1, dt_bin=dt_bin, preselect=True,
+                     premeasure_duration=dt_bin * int(rng.integers(8, 16)),
+                     premeasure_window=2 * dt_bin,
+                     premeasure_amplitude=rng.uniform(0.5, 1.5))
+    duration = n_bins * dt_bin + rng.uniform(0.0, 40e-9)
+    pulses = [PulseEnvelope(kind="gated", total_duration=duration),
+              PulseEnvelope(kind="two_step", total_duration=duration,
+                            boost_factor=rng.uniform(1.5, 3.0),
+                            boost_duration=rng.uniform(2e-9, 12e-9))]
+    engines = [_ShotEngine(dev, p, replace(cfg, measure_duration=n_bins * dt_bin))
+               for p in pulses]
+    for engine in engines:
+        windows = [(engine.pulse, engine.bin_centers, engine.mean_bins,
+                    n_bins * dt_bin),
+                   (engine.pre_pulse, engine.pre_centers[-engine.n_win:],
+                    engine.pre_bins, cfg.premeasure_duration)]
+        for pulse, times, mean_bins, length in windows:
+            s0 = rng.choice([-1, 1], size=4)
+            jumps = [np.sort(rng.uniform(0.0, length, int(rng.integers(1, 5))))
+                     .tolist() for _ in s0]
+            yield engine, pulse, times, mean_bins, s0, jumps
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_batched_jump_means_match_trace_and_rk4(seed):
+    for engine, pulse, times, mean_bins, s0, jumps in _random_cases(seed):
+        got = batched_means(engine, s0, jumps, pulse, times, mean_bins)
+        for row, (s, js) in enumerate(zip(s0, jumps)):
+            ref = piecewise_trace_means(engine.model, engine.rot, s, js, pulse, times)
+            scale = float(np.max(np.abs(ref)))
+            assert np.allclose(got[row], ref, rtol=1e-12, atol=1e-12 * scale)
+            ode = rk4_switching_means(engine.model, engine.rot, s, js, pulse, times)
+            assert np.allclose(got[row], ode, rtol=1e-7, atol=1e-7 * scale)
