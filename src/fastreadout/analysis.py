@@ -13,13 +13,31 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, least_squares
-from scipy.special import erfc
-from scipy.stats import norm
+from scipy.special import erfc, ndtr
 
 from .dynamics import TWOPI, SignalTrace
+from ._scipy import least_squares
 from .errors import FitError, NoSignalError, TauRangeError
 from .params import DeviceParams, derive
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _normal(kind: str, q, mu, sigma):
+    """'pdf', 'cdf' or 'sf' of N(mu, sigma^2) at q.
+
+    Bit for bit the arithmetic of scipy.stats.norm, without the second that
+    importing scipy.stats takes.
+    """
+    z = (np.asarray(q, dtype=float) - mu) / sigma
+    if kind == "pdf":
+        return np.exp(-z ** 2 / 2.0) / _SQRT_2PI / sigma
+    if kind == "cdf":
+        return ndtr(z)
+    if kind == "sf":
+        return ndtr(-z)
+    raise ValueError(f"unknown kind {kind!r}")
+
 
 # ---------------------------------------------------------------------------
 # weights and integration
@@ -95,12 +113,12 @@ class MixtureFit:
     threshold: float
 
     def counts_g(self, q):
-        return (self.A_gg * norm.pdf(q, self.mu_g, self.sigma_g)
-                + self.A_eg * norm.pdf(q, self.mu_e, self.sigma_e))
+        return (self.A_gg * _normal("pdf", q, self.mu_g, self.sigma_g)
+                + self.A_eg * _normal("pdf", q, self.mu_e, self.sigma_e))
 
     def counts_e(self, q):
-        return (self.A_ge * norm.pdf(q, self.mu_g, self.sigma_g)
-                + self.A_ee * norm.pdf(q, self.mu_e, self.sigma_e))
+        return (self.A_ge * _normal("pdf", q, self.mu_g, self.sigma_g)
+                + self.A_ee * _normal("pdf", q, self.mu_e, self.sigma_e))
 
 
 def histogram_bins(q: np.ndarray, min_bins: int = 60) -> np.ndarray:
@@ -148,8 +166,8 @@ def fit_mixture(centers, counts_g, counts_e, max_nfev: int = 2000) -> MixtureFit
 
     def model(p):
         mg, me, sg, se, agg, aeg, age, aee = p
-        pdf_g = norm.pdf(centers, mg, sg)
-        pdf_e = norm.pdf(centers, me, se)
+        pdf_g = _normal("pdf", centers, mg, sg)
+        pdf_e = _normal("pdf", centers, me, se)
         return agg * pdf_g + aeg * pdf_e, age * pdf_g + aee * pdf_e
 
     def resid(p):
@@ -170,6 +188,8 @@ def fit_mixture(centers, counts_g, counts_e, max_nfev: int = 2000) -> MixtureFit
 
 def _intersection_threshold(fit: MixtureFit) -> float:
     """Decision boundary at the intersection of C_g and C_e between the means."""
+    from scipy.optimize import brentq
+
     a, b = sorted((fit.mu_g, fit.mu_e))
     if b - a <= 0.0:
         return a
@@ -245,13 +265,13 @@ def error_budget(q: np.ndarray, prep: np.ndarray, fit: MixtureFit) -> ErrorBudge
     if e_high:
         eps_g = float(np.mean(q_g >= thr))
         eps_e = float(np.mean(q_e < thr))
-        eps_o_g = norm.sf(thr, fit.mu_g, fit.sigma_g)
-        eps_o_e = norm.cdf(thr, fit.mu_e, fit.sigma_e)
+        eps_o_g = _normal("sf", thr, fit.mu_g, fit.sigma_g)
+        eps_o_e = _normal("cdf", thr, fit.mu_e, fit.sigma_e)
     else:
         eps_g = float(np.mean(q_g < thr))
         eps_e = float(np.mean(q_e >= thr))
-        eps_o_g = norm.cdf(thr, fit.mu_g, fit.sigma_g)
-        eps_o_e = norm.sf(thr, fit.mu_e, fit.sigma_e)
+        eps_o_g = _normal("cdf", thr, fit.mu_g, fit.sigma_g)
+        eps_o_e = _normal("sf", thr, fit.mu_e, fit.sigma_e)
     # dominant-component tail mass, weighted by the component's class fraction
     wg = fit.A_gg / (fit.A_gg + fit.A_eg) if fit.A_gg + fit.A_eg > 0 else 1.0
     we = fit.A_ee / (fit.A_ee + fit.A_ge) if fit.A_ee + fit.A_ge > 0 else 1.0

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
+from ._scipy import least_squares
 from .errors import ConfigError, FitError
 
 
@@ -57,16 +57,6 @@ def transmission(omega, p: SpectrumParams, qubit_state: str = "g"):
     return p.scale * np.abs(kappa_p / denom)
 
 
-@dataclass
-class SpectrumModel:
-    """A fitted (or synthetic) pair of qubit-state-conditioned spectra."""
-
-    omega: np.ndarray
-    s21_g: np.ndarray
-    s21_e: np.ndarray
-    params: SpectrumParams
-
-
 def fit_transmission(omega, s21_g, s21_e,
                      p0: SpectrumParams | None = None) -> SpectrumParams:
     """Joint least-squares fit of both spectra to the shared two-mode model.
@@ -74,6 +64,9 @@ def fit_transmission(omega, s21_g, s21_e,
     The two spectra share (omega_p, omega_r, J, Q_p, gamma, scale) and differ
     only through ±chi. Raises FitError on non-convergence or when a
     parameter lands on a search bound.
+
+    The default start takes omega_r and chi from the two notches: |S21|_g
+    is smallest at omega_r - chi and |S21|_e at omega_r + chi.
     """
     omega = np.asarray(omega, dtype=float)
     s21_g = np.asarray(s21_g, dtype=float)
@@ -85,8 +78,11 @@ def fit_transmission(omega, s21_g, s21_e,
         mean = 0.5 * (s21_g + s21_e)
         center = float(np.sum(omega * mean) / np.sum(mean))
         span = float(omega[-1] - omega[0])
+        notch_g = float(omega[np.argmin(s21_g)])
+        notch_e = float(omega[np.argmin(s21_e)])
         p0 = SpectrumParams(
-            omega_p=center, omega_r=center, J=0.1 * span, chi=-0.01 * span,
+            omega_p=center, omega_r=0.5 * (notch_g + notch_e), J=0.1 * span,
+            chi=0.5 * (notch_e - notch_g),
             Q_p=center / (0.25 * span), gamma=1e-4 * span,
             scale=float(np.max(mean)),
         )
@@ -127,12 +123,15 @@ def fit_transmission(omega, s21_g, s21_e,
         return np.concatenate([rg, re])
 
     # stage 1 (absolute) pins the global shape from a rough start; stage 2
-    # (relative) refines gamma via the notch depth
+    # (relative) refines gamma via the notch depth. x_scale="jac": omega_p/f0
+    # and omega_r/f0 move by ~1e-3 while the other entries move by O(1), so
+    # unscaled trust-region steps crawl along the two frequencies
     pre = least_squares(resid_abs, np.clip(pack(p0), lo, hi), bounds=(lo, hi),
-                        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=5000)
+                        x_scale="jac", xtol=1e-14, ftol=1e-14, gtol=1e-14,
+                        max_nfev=5000)
     if not pre.success:
         raise FitError(f"transmission fit did not converge: {pre.message}")
-    sol = least_squares(resid_rel, pre.x, bounds=(lo, hi),
+    sol = least_squares(resid_rel, pre.x, bounds=(lo, hi), x_scale="jac",
                         xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=5000)
     if not sol.success:
         raise FitError(f"transmission fit did not converge: {sol.message}")

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .dynamics import TWOPI, PulseEnvelope, TwoCavityModel, optimal_lo_phase
 from .errors import ConfigError, FitError, GridError
@@ -355,6 +354,8 @@ def run_preselection(device: DeviceParams, cfg: ShotConfig, batch: ShotBatch):
     of the fitted CDF (mu + 2.326 sigma) and drops shots above it. Returns
     (surviving ShotBatch, rejected fraction).
     """
+    from scipy.optimize import curve_fit
+
     if len(batch) < 100:
         raise FitError("preselection needs at least 100 records")
     q_p = batch.preselect

@@ -11,13 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import bin_grid, make_device
+from conftest import (bin_grid, make_device, noisy_spectrum_pairs,
+                      spectrum_fit_errors)
 from fastreadout.analysis import (FilterConfig, build_weights, error_budget,
                                   fit_shot_histograms, integrate_batch,
                                   overlap_model)
-from fastreadout.calib import (SpectrumParams, fit_transmission,
-                               phase_sensitive_efficiency, total_efficiency,
-                               transmission)
+from fastreadout.calib import (fit_transmission, phase_sensitive_efficiency,
+                               total_efficiency)
 from fastreadout.dynamics import (PulseEnvelope, full_model_signal,
                                   mean_quadrature_traces)
 from fastreadout.optimize import optimal_ratio_vs_tau
@@ -146,34 +146,10 @@ def test_criterion_6_efficiency_calculus(report):
 
 def test_criterion_7_spectrum_fit_round_trip(report):
     t0 = time.perf_counter()
-    rng = np.random.default_rng(23)
     worst = 0.0
-    for _ in range(20):
-        omega_p = rng.uniform(4.5e9, 5.5e9)
-        truth = SpectrumParams(
-            omega_p=omega_p, omega_r=omega_p - rng.uniform(-5e6, 5e6),
-            J=rng.uniform(18e6, 35e6), chi=-rng.uniform(4e6, 12e6),
-            Q_p=rng.uniform(50.0, 120.0), gamma=rng.uniform(1e5, 5e5),
-            scale=rng.uniform(0.5, 2.0))
-        kappa_p = truth.kappa_p
-        coarse = np.linspace(omega_p - 4 * kappa_p, omega_p + 4 * kappa_p, 241)
-        fine = [np.linspace(truth.omega_r + s * truth.chi - 3e6,
-                            truth.omega_r + s * truth.chi + 3e6, 601)
-                for s in (-1.0, 1.0)]
-        omega = np.sort(np.concatenate([coarse] + fine))
-        s_g = transmission(omega, truth, "g") * \
-            (1.0 + 0.01 * rng.standard_normal(len(omega)))
-        s_e = transmission(omega, truth, "e") * \
-            (1.0 + 0.01 * rng.standard_normal(len(omega)))
+    for truth, omega, s_g, s_e in noisy_spectrum_pairs(23, 20):
         fit = fit_transmission(omega, s_g, s_e)
-        span = 8 * kappa_p
-        errs = [abs(fit.omega_p - truth.omega_p) / span,
-                abs(fit.omega_r - truth.omega_r) / span,
-                abs(fit.J / truth.J - 1.0),
-                abs(fit.chi / truth.chi - 1.0),
-                abs(fit.Q_p / truth.Q_p - 1.0),
-                abs(fit.gamma / truth.gamma - 1.0)]
-        worst = max(worst, max(errs))
+        worst = max(worst, max(spectrum_fit_errors(fit, truth)))
     elapsed = time.perf_counter() - t0
     ok = worst < 0.01 and elapsed < 30.0
     report(7, ok, f"worst recovery error {100*worst:.2f}% over 20 noisy sets, "

@@ -1,5 +1,8 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -23,6 +26,21 @@ def conf(tmp_path):
 
 def run(*argv):
     return main(list(argv))
+
+
+def test_import_defers_the_fit_stack():
+    # scipy.stats and scipy.optimize cost about a second to import; only
+    # the fitting functions load scipy.optimize, on first use
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, fastreadout.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stdout.strip() == "[]"
 
 
 def read_report(path: Path) -> dict:

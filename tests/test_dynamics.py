@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_device
+from conftest import make_device, random_device, rk4_switching_fields
 from fastreadout.dynamics import (DEFAULT_RK4_STEP, PulseEnvelope, SignalTrace,
                                   TWOPI, TwoCavityModel, full_model_signal,
                                   integrated_rate, mean_quadrature_traces,
@@ -47,6 +47,27 @@ def one_cavity_oracle(n_drive, chi, kappa_eff, times, step=0.05e-9):
             vals.append(y)
         out[s] = np.array(vals)
     return np.sqrt(kappa_a) * np.abs(out[+1] - out[-1])
+
+
+def loop_trace(model, s, pulse, times, x0=None, t0=0.0):
+    """TwoCavityModel.trace as a loop over samples: each sample is assigned
+    to the first constant-drive segment whose end it does not pass by more
+    than 1e-15 s. The reference for the segment lookup of the array form."""
+    x = np.zeros(2, dtype=complex) if x0 is None else np.array(x0, dtype=complex)
+    out = np.empty((len(times), 2), dtype=complex)
+    lam, V, Vi = model._eig[s]
+    t_max = float(times[-1])
+    bounds = sorted({t for a, b, _ in pulse.segments() for t in (a, b)})
+    edges = [t0] + [b for b in bounds if t0 + 1e-15 < b < t_max - 1e-15] + [t_max]
+    idx = 0
+    for a, b in zip(edges[:-1], edges[1:]):
+        xss = model.steady_state(s, model.eps0 * float(pulse.envelope(0.5 * (a + b))))
+        c = Vi @ (x - xss)
+        while idx < len(times) and times[idx] <= b + 1e-15:
+            out[idx] = xss + V @ (np.exp(lam * (times[idx] - a)) * c)
+            idx += 1
+        x = xss + V @ (np.exp(lam * (b - a)) * c)
+    return out
 
 
 class TestQssSignal:
@@ -169,6 +190,18 @@ class TestFullModel:
         s2 = full_model_signal(device, p2, fine_times, method="exact").values
         assert np.allclose(s1, 2.0 * s2, rtol=1e-9, atol=1e-12)
 
+    def test_exact_is_the_default_method(self, device, gated_pulse, fine_times):
+        assert np.array_equal(
+            full_model_signal(device, gated_pulse, fine_times).values,
+            full_model_signal(device, gated_pulse, fine_times, method="exact").values)
+        assert np.array_equal(
+            mean_quadrature_traces(device, gated_pulse, fine_times).q_e,
+            mean_quadrature_traces(device, gated_pulse, fine_times,
+                                   method="exact").q_e)
+        for solve in (full_model_signal, mean_quadrature_traces):
+            with pytest.raises(ConfigError):
+                solve(device, gated_pulse, fine_times, method="euler")
+
     def test_coarse_grid_rejected(self, device, gated_pulse):
         with pytest.raises(GridError):
             full_model_signal(device, gated_pulse, np.arange(0, 100e-9, 1e-9))
@@ -178,6 +211,87 @@ class TestFullModel:
         with pytest.raises(PhotonCeilingError):
             full_model_signal(hot, gated_pulse, fine_times,
                               photon_ceiling=10.0, method="exact")
+
+
+class TestExactTrace:
+    """TwoCavityModel.trace: one array expression per constant-drive segment."""
+
+    @pytest.fixture
+    def boosted(self):
+        return PulseEnvelope(kind="two_step", boost_duration=4e-9,
+                             total_duration=100e-9)
+
+    @staticmethod
+    def assert_close(got, ref, rtol):
+        scale = float(np.max(np.abs(ref)))
+        assert np.allclose(got, ref, rtol=rtol, atol=rtol * scale)
+
+    def test_samples_on_drive_edges(self, device, boosted):
+        # the 0.5 ns grid has samples on the pulse start, the end of the
+        # boost (4 ns) and the pulse end (100 ns)
+        model = TwoCavityModel(device)
+        times = np.arange(0.0, 160e-9, 0.5e-9)
+        for edge in (0.0, 4e-9, 100e-9):
+            assert np.min(np.abs(times - edge)) <= 1e-15
+        for s in (-1, +1):
+            got = model.trace(s, boosted, times)
+            assert np.all(np.isfinite(got))
+            self.assert_close(got, loop_trace(model, s, boosted, times), 1e-13)
+            ode = rk4_switching_fields(model, s, [], boosted, times)
+            self.assert_close(got, ode, 1e-7)
+
+    def test_single_sample_grid(self, device, boosted):
+        model = TwoCavityModel(device)
+        times = np.arange(0.0, 160e-9, 0.5e-9)
+        for s in (-1, +1):
+            full = model.trace(s, boosted, times)
+            atol = 1e-12 * float(np.max(np.abs(full)))
+            for k in (0, 8, 9, 100, 200, 250):
+                one = model.trace(s, boosted, times[k:k + 1])
+                assert one.shape == (1, 2)
+                assert np.allclose(one[0], full[k], rtol=1e-12, atol=atol)
+                ref = loop_trace(model, s, boosted, times[k:k + 1])
+                assert np.allclose(one, ref, rtol=1e-13, atol=0.1 * atol)
+        assert model.trace(-1, boosted, np.empty(0)).shape == (0, 2)
+
+    def test_start_from_x0_t0(self, device, boosted):
+        # a solve started from the field at t0 continues the solve from
+        # vacuum at 0, as the premeasurement window is evaluated; t0 in
+        # mid-segment and on the end of the boost
+        model = TwoCavityModel(device)
+        times = np.arange(0.0, 160e-9, 0.5e-9)
+        for s in (-1, +1):
+            full = model.trace(s, boosted, times)
+            for k in (8, 37, 200):
+                got = model.trace(s, boosted, times[k:], x0=full[k], t0=times[k])
+                self.assert_close(got, full[k:], 1e-12)
+                ref = loop_trace(model, s, boosted, times[k:], x0=full[k],
+                                 t0=times[k])
+                self.assert_close(got, ref, 1e-13)
+
+    def test_unsorted_times_rejected(self, device, boosted):
+        # a sample past times[-1] would never be written
+        with pytest.raises(GridError):
+            TwoCavityModel(device).trace(-1, boosted, np.array([10e-9, 120e-9, 50e-9]))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_rk4_on_random_devices(self, seed):
+        rng = np.random.default_rng(seed)
+        model = TwoCavityModel(random_device(rng))
+        duration = rng.uniform(40e-9, 100e-9)
+        boost = rng.uniform(2e-9, 12e-9)
+        pulses = [PulseEnvelope(kind="gated", total_duration=duration),
+                  PulseEnvelope(kind="two_step", total_duration=duration,
+                                boost_factor=rng.uniform(1.5, 3.0),
+                                boost_duration=boost)]
+        # random samples past the pulse end, plus samples on its edges
+        times = np.sort(np.concatenate([rng.uniform(0.0, duration + 40e-9, 30),
+                                        [0.0, boost, duration]]))
+        for pulse in pulses:
+            for s in (-1, +1):
+                got = model.trace(s, pulse, times)
+                self.assert_close(got, rk4_switching_fields(model, s, [], pulse, times),
+                                  1e-7)
 
 
 class TestMeanQuadratures:

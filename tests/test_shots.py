@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import bin_grid, make_device
+from conftest import (bin_grid, make_device, random_device,
+                      rk4_switching_fields)
 from fastreadout.analysis import build_weights, integrate_batch
-from fastreadout.dynamics import (DEFAULT_RK4_STEP, PulseEnvelope,
-                                  mean_quadrature_traces)
+from fastreadout.dynamics import PulseEnvelope, mean_quadrature_traces
 from fastreadout.errors import ConfigError, FitError, GridError
 from fastreadout.params import derive
 from fastreadout.shots import (ShotConfig, _ShotEngine, noise_sigma_bin,
@@ -270,20 +270,6 @@ class TestStreamPinning:
 # batched jump-conditioned means against independent solves
 # ---------------------------------------------------------------------------
 
-def random_device(rng):
-    """A device inside its dispersive guard: |Delta| > guard * g."""
-    g = rng.uniform(80e6, 250e6)
-    guard = rng.uniform(4.0, 10.0)
-    omega_r = rng.uniform(4.5e9, 7.0e9)
-    delta = rng.choice([-1.0, 1.0]) * guard * g * rng.uniform(1.05, 2.0)
-    return make_device(g=g, dispersive_guard=guard, omega_r=omega_r,
-                       omega_q=omega_r + delta,
-                       omega_p=omega_r + rng.uniform(-10e6, 10e6),
-                       alpha=-rng.uniform(150e6, 350e6), J=rng.uniform(10e6, 40e6),
-                       Q_p=rng.uniform(30.0, 150.0), T1=rng.uniform(1e-6, 30e-6),
-                       eta=rng.uniform(0.2, 1.0), n_drive=rng.uniform(0.5, 6.0))
-
-
 def piecewise_trace_means(model, rot, s0, jumps, pulse, centers):
     """Conditioned means from one TwoCavityModel.trace solve per segment
     between jumps, each started from the field where the last one ended."""
@@ -303,37 +289,10 @@ def piecewise_trace_means(model, rot, s0, jumps, pulse, centers):
     return out
 
 
-def rk4_switching_means(model, rot, s0, jumps, pulse, centers,
-                        step=DEFAULT_RK4_STEP):
-    """Fixed-step RK4 from vacuum at t = 0 whose qubit state flips at each
-    jump. Steps end on every jump, drive edge and output time, so the
-    right-hand side is constant within a step."""
-    t_end = float(centers[-1])
-    stops = sorted({0.0, *centers.tolist(),
-                    *(t for a, b, _ in pulse.segments() for t in (a, b) if t < t_end),
-                    *(t for t in jumps if t < t_end)})
-    y0 = y1 = 0j
-    out = {}
-    for a, b in zip(stops[:-1], stops[1:]):
-        mid = 0.5 * (a + b)
-        s = s0 * (-1) ** sum(t < mid for t in jumps)
-        (m00, m01), (m10, m11) = model._A[s].tolist()
-        d1 = complex(model._b[1]) * model.eps0 * float(pulse.envelope(mid))
-
-        def f(u0, u1):
-            return m00 * u0 + m01 * u1, m10 * u0 + m11 * u1 + d1
-
-        n = max(1, math.ceil((b - a) / step - 1e-9))
-        h = (b - a) / n
-        for _ in range(n):
-            k1 = f(y0, y1)
-            k2 = f(y0 + 0.5 * h * k1[0], y1 + 0.5 * h * k1[1])
-            k3 = f(y0 + 0.5 * h * k2[0], y1 + 0.5 * h * k2[1])
-            k4 = f(y0 + h * k3[0], y1 + h * k3[1])
-            y0 += h / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            y1 += h / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        out[b] = y1
-    return np.array([np.real(rot * out[t]) for t in centers.tolist()])
+def rk4_switching_means(model, rot, s0, jumps, pulse, centers):
+    """Projected resonator-filter output of the switching RK4 oracle."""
+    fields = rk4_switching_fields(model, s0, jumps, pulse, centers)
+    return np.real(rot * fields[:, 1])
 
 
 def batched_means(engine, s0, jump_lists, pulse, times, mean_bins):
