@@ -71,18 +71,10 @@ def build_weights(times, mean_g, mean_e, tau: float) -> WeightFunction:
     return WeightFunction(times=t_sub, w=w / math.sqrt(norm2))
 
 
-def integrate_shot(record, weights: WeightFunction, kappa_p: float) -> float:
-    """q_tau = sqrt(2 pi kappa_p) * sum Q_k w_k dt for one shot record."""
-    samples = np.asarray(record.samples, dtype=float)
-    n = len(weights.w)
-    if len(samples) < n:
-        raise TauRangeError("shot record does not cover the weight support")
-    return float(math.sqrt(TWOPI * kappa_p) * np.sum(samples[:n] * weights.w) * weights.dt)
-
-
 def integrate_batch(batch, weights: WeightFunction, kappa_p: float):
-    """integrate_shot for every row of a ShotBatch as one matrix-vector
-    product; returns (q values, preparation labels)."""
+    """q_tau = sqrt(2 pi kappa_p) * sum Q_k w_k dt for every row of a
+    ShotBatch, as one matrix-vector product; returns (q values, preparation
+    labels)."""
     n = len(weights.w)
     if batch.n_bins < n:
         raise TauRangeError("shot record does not cover the weight support")

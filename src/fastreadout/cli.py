@@ -68,9 +68,6 @@ SCHEMA = {
     "reset_gap": ("quantity", 100e-9),
     # analysis
     "tau": ("quantity", 56e-9),
-    "amp_bandwidth": ("quantity", 27e6),
-    "bin_mode": ("str", "mean"),
-    "delay_compensate": ("bool", True),
     "grid_step": ("quantity", 0.5e-9),
     # optimize
     "ratio_tau_grid": ("floats", (2.0, 4.5, 8.0, 12.0, 20.0)),
@@ -208,12 +205,6 @@ def _write_csv(path: Path, cfg: dict, command: str, columns, rows):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _bin_centers_and_index(cfg: dict, n_bins: int):
-    centers = (np.arange(n_bins) + 0.5) * cfg["dt_bin"]
-    idx = np.round(centers / cfg["grid_step"]).astype(int)
-    return centers, idx
-
-
 def cmd_derive(cfg: dict, args) -> int:
     device = build_device(cfg)
     d = derive(device)
@@ -317,7 +308,7 @@ def cmd_simulate(cfg: dict, args) -> int:
     out_dir = Path(cfg["output_dir"])
     _write_shot_csv(out_dir / "shots.csv", cfg, batch, args.wide)
     if shot_cfg.preselect:
-        kept, rejected = shots.run_preselection(device, shot_cfg, batch)
+        kept, rejected = shots.run_preselection(batch)
         _write_report(out_dir / "preselect_summary.txt", cfg, "simulate",
                       [("n_shots", len(batch)), ("n_kept", len(kept)),
                        ("rejected_fraction", rejected)])
@@ -369,17 +360,11 @@ def _read_shot_csv(path: str, cfg: dict) -> shots.ShotBatch:
 def cmd_analyze(cfg: dict, args) -> int:
     if args.input is None:
         raise ConfigError("analyze requires --input shots.csv")
-    device = build_device(cfg)
-    d = derive(device)
-    pulse = build_pulse(cfg)
     batch = _read_shot_csv(args.input, cfg)
-    n_bins = batch.n_bins
-    times = np.arange(0.0, n_bins * cfg["dt_bin"] + cfg["grid_step"],
-                      cfg["grid_step"])
-    qt = mean_quadrature_traces(device, pulse, times, derived=d, method="exact")
-    centers, idx = _bin_centers_and_index(cfg, n_bins)
-    weights = analysis.build_weights(centers, qt.q_g[idx], qt.q_e[idx], cfg["tau"])
-    q, prep = analysis.integrate_batch(batch, weights, d.kappa_p)
+    chain = shots.ReadoutChain(build_device(cfg), build_pulse(cfg),
+                               build_shot_config(cfg))
+    q, prep = analysis.integrate_batch(batch, chain.weights(cfg["tau"]),
+                                       chain.derived.kappa_p)
     fit, bin_centers, hist_g, hist_e = analysis.fit_shot_histograms(q, prep)
     budget = analysis.error_budget(q, prep, fit)
     out_dir = Path(cfg["output_dir"])

@@ -396,6 +396,21 @@ def optimal_lo_phase(delta_beta: np.ndarray) -> float:
     return phi % math.pi
 
 
+def lo_rotation(delta_beta: np.ndarray) -> tuple[float, complex]:
+    """(phi_LO, rot): the optimal LO phase and the unit factor that projects
+    a field onto the measured quadrature, Q = Re[rot * beta].
+
+    rot is +-exp(-i phi_LO), signed so the excited state sits on the
+    high-q side: sum Re[rot * delta_beta] >= 0 with delta_beta = beta_e -
+    beta_g.
+    """
+    phi = optimal_lo_phase(delta_beta)
+    rot = np.exp(-1j * phi)
+    if float(np.sum(np.real(rot * delta_beta))) < 0.0:
+        rot = -rot
+    return phi, rot
+
+
 def mean_quadrature_traces(device: DeviceParams, pulse: PulseEnvelope, times,
                            derived: DerivedParams | None = None,
                            photon_ceiling: float = 100.0,
@@ -408,11 +423,7 @@ def mean_quadrature_traces(device: DeviceParams, pulse: PulseEnvelope, times,
     times = np.asarray(times, dtype=float)
     _, xg, xe = _both_state_fields(device, pulse, times, derived,
                                    photon_ceiling, method)
-    phi = optimal_lo_phase(xe[:, 1] - xg[:, 1])
-    rot = np.exp(-1j * phi)
-    # orient the LO so the excited state sits on the high-q side
-    if float(np.sum(np.real(rot * (xe[:, 1] - xg[:, 1])))) < 0.0:
-        rot = -rot
+    phi, rot = lo_rotation(xe[:, 1] - xg[:, 1])
     q_g = np.real(rot * xg[:, 1])
     q_e = np.real(rot * xe[:, 1])
     return QuadratureTraces(times=times, q_g=q_g, q_e=q_e, phi_lo=phi,

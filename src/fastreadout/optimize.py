@@ -15,39 +15,19 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analysis import FilterConfig, build_weights, error_budget, \
-    fit_shot_histograms, integrate_batch, overlap_vs_power
+from .analysis import error_budget, fit_shot_histograms, integrate_batch, \
+    overlap_vs_power
 from .dynamics import TWOPI, PulseEnvelope, SignalTrace, full_model_signal, \
-    integrated_rate, mean_quadrature_traces, qss_signal
+    integrated_rate, qss_signal
 from .errors import ConfigError
 from .params import DeviceParams, derive, lambda_param
 from .search import maximize_unimodal
-from .shots import ShotConfig, simulate_batch
+from .shots import ReadoutChain, ShotConfig, simulate_batch
 
 #: mixing-rate coefficient (Hz): gamma_mix = MIX_COEFF * lambda * n_drive,
 #: tuned so the simulated excess ground-state error is about 0.23% at the
 #: reference operating point (n_drive = 2.5, tau = 56 ns)
 DEFAULT_MIX_COEFF = 6.0e5
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Declarative description of a 1-D sweep."""
-
-    variable: str
-    grid: np.ndarray
-    fixed: DeviceParams
-    objective: str = "s_tau"
-
-    def __post_init__(self):
-        if self.variable not in ("ratio_chi_kappa", "n_drive", "tau", "chi"):
-            raise ConfigError(f"unknown sweep variable {self.variable!r}")
-        if self.objective not in ("s_tau", "eps_o", "fidelity_mc"):
-            raise ConfigError(f"unknown objective {self.objective!r}")
-        grid = np.asarray(self.grid, dtype=float)
-        if len(grid) == 0 or np.any(np.diff(grid) <= 0.0):
-            raise ConfigError("grid must be nonempty and strictly increasing")
-        object.__setattr__(self, "grid", grid)
 
 
 def _j_for_kappa_eff(kappa_eff: float, Q_p: float, omega_p: float,
@@ -150,8 +130,7 @@ def power_tradeoff(device: DeviceParams, n_grid, tau: float,
     derived = derive(device)
     if pulse is None:
         pulse = PulseEnvelope(kind="gated", total_duration=max(160e-9, tau + 24e-9))
-    dt = 0.5e-9
-    times = np.arange(0.0, pulse.total_duration, dt)
+    times = np.arange(0.0, pulse.total_duration, 0.5e-9)
     trace = full_model_signal(device, pulse, times, method="exact")
     eps_curve = overlap_vs_power(trace, device.eta, tau, device.n_drive, n_grid)
 
@@ -163,12 +142,8 @@ def power_tradeoff(device: DeviceParams, n_grid, tau: float,
         cfg = ShotConfig(n_shots=n_shots, master_seed=master_seed,
                          gamma_mix_up=g_mix, gamma_mix_down=g_mix)
         recs = simulate_batch(dev_n, pulse, cfg)
-        qt = mean_quadrature_traces(dev_n, pulse, times, method="exact")
-        n_bins = int(pulse.total_duration / cfg.dt_bin)
-        centers = (np.arange(n_bins) + 0.5) * cfg.dt_bin
-        idx = np.round(centers / dt).astype(int)
-        w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], tau)
-        q, prep = integrate_batch(recs, w, derived.kappa_p)
+        chain = ReadoutChain(dev_n, pulse, cfg)
+        q, prep = integrate_batch(recs, chain.weights(tau), chain.derived.kappa_p)
         fit, *_ = fit_shot_histograms(q, prep)
         budget = error_budget(q, prep, fit)
         out.append(PowerPoint(n_drive=float(n), eps_o=float(eps_o),

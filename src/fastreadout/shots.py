@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TWOPI, PulseEnvelope, TwoCavityModel, optimal_lo_phase
+from .analysis import WeightFunction, build_weights
+from .dynamics import TWOPI, PulseEnvelope, TwoCavityModel, lo_rotation
 from .errors import ConfigError, FitError, GridError
 from .params import DeviceParams, derive
 
@@ -157,8 +158,14 @@ class ShotBatch:
                          self.jump_kind[jumps])
 
 
-class _ShotEngine:
-    """Precomputed deterministic context shared by all shots of a batch."""
+class ReadoutChain:
+    """The deterministic readout chain of one device, pulse and ShotConfig.
+
+    It owns the model, the LO rotation, the noise-free bin-centre means
+    (mean_bins[-1] for g, mean_bins[+1] for e) and the matched weights
+    built from them; the shot batches it runs are rotated and binned the
+    same way.
+    """
 
     def __init__(self, device: DeviceParams, pulse: PulseEnvelope, cfg: ShotConfig):
         self.device = device
@@ -176,17 +183,10 @@ class _ShotEngine:
         self.sigma_bin = noise_sigma_bin(device.eta, self.derived.kappa_p, cfg.dt_bin)
 
         fields = {s: self.model.trace(s, pulse, self.bin_centers) for s in (-1, +1)}
-        phi = optimal_lo_phase(fields[+1][:, 1] - fields[-1][:, 1])
-        rot = np.exp(-1j * phi)
-        # orient the LO so the excited state sits on the high-q side
-        contrast = float(np.sum(np.real(rot * (fields[+1][:, 1] - fields[-1][:, 1]))))
-        if contrast < 0.0:
-            rot = -rot
-        self.phi_lo = phi
-        self.rot = rot
-        self.mean_bins = {
-            s: np.real(rot * fields[s][:, 1]) for s in (-1, +1)
-        }
+        for s in (-1, +1):
+            self.model.check_ceiling(fields[s])
+        self.phi_lo, self.rot = lo_rotation(fields[+1][:, 1] - fields[-1][:, 1])
+        self.mean_bins = {s: np.real(self.rot * fields[s][:, 1]) for s in (-1, +1)}
 
         if cfg.preselect:
             self.pre_pulse = PulseEnvelope(
@@ -203,12 +203,18 @@ class _ShotEngine:
             }
             # only the last n_win bins enter the premeasurement value
             self.pre_bins = {
-                s: np.real(rot * pre_fields[s][-self.n_win:, 1]) for s in (-1, +1)
+                s: np.real(self.rot * pre_fields[s][-self.n_win:, 1])
+                for s in (-1, +1)
             }
             self.p_reset = 1.0 - math.exp(-cfg.reset_gap / device.T1)
 
         self.down_rate = 1.0 / device.T1 + cfg.gamma_mix_down
         self.up_rate = cfg.gamma_mix_up
+
+    def weights(self, tau: float) -> WeightFunction:
+        """Mode-matched weights over [0, tau] from the bin-centre means."""
+        return build_weights(self.bin_centers, self.mean_bins[-1],
+                             self.mean_bins[+1], tau)
 
     # -- random draws of one shot ----------------------------------------------
 
@@ -323,7 +329,7 @@ def simulate_shot(device: DeviceParams, pulse: PulseEnvelope, cfg: ShotConfig,
                   prep: str, index: int = 0) -> ShotRecord:
     """Generate one shot; deterministic given (cfg.master_seed, index)."""
     _check_prep(prep)
-    return _ShotEngine(device, pulse, cfg).run([index], [prep])[0]
+    return ReadoutChain(device, pulse, cfg).run([index], [prep])[0]
 
 
 def simulate_batch(device: DeviceParams, pulse: PulseEnvelope, cfg: ShotConfig,
@@ -340,14 +346,14 @@ def simulate_batch(device: DeviceParams, pulse: PulseEnvelope, cfg: ShotConfig,
     else:
         _check_prep(prep)
         labels = np.full(cfg.n_shots, prep)
-    return _ShotEngine(device, pulse, cfg).run(index, labels)
+    return ReadoutChain(device, pulse, cfg).run(index, labels)
 
 
 # ---------------------------------------------------------------------------
 # preselection
 # ---------------------------------------------------------------------------
 
-def run_preselection(device: DeviceParams, cfg: ShotConfig, batch: ShotBatch):
+def run_preselection(batch: ShotBatch):
     """Reject shots whose premeasurement flags an initially excited qubit.
 
     Fits a single Gaussian to the q_p histogram, thresholds at the 99% point

@@ -161,14 +161,14 @@ def test_criterion_8_preselection(reference, report):
     cfg = ShotConfig(n_shots=100000, master_seed=61, p_thermal=0.003,
                      preselect=True, measure_duration=160e-9)
     recs = simulate_batch(dev, pulse, cfg)
-    _, rejected = run_preselection(dev, cfg, recs)
+    _, rejected = run_preselection(recs)
     fracs = []
     for gamma_up in (0.0, 4e5):
         cfg_m = ShotConfig(n_shots=20000, master_seed=62, p_thermal=0.003,
                            gamma_mix_up=gamma_up, preselect=True,
                            measure_duration=160e-9)
         recs_m = simulate_batch(dev, pulse, cfg_m)
-        fracs.append(run_preselection(dev, cfg_m, recs_m)[1])
+        fracs.append(run_preselection(recs_m)[1])
     ok = abs(rejected - 0.013) <= 0.0015 and fracs[1] > fracs[0]
     report(8, ok, f"rejection {100*rejected:.2f}% (target 1.3+-0.15%), "
                   f"monotone in mixing")

@@ -8,14 +8,14 @@ from conftest import bin_grid, make_device
 from fastreadout.analysis import (FilterConfig, MixtureFit, build_weights,
                                   error_budget, fit_mixture,
                                   fit_shot_histograms, histogram_bins,
-                                  integrate_batch, integrate_shot,
-                                  overlap_model, overlap_vs_power)
+                                  integrate_batch, overlap_model,
+                                  overlap_vs_power)
 from fastreadout.dynamics import (PulseEnvelope, SignalTrace, TWOPI,
                                   full_model_signal, mean_quadrature_traces,
                                   qss_steady_signal)
 from fastreadout.errors import FitError, NoSignalError, TauRangeError
 from fastreadout.params import derive
-from fastreadout.shots import ShotBatch, ShotConfig, ShotRecord, simulate_batch
+from fastreadout.shots import ShotBatch, ShotConfig, simulate_batch
 
 
 @pytest.fixture(scope="module")
@@ -67,12 +67,17 @@ class TestWeights:
             build_weights(centers, np.zeros(8), np.ones(8), 1e-6)
 
 
+def integrate_row(samples, w, kappa_p):
+    """q_tau of one shot, through a one-row ShotBatch."""
+    q, _ = integrate_batch(ShotBatch(prep=["g"], samples=[samples]), w, kappa_p)
+    return float(q[0])
+
+
 class TestIntegration:
     def test_zero_record(self):
         centers, _ = bin_grid(7)
         w = build_weights(centers, np.zeros(7), np.ones(7), 56e-9)
-        rec = ShotRecord(prep="g", samples=np.zeros(7))
-        assert integrate_shot(rec, w, 64.27e6) == 0.0
+        assert integrate_row(np.zeros(7), w, 64.27e6) == 0.0
 
     def test_mean_difference_is_weighted_signal(self, reference_traces):
         # noise-free records at the two mean traces: q_e - q_g equals the
@@ -81,10 +86,8 @@ class TestIntegration:
         d = derive(dev)
         centers, idx = bin_grid(7)
         w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 56e-9)
-        rec_g = ShotRecord(prep="g", samples=qt.q_g[idx])
-        rec_e = ShotRecord(prep="e", samples=qt.q_e[idx])
-        q_g = integrate_shot(rec_g, w, d.kappa_p)
-        q_e = integrate_shot(rec_e, w, d.kappa_p)
+        q_g = integrate_row(qt.q_g[idx], w, d.kappa_p)
+        q_e = integrate_row(qt.q_e[idx], w, d.kappa_p)
         s_bins = math.sqrt(TWOPI * d.kappa_p) * np.abs(
             qt.q_e[idx][:7] - qt.q_g[idx][:7])
         expected = float(np.sum(s_bins * w.w) * w.dt)
@@ -93,9 +96,8 @@ class TestIntegration:
     def test_short_record_rejected(self):
         centers, _ = bin_grid(7)
         w = build_weights(centers, np.zeros(7), np.ones(7), 56e-9)
-        rec = ShotRecord(prep="g", samples=np.zeros(3))
         with pytest.raises(TauRangeError):
-            integrate_shot(rec, w, 64.27e6)
+            integrate_row(np.zeros(3), w, 64.27e6)
 
     def test_batch_matches_single(self, reference_traces):
         dev, _, qt = reference_traces
@@ -105,9 +107,12 @@ class TestIntegration:
         w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 56e-9)
         batch = ShotBatch(prep=["g"] * 5, samples=rng.normal(size=(5, 7)))
         q, prep = integrate_batch(batch, w, d.kappa_p)
-        for i, rec in enumerate(batch):
-            assert q[i] == pytest.approx(integrate_shot(rec, w, d.kappa_p),
-                                         rel=1e-12)
+        for i, samples in enumerate(batch.samples):
+            # q_tau = sqrt(2 pi kappa_p) * sum_k Q_k w_k dt
+            expected = math.sqrt(TWOPI * d.kappa_p) * np.sum(samples * w.w) * w.dt
+            assert q[i] == pytest.approx(expected, rel=1e-12)
+            assert integrate_row(samples, w, d.kappa_p) == pytest.approx(
+                expected, rel=1e-12)
         assert list(prep) == ["g"] * 5
 
 

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from fastreadout import cli
+from fastreadout.analysis import build_weights
 from fastreadout.calib import SpectrumParams, transmission
 from fastreadout.cli import main
+from fastreadout.dynamics import TwoCavityModel, optimal_lo_phase
 from fastreadout.shots import ShotBatch
 
 REFERENCE_CONF = resources.files("fastreadout.data") / "reference.conf"
@@ -90,10 +92,12 @@ class TestDerive:
 
 class TestExitCodes:
     def test_unknown_key(self, conf, tmp_path, capsys):
-        code = run("derive", "--config", conf, "--output-dir", str(tmp_path),
-                   "--set", "bogus_key=1")
-        assert code == 2
-        assert "bogus_key" in capsys.readouterr().err
+        # amp_bandwidth was once accepted although no command read it
+        for key in ("bogus_key", "amp_bandwidth"):
+            code = run("derive", "--config", conf, "--output-dir", str(tmp_path),
+                       "--set", f"{key}=1")
+            assert code == 2
+            assert key in capsys.readouterr().err
 
     def test_missing_required_keys(self, tmp_path, capsys):
         assert run("derive", "--output-dir", str(tmp_path)) == 2
@@ -104,11 +108,13 @@ class TestExitCodes:
         assert code == 2
 
     def test_numerical_failure(self, conf, tmp_path, capsys):
-        # deep in the nonlinear regime the model refuses to run
-        code = run("signal", "--config", conf, "--output-dir", str(tmp_path),
-                   "--set", "n_drive=500")
-        assert code == 3
-        assert "failure" in capsys.readouterr().err
+        # deep in the nonlinear regime the model refuses to run; the shot
+        # chain checks the same photon ceiling as the signal
+        for command in ("signal", "simulate"):
+            code = run(command, "--config", conf, "--output-dir", str(tmp_path),
+                       "--set", "n_drive=500", "--set", "n_shots=10")
+            assert code == 3
+            assert "failure" in capsys.readouterr().err
 
     def test_unreadable_input(self, conf, tmp_path):
         code = run("analyze", "--config", conf, "--output-dir", str(tmp_path),
@@ -157,6 +163,36 @@ class TestSimulateAnalyze:
         header, rows = read_csv(tmp_path / "histogram.csv")
         assert header == ["bin_center", "count_g", "count_e", "fit_g", "fit_e"]
         assert len(rows) >= 60
+
+    def test_weights_at_exact_bin_centres(self, conf, tmp_path, monkeypatch):
+        # dt_bin / 2 = 1.125 ns is off the 0.5 ns grid_step: the weights must
+        # come from the fields at the bin centres themselves
+        overrides = ["pulse_duration=160ns", "dt_bin=2.25ns"]
+        sets = [a for o in overrides for a in ("--set", o)]
+        out = str(tmp_path)
+        assert run("simulate", "--config", conf, "--output-dir", out, "--wide",
+                   "--n-shots", "2000", *sets) == 0
+        used = []
+        integrate = cli.analysis.integrate_batch
+
+        def spy(batch, weights, kappa_p):
+            used.append(weights)
+            return integrate(batch, weights, kappa_p)
+
+        monkeypatch.setattr(cli.analysis, "integrate_batch", spy)
+        assert run("analyze", "--config", conf, "--output-dir", out,
+                   "--input", str(tmp_path / "shots.csv"), *sets) == 0
+        cfg = cli.resolve_config(conf, overrides)
+        device, pulse = cli.build_device(cfg), cli.build_pulse(cfg)
+        centers = (np.arange(71) + 0.5) * cfg["dt_bin"]
+        model = TwoCavityModel(device)
+        beta_g, beta_e = (model.trace(s, pulse, centers)[:, 1] for s in (-1, +1))
+        rot = np.exp(-1j * optimal_lo_phase(beta_e - beta_g))
+        expected = build_weights(centers, np.real(rot * beta_g),
+                                 np.real(rot * beta_e), cfg["tau"])
+        (weights,) = used
+        assert np.array_equal(weights.times, expected.times)
+        assert np.allclose(weights.w, expected.w, rtol=1e-12, atol=0.0)
 
     def test_preselect_summary(self, conf, tmp_path):
         out = str(tmp_path)

@@ -6,9 +6,9 @@ import pytest
 from conftest import make_device, random_device, rk4_switching_fields
 from fastreadout.dynamics import (DEFAULT_RK4_STEP, PulseEnvelope, SignalTrace,
                                   TWOPI, TwoCavityModel, full_model_signal,
-                                  integrated_rate, mean_quadrature_traces,
-                                  optimal_lo_phase, qss_signal,
-                                  qss_steady_signal, to_sqrt_mhz)
+                                  integrated_rate, lo_rotation,
+                                  mean_quadrature_traces, optimal_lo_phase,
+                                  qss_signal, qss_steady_signal, to_sqrt_mhz)
 from fastreadout.errors import (ConfigError, GridError, PhotonCeilingError,
                                 TauRangeError)
 from fastreadout.params import derive
@@ -386,3 +386,13 @@ class TestLoPhase:
             delta = mags * np.exp(1j * phi_true)
             phi = optimal_lo_phase(delta)
             assert phi == pytest.approx(phi_true % math.pi, abs=1e-6)
+
+    def test_rotation_puts_excited_on_high_side(self):
+        rng = np.random.default_rng(4)
+        for phi_true in (0.1, 0.7, 1.5, 2.9):
+            for sign in (1.0, -1.0):
+                delta = sign * rng.uniform(0.5, 2.0, 64) * np.exp(1j * phi_true)
+                phi, rot = lo_rotation(delta)
+                assert phi == optimal_lo_phase(delta)
+                assert rot == pytest.approx(sign * np.exp(-1j * phi_true), abs=1e-6)
+                assert np.sum(np.real(rot * delta)) > 0.0

@@ -5,9 +5,8 @@ import pytest
 
 from conftest import make_device
 from fastreadout.errors import ConfigError
-from fastreadout.optimize import (SweepSpec, constraint_report,
-                                  optimal_ratio_vs_tau, power_tradeoff,
-                                  signal_family)
+from fastreadout.optimize import (constraint_report, optimal_ratio_vs_tau,
+                                  power_tradeoff, signal_family)
 from fastreadout.params import derive
 
 
@@ -15,21 +14,6 @@ def tau_for(device, x):
     """Integration time giving the dimensionless product |chi| tau = x."""
     chi = abs(derive(device).chi)
     return x / (2.0 * math.pi * chi)
-
-
-class TestSweepSpec:
-    def test_validation(self, device):
-        with pytest.raises(ConfigError):
-            SweepSpec(variable="bogus", grid=np.array([1.0]), fixed=device)
-        with pytest.raises(ConfigError):
-            SweepSpec(variable="tau", grid=np.array([]), fixed=device)
-        with pytest.raises(ConfigError):
-            SweepSpec(variable="tau", grid=np.array([2.0, 1.0]), fixed=device)
-        with pytest.raises(ConfigError):
-            SweepSpec(variable="tau", grid=np.array([1.0, 2.0]), fixed=device,
-                      objective="bogus")
-        spec = SweepSpec(variable="n_drive", grid=[0.5, 1.0, 2.0], fixed=device)
-        assert spec.grid.dtype == float
 
 
 class TestOptimalRatio:

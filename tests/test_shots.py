@@ -8,10 +8,11 @@ from scipy import stats
 from conftest import (bin_grid, make_device, random_device,
                       rk4_switching_fields)
 from fastreadout.analysis import build_weights, integrate_batch
-from fastreadout.dynamics import PulseEnvelope, mean_quadrature_traces
+from fastreadout.dynamics import (PulseEnvelope, TwoCavityModel,
+                                  mean_quadrature_traces, optimal_lo_phase)
 from fastreadout.errors import ConfigError, FitError, GridError
 from fastreadout.params import derive
-from fastreadout.shots import (ShotConfig, _ShotEngine, noise_sigma_bin,
+from fastreadout.shots import (ReadoutChain, ShotConfig, noise_sigma_bin,
                                run_preselection, simulate_batch, simulate_shot)
 
 
@@ -163,14 +164,14 @@ class TestPreselection:
         cfg = ShotConfig(n_shots=20000, master_seed=31, p_thermal=0.0,
                          preselect=True, measure_duration=160e-9)
         recs = simulate_batch(dev, gated_pulse, cfg)
-        _, rejected = run_preselection(dev, cfg, recs)
+        _, rejected = run_preselection(recs)
         assert rejected == pytest.approx(0.010, abs=0.0035)
 
     def test_thermal_excess_rejection(self, device, gated_pulse):
         cfg = ShotConfig(n_shots=20000, master_seed=32, p_thermal=0.003,
                          preselect=True, measure_duration=160e-9)
         recs = simulate_batch(device, gated_pulse, cfg)
-        kept, rejected = run_preselection(device, cfg, recs)
+        kept, rejected = run_preselection(recs)
         assert rejected == pytest.approx(0.013, abs=0.004)
         assert len(kept) == round(len(recs) * (1 - rejected))
 
@@ -181,7 +182,7 @@ class TestPreselection:
                              gamma_mix_up=gamma_up, preselect=True,
                              measure_duration=160e-9)
             recs = simulate_batch(device, gated_pulse, cfg)
-            _, rejected = run_preselection(device, cfg, recs)
+            _, rejected = run_preselection(recs)
             fracs.append(rejected)
         assert fracs[0] < fracs[1] < fracs[2]
 
@@ -190,7 +191,27 @@ class TestPreselection:
                          measure_duration=160e-9)
         recs = simulate_batch(device, gated_pulse, cfg)
         with pytest.raises(FitError):
-            run_preselection(device, cfg, recs)
+            run_preselection(recs)
+
+
+class TestReadoutChain:
+    def test_weights_from_exact_bin_centre_means(self, device, gated_pulse):
+        # dt_bin / 2 = 1.125 ns is off every 0.5 ns grid point
+        dt_bin = 2.25e-9
+        chain = ReadoutChain(device, gated_pulse, ShotConfig(n_shots=1, dt_bin=dt_bin))
+        centers = (np.arange(71) + 0.5) * dt_bin
+        model = TwoCavityModel(device)
+        beta = {s: model.trace(s, gated_pulse, centers)[:, 1] for s in (-1, +1)}
+        rot = np.exp(-1j * optimal_lo_phase(beta[+1] - beta[-1]))
+        q = {s: np.real(rot * beta[s]) for s in (-1, +1)}
+        assert np.array_equal(chain.bin_centers, centers)
+        sign = 1.0 if np.sum(q[+1] - q[-1]) > 0.0 else -1.0
+        for s in (-1, +1):
+            assert np.allclose(chain.mean_bins[s], sign * q[s], rtol=1e-12, atol=0.0)
+        w = chain.weights(56e-9)
+        expected = build_weights(centers, q[-1], q[+1], 56e-9)
+        assert np.array_equal(w.times, expected.times)
+        assert np.allclose(w.w, expected.w, rtol=1e-12, atol=0.0)
 
 
 class TestShotBatch:
@@ -249,7 +270,7 @@ class TestStreamPinning:
         cfg = ShotConfig(n_shots=40, master_seed=77, p_thermal=0.1,
                          prep_error=0.05)
         batch = simulate_batch(device, gated_pulse, cfg)
-        engine = _ShotEngine(device, gated_pulse, cfg)
+        chain = ReadoutChain(device, gated_pulse, cfg)
         checked = 0
         for i, rec in enumerate(batch):
             if rec.jump_times:
@@ -260,8 +281,8 @@ class TestStreamPinning:
                 s = -s
             if s == +1:
                 rng.exponential(device.T1)
-            noise = engine.sigma_bin * rng.standard_normal(engine.n_bins)
-            assert np.array_equal(rec.samples, engine.mean_bins[s] + noise)
+            noise = chain.sigma_bin * rng.standard_normal(chain.n_bins)
+            assert np.array_equal(rec.samples, chain.mean_bins[s] + noise)
             checked += 1
         assert checked >= 35
 
@@ -295,16 +316,16 @@ def rk4_switching_means(model, rot, s0, jumps, pulse, centers):
     return np.real(rot * fields[:, 1])
 
 
-def batched_means(engine, s0, jump_lists, pulse, times, mean_bins):
-    """The engine's conditioned means, all rows in one call."""
+def batched_means(chain, s0, jump_lists, pulse, times, mean_bins):
+    """The chain's conditioned means, all rows in one call."""
     jumps = [(row, t, "") for row, ts in enumerate(jump_lists) for t in ts]
     out = np.zeros((len(s0), len(times)))
-    engine._add_means(out, np.asarray(s0), jumps, pulse, times, mean_bins)
+    chain._add_means(out, np.asarray(s0), jumps, pulse, times, mean_bins)
     return out
 
 
 def _random_cases(seed: int):
-    """Engine, then (pulse, times, mean_bins, s0, jump lists) per window:
+    """Chain, then (pulse, times, mean_bins, s0, jump lists) per window:
     gated, two-step and the premeasurement pulse."""
     rng = np.random.default_rng(seed)
     dev = random_device(rng)
@@ -319,27 +340,27 @@ def _random_cases(seed: int):
               PulseEnvelope(kind="two_step", total_duration=duration,
                             boost_factor=rng.uniform(1.5, 3.0),
                             boost_duration=rng.uniform(2e-9, 12e-9))]
-    engines = [_ShotEngine(dev, p, replace(cfg, measure_duration=n_bins * dt_bin))
-               for p in pulses]
-    for engine in engines:
-        windows = [(engine.pulse, engine.bin_centers, engine.mean_bins,
+    chains = [ReadoutChain(dev, p, replace(cfg, measure_duration=n_bins * dt_bin))
+              for p in pulses]
+    for chain in chains:
+        windows = [(chain.pulse, chain.bin_centers, chain.mean_bins,
                     n_bins * dt_bin),
-                   (engine.pre_pulse, engine.pre_centers[-engine.n_win:],
-                    engine.pre_bins, cfg.premeasure_duration)]
+                   (chain.pre_pulse, chain.pre_centers[-chain.n_win:],
+                    chain.pre_bins, cfg.premeasure_duration)]
         for pulse, times, mean_bins, length in windows:
             s0 = rng.choice([-1, 1], size=4)
             jumps = [np.sort(rng.uniform(0.0, length, int(rng.integers(1, 5))))
                      .tolist() for _ in s0]
-            yield engine, pulse, times, mean_bins, s0, jumps
+            yield chain, pulse, times, mean_bins, s0, jumps
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_batched_jump_means_match_trace_and_rk4(seed):
-    for engine, pulse, times, mean_bins, s0, jumps in _random_cases(seed):
-        got = batched_means(engine, s0, jumps, pulse, times, mean_bins)
+    for chain, pulse, times, mean_bins, s0, jumps in _random_cases(seed):
+        got = batched_means(chain, s0, jumps, pulse, times, mean_bins)
         for row, (s, js) in enumerate(zip(s0, jumps)):
-            ref = piecewise_trace_means(engine.model, engine.rot, s, js, pulse, times)
+            ref = piecewise_trace_means(chain.model, chain.rot, s, js, pulse, times)
             scale = float(np.max(np.abs(ref)))
             assert np.allclose(got[row], ref, rtol=1e-12, atol=1e-12 * scale)
-            ode = rk4_switching_means(engine.model, engine.rot, s, js, pulse, times)
+            ode = rk4_switching_means(chain.model, chain.rot, s, js, pulse, times)
             assert np.allclose(got[row], ode, rtol=1e-7, atol=1e-7 * scale)
