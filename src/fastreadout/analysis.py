@@ -45,30 +45,28 @@ def _normal(kind: str, q, mu, sigma):
 
 @dataclass
 class WeightFunction:
-    """Mode-matched integration weight on a uniform grid, unit L2 norm."""
+    """Mode-matched integration weight on a uniform grid of step dt, unit L2 norm."""
 
     times: np.ndarray
     w: np.ndarray
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
+    dt: float
 
 
-def build_weights(times, mean_g, mean_e, tau: float) -> WeightFunction:
-    """w(t) = |<Q_e> - <Q_g>| on [0, tau], rescaled to unit discrete L2 norm."""
+def build_weights(times, mean_g, mean_e, tau: float, dt: float) -> WeightFunction:
+    """w(t) = |<Q_e> - <Q_g>| on [0, tau], rescaled to unit discrete L2 norm.
+
+    `times` is a uniform grid of step dt; a single sample is allowed.
+    """
     times = np.asarray(times, dtype=float)
     diff = np.abs(np.asarray(mean_e, dtype=float) - np.asarray(mean_g, dtype=float))
-    if tau > times[-1] + (times[1] - times[0]):
+    if tau > times[-1] + dt:
         raise TauRangeError(f"tau = {tau:g} s beyond trace support")
     mask = times <= tau + 1e-15
-    t_sub = times[mask]
     w = diff[mask]
-    dt = float(times[1] - times[0])
     norm2 = float(np.sum(w * w) * dt)
     if norm2 <= 0.0:
         raise NoSignalError("ground and excited mean traces are identical")
-    return WeightFunction(times=t_sub, w=w / math.sqrt(norm2))
+    return WeightFunction(times=times[mask], w=w / math.sqrt(norm2), dt=float(dt))
 
 
 def integrate_batch(batch, weights: WeightFunction, kappa_p: float):

@@ -325,8 +325,7 @@ def _read_shot_csv(path: str, cfg: dict) -> shots.ShotBatch:
     """Read a wide-format shot CSV that matches the configuration.
 
     The '#' header must echo the same device, pulse, dt_bin and
-    measure_duration as `cfg`, and the file must hold the configuration's
-    number of bins; otherwise ConfigError names the difference.
+    measure_duration as `cfg`; otherwise ConfigError names the difference.
     """
     header = {}
     with open(path) as fh:
@@ -349,10 +348,6 @@ def _read_shot_csv(path: str, cfg: dict) -> shots.ShotBatch:
             raise ConfigError(f"malformed shot file {path}: {exc}") from exc
     if len(data) == 0:
         raise ConfigError(f"shot file {path} holds no shots")
-    n_bins = shots.window_bins(build_pulse(cfg), build_shot_config(cfg))
-    if data.shape[1] - 3 != n_bins:
-        raise ConfigError(f"shot file holds {data.shape[1] - 3} bins, the "
-                          f"configuration's window {n_bins}")
     return shots.ShotBatch(prep=np.where(data[:, 1] == 1.0, "e", "g"),
                            samples=data[:, 3:], preselect=data[:, 2])
 
@@ -360,9 +355,12 @@ def _read_shot_csv(path: str, cfg: dict) -> shots.ShotBatch:
 def cmd_analyze(cfg: dict, args) -> int:
     if args.input is None:
         raise ConfigError("analyze requires --input shots.csv")
-    batch = _read_shot_csv(args.input, cfg)
     chain = shots.ReadoutChain(build_device(cfg), build_pulse(cfg),
                                build_shot_config(cfg))
+    batch = _read_shot_csv(args.input, cfg)
+    if batch.n_bins != chain.n_bins:
+        raise ConfigError(f"shot file holds {batch.n_bins} bins, the "
+                          f"configuration's window {chain.n_bins}")
     q, prep = analysis.integrate_batch(batch, chain.weights(cfg["tau"]),
                                        chain.derived.kappa_p)
     fit, bin_centers, hist_g, hist_e = analysis.fit_shot_histograms(q, prep)
@@ -413,18 +411,23 @@ def cmd_optimize(cfg: dict, args) -> int:
 
 
 def _read_two_column_csv(path: str):
+    """The first two columns of a CSV as float arrays. '#' lines and blank
+    rows are skipped, and so is a non-numeric first row (the column header);
+    any other row without two numbers raises ConfigError."""
     xs, ys = [], []
     with open(path) as fh:
-        reader = csv.reader(r for r in fh if not r.startswith("#"))
-        for row in reader:
-            if not row:
+        lines = (line for line in fh if not line.startswith("#"))
+        rows = [row for row in csv.reader(lines) if row]
+    for i, row in enumerate(rows):
+        try:
+            x, y = float(row[0]), float(row[1])
+        except (ValueError, IndexError) as exc:
+            if i == 0 and len(row) >= 2:
                 continue
-            try:
-                x, y = float(row[0]), float(row[1])
-            except ValueError:
-                continue  # header row
-            xs.append(x)
-            ys.append(y)
+            raise ConfigError(f"{path}: row {','.join(row)!r} is not two numbers") \
+                from exc
+        xs.append(x)
+        ys.append(y)
     return np.asarray(xs), np.asarray(ys)
 
 

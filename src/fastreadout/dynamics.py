@@ -5,8 +5,11 @@ Two models of the state-dependent output signal S(t):
 * a quasi-steady-state (QSS) closed form for a single driven cavity, valid
   when the Purcell filter adiabatically follows the readout resonator, and
 * the full two-cavity linear model (readout resonator + Purcell filter),
-  integrated with fixed-step RK4 or solved exactly segment by segment via
-  the eigendecomposition of the (time-independent) system matrix.
+  integrated with fixed-step RK4 (the test oracle) or solved exactly by
+  `TwoCavityModel.trace`, the one closed-form solver: the eigendecomposition
+  of each qubit state's system matrix gives the field on every segment of
+  constant drive and qubit state, for one or many trajectories (both
+  prepared states, or shots with qubit jumps) in one call.
 
 All public inputs are ordinary frequencies in Hz; the angular conversion
 happens here. Signal values S(t) carry the angular convention
@@ -163,6 +166,12 @@ class TwoCavityModel:
         for s in (-1, +1):
             lam, V = np.linalg.eig(self._A[s])
             self._eig[s] = (lam, V, np.linalg.inv(V))
+        # the tables of trace, row 0 for g and row 1 for e: eigenvalues,
+        # eigenvectors, their inverse and the steady state at unit drive
+        self._lam, self._V, self._Vi = (np.array(t) for t in
+                                        zip(self._eig[-1], self._eig[+1]))
+        self._x_unit = np.array([np.linalg.solve(self._A[s], -self._b)
+                                 for s in (-1, +1)])
 
         # drive normalization at the symmetric point omega_d = omega_r
         n_mean = 0.0
@@ -187,111 +196,69 @@ class TwoCavityModel:
 
     def steady_state(self, s: int, eps: float) -> np.ndarray:
         """Exact steady state (d/dt = 0) for a constant drive eps."""
-        if eps == 0.0:
-            return np.zeros(2, dtype=complex)
-        return np.linalg.solve(self._A[s], -self._b * eps)
+        return eps * self._x_unit[int(s > 0)]
 
-    def propagate(self, s: int, x: np.ndarray, dt: float) -> np.ndarray:
-        """Homogeneous evolution of x over dt for qubit state s."""
-        lam, V, Vi = self._eig[s]
-        return V @ (np.exp(lam * dt) * (Vi @ x))
+    def trace(self, s0, pulse: PulseEnvelope, times,
+              switch_times=None) -> np.ndarray:
+        """Exact fields (alpha, beta) at `times`, from vacuum at t = 0.
 
-    def trace(self, s: int, pulse: PulseEnvelope, times: np.ndarray,
-              x0: np.ndarray | None = None, t0: float = 0.0) -> np.ndarray:
-        """Exact fields at `times` (>= t0) starting from x0 at t0.
-
-        Piecewise-constant drive is handled segment by segment with the
-        closed-form solution of the linear system, evaluated for all samples
-        of a segment at once. A sample within 1e-15 s of a drive edge
+        s0 is the qubit state at t = 0 (-1 g, +1 e). A scalar s0 gives
+        shape (len(times), 2); a 1-D s0 gives one row per entry, shape
+        (rows, len(times), 2). Row k flips its state at each entry of
+        switch_times[k] (shape (rows, K); pad short rows with +inf). The
+        edges of a row are its switch times merged with the drive edges of
+        `pulse`; on the segment that starts at edge a the field is the
+        closed form x_ss + V exp(lambda (t - a)) c, evaluated for every
+        (row, sample) at once. A sample within 1e-15 s after an edge
         belongs to the segment that ends there. Raises GridError unless
         `times` is ascending.
         """
         times = np.asarray(times, dtype=float)
-        if len(times) == 0:
-            return np.empty((0, 2), dtype=complex)
         if np.any(times[1:] < times[:-1]):
             raise GridError("trace times must be ascending")
-        x = np.zeros(2, dtype=complex) if x0 is None else np.array(x0, dtype=complex)
-        out = np.empty((len(times), 2), dtype=complex)
-        lam, V, Vi = self._eig[s]
-
-        t_max = float(times[-1])
-        # constant-drive intervals covering [t0, t_max]
-        bounds = sorted({a for a, _, _ in pulse.segments()}
-                        | {b for _, b, _ in pulse.segments()})
-        edges = [t0] + [b for b in bounds if t0 + 1e-15 < b < t_max - 1e-15] + [t_max]
-        lo = 0
-        for a, b in zip(edges[:-1], edges[1:]):
-            eps = self.eps0 * float(pulse.envelope(0.5 * (a + b)))
-            xss = self.steady_state(s, eps)
-            c = Vi @ (x - xss)
-            hi = int(np.searchsorted(times, b + 1e-15, side="right"))
-            out[lo:hi] = xss + (np.exp(np.outer(times[lo:hi] - a, lam)) * c) @ V.T
-            lo = hi
-            x = xss + V @ (np.exp(lam * (b - a)) * c)
-        return out
-
-    def switched_traces(self, s0, switch_times, pulse: PulseEnvelope,
-                        times) -> np.ndarray:
-        """Exact fields at `times` for many trajectories with qubit jumps.
-
-        Row k starts from vacuum at t = 0 in qubit state s0[k] and flips the
-        state at each entry of switch_times[k] (ascending; pad short rows
-        with +inf). The segment edges of a row are its switch times merged
-        with the drive edges of `pulse`; on each segment the field is the
-        closed form x_ss + V exp(lambda (t - a)) c of `trace`, evaluated for
-        all rows at once. Returns shape (rows, len(times), 2).
-        """
         s0 = np.asarray(s0)
-        times = np.asarray(times, dtype=float)
-        n_rows = len(s0)
+        n_rows = s0.size
+        if len(times) == 0:
+            return np.empty(s0.shape + (0, 2), dtype=complex)
         t_max = float(times[-1])
-        # switches after the last time only add empty segments at t_max
-        switch = np.minimum(np.asarray(switch_times, dtype=float).reshape(n_rows, -1),
-                            t_max)
         drive = sorted({t for a, b, _ in pulse.segments() for t in (a, b)
-                        if 0.0 < t < t_max})
-        edges = np.concatenate([np.zeros((n_rows, 1)), switch,
-                                np.tile(drive, (n_rows, 1))], axis=1)
-        flips = np.concatenate([np.zeros((n_rows, 1), dtype=int),
-                                np.ones(switch.shape, dtype=int),
-                                np.zeros((n_rows, len(drive)), dtype=int)], axis=1)
-        order = np.argsort(edges, axis=1, kind="stable")
-        edges = np.take_along_axis(edges, order, axis=1)
-        flips = np.cumsum(np.take_along_axis(flips, order, axis=1), axis=1)
-        state = np.where(flips % 2 == 0, s0[:, None], -s0[:, None])
-        # per segment: eigen-table index, drive and steady state
-        sidx = (state > 0).astype(int)
-        eps = self.eps0 * pulse.envelope(edges)
-        xss = np.zeros(edges.shape + (2,), dtype=complex)
-        for s in (-1, +1):
-            for level in np.unique(eps):
-                xss[(state == s) & (eps == level)] = self.steady_state(s, float(level))
-        lam = np.array([self._eig[s][0] for s in (-1, +1)])
-        V = np.array([self._eig[s][1] for s in (-1, +1)])
-        Vi = np.array([self._eig[s][2] for s in (-1, +1)])
+                        if 1e-15 < t < t_max - 1e-15})
+        # switches after the last sample only add empty segments at t_max
+        switch = np.empty((n_rows, 0)) if switch_times is None else \
+            np.minimum(np.reshape(switch_times, (n_rows, -1)), t_max)
+        n_switch = switch.shape[1]
+        edges = np.zeros((n_rows, 1 + n_switch + len(drive)))
+        edges[:, 1:1 + n_switch] = switch
+        edges[:, 1 + n_switch:] = drive
+        edges.sort(axis=1)
+        ends = np.empty_like(edges)
+        ends[:, :-1] = edges[:, 1:]
+        ends[:, -1] = t_max
 
+        # per segment: the eigen tables of its qubit state (flipped once per
+        # switch up to its start) and the coefficients c of the closed form,
+        # carried from each segment's start to the next
+        flips = np.sum(switch[:, None, :] <= edges[..., None], axis=2)
+        state = ((s0.reshape(-1, 1) > 0) + flips) % 2
+        xss = (self.eps0 * pulse.envelope(0.5 * (edges + ends)))[..., None] \
+            * self._x_unit[state]
+        lam, V, Vi = self._lam[state], self._V[state], self._Vi[state]
+        growth = np.exp(lam * (ends - edges)[..., None])
         c = np.empty_like(xss)
-        x = np.zeros((n_rows, 2), dtype=complex)
-        n_seg = edges.shape[1]
-        for j in range(n_seg):
-            k = sidx[:, j]
-            c[:, j] = np.einsum("rab,rb->ra", Vi[k], x - xss[:, j])
-            if j + 1 < n_seg:
-                dt = (edges[:, j + 1] - edges[:, j])[:, None]
-                x = xss[:, j] + np.einsum("rab,rb->ra", V[k],
-                                          np.exp(lam[k] * dt) * c[:, j])
+        c[:, 0] = _apply(Vi[:, 0], -xss[:, 0])  # from vacuum at t = 0
+        for j in range(1, edges.shape[1]):
+            x = xss[:, j - 1] + _apply(V[:, j - 1], growth[:, j - 1] * c[:, j - 1])
+            c[:, j] = _apply(Vi[:, j], x - xss[:, j])
+        Vc = V * c[..., None, :]
 
-        out = np.empty((n_rows, len(times), 2), dtype=complex)
-        rows = np.arange(n_rows)
-        for i, t in enumerate(times.tolist()):
-            # segment of t: the last edge strictly before it (or the first)
-            j = np.maximum(np.sum(edges < t, axis=1) - 1, 0)
-            k = sidx[rows, j]
-            growth = np.exp(lam[k] * (t - edges[rows, j])[:, None])
-            out[:, i] = xss[rows, j] + np.einsum("rab,rb->ra", V[k],
-                                                 growth * c[rows, j])
-        return out
+        # segment of each sample: the edges after 0 it passes by over 1e-15 s,
+        # as an index into the (rows * segments) tables
+        seg = np.sum(edges[:, None, 1:] + 1e-15 < times[:, None], axis=2)
+        seg += edges.shape[1] * np.arange(n_rows)[:, None]
+        growth = np.exp(lam.reshape(-1, 2)[seg]
+                        * (times - edges.reshape(-1)[seg])[..., None])
+        out = xss.reshape(-1, 2)[seg] + _apply(Vc.reshape(-1, 2, 2)[seg], growth)
+        return out.reshape(s0.shape + out.shape[1:])
 
     def rk4_trace(self, s: int, pulse: PulseEnvelope, times: np.ndarray,
                   max_step: float = DEFAULT_RK4_STEP) -> np.ndarray:
@@ -322,12 +289,17 @@ class TwoCavityModel:
         return out
 
     def check_ceiling(self, fields: np.ndarray):
-        n_max = float(np.max(np.abs(fields[:, 0]) ** 2))
+        n_max = float(np.max(np.abs(fields[..., 0]) ** 2))
         if n_max > self.photon_ceiling:
             raise PhotonCeilingError(
                 f"resonator photon number {n_max:.1f} exceeds ceiling "
                 f"{self.photon_ceiling:g}"
             )
+
+
+def _apply(M, y):
+    """The products M @ y of stacked 2 x 2 matrices and 2-vectors."""
+    return M[..., 0] * y[..., :1] + M[..., 1] * y[..., 1:]
 
 
 def _both_state_fields(device: DeviceParams, pulse: PulseEnvelope, times,
@@ -345,13 +317,11 @@ def _both_state_fields(device: DeviceParams, pulse: PulseEnvelope, times,
         raise GridError(f"grid step {dt:g} s exceeds 0.5 ns")
     model = TwoCavityModel(device, derived, photon_ceiling)
     if method == "exact":
-        solve = model.trace
+        xg, xe = model.trace([-1, +1], pulse, times)
     elif method == "rk4":
-        solve = model.rk4_trace
+        xg, xe = (model.rk4_trace(s, pulse, times) for s in (-1, +1))
     else:
         raise ConfigError(f"unknown method {method!r}")
-    xg = solve(-1, pulse, times)
-    xe = solve(+1, pulse, times)
     model.check_ceiling(xg)
     model.check_ceiling(xe)
     return model, xg, xe

@@ -32,7 +32,7 @@ Z99 = 2.3263478740408408
 
 #: rows per step when adding the mean quadratures in place; bounds the
 #: temporaries of the batched jump path
-_CHUNK = 1024
+_CHUNK = 256
 
 
 def noise_sigma_bin(eta: float, kappa_p: float, dt_bin: float) -> float:
@@ -57,7 +57,6 @@ class ShotConfig:
     premeasure_window: float = 48e-9
     premeasure_amplitude: float = 1.0
     reset_gap: float = 100e-9
-    prep_pulse_duration: float = 18e-9
 
     def __post_init__(self):
         if self.n_shots <= 0:
@@ -182,11 +181,11 @@ class ReadoutChain:
         self.bin_centers = (np.arange(self.n_bins) + 0.5) * cfg.dt_bin
         self.sigma_bin = noise_sigma_bin(device.eta, self.derived.kappa_p, cfg.dt_bin)
 
-        fields = {s: self.model.trace(s, pulse, self.bin_centers) for s in (-1, +1)}
-        for s in (-1, +1):
-            self.model.check_ceiling(fields[s])
-        self.phi_lo, self.rot = lo_rotation(fields[+1][:, 1] - fields[-1][:, 1])
-        self.mean_bins = {s: np.real(self.rot * fields[s][:, 1]) for s in (-1, +1)}
+        fields = self.model.trace([-1, +1], pulse, self.bin_centers)
+        self.model.check_ceiling(fields)
+        beta = fields[..., 1]
+        self.phi_lo, self.rot = lo_rotation(beta[1] - beta[0])
+        self.mean_bins = dict(zip((-1, +1), np.real(self.rot * beta)))
 
         if cfg.preselect:
             self.pre_pulse = PulseEnvelope(
@@ -197,15 +196,10 @@ class ReadoutChain:
             self.n_pre = int(round(cfg.premeasure_duration / cfg.dt_bin))
             self.n_win = max(1, int(round(cfg.premeasure_window / cfg.dt_bin)))
             self.pre_centers = (np.arange(self.n_pre) + 0.5) * cfg.dt_bin
-            pre_fields = {
-                s: self.model.trace(s, self.pre_pulse, self.pre_centers)
-                for s in (-1, +1)
-            }
             # only the last n_win bins enter the premeasurement value
-            self.pre_bins = {
-                s: np.real(self.rot * pre_fields[s][-self.n_win:, 1])
-                for s in (-1, +1)
-            }
+            beta = self.model.trace([-1, +1], self.pre_pulse,
+                                    self.pre_centers[-self.n_win:])[..., 1]
+            self.pre_bins = dict(zip((-1, +1), np.real(self.rot * beta)))
             self.p_reset = 1.0 - math.exp(-cfg.reset_gap / device.T1)
 
         self.down_rate = 1.0 / device.T1 + cfg.gamma_mix_down
@@ -214,7 +208,7 @@ class ReadoutChain:
     def weights(self, tau: float) -> WeightFunction:
         """Mode-matched weights over [0, tau] from the bin-centre means."""
         return build_weights(self.bin_centers, self.mean_bins[-1],
-                             self.mean_bins[+1], tau)
+                             self.mean_bins[+1], tau, self.cfg.dt_bin)
 
     # -- random draws of one shot ----------------------------------------------
 
@@ -253,7 +247,7 @@ class ReadoutChain:
             index = np.arange(len(row_of)) + start[0]
             switch[row_of, index - start[row_of]] = times_of[index]
             chunk = jump_rows[a:a + _CHUNK]
-            fields = self.model.switched_traces(s0[chunk], switch, pulse, times)
+            fields = self.model.trace(s0[chunk], pulse, times, switch)
             out[chunk] = np.real(self.rot * fields[..., 1]) + jump_noise[a:a + _CHUNK]
 
     # -- a batch of shots --------------------------------------------------------

@@ -32,7 +32,11 @@ def fine_times() -> np.ndarray:
     return np.arange(0.0, 160e-9, 0.5e-9)
 
 
-def bin_grid(n_bins: int, dt_bin: float = 8e-9, fine_step: float = 0.5e-9):
+#: digitizer bin of the shot tests (s)
+DT_BIN = 8e-9
+
+
+def bin_grid(n_bins: int, dt_bin: float = DT_BIN, fine_step: float = 0.5e-9):
     """Bin-center times and their indices on the fine grid."""
     centers = (np.arange(n_bins) + 0.5) * dt_bin
     idx = np.round(centers / fine_step).astype(int)
@@ -51,6 +55,28 @@ def random_device(rng):
                        alpha=-rng.uniform(150e6, 350e6), J=rng.uniform(10e6, 40e6),
                        Q_p=rng.uniform(30.0, 150.0), T1=rng.uniform(1e-6, 30e-6),
                        eta=rng.uniform(0.2, 1.0), n_drive=rng.uniform(0.5, 6.0))
+
+
+def loop_trace(model, s, pulse, times, x0=None, t0=0.0):
+    """TwoCavityModel.trace as a loop over samples, started from x0 at t0
+    in the fixed qubit state s: each sample is assigned to the first
+    constant-drive segment whose end it does not pass by more than
+    1e-15 s. The reference for the segment lookup of the array form."""
+    x = np.zeros(2, dtype=complex) if x0 is None else np.array(x0, dtype=complex)
+    out = np.empty((len(times), 2), dtype=complex)
+    lam, V, Vi = model._eig[s]
+    t_max = float(times[-1])
+    bounds = sorted({t for a, b, _ in pulse.segments() for t in (a, b)})
+    edges = [t0] + [b for b in bounds if t0 + 1e-15 < b < t_max - 1e-15] + [t_max]
+    idx = 0
+    for a, b in zip(edges[:-1], edges[1:]):
+        xss = model.steady_state(s, model.eps0 * float(pulse.envelope(0.5 * (a + b))))
+        c = Vi @ (x - xss)
+        while idx < len(times) and times[idx] <= b + 1e-15:
+            out[idx] = xss + V @ (np.exp(lam * (times[idx] - a)) * c)
+            idx += 1
+        x = xss + V @ (np.exp(lam * (b - a)) * c)
+    return out
 
 
 def rk4_switching_fields(model, s0, jumps, pulse, times, step=DEFAULT_RK4_STEP):

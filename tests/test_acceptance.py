@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (bin_grid, make_device, noisy_spectrum_pairs,
+from conftest import (DT_BIN, bin_grid, make_device, noisy_spectrum_pairs,
                       spectrum_fit_errors)
 from fastreadout.analysis import (FilterConfig, build_weights, error_budget,
                                   fit_shot_histograms, integrate_batch,
@@ -85,7 +85,7 @@ def test_criterion_3_monte_carlo_vs_analytic(reference, report):
     n_class = cfg.n_shots // 2
     details, ok = [], True
     for tau in (24e-9, 48e-9, 64e-9, 136e-9):
-        w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], tau)
+        w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], tau, DT_BIN)
         q, prep = integrate_batch(recs, w, d.kappa_p)
         fit, *_ = fit_shot_histograms(q, prep)
         bud = error_budget(q, prep, fit)
@@ -106,7 +106,7 @@ def test_criterion_4_t1_error_budget(reference, report):
     recs = simulate_batch(dev, pulse, cfg)
     d = derive(dev)
     centers, idx = bin_grid(17)
-    w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 56e-9)
+    w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 56e-9, DT_BIN)
     q, prep = integrate_batch(recs, w, d.kappa_p)
     fit, *_ = fit_shot_histograms(q, prep)
     bud = error_budget(q, prep, fit)
@@ -191,7 +191,7 @@ def test_criterion_9_property_suites(report):
     cfg = ShotConfig(n_shots=40000, master_seed=9, p_thermal=0.0)
     recs = simulate_batch(dev0, pulse, cfg, prep="g")
     centers, _ = bin_grid(17)
-    w = build_weights(centers, np.zeros(17), np.ones(17), 136e-9)
+    w = build_weights(centers, np.zeros(17), np.ones(17), 136e-9, DT_BIN)
     q, _ = integrate_batch(recs, w, d.kappa_p)
     var_ok = abs(np.var(q) * 4 * dev.eta - 1.0) < 0.05
 

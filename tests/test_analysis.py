@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from conftest import bin_grid, make_device
+from conftest import DT_BIN, bin_grid, make_device
 from fastreadout.analysis import (FilterConfig, MixtureFit, build_weights,
                                   error_budget, fit_mixture,
                                   fit_shot_histograms, histogram_bins,
@@ -32,7 +32,7 @@ class TestWeights:
     def test_constant_difference(self):
         centers, _ = bin_grid(8)
         tau = 64e-9
-        w = build_weights(centers, np.zeros(8), np.full(8, 2.5), tau)
+        w = build_weights(centers, np.zeros(8), np.full(8, 2.5), tau, DT_BIN)
         assert np.allclose(w.w, 1.0 / math.sqrt(tau))
 
     def test_unit_norm_postcondition(self):
@@ -42,14 +42,14 @@ class TestWeights:
             diff = rng.uniform(-3, 3, 17)
             if np.all(diff == 0):
                 continue
-            w = build_weights(centers, np.zeros(17), diff, 136e-9)
+            w = build_weights(centers, np.zeros(17), diff, 136e-9, DT_BIN)
             assert np.sum(w.w ** 2) * w.dt == pytest.approx(1.0, rel=1e-9)
             assert np.all(w.w >= 0.0)
 
     def test_weight_peaks_at_tau_for_rising_signal(self, reference_traces):
         _, _, qt = reference_traces
         centers, idx = bin_grid(7)
-        w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 56e-9)
+        w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 56e-9, DT_BIN)
         # ring-up: negligible weight at turn-on, peak (with a small
         # overshoot) in the settled half of the window
         assert w.w[0] < 0.05 * np.max(w.w)
@@ -59,12 +59,12 @@ class TestWeights:
     def test_no_signal_raises(self):
         centers, _ = bin_grid(8)
         with pytest.raises(NoSignalError):
-            build_weights(centers, np.ones(8), np.ones(8), 64e-9)
+            build_weights(centers, np.ones(8), np.ones(8), 64e-9, DT_BIN)
 
     def test_tau_beyond_support(self):
         centers, _ = bin_grid(8)
         with pytest.raises(TauRangeError):
-            build_weights(centers, np.zeros(8), np.ones(8), 1e-6)
+            build_weights(centers, np.zeros(8), np.ones(8), 1e-6, DT_BIN)
 
 
 def integrate_row(samples, w, kappa_p):
@@ -76,7 +76,7 @@ def integrate_row(samples, w, kappa_p):
 class TestIntegration:
     def test_zero_record(self):
         centers, _ = bin_grid(7)
-        w = build_weights(centers, np.zeros(7), np.ones(7), 56e-9)
+        w = build_weights(centers, np.zeros(7), np.ones(7), 56e-9, DT_BIN)
         assert integrate_row(np.zeros(7), w, 64.27e6) == 0.0
 
     def test_mean_difference_is_weighted_signal(self, reference_traces):
@@ -85,7 +85,7 @@ class TestIntegration:
         dev, _, qt = reference_traces
         d = derive(dev)
         centers, idx = bin_grid(7)
-        w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 56e-9)
+        w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 56e-9, DT_BIN)
         q_g = integrate_row(qt.q_g[idx], w, d.kappa_p)
         q_e = integrate_row(qt.q_e[idx], w, d.kappa_p)
         s_bins = math.sqrt(TWOPI * d.kappa_p) * np.abs(
@@ -95,7 +95,7 @@ class TestIntegration:
 
     def test_short_record_rejected(self):
         centers, _ = bin_grid(7)
-        w = build_weights(centers, np.zeros(7), np.ones(7), 56e-9)
+        w = build_weights(centers, np.zeros(7), np.ones(7), 56e-9, DT_BIN)
         with pytest.raises(TauRangeError):
             integrate_row(np.zeros(3), w, 64.27e6)
 
@@ -104,7 +104,7 @@ class TestIntegration:
         d = derive(dev)
         rng = np.random.default_rng(11)
         centers, idx = bin_grid(7)
-        w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 56e-9)
+        w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 56e-9, DT_BIN)
         batch = ShotBatch(prep=["g"] * 5, samples=rng.normal(size=(5, 7)))
         q, prep = integrate_batch(batch, w, d.kappa_p)
         for i, samples in enumerate(batch.samples):
@@ -208,7 +208,7 @@ class TestErrorBudget:
             times = np.arange(0.0, 160e-9, 0.5e-9)
             qt = mean_quadrature_traces(dev, gated_pulse, times, method="exact")
             centers, idx = bin_grid(7)
-            w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 56e-9)
+            w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 56e-9, DT_BIN)
             q, prep = integrate_batch(recs, w, d.kappa_p)
             fit, *_ = fit_shot_histograms(q, prep)
             results[t1] = error_budget(q, prep, fit)
@@ -282,7 +282,7 @@ class TestMonteCarloAgreement:
         filt = FilterConfig(amp_bandwidth=None, bin_mode="center")
         n_class = cfg.n_shots // 2
         for tau in (24e-9, 48e-9, 64e-9, 136e-9):
-            w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], tau)
+            w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], tau, DT_BIN)
             q, prep = integrate_batch(recs, w, d.kappa_p)
             fit, *_ = fit_shot_histograms(q, prep)
             bud = error_budget(q, prep, fit)

@@ -13,7 +13,8 @@ from fastreadout import cli
 from fastreadout.analysis import build_weights
 from fastreadout.calib import SpectrumParams, transmission
 from fastreadout.cli import main
-from fastreadout.dynamics import TwoCavityModel, optimal_lo_phase
+from fastreadout.dynamics import TWOPI, TwoCavityModel, optimal_lo_phase
+from fastreadout.params import derive
 from fastreadout.shots import ShotBatch
 
 REFERENCE_CONF = resources.files("fastreadout.data") / "reference.conf"
@@ -189,10 +190,38 @@ class TestSimulateAnalyze:
         beta_g, beta_e = (model.trace(s, pulse, centers)[:, 1] for s in (-1, +1))
         rot = np.exp(-1j * optimal_lo_phase(beta_e - beta_g))
         expected = build_weights(centers, np.real(rot * beta_g),
-                                 np.real(rot * beta_e), cfg["tau"])
+                                 np.real(rot * beta_e), cfg["tau"], cfg["dt_bin"])
         (weights,) = used
         assert np.array_equal(weights.times, expected.times)
         assert np.allclose(weights.w, expected.w, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("window", [[], ["measure_duration=8ns"]])
+    def test_one_bin_weight(self, conf, tmp_path, monkeypatch, window):
+        # tau = dt_bin, in a long window and in a one-bin window: the weight
+        # has one sample w_0 = 1/sqrt(dt), so q = sqrt(2 pi kappa_p) Q_0 w_0 dt
+        overrides = ["pulse_duration=160ns", "tau=8ns", *window]
+        sets = [a for o in overrides for a in ("--set", o)]
+        out = str(tmp_path)
+        assert run("simulate", "--config", conf, "--output-dir", out, "--wide",
+                   "--n-shots", "2000", *sets) == 0
+        used = []
+        integrate = cli.analysis.integrate_batch
+
+        def spy(batch, weights, kappa_p):
+            q, prep = integrate(batch, weights, kappa_p)
+            used.append((batch, weights, q))
+            return q, prep
+
+        monkeypatch.setattr(cli.analysis, "integrate_batch", spy)
+        assert run("analyze", "--config", conf, "--output-dir", out,
+                   "--input", str(tmp_path / "shots.csv"), *sets) == 0
+        (batch, weights, q), = used
+        dt = 8e-9
+        kappa_p = derive(cli.build_device(cli.resolve_config(conf, overrides))).kappa_p
+        assert weights.dt == dt
+        assert np.allclose(weights.w, [1.0 / math.sqrt(dt)], rtol=1e-12, atol=0.0)
+        expected = math.sqrt(TWOPI * kappa_p) * batch.samples[:, 0] * dt / math.sqrt(dt)
+        assert np.allclose(q, expected, rtol=1e-12, atol=0.0)
 
     def test_preselect_summary(self, conf, tmp_path):
         out = str(tmp_path)
@@ -361,6 +390,17 @@ class TestCalibrate:
         rep = read_report(tmp_path / "stark_fit.txt")
         assert float(rep["photons_per_watt"]) == pytest.approx(k, rel=1e-3)
         assert rep["degenerate"] == "false"
+
+    @pytest.mark.parametrize("bad_row", ["5e-16", "5e-16,n/a"])
+    def test_malformed_row_exits_2(self, conf, tmp_path, capsys, bad_row):
+        # only the column header may be non-numeric: a short or a
+        # non-numeric data row is an error, not a skipped line
+        path = tmp_path / "stark.csv"
+        path.write_text(f"power_W,freq_Hz\n0.0,6.316e9\n{bad_row}\n1e-15,6.3e9\n")
+        code = run("calibrate", "--config", conf, "--output-dir", str(tmp_path),
+                   "--mode", "stark", "--input", str(path))
+        assert code == 2
+        assert bad_row in capsys.readouterr().err
 
     def test_spectrum_grid_mismatch(self, conf, tmp_path):
         for name, n in (("a.csv", 20), ("b.csv", 21)):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_device, random_device, rk4_switching_fields
+from conftest import loop_trace, make_device, random_device, rk4_switching_fields
 from fastreadout.dynamics import (DEFAULT_RK4_STEP, PulseEnvelope, SignalTrace,
                                   TWOPI, TwoCavityModel, full_model_signal,
                                   integrated_rate, lo_rotation,
@@ -47,27 +47,6 @@ def one_cavity_oracle(n_drive, chi, kappa_eff, times, step=0.05e-9):
             vals.append(y)
         out[s] = np.array(vals)
     return np.sqrt(kappa_a) * np.abs(out[+1] - out[-1])
-
-
-def loop_trace(model, s, pulse, times, x0=None, t0=0.0):
-    """TwoCavityModel.trace as a loop over samples: each sample is assigned
-    to the first constant-drive segment whose end it does not pass by more
-    than 1e-15 s. The reference for the segment lookup of the array form."""
-    x = np.zeros(2, dtype=complex) if x0 is None else np.array(x0, dtype=complex)
-    out = np.empty((len(times), 2), dtype=complex)
-    lam, V, Vi = model._eig[s]
-    t_max = float(times[-1])
-    bounds = sorted({t for a, b, _ in pulse.segments() for t in (a, b)})
-    edges = [t0] + [b for b in bounds if t0 + 1e-15 < b < t_max - 1e-15] + [t_max]
-    idx = 0
-    for a, b in zip(edges[:-1], edges[1:]):
-        xss = model.steady_state(s, model.eps0 * float(pulse.envelope(0.5 * (a + b))))
-        c = Vi @ (x - xss)
-        while idx < len(times) and times[idx] <= b + 1e-15:
-            out[idx] = xss + V @ (np.exp(lam * (times[idx] - a)) * c)
-            idx += 1
-        x = xss + V @ (np.exp(lam * (b - a)) * c)
-    return out
 
 
 class TestQssSignal:
@@ -214,7 +193,7 @@ class TestFullModel:
 
 
 class TestExactTrace:
-    """TwoCavityModel.trace: one array expression per constant-drive segment."""
+    """TwoCavityModel.trace: one array expression for every sample."""
 
     @pytest.fixture
     def boosted(self):
@@ -254,20 +233,29 @@ class TestExactTrace:
                 assert np.allclose(one, ref, rtol=1e-13, atol=0.1 * atol)
         assert model.trace(-1, boosted, np.empty(0)).shape == (0, 2)
 
-    def test_start_from_x0_t0(self, device, boosted):
-        # a solve started from the field at t0 continues the solve from
-        # vacuum at 0, as the premeasurement window is evaluated; t0 in
-        # mid-segment and on the end of the boost
+    def test_switch_on_bin_centre_and_drive_edge(self, device, boosted):
+        # the qubit flips at 4 ns: a bin centre of the 8 ns bins and the end
+        # of the boost. The sample there ends the first segment; the solve
+        # continues from the field at 4 ns in the flipped state.
+        model = TwoCavityModel(device)
+        centers = (np.arange(20) + 0.5) * 8e-9
+        switch = 4e-9
+        assert centers[0] == switch == boosted.segments()[0][1]
+        for s in (-1, +1):
+            got = model.trace([s], boosted, centers, [[switch, np.inf]])[0]
+            before = loop_trace(model, s, boosted, centers[:1])
+            after = loop_trace(model, -s, boosted, centers[1:], x0=before[-1],
+                               t0=switch)
+            self.assert_close(got, np.concatenate([before, after]), 1e-13)
+            assert np.array_equal(got[0], model.trace(s, boosted, centers)[0])
+
+    def test_both_states_in_one_call(self, device, boosted):
         model = TwoCavityModel(device)
         times = np.arange(0.0, 160e-9, 0.5e-9)
-        for s in (-1, +1):
-            full = model.trace(s, boosted, times)
-            for k in (8, 37, 200):
-                got = model.trace(s, boosted, times[k:], x0=full[k], t0=times[k])
-                self.assert_close(got, full[k:], 1e-12)
-                ref = loop_trace(model, s, boosted, times[k:], x0=full[k],
-                                 t0=times[k])
-                self.assert_close(got, ref, 1e-13)
+        both = model.trace([-1, +1], boosted, times)
+        assert both.shape == (2, len(times), 2)
+        for row, s in enumerate((-1, +1)):
+            assert np.array_equal(both[row], model.trace(s, boosted, times))
 
     def test_unsorted_times_rejected(self, device, boosted):
         # a sample past times[-1] would never be written

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import (bin_grid, make_device, random_device,
-                      rk4_switching_fields)
+from conftest import (DT_BIN, bin_grid, loop_trace, make_device,
+                      random_device, rk4_switching_fields)
 from fastreadout.analysis import build_weights, integrate_batch
 from fastreadout.dynamics import (PulseEnvelope, TwoCavityModel,
                                   mean_quadrature_traces, optimal_lo_phase)
@@ -68,7 +68,7 @@ class TestNoiseCalibration:
         centers, _ = bin_grid(17)
         rng = np.random.default_rng(0)
         w_shape = rng.uniform(0.5, 2.0, 17)  # any normalized weight works
-        weights = build_weights(centers, np.zeros(17), w_shape, 136e-9)
+        weights = build_weights(centers, np.zeros(17), w_shape, 136e-9, DT_BIN)
         q, _ = integrate_batch(recs, weights, d.kappa_p)
         target = 1.0 / (4.0 * dev.eta)
         assert np.var(q) == pytest.approx(target, rel=0.05)
@@ -98,7 +98,7 @@ class TestNoiseCalibration:
         times = np.arange(0.0, 160e-9, 0.5e-9)
         qt = mean_quadrature_traces(dev, gated_pulse, times, method="exact")
         centers, idx = bin_grid(17)
-        weights = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 136e-9)
+        weights = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 136e-9, DT_BIN)
         q, prep = integrate_batch(recs, weights, d.kappa_p)
         for label in ("g", "e"):
             sample = q[prep == label]
@@ -209,7 +209,7 @@ class TestReadoutChain:
         for s in (-1, +1):
             assert np.allclose(chain.mean_bins[s], sign * q[s], rtol=1e-12, atol=0.0)
         w = chain.weights(56e-9)
-        expected = build_weights(centers, q[-1], q[+1], 56e-9)
+        expected = build_weights(centers, q[-1], q[+1], 56e-9, dt_bin)
         assert np.array_equal(w.times, expected.times)
         assert np.allclose(w.w, expected.w, rtol=1e-12, atol=0.0)
 
@@ -292,8 +292,8 @@ class TestStreamPinning:
 # ---------------------------------------------------------------------------
 
 def piecewise_trace_means(model, rot, s0, jumps, pulse, centers):
-    """Conditioned means from one TwoCavityModel.trace solve per segment
-    between jumps, each started from the field where the last one ended."""
+    """Conditioned means from one loop_trace solve per segment between
+    jumps, each started from the field where the last one ended."""
     out = np.empty(len(centers))
     t_edges = [0.0] + list(jumps) + [centers[-1] + 1.0e-9]
     x = np.zeros(2, dtype=complex)
@@ -301,7 +301,7 @@ def piecewise_trace_means(model, rot, s0, jumps, pulse, centers):
     idx = 0
     for a, b in zip(t_edges[:-1], t_edges[1:]):
         sel = (centers >= a - 1e-15) & (centers < b - 1e-15)
-        vals = model.trace(s, pulse, np.append(centers[sel], b), x0=x, t0=a)
+        vals = loop_trace(model, s, pulse, np.append(centers[sel], b), x0=x, t0=a)
         n_sel = int(np.count_nonzero(sel))
         out[idx: idx + n_sel] = np.real(rot * vals[:n_sel, 1])
         idx += n_sel
