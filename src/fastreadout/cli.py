@@ -229,12 +229,11 @@ def cmd_signal(cfg: dict, args) -> int:
     d = derive(device)
     pulse = build_pulse(cfg)
     times = _fine_times(cfg)
-    full = full_model_signal(device, pulse, times, derived=d, method="exact")
-    qt = mean_quadrature_traces(device, pulse, times, derived=d, method="exact")
+    qt = mean_quadrature_traces(device, pulse, times, derived=d)
     qss = qss_signal(device.n_drive, d.chi, d.kappa_eff, times)
     rows = [
         (t * 1e9, s, qg, qe, "full")
-        for t, s, qg, qe in zip(times, to_sqrt_mhz(full.values),
+        for t, s, qg, qe in zip(times, to_sqrt_mhz(qt.signal.values),
                                 qt.q_g, qt.q_e)
     ]
     rows += [
@@ -250,7 +249,7 @@ def cmd_rate(cfg: dict, args) -> int:
     device = build_device(cfg)
     pulse = build_pulse(cfg)
     times = _fine_times(cfg)
-    trace = full_model_signal(device, pulse, times, method="exact")
+    trace = full_model_signal(device, pulse, times)
     taus = np.arange(cfg["dt_bin"], times[-1], cfg["dt_bin"])
     rows = [(tau * 1e9, integrated_rate(trace, tau)) for tau in taus]
     _write_csv(Path(cfg["output_dir"]) / "rate.csv", cfg, "rate",

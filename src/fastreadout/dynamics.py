@@ -5,11 +5,14 @@ Two models of the state-dependent output signal S(t):
 * a quasi-steady-state (QSS) closed form for a single driven cavity, valid
   when the Purcell filter adiabatically follows the readout resonator, and
 * the full two-cavity linear model (readout resonator + Purcell filter),
-  integrated with fixed-step RK4 (the test oracle) or solved exactly by
-  `TwoCavityModel.trace`, the one closed-form solver: the eigendecomposition
-  of each qubit state's system matrix gives the field on every segment of
-  constant drive and qubit state, for one or many trajectories (both
-  prepared states, or shots with qubit jumps) in one call.
+  solved exactly by `TwoCavityModel.trace`, the one solver: the
+  eigendecomposition of each qubit state's system matrix gives the field on
+  every segment of constant drive and qubit state, for one or many
+  trajectories (both prepared states, or shots with qubit jumps) in one call.
+
+`mean_quadrature_traces` projects both prepared states' filter fields onto
+the LO quadrature of `optimal_lo_phase`, whose maximum has a closed form,
+and carries the signal S(t) of the same solve (`QuadratureTraces.signal`).
 
 All public inputs are ordinary frequencies in Hz; the angular conversion
 happens here. Signal values S(t) carry the angular convention
@@ -26,13 +29,8 @@ import numpy as np
 
 from .errors import ConfigError, GridError, PhotonCeilingError, TauRangeError
 from .params import DeviceParams, DerivedParams, derive
-from .search import golden_section_max
 
 TWOPI = 2.0 * math.pi
-
-#: default internal RK4 step (s); stiff-free at these linewidths and
-#: fixed-step for bit-reproducible traces
-DEFAULT_RK4_STEP = 0.05e-9
 
 #: default high-power-segment amplitude multiplier of the two-step pulse
 DEFAULT_BOOST_FACTOR = 2.5
@@ -54,7 +52,6 @@ class PulseEnvelope:
     boost_factor: float = DEFAULT_BOOST_FACTOR
     boost_duration: float = DEFAULT_BOOST_DURATION
     total_duration: float = 300e-9
-    start_time: float = 0.0
 
     def __post_init__(self):
         if self.kind not in ("gated", "two_step"):
@@ -67,15 +64,12 @@ class PulseEnvelope:
             raise ConfigError("need 0 <= boost_duration < total_duration")
 
     def segments(self):
-        """Constant-amplitude pieces as (t_start, t_end, amplitude) triples."""
-        t0 = self.start_time
-        out = []
+        """Constant-amplitude pieces as (t_start, t_end, amplitude) triples,
+        starting at t = 0."""
         if self.kind == "two_step" and self.boost_duration > 0.0:
-            out.append((t0, t0 + self.boost_duration, self.amplitude * self.boost_factor))
-            out.append((t0 + self.boost_duration, t0 + self.total_duration, self.amplitude))
-        else:
-            out.append((t0, t0 + self.total_duration, self.amplitude))
-        return out
+            return [(0.0, self.boost_duration, self.amplitude * self.boost_factor),
+                    (self.boost_duration, self.total_duration, self.amplitude)]
+        return [(0.0, self.total_duration, self.amplitude)]
 
     def envelope(self, t):
         """Drive amplitude at time(s) t."""
@@ -162,14 +156,10 @@ class TwoCavityModel:
 
         self._b = np.array([0.0, math.sqrt(self.kappa_pa)], dtype=complex)
         self._A = {s: self._matrix(s, symmetric=False) for s in (-1, +1)}
-        self._eig = {}
-        for s in (-1, +1):
-            lam, V = np.linalg.eig(self._A[s])
-            self._eig[s] = (lam, V, np.linalg.inv(V))
         # the tables of trace, row 0 for g and row 1 for e: eigenvalues,
         # eigenvectors, their inverse and the steady state at unit drive
-        self._lam, self._V, self._Vi = (np.array(t) for t in
-                                        zip(self._eig[-1], self._eig[+1]))
+        self._lam, self._V = np.linalg.eig(np.array([self._A[-1], self._A[+1]]))
+        self._Vi = np.linalg.inv(self._V)
         self._x_unit = np.array([np.linalg.solve(self._A[s], -self._b)
                                  for s in (-1, +1)])
 
@@ -260,34 +250,6 @@ class TwoCavityModel:
         out = xss.reshape(-1, 2)[seg] + _apply(Vc.reshape(-1, 2, 2)[seg], growth)
         return out.reshape(s0.shape + out.shape[1:])
 
-    def rk4_trace(self, s: int, pulse: PulseEnvelope, times: np.ndarray,
-                  max_step: float = DEFAULT_RK4_STEP) -> np.ndarray:
-        """Classical fixed-step RK4 integration from vacuum at times[0]."""
-        times = np.asarray(times, dtype=float)
-        dt = times[1] - times[0]
-        nsub = max(1, int(math.ceil(dt / max_step - 1e-12)))
-        h = dt / nsub
-        A = self._A[s]
-        b = self._b
-
-        def f(t, y):
-            return A @ y + b * (self.eps0 * float(pulse.envelope(t)))
-
-        out = np.empty((len(times), 2), dtype=complex)
-        y = np.zeros(2, dtype=complex)
-        out[0] = y
-        t = times[0]
-        for i in range(1, len(times)):
-            for _ in range(nsub):
-                k1 = f(t, y)
-                k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-                k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-                k4 = f(t + h, y + h * k3)
-                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                t += h
-            out[i] = y
-        return out
-
     def check_ceiling(self, fields: np.ndarray):
         n_max = float(np.max(np.abs(fields[..., 0]) ** 2))
         if n_max > self.photon_ceiling:
@@ -302,68 +264,70 @@ def _apply(M, y):
     return M[..., 0] * y[..., :1] + M[..., 1] * y[..., 1:]
 
 
-def _both_state_fields(device: DeviceParams, pulse: PulseEnvelope, times,
-                       derived: DerivedParams | None, photon_ceiling: float,
-                       method: str):
-    """(model, fields_g, fields_e) on a uniform grid of step <= 0.5 ns.
-
-    method 'exact' is the closed-form segment solve; 'rk4' is the
-    fixed-step integrator, far slower, kept as the test oracle.
-    """
+def _solve_both_states(device: DeviceParams, pulse: PulseEnvelope, times,
+                       derived: DerivedParams | None, photon_ceiling: float):
+    """(S(t) as a SignalTrace, beta): one exact solve of both prepared
+    states on a uniform grid of step <= 0.5 ns; beta[0] is the filter field
+    of g and beta[1] that of e, and S = sqrt(kappa_pa) |beta_e - beta_g|."""
+    times = np.asarray(times, dtype=float)
     if len(times) < 2:
         raise GridError("need at least two grid points")
     dt = times[1] - times[0]
     if dt > 0.5e-9 + 1e-15:
         raise GridError(f"grid step {dt:g} s exceeds 0.5 ns")
     model = TwoCavityModel(device, derived, photon_ceiling)
-    if method == "exact":
-        xg, xe = model.trace([-1, +1], pulse, times)
-    elif method == "rk4":
-        xg, xe = (model.rk4_trace(s, pulse, times) for s in (-1, +1))
-    else:
-        raise ConfigError(f"unknown method {method!r}")
-    model.check_ceiling(xg)
-    model.check_ceiling(xe)
-    return model, xg, xe
+    fields = model.trace([-1, +1], pulse, times)
+    model.check_ceiling(fields)
+    beta = fields[..., 1]
+    values = math.sqrt(model.kappa_pa) * np.abs(beta[1] - beta[0])
+    return SignalTrace(times=times, values=values, model="full"), beta
 
 
 def full_model_signal(device: DeviceParams, pulse: PulseEnvelope, times,
                       derived: DerivedParams | None = None,
                       photon_ceiling: float = 100.0,
                       method: str = "exact") -> SignalTrace:
-    """S(t) = sqrt(kappa_pa) |beta_e(t) - beta_g(t)| from the two-cavity model."""
-    times = np.asarray(times, dtype=float)
-    model, xg, xe = _both_state_fields(device, pulse, times, derived,
-                                       photon_ceiling, method)
-    values = math.sqrt(model.kappa_pa) * np.abs(xe[:, 1] - xg[:, 1])
-    return SignalTrace(times=times, values=values, model="full")
+    """S(t) = sqrt(kappa_pa) |beta_e(t) - beta_g(t)| from the two-cavity model.
+
+    `method` names the solver; "exact" is the only one, and the argument
+    stays so that calls which spell it out keep working.
+    """
+    if method != "exact":
+        raise ConfigError(f"unknown method {method!r}")
+    return _solve_both_states(device, pulse, times, derived, photon_ceiling)[0]
 
 
 @dataclass
 class QuadratureTraces:
-    """Mean amplified-quadrature responses for both preparations."""
+    """Mean amplified-quadrature responses for both preparations, and the
+    signal S(t) of the same solve, whose `times` is their grid."""
 
-    times: np.ndarray
     q_g: np.ndarray
     q_e: np.ndarray
     phi_lo: float
-    fields_g: np.ndarray
-    fields_e: np.ndarray
+    signal: SignalTrace
 
 
 def optimal_lo_phase(delta_beta: np.ndarray) -> float:
-    """LO phase in [0, pi) maximizing the integrated quadrature contrast."""
+    """LO phase in [0, pi) maximizing the integrated quadrature contrast
+    C(phi) = sum_k |Re(exp(-i phi) z_k)| of z = delta_beta, in closed form.
 
-    def contrast(phi):
-        return float(np.sum(np.abs(np.real(np.exp(-1j * phi) * delta_beta))))
-
-    # coarse scan handles the pi-periodic wrap, golden section refines
-    phis = np.linspace(0.0, math.pi, 65)[:-1]
-    vals = [contrast(p) for p in phis]
-    k = int(np.argmax(vals))
-    step = phis[1] - phis[0]
-    phi, _ = golden_section_max(contrast, phis[k] - step, phis[k] + step, tol=1e-9)
-    return phi % math.pi
+    Each z_k enters as u_k = +-z_k with arg u_k in [-pi/2, pi/2): the sign
+    of Re(exp(-i phi) u_k) is + for phi below theta_k = arg u_k + pi/2 and -
+    above. On an arc of phi between sign changes C = Re(exp(-i phi) w) with
+    w = sum of the signed u_k, so max C is the largest |w| over the arcs,
+    reached at phi = arg w. One cumulative sum of the flips -2 u_k, in
+    order of theta_k, gives w on every arc. Zero entries are skipped; an
+    all-zero input gives 0.
+    """
+    z = np.ravel(delta_beta)
+    z = z[z != 0]
+    if z.size == 0:
+        return 0.0
+    u = np.where((z.real > 0.0) | ((z.real == 0.0) & (z.imag < 0.0)), z, -z)
+    order = np.argsort(np.angle(u), kind="stable")
+    w = np.sum(u) - 2.0 * np.concatenate(([0.0], np.cumsum(u[order])))
+    return float(np.angle(w[np.argmax(np.abs(w))])) % math.pi
 
 
 def lo_rotation(delta_beta: np.ndarray) -> tuple[float, complex]:
@@ -383,21 +347,17 @@ def lo_rotation(delta_beta: np.ndarray) -> tuple[float, complex]:
 
 def mean_quadrature_traces(device: DeviceParams, pulse: PulseEnvelope, times,
                            derived: DerivedParams | None = None,
-                           photon_ceiling: float = 100.0,
-                           method: str = "exact") -> QuadratureTraces:
+                           photon_ceiling: float = 100.0) -> QuadratureTraces:
     """Noise-free mean quadratures Q_x(t) = Re[exp(-i phi_LO) beta_x].
 
     Dimensionless; the sqrt(kappa_p) factor of the signal and of q_tau is
     applied downstream, so S(t) = sqrt(2 pi kappa_p) |Q_e - Q_g|.
     """
-    times = np.asarray(times, dtype=float)
-    _, xg, xe = _both_state_fields(device, pulse, times, derived,
-                                   photon_ceiling, method)
-    phi, rot = lo_rotation(xe[:, 1] - xg[:, 1])
-    q_g = np.real(rot * xg[:, 1])
-    q_e = np.real(rot * xe[:, 1])
-    return QuadratureTraces(times=times, q_g=q_g, q_e=q_e, phi_lo=phi,
-                            fields_g=xg, fields_e=xe)
+    signal, beta = _solve_both_states(device, pulse, times, derived,
+                                      photon_ceiling)
+    phi, rot = lo_rotation(beta[1] - beta[0])
+    q_g, q_e = np.real(rot * beta)
+    return QuadratureTraces(q_g=q_g, q_e=q_e, phi_lo=phi, signal=signal)
 
 
 def integrated_rate(trace: SignalTrace, tau: float) -> float:

@@ -50,7 +50,7 @@ def _full_rate(device: DeviceParams, kappa_eff: float, tau: float) -> float:
     dt = 0.5e-9
     times = np.arange(0.0, tau + dt, dt)
     pulse = PulseEnvelope(kind="gated", total_duration=tau + 10e-9)
-    trace = full_model_signal(dev, pulse, times, method="exact")
+    trace = full_model_signal(dev, pulse, times)
     return integrated_rate(trace, tau)
 
 
@@ -131,7 +131,7 @@ def power_tradeoff(device: DeviceParams, n_grid, tau: float,
     if pulse is None:
         pulse = PulseEnvelope(kind="gated", total_duration=max(160e-9, tau + 24e-9))
     times = np.arange(0.0, pulse.total_duration, 0.5e-9)
-    trace = full_model_signal(device, pulse, times, method="exact")
+    trace = full_model_signal(device, pulse, times)
     eps_curve = overlap_vs_power(trace, device.eta, tau, device.n_drive, n_grid)
 
     out = []

@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 from conftest import (DT_BIN, bin_grid, make_device, noisy_spectrum_pairs,
-                      spectrum_fit_errors)
+                      rk4_switching_fields, spectrum_fit_errors)
 from fastreadout.analysis import (FilterConfig, build_weights, error_budget,
                                   fit_shot_histograms, integrate_batch,
                                   overlap_model)
 from fastreadout.calib import (fit_transmission, phase_sensitive_efficiency,
                                total_efficiency)
-from fastreadout.dynamics import (PulseEnvelope, full_model_signal,
-                                  mean_quadrature_traces)
+from fastreadout.dynamics import (PulseEnvelope, TwoCavityModel,
+                                  full_model_signal, mean_quadrature_traces)
 from fastreadout.optimize import optimal_ratio_vs_tau
 from fastreadout.params import derive
 from fastreadout.shots import ShotConfig, run_preselection, simulate_batch
@@ -42,8 +42,8 @@ def reference():
     dev = make_device()
     pulse = PulseEnvelope(kind="gated", total_duration=160e-9)
     times = np.arange(0.0, 160e-9, 0.5e-9)
-    trace = full_model_signal(dev, pulse, times, method="exact")
-    qt = mean_quadrature_traces(dev, pulse, times, method="exact")
+    trace = full_model_signal(dev, pulse, times)
+    qt = mean_quadrature_traces(dev, pulse, times)
     return dev, pulse, times, trace, qt
 
 
@@ -78,8 +78,8 @@ def test_criterion_3_monte_carlo_vs_analytic(reference, report):
     recs = simulate_batch(dev, pulse, cfg)
     d = derive(dev)
     times = np.arange(0.0, 160e-9, 0.5e-9)
-    trace = full_model_signal(dev, pulse, times, method="exact")
-    qt = mean_quadrature_traces(dev, pulse, times, method="exact")
+    trace = full_model_signal(dev, pulse, times)
+    qt = mean_quadrature_traces(dev, pulse, times)
     centers, idx = bin_grid(17)
     filt = FilterConfig(amp_bandwidth=None, bin_mode="center")
     n_class = cfg.n_shots // 2
@@ -181,9 +181,12 @@ def test_criterion_9_property_suites(report):
     times = np.arange(0.0, 160e-9, 0.5e-9)
 
     # QSS closed form against a direct ODE solve
-    exact = full_model_signal(dev, pulse, times, method="exact")
-    ode = full_model_signal(dev, pulse, times, method="rk4")
-    qss_ode_ok = np.max(np.abs(exact.values - ode.values)) \
+    exact = full_model_signal(dev, pulse, times)
+    model = TwoCavityModel(dev)
+    beta_g, beta_e = (rk4_switching_fields(model, s, [], pulse, times)[:, 1]
+                      for s in (-1, +1))
+    ode = math.sqrt(model.kappa_pa) * np.abs(beta_e - beta_g)
+    qss_ode_ok = np.max(np.abs(exact.values - ode)) \
         <= 1e-6 * np.max(exact.values)
 
     # noise variance calibration 1/(4 eta)

@@ -23,8 +23,8 @@ def reference_traces():
     dev = make_device()
     pulse = PulseEnvelope(kind="gated", total_duration=160e-9)
     times = np.arange(0.0, 160e-9, 0.5e-9)
-    trace = full_model_signal(dev, pulse, times, method="exact")
-    qt = mean_quadrature_traces(dev, pulse, times, method="exact")
+    trace = full_model_signal(dev, pulse, times)
+    qt = mean_quadrature_traces(dev, pulse, times)
     return dev, trace, qt
 
 
@@ -206,7 +206,7 @@ class TestErrorBudget:
             recs = simulate_batch(dev, gated_pulse, cfg)
             d = derive(dev)
             times = np.arange(0.0, 160e-9, 0.5e-9)
-            qt = mean_quadrature_traces(dev, gated_pulse, times, method="exact")
+            qt = mean_quadrature_traces(dev, gated_pulse, times)
             centers, idx = bin_grid(7)
             w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 56e-9, DT_BIN)
             q, prep = integrate_batch(recs, w, d.kappa_p)
@@ -276,8 +276,8 @@ class TestMonteCarloAgreement:
         recs = simulate_batch(dev, gated_pulse, cfg)
         d = derive(dev)
         times = np.arange(0.0, 160e-9, 0.5e-9)
-        trace = full_model_signal(dev, gated_pulse, times, method="exact")
-        qt = mean_quadrature_traces(dev, gated_pulse, times, method="exact")
+        trace = full_model_signal(dev, gated_pulse, times)
+        qt = mean_quadrature_traces(dev, gated_pulse, times)
         centers, idx = bin_grid(17)
         filt = FilterConfig(amp_bandwidth=None, bin_mode="center")
         n_class = cfg.n_shots // 2

@@ -13,7 +13,8 @@ from fastreadout import cli
 from fastreadout.analysis import build_weights
 from fastreadout.calib import SpectrumParams, transmission
 from fastreadout.cli import main
-from fastreadout.dynamics import TWOPI, TwoCavityModel, optimal_lo_phase
+from fastreadout.dynamics import (TWOPI, TwoCavityModel, full_model_signal,
+                                  optimal_lo_phase, to_sqrt_mhz)
 from fastreadout.params import derive
 from fastreadout.shots import ShotBatch
 
@@ -135,6 +136,32 @@ class TestSignalAndRate:
         s_late = float(full[-1][1])
         assert 6.5 <= s_late <= 8.0  # settled separation in sqrt(MHz)
         assert float(full[0][1]) == pytest.approx(0.0, abs=1e-6)
+
+    def test_signal_solves_once(self, conf, tmp_path, monkeypatch):
+        # S and both quadratures come from one two-state solve, and S is the
+        # full_model_signal of the same grid bit for bit
+        calls, written = [], []
+        solve, write = TwoCavityModel.trace, cli._write_csv
+
+        def count(model, *args, **kwargs):
+            calls.append(args)
+            return solve(model, *args, **kwargs)
+
+        def capture(path, cfg, command, columns, rows):
+            written.extend(rows)
+            return write(path, cfg, command, columns, rows)
+
+        monkeypatch.setattr(TwoCavityModel, "trace", count)
+        monkeypatch.setattr(cli, "_write_csv", capture)
+        assert run("signal", "--config", conf, "--output-dir", str(tmp_path),
+                   "--set", "pulse_duration=160ns") == 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+        cfg = cli.resolve_config(conf, ["pulse_duration=160ns"])
+        full = full_model_signal(cli.build_device(cfg), cli.build_pulse(cfg),
+                                 cli._fine_times(cfg))
+        s_col = np.array([row[1] for row in written if row[4] == "full"])
+        assert np.array_equal(s_col, to_sqrt_mhz(full.values))
 
     def test_rate_csv_monotone_tau_grid(self, conf, tmp_path):
         assert run("rate", "--config", conf, "--output-dir", str(tmp_path),

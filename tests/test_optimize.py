@@ -118,7 +118,7 @@ class TestPowerTradeoff:
         pts = power_tradeoff(device, grid, 56e-9, mix_coeff=None,
                              n_shots=2000, master_seed=1, pulse=gated_pulse)
         times = np.arange(0.0, gated_pulse.total_duration, 0.5e-9)
-        trace = full_model_signal(device, gated_pulse, times, method="exact")
+        trace = full_model_signal(device, gated_pulse, times)
         expected = overlap_vs_power(trace, device.eta, 56e-9,
                                     device.n_drive, grid)
         assert [p.eps_o for p in pts] == pytest.approx(list(expected), rel=1e-12)

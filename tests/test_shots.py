@@ -74,6 +74,24 @@ class TestNoiseCalibration:
         assert np.var(q) == pytest.approx(target, rel=0.05)
         assert np.mean(q) == pytest.approx(0.0, abs=5 * math.sqrt(target / len(q)))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_variance_quarter_eta_random(self, seed):
+        # Var q = 1/(4 eta) for random eta, device and dt_bin (seed 0 takes
+        # 2.25 ns, whose bin centres are off the 0.5 ns grid) and any weight
+        rng = np.random.default_rng(seed)
+        dev = replace(random_device(rng), n_drive=0.0, T1=1.0)
+        dt_bin = 2.25e-9 if seed == 0 else rng.uniform(1e-9, 16e-9)
+        pulse = PulseEnvelope(kind="gated", total_duration=160e-9)
+        cfg = ShotConfig(n_shots=20000, master_seed=seed, dt_bin=dt_bin,
+                         p_thermal=0.0)
+        chain = ReadoutChain(dev, pulse, cfg)
+        w_shape = rng.uniform(0.5, 2.0, chain.n_bins)
+        weights = build_weights(chain.bin_centers, np.zeros(chain.n_bins), w_shape,
+                                chain.n_bins * dt_bin, dt_bin)
+        batch = chain.run(np.arange(cfg.n_shots), np.full(cfg.n_shots, "g"))
+        q, _ = integrate_batch(batch, weights, chain.derived.kappa_p)
+        assert np.var(q) == pytest.approx(1.0 / (4.0 * dev.eta), rel=0.05)
+
     def test_sigma_bin_formula(self):
         sigma = noise_sigma_bin(0.66, 64.27e6, 8e-9)
         expected = 1.0 / math.sqrt(4 * 0.66 * 2 * math.pi * 64.27e6 * 8e-9)
@@ -96,7 +114,7 @@ class TestNoiseCalibration:
         recs = simulate_batch(dev, gated_pulse, cfg)
         d = derive(dev)
         times = np.arange(0.0, 160e-9, 0.5e-9)
-        qt = mean_quadrature_traces(dev, gated_pulse, times, method="exact")
+        qt = mean_quadrature_traces(dev, gated_pulse, times)
         centers, idx = bin_grid(17)
         weights = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 136e-9, DT_BIN)
         q, prep = integrate_batch(recs, weights, d.kappa_p)
@@ -113,7 +131,7 @@ class TestMeanReproduction:
         recs = simulate_batch(dev, gated_pulse, cfg, prep="e")
         mean = np.mean([r.samples for r in recs], axis=0)
         times = np.arange(0.0, 160e-9, 0.5e-9)
-        qt = mean_quadrature_traces(dev, gated_pulse, times, method="exact")
+        qt = mean_quadrature_traces(dev, gated_pulse, times)
         _, idx = bin_grid(len(mean))
         sigma = noise_sigma_bin(dev.eta, derive(dev).kappa_p, cfg.dt_bin)
         se = sigma / math.sqrt(len(recs))
