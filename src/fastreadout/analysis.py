@@ -13,30 +13,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, ndtr
 
 from .dynamics import TWOPI, SignalTrace
 from ._scipy import least_squares
 from .errors import FitError, NoSignalError, TauRangeError
-from .params import DeviceParams, derive
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _normal(kind: str, q, mu, sigma):
-    """'pdf', 'cdf' or 'sf' of N(mu, sigma^2) at q.
-
-    Bit for bit the arithmetic of scipy.stats.norm, without the second that
-    importing scipy.stats takes.
-    """
+def _normal_pdf(q, mu, sigma):
+    """Density of N(mu, sigma^2) at q."""
     z = (np.asarray(q, dtype=float) - mu) / sigma
-    if kind == "pdf":
-        return np.exp(-z ** 2 / 2.0) / _SQRT_2PI / sigma
-    if kind == "cdf":
-        return ndtr(z)
-    if kind == "sf":
-        return ndtr(-z)
-    raise ValueError(f"unknown kind {kind!r}")
+    return np.exp(-z ** 2 / 2.0) / _SQRT_2PI / sigma
+
+
+def _normal_sf(z: float) -> float:
+    """Upper tail P(Z > z) of the standard normal."""
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -103,12 +96,12 @@ class MixtureFit:
     threshold: float
 
     def counts_g(self, q):
-        return (self.A_gg * _normal("pdf", q, self.mu_g, self.sigma_g)
-                + self.A_eg * _normal("pdf", q, self.mu_e, self.sigma_e))
+        return (self.A_gg * _normal_pdf(q, self.mu_g, self.sigma_g)
+                + self.A_eg * _normal_pdf(q, self.mu_e, self.sigma_e))
 
     def counts_e(self, q):
-        return (self.A_ge * _normal("pdf", q, self.mu_g, self.sigma_g)
-                + self.A_ee * _normal("pdf", q, self.mu_e, self.sigma_e))
+        return (self.A_ge * _normal_pdf(q, self.mu_g, self.sigma_g)
+                + self.A_ee * _normal_pdf(q, self.mu_e, self.sigma_e))
 
 
 def histogram_bins(q: np.ndarray, min_bins: int = 60) -> np.ndarray:
@@ -156,8 +149,8 @@ def fit_mixture(centers, counts_g, counts_e, max_nfev: int = 2000) -> MixtureFit
 
     def model(p):
         mg, me, sg, se, agg, aeg, age, aee = p
-        pdf_g = _normal("pdf", centers, mg, sg)
-        pdf_e = _normal("pdf", centers, me, se)
+        pdf_g = _normal_pdf(centers, mg, sg)
+        pdf_e = _normal_pdf(centers, me, se)
         return agg * pdf_g + aeg * pdf_e, age * pdf_g + aee * pdf_e
 
     def resid(p):
@@ -177,21 +170,35 @@ def fit_mixture(centers, counts_g, counts_e, max_nfev: int = 2000) -> MixtureFit
 
 
 def _intersection_threshold(fit: MixtureFit) -> float:
-    """Decision boundary at the intersection of C_g and C_e between the means."""
-    from scipy.optimize import brentq
+    """Decision boundary where C_g and C_e cross between the means.
 
+    C_g - C_e = w_g N(mu_g, sigma_g) - w_e N(mu_e, sigma_e) with
+    w_g = A_gg - A_ge and w_e = A_ee - A_eg changes sign only if both
+    weights share a strict sign. Then its sign is that of a quadratic in
+    x = q - mu_g whose vertex d sigma_g^2 / (sigma_g^2 - sigma_e^2),
+    d = mu_e - mu_g, lies outside [0, d]: only the root of smaller
+    magnitude can fall between the means a < b. It is the threshold if it
+    lies within [a + eps, b - eps], eps = 1e-9 (b - a); otherwise C_g - C_e
+    keeps its sign there and the midpoint is.
+    """
     a, b = sorted((fit.mu_g, fit.mu_e))
     if b - a <= 0.0:
         return a
-
-    def diff(q):
-        return fit.counts_g(q) - fit.counts_e(q)
-
+    midpoint = 0.5 * (a + b)
+    w_g, w_e = fit.A_gg - fit.A_ge, fit.A_ee - fit.A_eg
+    if not (w_g > 0.0 and w_e > 0.0 or w_g < 0.0 and w_e < 0.0):
+        return midpoint
+    d = fit.mu_e - fit.mu_g
+    vg, ve = fit.sigma_g ** 2, fit.sigma_e ** 2
+    log_ratio = math.log(w_g / w_e * fit.sigma_e / fit.sigma_g)
+    # (vg - ve) x^2 + c1 x + c0 = 0; linear for vg = ve, where disc = c1^2
+    c1, c0 = -2.0 * d * vg, vg * (d * d + 2.0 * ve * log_ratio)
+    disc = c1 * c1 - 4.0 * (vg - ve) * c0
+    if disc < 0.0:
+        return midpoint
+    q = fit.mu_g + c0 / (-0.5 * (c1 + math.copysign(math.sqrt(disc), c1)))
     eps = 1e-9 * (b - a)
-    qa, qb = a + eps, b - eps
-    if diff(qa) * diff(qb) > 0:
-        return 0.5 * (a + b)
-    return float(brentq(diff, qa, qb))
+    return float(q) if a + eps <= q <= b - eps else midpoint
 
 
 def fit_shot_histograms(q: np.ndarray, prep: np.ndarray, min_bins: int = 60):
@@ -252,16 +259,12 @@ def error_budget(q: np.ndarray, prep: np.ndarray, fit: MixtureFit) -> ErrorBudge
         raise FitError("empty preparation class")
     thr = fit.threshold
     e_high = fit.mu_e >= fit.mu_g  # excited state on the high-q side?
-    if e_high:
-        eps_g = float(np.mean(q_g >= thr))
-        eps_e = float(np.mean(q_e < thr))
-        eps_o_g = _normal("sf", thr, fit.mu_g, fit.sigma_g)
-        eps_o_e = _normal("cdf", thr, fit.mu_e, fit.sigma_e)
-    else:
-        eps_g = float(np.mean(q_g < thr))
-        eps_e = float(np.mean(q_e >= thr))
-        eps_o_g = _normal("cdf", thr, fit.mu_g, fit.sigma_g)
-        eps_o_e = _normal("sf", thr, fit.mu_e, fit.sigma_e)
+    eps_g = float(np.mean((q_g >= thr) == e_high))
+    eps_e = float(np.mean((q_e >= thr) != e_high))
+    # tail of each fitted Gaussian on the far side of the threshold
+    side = 1.0 if e_high else -1.0
+    eps_o_g = _normal_sf(side * (thr - fit.mu_g) / fit.sigma_g)
+    eps_o_e = _normal_sf(side * (fit.mu_e - thr) / fit.sigma_e)
     # dominant-component tail mass, weighted by the component's class fraction
     wg = fit.A_gg / (fit.A_gg + fit.A_eg) if fit.A_gg + fit.A_eg > 0 else 1.0
     we = fit.A_ee / (fit.A_ee + fit.A_ge) if fit.A_ee + fit.A_ge > 0 else 1.0
@@ -290,7 +293,7 @@ class FilterConfig:
     amp_bandwidth: 3 dB cutoff of the single-pole amplifier model (Hz),
         None disables the pole. The integration window is advanced by the
         pole's group delay 1/(2 pi B) so that tau counts integration of the
-        delayed record (delay_compensate=False keeps the literal window).
+        delayed record.
     dt_bin: boxcar/sampling bin of the digitizer (s); None keeps the fine grid.
     bin_mode: 'mean' boxcar-averages each bin, 'center' samples bin centers
         (the white-noise shot generator corresponds to 'center' with
@@ -300,7 +303,6 @@ class FilterConfig:
     amp_bandwidth: float | None = 27e6
     dt_bin: float | None = 8e-9
     bin_mode: str = "mean"
-    delay_compensate: bool = True
 
 
 def _filtered_binned_signal(trace: SignalTrace, tau: float, filt: FilterConfig):
@@ -314,8 +316,7 @@ def _filtered_binned_signal(trace: SignalTrace, tau: float, filt: FilterConfig):
         h = np.exp(-t / tc)
         h /= h.sum() * dt
         s = np.convolve(s, h)[: len(s)] * dt
-        if filt.delay_compensate:
-            shift = int(round(tc / dt))
+        shift = int(round(tc / dt))
     n_tau = int(round(tau / dt))
     if shift + n_tau > len(s):
         pad = np.full(shift + n_tau - len(s), s[-1])
@@ -350,11 +351,11 @@ def overlap_model(trace: SignalTrace, eta: float, tau: float,
     s, dt = _filtered_binned_signal(trace, tau, filt)
     norm2 = float(np.sum(s * s) * dt)
     if norm2 <= 0.0:
-        return float(erfc(0.0))
+        return 1.0
     w = s / math.sqrt(norm2)
     mu = float(np.sum(s * w) * dt)
     sigma = math.sqrt(1.0 / (4.0 * eta))
-    return float(erfc(math.sqrt(1.0 / 8.0) * mu / sigma))
+    return math.erfc(math.sqrt(1.0 / 8.0) * mu / sigma)
 
 
 def overlap_vs_power(trace: SignalTrace, eta: float, tau: float,

@@ -8,7 +8,6 @@ give identical magnitudes up to the free overall scale.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -84,13 +84,17 @@ _DEVICE_KEYS = ("g", "omega_q", "omega_r", "omega_p", "alpha", "J", "Q_p",
 
 
 def _parse_value(key: str, raw):
-    kind, _ = SCHEMA[key]
+    kind, default = SCHEMA[key]
     if isinstance(raw, (int, float, bool, tuple)) or raw is None:
         return raw
     text = str(raw).strip()
-    if kind == "quantity":
-        if text.lower() == "none":
+    if kind != "str" and text.lower() == "none":
+        # none means something where it is the default, on a required device
+        # key (then reported missing) and for mix_coeff (no mixing)
+        if default in (None, "none") or key == "mix_coeff":
             return None
+        raise ConfigError(f"{key} cannot be none")
+    if kind == "quantity":
         return parse_quantity(text)
     if kind == "float":
         return float(parse_quantity(text))
@@ -119,14 +123,8 @@ def resolve_config(path: str | None, overrides) -> dict:
     unknown = sorted(set(raw) - set(SCHEMA))
     if unknown:
         raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}")
-    out = {}
-    for key, (kind, default) in SCHEMA.items():
-        if key in raw:
-            out[key] = _parse_value(key, raw[key])
-        elif default == "none":
-            out[key] = None
-        else:
-            out[key] = default
+    out = {key: _parse_value(key, raw.get(key, default))
+           for key, (_, default) in SCHEMA.items()}
     missing = [k for k in _DEVICE_KEYS
                if out[k] is None and SCHEMA[k][1] is None]
     if missing:

@@ -22,7 +22,7 @@ from .dynamics import TWOPI, PulseEnvelope, SignalTrace, full_model_signal, \
 from .errors import ConfigError
 from .params import DeviceParams, derive, lambda_param
 from .search import maximize_unimodal
-from .shots import ReadoutChain, ShotConfig, simulate_batch
+from .shots import ReadoutChain, ShotConfig
 
 #: mixing-rate coefficient (Hz): gamma_mix = MIX_COEFF * lambda * n_drive,
 #: tuned so the simulated excess ground-state error is about 0.23% at the
@@ -141,9 +141,9 @@ def power_tradeoff(device: DeviceParams, n_grid, tau: float,
         g_mix = 0.0 if mix_coeff is None else mix_coeff * lam * float(n)
         cfg = ShotConfig(n_shots=n_shots, master_seed=master_seed,
                          gamma_mix_up=g_mix, gamma_mix_down=g_mix)
-        recs = simulate_batch(dev_n, pulse, cfg)
         chain = ReadoutChain(dev_n, pulse, cfg)
-        q, prep = integrate_batch(recs, chain.weights(tau), chain.derived.kappa_p)
+        batch = chain.run(np.arange(n_shots))
+        q, prep = integrate_batch(batch, chain.weights(tau), chain.derived.kappa_p)
         fit, *_ = fit_shot_histograms(q, prep)
         budget = error_budget(q, prep, fit)
         out.append(PowerPoint(n_drive=float(n), eps_o=float(eps_o),

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._scipy import least_squares
 from .analysis import WeightFunction, build_weights
 from .dynamics import TWOPI, PulseEnvelope, TwoCavityModel, lo_rotation
 from .errors import ConfigError, FitError, GridError
@@ -252,9 +253,9 @@ class ReadoutChain:
 
     # -- a batch of shots --------------------------------------------------------
 
-    def run(self, indices, prep) -> ShotBatch:
-        """Shots `indices` with labels `prep`; shot i depends only on
-        (master_seed, i).
+    def run(self, indices, prep=None) -> ShotBatch:
+        """Shots `indices` with labels `prep` (None: g, e, g, e, ... by index
+        parity); shot i depends only on (master_seed, i).
 
         The draws of shot i come from a Philox generator keyed by
         (master_seed, i) at counter 0, in the order: thermal state,
@@ -263,6 +264,9 @@ class ReadoutChain:
         shots afterwards.
         """
         cfg = self.cfg
+        indices = np.asarray(indices)
+        if prep is None:
+            prep = np.where(indices % 2 == 0, "g", "e")
         prep = np.asarray(prep, dtype="U1")
         n = len(prep)
         bits = np.random.Philox(key=[cfg.master_seed & 0xFFFFFFFFFFFFFFFF, 0])
@@ -280,7 +284,7 @@ class ReadoutChain:
             pre_jumps: list = []
         excite = prep == "e"
         window = self.n_bins * cfg.dt_bin
-        for row, index in enumerate(np.asarray(indices).tolist()):
+        for row, index in enumerate(indices.tolist()):
             key[1] = index
             bits.state = fresh
             s = +1 if rng.random() < cfg.p_thermal else -1
@@ -334,13 +338,10 @@ def simulate_batch(device: DeviceParams, pulse: PulseEnvelope, cfg: ShotConfig,
     prepares a single class. Order-independent: shot i depends only on
     (master_seed, i).
     """
-    index = np.arange(cfg.n_shots)
-    if prep is None:
-        labels = np.where(index % 2 == 0, "g", "e")
-    else:
+    if prep is not None:
         _check_prep(prep)
-        labels = np.full(cfg.n_shots, prep)
-    return ReadoutChain(device, pulse, cfg).run(index, labels)
+        prep = np.full(cfg.n_shots, prep)
+    return ReadoutChain(device, pulse, cfg).run(np.arange(cfg.n_shots), prep)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +355,6 @@ def run_preselection(batch: ShotBatch):
     of the fitted CDF (mu + 2.326 sigma) and drops shots above it. Returns
     (surviving ShotBatch, rejected fraction).
     """
-    from scipy.optimize import curve_fit
-
     if len(batch) < 100:
         raise FitError("preselection needs at least 100 records")
     q_p = batch.preselect
@@ -370,18 +369,14 @@ def run_preselection(batch: ShotBatch):
     counts, _ = np.histogram(core, bins=edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
 
-    def gauss(x, a, mu, sigma):
-        return a * np.exp(-0.5 * ((x - mu) / sigma) ** 2)
+    def resid(p):
+        a, mu, sigma = p
+        return a * np.exp(-0.5 * ((centers - mu) / sigma) ** 2) - counts
 
-    try:
-        popt, _ = curve_fit(
-            gauss, centers, counts,
-            p0=[float(np.max(counts)), med, sig0],
-            maxfev=5000,
-        )
-    except RuntimeError as exc:
-        raise FitError(f"preselection Gaussian fit failed: {exc}") from exc
-    mu, sigma = float(popt[1]), abs(float(popt[2]))
+    sol = least_squares(resid, [float(np.max(counts)), med, sig0], max_nfev=5000)
+    if not sol.success:
+        raise FitError(f"preselection Gaussian fit failed: {sol.message}")
+    mu, sigma = float(sol.x[1]), abs(float(sol.x[2]))
     threshold = mu + Z99 * sigma
     kept = batch.select(q_p <= threshold)
     rejected = 1.0 - len(kept) / len(batch)

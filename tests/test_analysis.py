@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.special import erfc, ndtr
 
 from conftest import DT_BIN, bin_grid, make_device
-from fastreadout.analysis import (FilterConfig, MixtureFit, build_weights,
+from fastreadout.analysis import (FilterConfig, MixtureFit,
+                                  _intersection_threshold, build_weights,
                                   error_budget, fit_mixture,
                                   fit_shot_histograms, histogram_bins,
                                   integrate_batch, overlap_model,
@@ -167,7 +168,148 @@ class TestMixtureFit:
         assert bud.eps_g == bud.eps_e == 0.0
 
 
+def brentq_threshold(fit: MixtureFit) -> float:
+    """Oracle: bracket the crossing of C_g and C_e between the means with
+    brentq; the midpoint when C_g - C_e keeps its sign there."""
+    from scipy.optimize import brentq
+
+    a, b = sorted((fit.mu_g, fit.mu_e))
+    if b - a <= 0.0:
+        return a
+
+    def diff(q):
+        return fit.counts_g(q) - fit.counts_e(q)
+
+    eps = 1e-9 * (b - a)
+    qa, qb = a + eps, b - eps
+    if diff(qa) * diff(qb) > 0:
+        return 0.5 * (a + b)
+    return float(brentq(diff, qa, qb))
+
+
+def random_mixture(rng, equal_sigma=False, mirrored=False, ge_scale=0.1):
+    """A two-Gaussian fit result; A_ge / A_gg is drawn up to ge_scale."""
+    mu_g = rng.uniform(-2.0, 2.0)
+    sigma_g = rng.uniform(0.2, 1.0)
+    sigma_e = sigma_g if equal_sigma else rng.uniform(0.2, 1.0)
+    sep = rng.uniform(0.5, 6.0) * max(sigma_g, sigma_e)
+    A_gg, A_ee = rng.uniform(1e3, 1e4, 2)
+    return MixtureFit(mu_g=mu_g, mu_e=mu_g - sep if mirrored else mu_g + sep,
+                      sigma_g=sigma_g, sigma_e=sigma_e, A_gg=A_gg,
+                      A_eg=rng.uniform(0.0, 0.1) * A_ee,
+                      A_ge=rng.uniform(0.0, ge_scale) * A_gg, A_ee=A_ee,
+                      threshold=0.0)
+
+
+def sign_changes(fit, q):
+    d = fit.counts_g(q) - fit.counts_e(q)
+    return int(np.sum(np.sign(d[1:]) != np.sign(d[:-1])))
+
+
+class TestThreshold:
+    """The closed-form threshold against the brentq oracle."""
+
+    @pytest.mark.parametrize("equal_sigma", [False, True])
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_matches_brentq(self, equal_sigma, mirrored):
+        rng = np.random.default_rng(100 + 2 * equal_sigma + mirrored)
+        roots = 0
+        for _ in range(60):
+            fit = random_mixture(rng, equal_sigma, mirrored)
+            a, b = sorted((fit.mu_g, fit.mu_e))
+            got, want = _intersection_threshold(fit), brentq_threshold(fit)
+            if want == 0.5 * (a + b):
+                assert got == want
+            else:
+                roots += 1
+                assert abs(got - want) <= 1e-9 * (b - a)
+        assert roots >= 50
+
+    def test_non_positive_weight_takes_midpoint(self):
+        # A_ge >= A_gg: C_g - C_e = w_g N_g - w_e N_e with w_g <= 0 < w_e
+        # never changes sign
+        rng = np.random.default_rng(11)
+        for k in range(60):
+            fit = random_mixture(rng, mirrored=k % 2 == 1)
+            fit.A_ge = fit.A_gg * (1.0 if k % 3 == 0 else rng.uniform(1.0, 2.0))
+            midpoint = 0.5 * (fit.mu_g + fit.mu_e)
+            assert _intersection_threshold(fit) == brentq_threshold(fit) == midpoint
+
+    def test_no_sign_change_takes_midpoint(self):
+        # means within 3 sigma of each other and w_g / w_e = 1e6: C_g > C_e
+        # everywhere between the means
+        rng = np.random.default_rng(12)
+        for k in range(60):
+            sigma_g, sigma_e = rng.uniform(0.2, 1.0, 2)
+            if k % 3 == 0:
+                sigma_e = sigma_g
+            sep = rng.uniform(0.5, 3.0) * min(sigma_g, sigma_e)
+            A_gg = rng.uniform(1e3, 1e4)
+            fit = MixtureFit(mu_g=0.5, mu_e=0.5 + (sep if k % 2 else -sep),
+                             sigma_g=sigma_g, sigma_e=sigma_e, A_gg=A_gg,
+                             A_eg=0.0, A_ge=0.0, A_ee=1e-6 * A_gg, threshold=0.0)
+            midpoint = 0.5 * (fit.mu_g + fit.mu_e)
+            assert _intersection_threshold(fit) == brentq_threshold(fit) == midpoint
+
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_two_crossings_beyond_the_means_take_midpoint(self, mirrored):
+        # sigma_e = sigma_g / 2, d = 1, log ratio 0.6: C_g and C_e cross
+        # twice, both beyond mu_e, so not between the means
+        sign = -1.0 if mirrored else 1.0
+        fit = MixtureFit(mu_g=0.0, mu_e=sign, sigma_g=1.0, sigma_e=0.5,
+                         A_gg=2.0 * math.exp(0.6) * 1e3, A_eg=0.0,
+                         A_ge=0.0, A_ee=1e3, threshold=0.0)
+        assert sign_changes(fit, np.linspace(-6.0, 6.0, 120001)) == 2
+        assert sign_changes(fit, np.linspace(sign * 1e-9, sign * (1 - 1e-9),
+                                             10001)) == 0
+        assert _intersection_threshold(fit) == brentq_threshold(fit) == sign / 2
+
+    def test_at_most_one_crossing_between_the_means(self):
+        # the log ratio of the two terms is a parabola whose vertex
+        # d sigma_g^2 / (sigma_g^2 - sigma_e^2) lies outside [0, d], so two
+        # crossings between the means cannot occur
+        rng = np.random.default_rng(13)
+        for _ in range(60):
+            fit = random_mixture(rng, mirrored=bool(rng.integers(2)),
+                                 ge_scale=0.999)
+            fit.A_eg = fit.A_ee * rng.uniform(0.0, 0.999)
+            q = np.linspace(fit.mu_g, fit.mu_e, 20001)
+            assert sign_changes(fit, q) <= 1
+            want = brentq_threshold(fit)
+            a, b = sorted((fit.mu_g, fit.mu_e))
+            assert _intersection_threshold(fit) == pytest.approx(
+                want, rel=0.0, abs=1e-9 * (b - a))
+
+    def test_coincident_means(self):
+        fit = MixtureFit(mu_g=0.3, mu_e=0.3, sigma_g=1.0, sigma_e=0.5,
+                         A_gg=1e3, A_eg=1.0, A_ge=1.0, A_ee=1e3, threshold=0.0)
+        assert _intersection_threshold(fit) == brentq_threshold(fit) == 0.3
+
+
 class TestErrorBudget:
+    def test_mirrored_orientation_is_exact(self):
+        # q -> -q with every fitted position negated: the same comparisons
+        # and the same tails, with normal tails as in ndtr
+        rng = np.random.default_rng(14)
+        fit = random_mixture(rng)
+        fit.threshold = _intersection_threshold(fit)
+        q = np.concatenate([rng.normal(fit.mu_g, fit.sigma_g, 5000),
+                            rng.normal(fit.mu_e, fit.sigma_e, 5000)])
+        prep = np.array(["g"] * 5000 + ["e"] * 5000)
+        mirror = MixtureFit(**{**vars(fit), "mu_g": -fit.mu_g, "mu_e": -fit.mu_e,
+                               "threshold": -fit.threshold})
+        bud, bud2 = error_budget(q, prep, fit), error_budget(-q, prep, mirror)
+        assert bud == bud2
+        thr = fit.threshold
+        wg = fit.A_gg / (fit.A_gg + fit.A_eg)
+        we = fit.A_ee / (fit.A_ee + fit.A_ge)
+        assert bud.eps_o_g == pytest.approx(
+            wg * ndtr((fit.mu_g - thr) / fit.sigma_g), rel=1e-13)
+        assert bud.eps_o_e == pytest.approx(
+            we * ndtr((thr - fit.mu_e) / fit.sigma_e), rel=1e-13)
+        assert bud.eps_g == np.mean(q[:5000] >= thr)
+        assert bud.eps_e == np.mean(q[5000:] < thr)
+
     def test_identity_and_decomposition(self):
         rng = np.random.default_rng(5)
         q = np.concatenate([rng.normal(-1, 0.5, 20000),

@@ -33,15 +33,15 @@ def run(*argv):
 
 
 def test_import_defers_the_fit_stack():
-    # scipy.stats and scipy.optimize cost about a second to import; only
-    # the fitting functions load scipy.optimize, on first use
+    # importing scipy costs most of the start-up time; only the fitting
+    # functions load scipy.optimize, on first use
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     code = ("import sys, fastreadout.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') "
-            "if m in sys.modules))")
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True, timeout=120)
     assert proc.stdout.strip() == "[]"
@@ -117,6 +117,33 @@ class TestExitCodes:
                        "--set", "n_drive=500", "--set", "n_shots=10")
             assert code == 3
             assert "failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key,extra", [
+        ("derive", "gamma_int", []),
+        ("simulate", "gamma_mix_up", []),
+        ("simulate", "dt_bin", []),
+        ("analyze", "tau", ["--input", "shots.csv"]),
+        ("signal", "boost_duration", ["--set", "pulse_kind=two_step"]),
+        ("rate", "grid_step", []),
+        ("simulate", "n_shots", []),
+    ])
+    def test_none_where_none_means_nothing(self, conf, tmp_path, capsys,
+                                           command, key, extra):
+        code = run(command, "--config", conf, "--output-dir", str(tmp_path),
+                   "--set", f"{key}=none", *extra)
+        assert code == 2
+        assert key in capsys.readouterr().err
+
+    def test_none_where_none_means_something(self, conf, tmp_path, capsys):
+        for key in ("delta_p", "omega_d", "measure_duration"):
+            assert run("derive", "--config", conf, "--output-dir", str(tmp_path),
+                       "--set", f"{key}=None") == 0
+        capsys.readouterr()
+        for key in ("g", "Q_p"):
+            assert run("derive", "--config", conf, "--output-dir", str(tmp_path),
+                       "--set", f"{key}=none") == 2
+            assert f"missing required keys: {key}" in capsys.readouterr().err
+        assert cli.resolve_config(conf, ["mix_coeff=none"])["mix_coeff"] is None
 
     def test_unreadable_input(self, conf, tmp_path):
         code = run("analyze", "--config", conf, "--output-dir", str(tmp_path),

@@ -123,6 +123,21 @@ class TestPowerTradeoff:
                                     device.n_drive, grid)
         assert [p.eps_o for p in pts] == pytest.approx(list(expected), rel=1e-12)
 
+    def test_one_chain_per_power(self, device, gated_pulse, monkeypatch):
+        from fastreadout.shots import ReadoutChain
+        built = []
+        init = ReadoutChain.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ReadoutChain, "__init__", counting_init)
+        grid = [1.0, 2.5, 5.0]
+        power_tradeoff(device, grid, 56e-9, n_shots=2000, master_seed=1,
+                       pulse=gated_pulse)
+        assert len(built) == len(grid)
+
     def test_invalid_power(self, device):
         with pytest.raises(ConfigError):
             power_tradeoff(device, [0.0, 1.0], 56e-9, n_shots=100)
