@@ -21,7 +21,7 @@ from .errors import (
     PhotonCeilingError,
     TauRangeError,
 )
-from .params import DeviceParams, DerivedParams, derive
+from .params import DeviceParams
 
 __all__ = [
     "ConfigError",
@@ -33,8 +33,6 @@ __all__ = [
     "PhotonCeilingError",
     "TauRangeError",
     "DeviceParams",
-    "DerivedParams",
-    "derive",
 ]
 
 __version__ = "0.1.0"

@@ -24,13 +24,13 @@ from .config import load_config, parse_bool, parse_int, parse_quantity
 from .dynamics import (PulseEnvelope, full_model_signal, integrated_rate,
                        mean_quadrature_traces, qss_signal, to_sqrt_mhz)
 from .errors import ConfigError, FastReadoutError
-from .params import DeviceParams, derive
+from .params import DeviceParams
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-# key -> (type tag, default); quantities accept unit suffixes
+# key -> (type tag, default); quantities and list entries accept unit suffixes
 SCHEMA = {
     # device
     "g": ("quantity", None),
@@ -39,32 +39,32 @@ SCHEMA = {
     "omega_p": ("quantity", None),
     "alpha": ("quantity", None),
     "J": ("quantity", None),
-    "Q_p": ("float", None),
+    "Q_p": ("quantity", None),
     "T1": ("quantity", None),
-    "eta": ("float", None),
-    "n_drive": ("float", None),
+    "eta": ("quantity", None),
+    "n_drive": ("quantity", None),
     "delta_p": ("quantity", "none"),
     "gamma_int": ("quantity", 0.0),
     "omega_d": ("quantity", "none"),
-    "dispersive_guard": ("float", 10.0),
+    "dispersive_guard": ("quantity", 10.0),
     # pulse
     "pulse_kind": ("str", "gated"),
-    "pulse_amplitude": ("float", 1.0),
-    "boost_factor": ("float", 2.5),
+    "pulse_amplitude": ("quantity", 1.0),
+    "boost_factor": ("quantity", 2.5),
     "boost_duration": ("quantity", 4e-9),
     "pulse_duration": ("quantity", 300e-9),
     # shots
     "n_shots": ("int", 20000),
-    "p_thermal": ("float", 0.003),
+    "p_thermal": ("quantity", 0.003),
     "gamma_mix_up": ("quantity", 0.0),
     "gamma_mix_down": ("quantity", 0.0),
     "preselect": ("bool", False),
-    "prep_error": ("float", 0.0),
+    "prep_error": ("quantity", 0.0),
     "dt_bin": ("quantity", 8e-9),
     "measure_duration": ("quantity", "none"),
     "premeasure_duration": ("quantity", 152e-9),
     "premeasure_window": ("quantity", 48e-9),
-    "premeasure_amplitude": ("float", 1.0),
+    "premeasure_amplitude": ("quantity", 1.0),
     "reset_gap": ("quantity", 100e-9),
     # analysis
     "tau": ("quantity", 56e-9),
@@ -94,19 +94,17 @@ def _parse_value(key: str, raw):
         if default in (None, "none") or key == "mix_coeff":
             return None
         raise ConfigError(f"{key} cannot be none")
-    if kind == "quantity":
-        return parse_quantity(text)
-    if kind == "float":
-        return float(parse_quantity(text))
-    if kind == "int":
-        return parse_int(text)
-    if kind == "bool":
-        return parse_bool(text)
-    if kind == "floats":
-        try:
-            return tuple(float(v) for v in text.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse list value {text!r} for {key}") from exc
+    try:
+        if kind == "quantity":
+            return parse_quantity(text)
+        if kind == "int":
+            return parse_int(text)
+        if kind == "bool":
+            return parse_bool(text)
+        if kind == "floats":
+            return tuple(parse_quantity(v) for v in text.split(","))
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
     return text
 
 
@@ -205,11 +203,10 @@ def _write_csv(path: Path, cfg: dict, command: str, columns, rows):
 
 def cmd_derive(cfg: dict, args) -> int:
     device = build_device(cfg)
-    d = derive(device)
     items = [
-        ("chi_Hz", d.chi), ("n_crit", d.n_crit), ("kappa_eff_Hz", d.kappa_eff),
-        ("kappa_p_Hz", d.kappa_p), ("lambda_mix", d.lambda_mix),
-        ("delta_Hz", d.delta),
+        ("chi_Hz", device.chi), ("n_crit", device.n_crit),
+        ("kappa_eff_Hz", device.kappa_eff), ("kappa_p_Hz", device.kappa_p),
+        ("lambda_mix", device.lambda_mix), ("delta_Hz", device.delta),
     ]
     out = Path(cfg["output_dir"]) / "derived.txt"
     _write_report(out, cfg, "derive", items)
@@ -224,11 +221,10 @@ def _fine_times(cfg: dict):
 
 def cmd_signal(cfg: dict, args) -> int:
     device = build_device(cfg)
-    d = derive(device)
     pulse = build_pulse(cfg)
     times = _fine_times(cfg)
-    qt = mean_quadrature_traces(device, pulse, times, derived=d)
-    qss = qss_signal(device.n_drive, d.chi, d.kappa_eff, times)
+    qt = mean_quadrature_traces(device, pulse, times)
+    qss = qss_signal(device.n_drive, device.chi, device.kappa_eff, times)
     rows = [
         (t * 1e9, s, qg, qe, "full")
         for t, s, qg, qe in zip(times, to_sqrt_mhz(qt.signal.values),
@@ -359,7 +355,7 @@ def cmd_analyze(cfg: dict, args) -> int:
         raise ConfigError(f"shot file holds {batch.n_bins} bins, the "
                           f"configuration's window {chain.n_bins}")
     q, prep = analysis.integrate_batch(batch, chain.weights(cfg["tau"]),
-                                       chain.derived.kappa_p)
+                                       chain.device.kappa_p)
     fit, bin_centers, hist_g, hist_e = analysis.fit_shot_histograms(q, prep)
     budget = analysis.error_budget(q, prep, fit)
     out_dir = Path(cfg["output_dir"])
@@ -386,11 +382,10 @@ def cmd_analyze(cfg: dict, args) -> int:
 
 def cmd_optimize(cfg: dict, args) -> int:
     device = build_device(cfg)
-    d = derive(device)
     out_dir = Path(cfg["output_dir"])
     if args.mode == "ratio":
         x_grid = np.asarray(cfg["ratio_tau_grid"], dtype=float)
-        taus = x_grid / (2.0 * math.pi * abs(d.chi))
+        taus = x_grid / (2.0 * math.pi * abs(device.chi))
         r_qss = optimize.optimal_ratio_vs_tau(device, taus, "qss")
         r_full = optimize.optimal_ratio_vs_tau(device, taus, "full")
         rows = zip(taus * 1e9, r_qss, r_full)
@@ -447,10 +442,9 @@ def cmd_calibrate(cfg: dict, args) -> int:
     else:
         if args.input is None:
             raise ConfigError("calibrate stark requires --input")
-        device = build_device(cfg)
-        d = derive(device)
+        chi = build_device(cfg).chi
         powers, freqs = _read_two_column_csv(args.input)
-        fit = calib.stark_calibration(powers, freqs, d.chi)
+        fit = calib.stark_calibration(powers, freqs, chi)
         _write_report(out_dir / "stark_fit.txt", cfg, "calibrate", [
             ("photons_per_watt", fit.photons_per_watt),
             ("nu_q0_Hz", fit.nu_q0),

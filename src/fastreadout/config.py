@@ -6,7 +6,9 @@ Bare numbers are passed through unchanged.
 
 from __future__ import annotations
 
+import math
 import re
+from dataclasses import fields
 
 from .errors import ConfigError
 
@@ -19,19 +21,31 @@ _QUANTITY_RE = re.compile(
 
 
 def parse_quantity(text: str) -> float:
-    """Parse a number with an optional frequency or time unit suffix into SI."""
+    """Parse a number with an optional frequency or time unit suffix into SI.
+    A value that overflows to infinity raises ConfigError."""
     m = _QUANTITY_RE.match(str(text))
     if m is None:
         raise ConfigError(f"cannot parse quantity {text!r}")
     value = float(m.group(1))
     unit = m.group(2).lower()
-    if unit == "":
-        return value
     if unit in _FREQ_UNITS:
-        return value * _FREQ_UNITS[unit]
-    if unit in _TIME_UNITS:
-        return value * _TIME_UNITS[unit]
-    raise ConfigError(f"unknown unit {m.group(2)!r} in {text!r}")
+        value *= _FREQ_UNITS[unit]
+    elif unit in _TIME_UNITS:
+        value *= _TIME_UNITS[unit]
+    elif unit != "":
+        raise ConfigError(f"unknown unit {m.group(2)!r} in {text!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"quantity {text!r} is not finite")
+    return value
+
+
+def require_finite(instance):
+    """Raise ConfigError naming the first numeric dataclass field of
+    `instance` that is NaN or infinite; None and booleans pass."""
+    for f in fields(instance):
+        value = getattr(instance, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
 
 
 def parse_bool(text: str) -> bool:

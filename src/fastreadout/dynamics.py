@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GridError, PhotonCeilingError, TauRangeError
-from .params import DeviceParams, DerivedParams, derive
+from .params import DeviceParams
 
 TWOPI = 2.0 * math.pi
 
@@ -36,6 +36,8 @@ TWOPI = 2.0 * math.pi
 DEFAULT_BOOST_FACTOR = 2.5
 #: default high-power-segment duration of the two-step pulse (s)
 DEFAULT_BOOST_DURATION = 4e-9
+#: largest resonator photon number the linear model is trusted at
+PHOTON_CEILING = 100.0
 
 
 def to_sqrt_mhz(s):
@@ -141,15 +143,11 @@ class TwoCavityModel:
     equals n_drive at the symmetric drive point omega_d = omega_r.
     """
 
-    def __init__(self, device: DeviceParams, derived: DerivedParams | None = None,
-                 photon_ceiling: float = 100.0):
+    def __init__(self, device: DeviceParams):
         self.device = device
-        self.derived = derived if derived is not None else derive(device)
-        self.photon_ceiling = photon_ceiling
-
-        self.chi_a = TWOPI * self.derived.chi
+        self.chi_a = TWOPI * device.chi
         self.J_a = TWOPI * device.J
-        self.kappa_pa = TWOPI * self.derived.kappa_p
+        self.kappa_pa = TWOPI * device.kappa_p
         self.gamma_a = TWOPI * device.gamma_int
         self.delta_r_a = TWOPI * (device.omega_r - device.omega_d)
         self.delta_pf_a = TWOPI * (device.omega_p - device.omega_d)
@@ -252,10 +250,10 @@ class TwoCavityModel:
 
     def check_ceiling(self, fields: np.ndarray):
         n_max = float(np.max(np.abs(fields[..., 0]) ** 2))
-        if n_max > self.photon_ceiling:
+        if n_max > PHOTON_CEILING:
             raise PhotonCeilingError(
                 f"resonator photon number {n_max:.1f} exceeds ceiling "
-                f"{self.photon_ceiling:g}"
+                f"{PHOTON_CEILING:g}"
             )
 
 
@@ -264,8 +262,7 @@ def _apply(M, y):
     return M[..., 0] * y[..., :1] + M[..., 1] * y[..., 1:]
 
 
-def _solve_both_states(device: DeviceParams, pulse: PulseEnvelope, times,
-                       derived: DerivedParams | None, photon_ceiling: float):
+def _solve_both_states(device: DeviceParams, pulse: PulseEnvelope, times):
     """(S(t) as a SignalTrace, beta): one exact solve of both prepared
     states on a uniform grid of step <= 0.5 ns; beta[0] is the filter field
     of g and beta[1] that of e, and S = sqrt(kappa_pa) |beta_e - beta_g|."""
@@ -275,7 +272,7 @@ def _solve_both_states(device: DeviceParams, pulse: PulseEnvelope, times,
     dt = times[1] - times[0]
     if dt > 0.5e-9 + 1e-15:
         raise GridError(f"grid step {dt:g} s exceeds 0.5 ns")
-    model = TwoCavityModel(device, derived, photon_ceiling)
+    model = TwoCavityModel(device)
     fields = model.trace([-1, +1], pulse, times)
     model.check_ceiling(fields)
     beta = fields[..., 1]
@@ -284,8 +281,6 @@ def _solve_both_states(device: DeviceParams, pulse: PulseEnvelope, times,
 
 
 def full_model_signal(device: DeviceParams, pulse: PulseEnvelope, times,
-                      derived: DerivedParams | None = None,
-                      photon_ceiling: float = 100.0,
                       method: str = "exact") -> SignalTrace:
     """S(t) = sqrt(kappa_pa) |beta_e(t) - beta_g(t)| from the two-cavity model.
 
@@ -294,7 +289,7 @@ def full_model_signal(device: DeviceParams, pulse: PulseEnvelope, times,
     """
     if method != "exact":
         raise ConfigError(f"unknown method {method!r}")
-    return _solve_both_states(device, pulse, times, derived, photon_ceiling)[0]
+    return _solve_both_states(device, pulse, times)[0]
 
 
 @dataclass
@@ -345,16 +340,14 @@ def lo_rotation(delta_beta: np.ndarray) -> tuple[float, complex]:
     return phi, rot
 
 
-def mean_quadrature_traces(device: DeviceParams, pulse: PulseEnvelope, times,
-                           derived: DerivedParams | None = None,
-                           photon_ceiling: float = 100.0) -> QuadratureTraces:
+def mean_quadrature_traces(device: DeviceParams, pulse: PulseEnvelope,
+                           times) -> QuadratureTraces:
     """Noise-free mean quadratures Q_x(t) = Re[exp(-i phi_LO) beta_x].
 
     Dimensionless; the sqrt(kappa_p) factor of the signal and of q_tau is
     applied downstream, so S(t) = sqrt(2 pi kappa_p) |Q_e - Q_g|.
     """
-    signal, beta = _solve_both_states(device, pulse, times, derived,
-                                      photon_ceiling)
+    signal, beta = _solve_both_states(device, pulse, times)
     phi, rot = lo_rotation(beta[1] - beta[0])
     q_g, q_e = np.real(rot * beta)
     return QuadratureTraces(q_g=q_g, q_e=q_e, phi_lo=phi, signal=signal)

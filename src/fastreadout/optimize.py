@@ -11,7 +11,7 @@ fixed Q_p and filter frequency, J = sqrt(kappa_eff (omega_p
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .analysis import error_budget, fit_shot_histograms, integrate_batch, \
 from .dynamics import TWOPI, PulseEnvelope, SignalTrace, full_model_signal, \
     integrated_rate, qss_signal
 from .errors import ConfigError
-from .params import DeviceParams, derive, lambda_param
+from .params import DeviceParams
 from .search import maximize_unimodal
 from .shots import ReadoutChain, ShotConfig
 
@@ -64,8 +64,7 @@ def optimal_ratio_vs_tau(device: DeviceParams, tau_grid, model: str = "qss",
     """
     if model not in ("qss", "full"):
         raise ConfigError(f"unknown model {model!r}")
-    derived = derive(device)
-    chi = derived.chi
+    chi = device.chi
     tau_grid = np.asarray(tau_grid, dtype=float)
     out = np.empty(len(tau_grid))
     for i, tau in enumerate(tau_grid):
@@ -110,8 +109,7 @@ class PowerPoint:
     n_drive: float
     eps_o: float
     fidelity_mc: float
-    gamma_mix_up: float
-    gamma_mix_down: float
+    gamma_mix: float
 
 
 def power_tradeoff(device: DeviceParams, n_grid, tau: float,
@@ -127,7 +125,6 @@ def power_tradeoff(device: DeviceParams, n_grid, tau: float,
     n_grid = np.asarray(n_grid, dtype=float)
     if np.any(n_grid <= 0.0):
         raise ConfigError("drive powers must be positive")
-    derived = derive(device)
     if pulse is None:
         pulse = PulseEnvelope(kind="gated", total_duration=max(160e-9, tau + 24e-9))
     times = np.arange(0.0, pulse.total_duration, 0.5e-9)
@@ -137,62 +134,51 @@ def power_tradeoff(device: DeviceParams, n_grid, tau: float,
     out = []
     for n, eps_o in zip(n_grid, eps_curve):
         dev_n = replace(device, n_drive=float(n))
-        lam = lambda_param(float(n), derived.n_crit)
-        g_mix = 0.0 if mix_coeff is None else mix_coeff * lam * float(n)
+        g_mix = 0.0 if mix_coeff is None else \
+            mix_coeff * dev_n.lambda_mix * float(n)
         cfg = ShotConfig(n_shots=n_shots, master_seed=master_seed,
                          gamma_mix_up=g_mix, gamma_mix_down=g_mix)
         chain = ReadoutChain(dev_n, pulse, cfg)
         batch = chain.run(np.arange(n_shots))
-        q, prep = integrate_batch(batch, chain.weights(tau), chain.derived.kappa_p)
+        q, prep = integrate_batch(batch, chain.weights(tau), chain.device.kappa_p)
         fit, *_ = fit_shot_histograms(q, prep)
         budget = error_budget(q, prep, fit)
         out.append(PowerPoint(n_drive=float(n), eps_o=float(eps_o),
                               fidelity_mc=budget.fidelity,
-                              gamma_mix_up=g_mix, gamma_mix_down=g_mix))
+                              gamma_mix=g_mix))
     return out
 
 
 @dataclass
 class ConstraintReport:
-    """Derived design quantities plus pass/fail validity flags."""
+    """Pass/fail judgement of a design; the device owns chi, n_crit,
+    kappa_eff and lambda_mix."""
 
-    chi: float
-    n_crit: float
-    kappa_eff: float
     ratio_chi_kappa: float
-    n_drive: float
     drive_fraction: float
-    lambda_mix: float
     dispersive_ok: bool
     drive_ok: bool
     signal_ok: bool
     advice: str
-    flags: dict = field(default_factory=dict)
 
 
 def constraint_report(device: DeviceParams, target_tau: float | None = None,
                       n_crit_min: float = 10.0,
                       drive_fraction_max: float = 0.25) -> ConstraintReport:
     """Check a parameter set against the standard design constraints."""
-    d = derive(device)
-    frac = device.n_drive / d.n_crit if d.n_crit > 0 else math.inf
-    ratio = abs(d.chi / d.kappa_eff) if d.kappa_eff > 0 else math.inf
-    dispersive_ok = d.n_crit >= n_crit_min
-    drive_ok = frac <= drive_fraction_max
-    signal_ok = abs(d.chi) > 1e3  # advisory: chi below 1 kHz gives no contrast
+    chi, n_crit, kappa_eff = device.chi, device.n_crit, device.kappa_eff
+    frac = device.n_drive / n_crit if n_crit > 0 else math.inf
+    ratio = abs(chi / kappa_eff) if kappa_eff > 0 else math.inf
     if target_tau is None:
         advice = "no target integration time given"
-    elif TWOPI * abs(d.chi) * target_tau < 4.5:
+    elif TWOPI * abs(chi) * target_tau < 4.5:
         advice = ("short integration window (|chi| tau < 4.5): a larger "
                   "kappa_eff (ratio below 0.5) gains signal")
     else:
         advice = "long integration window: |chi/kappa_eff| = 0.5 is optimal"
     return ConstraintReport(
-        chi=d.chi, n_crit=d.n_crit, kappa_eff=d.kappa_eff,
-        ratio_chi_kappa=ratio, n_drive=device.n_drive, drive_fraction=frac,
-        lambda_mix=d.lambda_mix,
-        dispersive_ok=dispersive_ok, drive_ok=drive_ok, signal_ok=signal_ok,
-        advice=advice,
-        flags={"dispersive": dispersive_ok, "drive": drive_ok,
-               "signal": signal_ok},
+        ratio_chi_kappa=ratio, drive_fraction=frac,
+        dispersive_ok=n_crit >= n_crit_min, drive_ok=frac <= drive_fraction_max,
+        # advisory: chi below 1 kHz gives no contrast
+        signal_ok=abs(chi) > 1e3, advice=advice,
     )

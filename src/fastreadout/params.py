@@ -1,5 +1,9 @@
 """Device parameters and the derived scalar quantities of dispersive readout.
 
+`DeviceParams` is the one owner of the derived quantities: chi, n_crit,
+kappa_eff, kappa_p, lambda_mix and delta are its properties, each computed
+by the module function of the same physics.
+
 All frequencies are stored as ordinary frequencies in Hz (the values usually
 quoted as omega/2pi); conversion to angular frequency happens only inside the
 dynamics integrators.
@@ -10,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .config import require_finite
 from .errors import ConfigError, DispersiveRegimeError
 
 
@@ -79,6 +84,11 @@ class DeviceParams:
     dispersive_guard: float = 10.0
 
     def __post_init__(self):
+        require_finite(self)
+        if self.g <= 0.0:
+            raise ConfigError("g must be positive")
+        if self.omega_p <= 0.0:
+            raise ConfigError("omega_p must be positive")
         if not (0.0 < self.eta <= 1.0):
             raise ConfigError("eta must lie in (0, 1]")
         if self.T1 <= 0.0:
@@ -116,30 +126,22 @@ class DeviceParams:
         """Purcell filter linewidth omega_p / Q_p."""
         return self.omega_p / self.Q_p
 
+    @property
+    def chi(self) -> float:
+        """Dispersive shift chi, in Hz."""
+        return dispersive_shift(self.g, self.delta, self.alpha)
 
-@dataclass(frozen=True)
-class DerivedParams:
-    """Quantities computed from a DeviceParams instance."""
+    @property
+    def n_crit(self) -> float:
+        """Critical photon number Delta^2 / (4 g^2)."""
+        return critical_photon_number(self.g, self.delta)
 
-    chi: float
-    n_crit: float
-    kappa_eff: float
-    kappa_p: float
-    lambda_mix: float
-    delta: float
+    @property
+    def kappa_eff(self) -> float:
+        """Purcell-filter mediated resonator linewidth, in Hz."""
+        return effective_linewidth(self.J, self.Q_p, self.omega_p, self.delta_p)
 
-
-def derive(device: DeviceParams) -> DerivedParams:
-    """Compute all derived scalar readout parameters."""
-    delta = device.delta
-    chi = dispersive_shift(device.g, delta, device.alpha)
-    n_crit = critical_photon_number(device.g, delta)
-    kappa_eff = effective_linewidth(device.J, device.Q_p, device.omega_p, device.delta_p)
-    return DerivedParams(
-        chi=chi,
-        n_crit=n_crit,
-        kappa_eff=kappa_eff,
-        kappa_p=device.kappa_p,
-        lambda_mix=lambda_param(device.n_drive, n_crit),
-        delta=delta,
-    )
+    @property
+    def lambda_mix(self) -> float:
+        """Drive-induced transition parameter lambda at n_drive."""
+        return lambda_param(self.n_drive, self.n_crit)

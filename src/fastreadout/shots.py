@@ -25,8 +25,9 @@ import numpy as np
 from ._scipy import least_squares
 from .analysis import WeightFunction, build_weights
 from .dynamics import TWOPI, PulseEnvelope, TwoCavityModel, lo_rotation
+from .config import require_finite
 from .errors import ConfigError, FitError, GridError
-from .params import DeviceParams, derive
+from .params import DeviceParams
 
 #: one-sided z score of the 99% Gaussian CDF point
 Z99 = 2.3263478740408408
@@ -60,6 +61,7 @@ class ShotConfig:
     reset_gap: float = 100e-9
 
     def __post_init__(self):
+        require_finite(self)
         if self.n_shots <= 0:
             raise ConfigError("n_shots must be positive")
         if self.dt_bin <= 0.0:
@@ -170,8 +172,7 @@ class ReadoutChain:
     def __init__(self, device: DeviceParams, pulse: PulseEnvelope, cfg: ShotConfig):
         self.device = device
         self.cfg = cfg
-        self.derived = derive(device)
-        self.model = TwoCavityModel(device, self.derived)
+        self.model = TwoCavityModel(device)
 
         self.n_bins = window_bins(pulse, cfg)
         if self.n_bins < 1:
@@ -180,7 +181,7 @@ class ReadoutChain:
             raise GridError("pulse does not cover the sampling window")
         self.pulse = pulse
         self.bin_centers = (np.arange(self.n_bins) + 0.5) * cfg.dt_bin
-        self.sigma_bin = noise_sigma_bin(device.eta, self.derived.kappa_p, cfg.dt_bin)
+        self.sigma_bin = noise_sigma_bin(device.eta, device.kappa_p, cfg.dt_bin)
 
         fields = self.model.trace([-1, +1], pulse, self.bin_centers)
         self.model.check_ceiling(fields)

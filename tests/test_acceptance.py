@@ -21,7 +21,6 @@ from fastreadout.calib import (fit_transmission, phase_sensitive_efficiency,
 from fastreadout.dynamics import (PulseEnvelope, TwoCavityModel,
                                   full_model_signal, mean_quadrature_traces)
 from fastreadout.optimize import optimal_ratio_vs_tau
-from fastreadout.params import derive
 from fastreadout.shots import ShotConfig, run_preselection, simulate_batch
 
 
@@ -49,13 +48,13 @@ def reference():
 
 def test_criterion_1_derived_parameters(report):
     t0 = time.perf_counter()
-    d = derive(make_device())
-    ok = (abs(d.chi / -7.71e6 - 1.0) < 0.05
-          and abs(d.n_crit / 14.1 - 1.0) < 0.10
-          and abs(d.kappa_eff / 38.8e6 - 1.0) < 0.05
+    dev = make_device()
+    ok = (abs(dev.chi / -7.71e6 - 1.0) < 0.05
+          and abs(dev.n_crit / 14.1 - 1.0) < 0.10
+          and abs(dev.kappa_eff / 38.8e6 - 1.0) < 0.05
           and time.perf_counter() - t0 < 1.0)
-    report(1, ok, f"chi={d.chi/1e6:.3f} MHz, n_crit={d.n_crit:.2f}, "
-                  f"kappa_eff={d.kappa_eff/1e6:.2f} MHz")
+    report(1, ok, f"chi={dev.chi/1e6:.3f} MHz, n_crit={dev.n_crit:.2f}, "
+                  f"kappa_eff={dev.kappa_eff/1e6:.2f} MHz")
 
 
 def test_criterion_2_overlap_error_model(reference, report):
@@ -76,7 +75,6 @@ def test_criterion_3_monte_carlo_vs_analytic(reference, report):
     dev = make_device(T1=1.0)  # transitions disabled
     cfg = ShotConfig(n_shots=100000, master_seed=101, p_thermal=0.0)
     recs = simulate_batch(dev, pulse, cfg)
-    d = derive(dev)
     times = np.arange(0.0, 160e-9, 0.5e-9)
     trace = full_model_signal(dev, pulse, times)
     qt = mean_quadrature_traces(dev, pulse, times)
@@ -86,7 +84,7 @@ def test_criterion_3_monte_carlo_vs_analytic(reference, report):
     details, ok = [], True
     for tau in (24e-9, 48e-9, 64e-9, 136e-9):
         w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], tau, DT_BIN)
-        q, prep = integrate_batch(recs, w, d.kappa_p)
+        q, prep = integrate_batch(recs, w, dev.kappa_p)
         fit, *_ = fit_shot_histograms(q, prep)
         bud = error_budget(q, prep, fit)
         eps_mc = bud.eps_g + bud.eps_e
@@ -104,10 +102,9 @@ def test_criterion_4_t1_error_budget(reference, report):
     dev, pulse, _, _, qt = reference
     cfg = ShotConfig(n_shots=100000, master_seed=55)
     recs = simulate_batch(dev, pulse, cfg)
-    d = derive(dev)
     centers, idx = bin_grid(17)
     w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 56e-9, DT_BIN)
-    q, prep = integrate_batch(recs, w, d.kappa_p)
+    q, prep = integrate_batch(recs, w, dev.kappa_p)
     fit, *_ = fit_shot_histograms(q, prep)
     bud = error_budget(q, prep, fit)
     expected = 1.0 - math.exp(-56e-9 / dev.T1)
@@ -120,7 +117,7 @@ def test_criterion_4_t1_error_budget(reference, report):
 def test_criterion_5_optimal_ratio(report):
     t0 = time.perf_counter()
     dev = make_device()
-    chi_a = 2.0 * math.pi * abs(derive(dev).chi)
+    chi_a = 2.0 * math.pi * abs(dev.chi)
     r_long = optimal_ratio_vs_tau(dev, [20.0 / chi_a], model="qss")[0]
     r_short = optimal_ratio_vs_tau(dev, [2.0 / chi_a], model="qss")[0]
     taus = [4.5 / chi_a, 12.0 / chi_a]
@@ -176,7 +173,6 @@ def test_criterion_8_preselection(reference, report):
 
 def test_criterion_9_property_suites(report):
     dev = make_device()
-    d = derive(dev)
     pulse = PulseEnvelope(kind="gated", total_duration=160e-9)
     times = np.arange(0.0, 160e-9, 0.5e-9)
 
@@ -195,7 +191,7 @@ def test_criterion_9_property_suites(report):
     recs = simulate_batch(dev0, pulse, cfg, prep="g")
     centers, _ = bin_grid(17)
     w = build_weights(centers, np.zeros(17), np.ones(17), 136e-9, DT_BIN)
-    q, _ = integrate_batch(recs, w, d.kappa_p)
+    q, _ = integrate_batch(recs, w, dev.kappa_p)
     var_ok = abs(np.var(q) * 4 * dev.eta - 1.0) < 0.05
 
     # mixture-fit round trip and affine threshold invariance

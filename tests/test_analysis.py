@@ -15,7 +15,6 @@ from fastreadout.dynamics import (PulseEnvelope, SignalTrace, TWOPI,
                                   full_model_signal, mean_quadrature_traces,
                                   qss_steady_signal)
 from fastreadout.errors import FitError, NoSignalError, TauRangeError
-from fastreadout.params import derive
 from fastreadout.shots import ShotBatch, ShotConfig, simulate_batch
 
 
@@ -84,12 +83,11 @@ class TestIntegration:
         # noise-free records at the two mean traces: q_e - q_g equals the
         # weighted integral of S
         dev, _, qt = reference_traces
-        d = derive(dev)
         centers, idx = bin_grid(7)
         w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 56e-9, DT_BIN)
-        q_g = integrate_row(qt.q_g[idx], w, d.kappa_p)
-        q_e = integrate_row(qt.q_e[idx], w, d.kappa_p)
-        s_bins = math.sqrt(TWOPI * d.kappa_p) * np.abs(
+        q_g = integrate_row(qt.q_g[idx], w, dev.kappa_p)
+        q_e = integrate_row(qt.q_e[idx], w, dev.kappa_p)
+        s_bins = math.sqrt(TWOPI * dev.kappa_p) * np.abs(
             qt.q_e[idx][:7] - qt.q_g[idx][:7])
         expected = float(np.sum(s_bins * w.w) * w.dt)
         assert q_e - q_g == pytest.approx(expected, rel=1e-9)
@@ -102,17 +100,16 @@ class TestIntegration:
 
     def test_batch_matches_single(self, reference_traces):
         dev, _, qt = reference_traces
-        d = derive(dev)
         rng = np.random.default_rng(11)
         centers, idx = bin_grid(7)
         w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 56e-9, DT_BIN)
         batch = ShotBatch(prep=["g"] * 5, samples=rng.normal(size=(5, 7)))
-        q, prep = integrate_batch(batch, w, d.kappa_p)
+        q, prep = integrate_batch(batch, w, dev.kappa_p)
         for i, samples in enumerate(batch.samples):
             # q_tau = sqrt(2 pi kappa_p) * sum_k Q_k w_k dt
-            expected = math.sqrt(TWOPI * d.kappa_p) * np.sum(samples * w.w) * w.dt
+            expected = math.sqrt(TWOPI * dev.kappa_p) * np.sum(samples * w.w) * w.dt
             assert q[i] == pytest.approx(expected, rel=1e-12)
-            assert integrate_row(samples, w, d.kappa_p) == pytest.approx(
+            assert integrate_row(samples, w, dev.kappa_p) == pytest.approx(
                 expected, rel=1e-12)
         assert list(prep) == ["g"] * 5
 
@@ -346,12 +343,11 @@ class TestErrorBudget:
             dev = make_device(T1=t1)
             cfg = ShotConfig(n_shots=30000, master_seed=13, p_thermal=0.0)
             recs = simulate_batch(dev, gated_pulse, cfg)
-            d = derive(dev)
             times = np.arange(0.0, 160e-9, 0.5e-9)
             qt = mean_quadrature_traces(dev, gated_pulse, times)
             centers, idx = bin_grid(7)
             w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 56e-9, DT_BIN)
-            q, prep = integrate_batch(recs, w, d.kappa_p)
+            q, prep = integrate_batch(recs, w, dev.kappa_p)
             fit, *_ = fit_shot_histograms(q, prep)
             results[t1] = error_budget(q, prep, fit)
         assert results[3.8e-6].fidelity < results[7.6e-6].fidelity
@@ -416,7 +412,6 @@ class TestMonteCarloAgreement:
         dev = make_device(T1=1.0)
         cfg = ShotConfig(n_shots=100000, master_seed=101, p_thermal=0.0)
         recs = simulate_batch(dev, gated_pulse, cfg)
-        d = derive(dev)
         times = np.arange(0.0, 160e-9, 0.5e-9)
         trace = full_model_signal(dev, gated_pulse, times)
         qt = mean_quadrature_traces(dev, gated_pulse, times)
@@ -425,7 +420,7 @@ class TestMonteCarloAgreement:
         n_class = cfg.n_shots // 2
         for tau in (24e-9, 48e-9, 64e-9, 136e-9):
             w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], tau, DT_BIN)
-            q, prep = integrate_batch(recs, w, d.kappa_p)
+            q, prep = integrate_batch(recs, w, dev.kappa_p)
             fit, *_ = fit_shot_histograms(q, prep)
             bud = error_budget(q, prep, fit)
             eps_mc = bud.eps_g + bud.eps_e

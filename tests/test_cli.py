@@ -15,7 +15,6 @@ from fastreadout.calib import SpectrumParams, transmission
 from fastreadout.cli import main
 from fastreadout.dynamics import (TWOPI, TwoCavityModel, full_model_signal,
                                   optimal_lo_phase, to_sqrt_mhz)
-from fastreadout.params import derive
 from fastreadout.shots import ShotBatch
 
 REFERENCE_CONF = resources.files("fastreadout.data") / "reference.conf"
@@ -145,6 +144,19 @@ class TestExitCodes:
             assert f"missing required keys: {key}" in capsys.readouterr().err
         assert cli.resolve_config(conf, ["mix_coeff=none"])["mix_coeff"] is None
 
+    @pytest.mark.parametrize("value", [
+        "g=0", "g=-208MHz", "omega_p=0", "omega_p=-1GHz",
+        "power_grid=1,nan", "power_grid=1,inf", "ratio_tau_grid=nan,4.5",
+        "g=1e400", "tau=1e300GHz",
+    ])
+    def test_invalid_value(self, conf, tmp_path, capsys, value):
+        # every key is parsed and the device built before derive writes, so
+        # derive also stands in for the commands that read the list keys
+        code = run("derive", "--config", conf, "--output-dir", str(tmp_path),
+                   "--set", value)
+        assert code == 2
+        assert "error: " + value.split("=")[0] in capsys.readouterr().err
+
     def test_unreadable_input(self, conf, tmp_path):
         code = run("analyze", "--config", conf, "--output-dir", str(tmp_path),
                    "--input", str(tmp_path / "missing.csv"))
@@ -271,7 +283,7 @@ class TestSimulateAnalyze:
                    "--input", str(tmp_path / "shots.csv"), *sets) == 0
         (batch, weights, q), = used
         dt = 8e-9
-        kappa_p = derive(cli.build_device(cli.resolve_config(conf, overrides))).kappa_p
+        kappa_p = cli.build_device(cli.resolve_config(conf, overrides)).kappa_p
         assert weights.dt == dt
         assert np.allclose(weights.w, [1.0 / math.sqrt(dt)], rtol=1e-12, atol=0.0)
         expected = math.sqrt(TWOPI * kappa_p) * batch.samples[:, 0] * dt / math.sqrt(dt)

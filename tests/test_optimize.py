@@ -7,12 +7,11 @@ from conftest import make_device
 from fastreadout.errors import ConfigError
 from fastreadout.optimize import (constraint_report, optimal_ratio_vs_tau,
                                   power_tradeoff, signal_family)
-from fastreadout.params import derive
 
 
 def tau_for(device, x):
     """Integration time giving the dimensionless product |chi| tau = x."""
-    chi = abs(derive(device).chi)
+    chi = abs(device.chi)
     return x / (2.0 * math.pi * chi)
 
 
@@ -97,7 +96,7 @@ class TestPowerTradeoff:
         fid = [p.fidelity_mc for p in pts]
         assert np.all(np.diff(eps) < 0)
         assert fid[-1] >= fid[0]
-        assert all(p.gamma_mix_up == 0.0 for p in pts)
+        assert all(p.gamma_mix == 0.0 for p in pts)
 
     def test_interior_optimum_with_mixing(self, device, gated_pulse):
         grid = [0.6, 1.2, 2.5, 5.0, 10.0]
@@ -108,7 +107,7 @@ class TestPowerTradeoff:
         assert 0 < best < len(grid) - 1
         assert grid[best] == pytest.approx(2.5)
         # mixing rate grows superlinearly with power
-        rates = [p.gamma_mix_up for p in pts]
+        rates = [p.gamma_mix for p in pts]
         assert np.all(np.diff(rates) > 0)
 
     def test_eps_o_column_matches_overlap_curve(self, device, gated_pulse):
@@ -147,7 +146,7 @@ class TestConstraintReport:
     def test_reference_point_passes(self, device):
         rep = constraint_report(device, target_tau=56e-9)
         assert rep.dispersive_ok and rep.drive_ok and rep.signal_ok
-        assert rep.n_crit == pytest.approx(14.0986, abs=0.01)
+        assert device.n_crit == pytest.approx(14.0986, abs=0.01)
         assert rep.drive_fraction == pytest.approx(2.5 / 14.0986, rel=1e-3)
         assert "larger" in rep.advice  # 2 pi |chi| tau = 2.7 < 4.5
 
@@ -160,9 +159,8 @@ class TestConstraintReport:
         rep = constraint_report(dev)
         assert not rep.drive_ok
         assert rep.dispersive_ok
-        assert not rep.flags["drive"]
 
     def test_weak_coupling_flagged(self):
         dev = make_device(g=30e6)
         rep = constraint_report(dev)
-        assert not rep.dispersive_ok or abs(rep.chi) < 1e6
+        assert not rep.dispersive_ok or abs(dev.chi) < 1e6

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_device
+from fastreadout.config import parse_quantity
 from fastreadout.errors import ConfigError, DispersiveRegimeError
-from fastreadout.params import (DeviceParams, critical_photon_number, derive,
+from fastreadout.params import (DeviceParams, critical_photon_number,
                                 dispersive_shift, effective_linewidth,
                                 lambda_param)
 
@@ -118,13 +120,24 @@ class TestLambdaParam:
 
 
 class TestDeviceParams:
-    def test_derive_reference(self):
-        d = derive(reference_device())
+    def test_property_reference(self):
+        d = reference_device()
         assert d.chi == pytest.approx(-7.7064e6, rel=1e-4)
         assert d.n_crit == pytest.approx(14.0986, rel=1e-4)
         assert d.kappa_eff == pytest.approx(38.748e6, rel=1e-4)
         assert d.kappa_p == pytest.approx(4756e6 / 74, rel=1e-12)
         assert d.delta == pytest.approx(1.562e9, rel=1e-12)
+        assert d.lambda_mix == pytest.approx(lambda_param(2.5, 14.0986), rel=1e-4)
+
+    def test_properties_are_the_module_functions(self):
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            dev = random_device(rng)
+            assert dev.chi == dispersive_shift(dev.g, dev.delta, dev.alpha)
+            assert dev.n_crit == critical_photon_number(dev.g, dev.delta)
+            assert dev.kappa_eff == effective_linewidth(dev.J, dev.Q_p,
+                                                        dev.omega_p, dev.delta_p)
+            assert dev.lambda_mix == lambda_param(dev.n_drive, dev.n_crit)
 
     def test_delta_p_defaults_to_difference(self):
         dev = reference_device()
@@ -149,3 +162,24 @@ class TestDeviceParams:
             reference_device(T1=-1.0)
         with pytest.raises(ConfigError):
             reference_device(n_drive=-0.1)
+
+    @pytest.mark.parametrize("key,value", [("g", 0.0), ("g", -208e6),
+                                           ("omega_p", 0.0), ("omega_p", -1e9)])
+    def test_non_positive_coupling_and_filter(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be positive"):
+            reference_device(**{key: value})
+
+    @pytest.mark.parametrize("key", ["g", "J", "T1", "n_drive", "gamma_int",
+                                     "omega_d", "dispersive_guard"])
+    def test_non_finite_rejected(self, key):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match=f"{key} must be finite"):
+                reference_device(**{key: value})
+
+
+def test_parse_quantity_rejects_overflow():
+    with pytest.raises(ConfigError):
+        parse_quantity("1e400")
+    with pytest.raises(ConfigError):
+        parse_quantity("1e300 GHz")
+    assert parse_quantity("1e300") == 1e300

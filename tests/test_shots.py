@@ -11,7 +11,6 @@ from fastreadout.analysis import build_weights, integrate_batch
 from fastreadout.dynamics import (PulseEnvelope, TwoCavityModel,
                                   mean_quadrature_traces, optimal_lo_phase)
 from fastreadout.errors import ConfigError, FitError, GridError
-from fastreadout.params import derive
 from fastreadout.shots import (ReadoutChain, ShotConfig, noise_sigma_bin,
                                run_preselection, simulate_batch, simulate_shot)
 
@@ -26,6 +25,13 @@ class TestShotConfig:
             ShotConfig(n_shots=10, dt_bin=0.0)
         with pytest.raises(ConfigError):
             ShotConfig(n_shots=10, gamma_mix_up=-1.0)
+
+    def test_non_finite_rejected(self):
+        for key in ("gamma_mix_up", "dt_bin", "reset_gap", "measure_duration"):
+            with pytest.raises(ConfigError, match=f"{key} must be finite"):
+                ShotConfig(n_shots=10, **{key: math.nan})
+        with pytest.raises(ConfigError, match="gamma_mix_down must be finite"):
+            ShotConfig(n_shots=10, gamma_mix_down=math.inf)
 
     def test_window_mismatch(self, device):
         pulse = PulseEnvelope(kind="gated", total_duration=40e-9)
@@ -64,12 +70,11 @@ class TestNoiseCalibration:
         dev = make_device(n_drive=0.0, T1=1.0)
         cfg = ShotConfig(n_shots=100000, master_seed=77, p_thermal=0.0)
         recs = simulate_batch(dev, gated_pulse, cfg, prep="g")
-        d = derive(dev)
         centers, _ = bin_grid(17)
         rng = np.random.default_rng(0)
         w_shape = rng.uniform(0.5, 2.0, 17)  # any normalized weight works
         weights = build_weights(centers, np.zeros(17), w_shape, 136e-9, DT_BIN)
-        q, _ = integrate_batch(recs, weights, d.kappa_p)
+        q, _ = integrate_batch(recs, weights, dev.kappa_p)
         target = 1.0 / (4.0 * dev.eta)
         assert np.var(q) == pytest.approx(target, rel=0.05)
         assert np.mean(q) == pytest.approx(0.0, abs=5 * math.sqrt(target / len(q)))
@@ -89,7 +94,7 @@ class TestNoiseCalibration:
         weights = build_weights(chain.bin_centers, np.zeros(chain.n_bins), w_shape,
                                 chain.n_bins * dt_bin, dt_bin)
         batch = chain.run(np.arange(cfg.n_shots), np.full(cfg.n_shots, "g"))
-        q, _ = integrate_batch(batch, weights, chain.derived.kappa_p)
+        q, _ = integrate_batch(batch, weights, chain.device.kappa_p)
         assert np.var(q) == pytest.approx(1.0 / (4.0 * dev.eta), rel=0.05)
 
     def test_sigma_bin_formula(self):
@@ -103,7 +108,7 @@ class TestNoiseCalibration:
         recs = simulate_batch(dev, gated_pulse, cfg)
         q_g = np.concatenate([r.samples for r in recs if r.prep == "g"])
         q_e = np.concatenate([r.samples for r in recs if r.prep == "e"])
-        sigma = noise_sigma_bin(dev.eta, derive(dev).kappa_p, cfg.dt_bin)
+        sigma = noise_sigma_bin(dev.eta, dev.kappa_p, cfg.dt_bin)
         _, p = stats.ks_2samp(q_g, q_e)
         assert p > 0.01
         assert np.std(q_g) == pytest.approx(sigma, rel=0.02)
@@ -112,12 +117,11 @@ class TestNoiseCalibration:
         dev = make_device(T1=1.0)
         cfg = ShotConfig(n_shots=100000, master_seed=19, p_thermal=0.0)
         recs = simulate_batch(dev, gated_pulse, cfg)
-        d = derive(dev)
         times = np.arange(0.0, 160e-9, 0.5e-9)
         qt = mean_quadrature_traces(dev, gated_pulse, times)
         centers, idx = bin_grid(17)
         weights = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 136e-9, DT_BIN)
-        q, prep = integrate_batch(recs, weights, d.kappa_p)
+        q, prep = integrate_batch(recs, weights, dev.kappa_p)
         for label in ("g", "e"):
             sample = q[prep == label]
             _, p = stats.normaltest(sample)
@@ -133,7 +137,7 @@ class TestMeanReproduction:
         times = np.arange(0.0, 160e-9, 0.5e-9)
         qt = mean_quadrature_traces(dev, gated_pulse, times)
         _, idx = bin_grid(len(mean))
-        sigma = noise_sigma_bin(dev.eta, derive(dev).kappa_p, cfg.dt_bin)
+        sigma = noise_sigma_bin(dev.eta, dev.kappa_p, cfg.dt_bin)
         se = sigma / math.sqrt(len(recs))
         assert np.all(np.abs(mean - qt.q_e[idx]) < 3.5 * se)
 
