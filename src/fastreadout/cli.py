@@ -15,6 +15,7 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,42 +31,35 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-# key -> (type tag, default); quantities and list entries accept unit suffixes
-SCHEMA = {
-    # device
-    "g": ("quantity", None),
-    "omega_q": ("quantity", None),
-    "omega_r": ("quantity", None),
-    "omega_p": ("quantity", None),
-    "alpha": ("quantity", None),
-    "J": ("quantity", None),
-    "Q_p": ("quantity", None),
-    "T1": ("quantity", None),
-    "eta": ("quantity", None),
-    "n_drive": ("quantity", None),
-    "delta_p": ("quantity", "none"),
-    "gamma_int": ("quantity", 0.0),
-    "omega_d": ("quantity", "none"),
-    "dispersive_guard": ("quantity", 10.0),
-    # pulse
-    "pulse_kind": ("str", "gated"),
-    "pulse_amplitude": ("quantity", 1.0),
-    "boost_factor": ("quantity", 2.5),
-    "boost_duration": ("quantity", 4e-9),
-    "pulse_duration": ("quantity", 300e-9),
-    # shots
+#: dataclass field -> CLI key, where the two differ
+_RENAMED = {"kind": "pulse_kind", "amplitude": "pulse_amplitude",
+            "total_duration": "pulse_duration", "master_seed": "seed"}
+#: field annotation -> type tag of its key; the owners postpone annotations,
+#: so a field's type is the annotation's text
+_TAGS = {"float": "quantity", "float | None": "quantity", "int": "int",
+         "bool": "bool", "str": "str"}
+
+
+def _key(f) -> str:
+    """The configuration key of a dataclass field."""
+    return _RENAMED.get(f.name, f.name)
+
+
+def _schema_entry(f):
+    if f.type not in _TAGS:
+        raise TypeError(f"no type tag for field {f.name}: {f.type}")
+    return _TAGS[f.type], f.default
+
+
+# key -> (type tag, default); quantities and list entries accept unit
+# suffixes. The device, pulse and shot keys and their defaults are the fields
+# of DeviceParams, PulseEnvelope and ShotConfig; MISSING marks a required key.
+SCHEMA = {_key(f): _schema_entry(f)
+          for cls in (DeviceParams, PulseEnvelope, shots.ShotConfig)
+          for f in fields(cls)}
+SCHEMA.update({
+    # required by ShotConfig, defaulted here
     "n_shots": ("int", 20000),
-    "p_thermal": ("quantity", 0.003),
-    "gamma_mix_up": ("quantity", 0.0),
-    "gamma_mix_down": ("quantity", 0.0),
-    "preselect": ("bool", False),
-    "prep_error": ("quantity", 0.0),
-    "dt_bin": ("quantity", 8e-9),
-    "measure_duration": ("quantity", "none"),
-    "premeasure_duration": ("quantity", 152e-9),
-    "premeasure_window": ("quantity", 48e-9),
-    "premeasure_amplitude": ("quantity", 1.0),
-    "reset_gap": ("quantity", 100e-9),
     # analysis
     "tau": ("quantity", 56e-9),
     "grid_step": ("quantity", 0.5e-9),
@@ -74,24 +68,17 @@ SCHEMA = {
     "power_grid": ("floats", (1.0, 1.5, 2.0, 2.5, 3.5, 5.0)),
     "mix_coeff": ("quantity", optimize.DEFAULT_MIX_COEFF),
     # run control
-    "seed": ("int", 0),
     "output_dir": ("str", "."),
-}
-
-_DEVICE_KEYS = ("g", "omega_q", "omega_r", "omega_p", "alpha", "J", "Q_p",
-                "T1", "eta", "n_drive", "delta_p", "gamma_int", "omega_d",
-                "dispersive_guard")
+})
 
 
-def _parse_value(key: str, raw):
+def _parse_value(key: str, text: str):
     kind, default = SCHEMA[key]
-    if isinstance(raw, (int, float, bool, tuple)) or raw is None:
-        return raw
-    text = str(raw).strip()
+    text = text.strip()
     if kind != "str" and text.lower() == "none":
         # none means something where it is the default, on a required device
         # key (then reported missing) and for mix_coeff (no mixing)
-        if default in (None, "none") or key == "mix_coeff":
+        if default is None or default is MISSING or key == "mix_coeff":
             return None
         raise ConfigError(f"{key} cannot be none")
     try:
@@ -121,43 +108,29 @@ def resolve_config(path: str | None, overrides) -> dict:
     unknown = sorted(set(raw) - set(SCHEMA))
     if unknown:
         raise ConfigError(f"unknown configuration keys: {', '.join(unknown)}")
-    out = {key: _parse_value(key, raw.get(key, default))
+    out = {key: _parse_value(key, raw[key]) if key in raw else default
            for key, (_, default) in SCHEMA.items()}
-    missing = [k for k in _DEVICE_KEYS
-               if out[k] is None and SCHEMA[k][1] is None]
+    missing = [k for k, (_, default) in SCHEMA.items()
+               if default is MISSING and out[k] in (None, MISSING)]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
     return out
 
 
+def _build(cls, cfg: dict):
+    return cls(**{f.name: cfg[_key(f)] for f in fields(cls)})
+
+
 def build_device(cfg: dict) -> DeviceParams:
-    return DeviceParams(
-        g=cfg["g"], omega_q=cfg["omega_q"], omega_r=cfg["omega_r"],
-        omega_p=cfg["omega_p"], alpha=cfg["alpha"], J=cfg["J"],
-        Q_p=cfg["Q_p"], T1=cfg["T1"], eta=cfg["eta"], n_drive=cfg["n_drive"],
-        delta_p=cfg["delta_p"], gamma_int=cfg["gamma_int"],
-        omega_d=cfg["omega_d"], dispersive_guard=cfg["dispersive_guard"],
-    )
+    return _build(DeviceParams, cfg)
 
 
 def build_pulse(cfg: dict) -> PulseEnvelope:
-    return PulseEnvelope(kind=cfg["pulse_kind"], amplitude=cfg["pulse_amplitude"],
-                         boost_factor=cfg["boost_factor"],
-                         boost_duration=cfg["boost_duration"],
-                         total_duration=cfg["pulse_duration"])
+    return _build(PulseEnvelope, cfg)
 
 
 def build_shot_config(cfg: dict) -> shots.ShotConfig:
-    return shots.ShotConfig(
-        n_shots=cfg["n_shots"], master_seed=cfg["seed"], dt_bin=cfg["dt_bin"],
-        p_thermal=cfg["p_thermal"], gamma_mix_up=cfg["gamma_mix_up"],
-        gamma_mix_down=cfg["gamma_mix_down"], preselect=cfg["preselect"],
-        prep_error=cfg["prep_error"], measure_duration=cfg["measure_duration"],
-        premeasure_duration=cfg["premeasure_duration"],
-        premeasure_window=cfg["premeasure_window"],
-        premeasure_amplitude=cfg["premeasure_amplitude"],
-        reset_gap=cfg["reset_gap"],
-    )
+    return _build(shots.ShotConfig, cfg)
 
 
 def _fmt(v) -> str:
@@ -309,9 +282,8 @@ def cmd_simulate(cfg: dict, args) -> int:
 
 
 #: configuration keys that fix the mean quadratures of a shot file
-_SHOT_FILE_KEYS = _DEVICE_KEYS + ("pulse_kind", "pulse_amplitude", "boost_factor",
-                                  "boost_duration", "pulse_duration", "dt_bin",
-                                  "measure_duration")
+_SHOT_FILE_KEYS = tuple(_key(f) for cls in (DeviceParams, PulseEnvelope)
+                        for f in fields(cls)) + ("dt_bin", "measure_duration")
 
 
 def _read_shot_csv(path: str, cfg: dict) -> shots.ShotBatch:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import require_finite
 from .errors import ConfigError, GridError, PhotonCeilingError, TauRangeError
 from .params import DeviceParams
 
@@ -56,6 +57,7 @@ class PulseEnvelope:
     total_duration: float = 300e-9
 
     def __post_init__(self):
+        require_finite(self)
         if self.kind not in ("gated", "two_step"):
             raise ConfigError(f"unknown pulse kind {self.kind!r}")
         if self.kind == "gated":
@@ -250,6 +252,9 @@ class TwoCavityModel:
 
     def check_ceiling(self, fields: np.ndarray):
         n_max = float(np.max(np.abs(fields[..., 0]) ** 2))
+        if not math.isfinite(n_max):
+            raise PhotonCeilingError(
+                f"resonator photon number is not finite ({n_max})")
         if n_max > PHOTON_CEILING:
             raise PhotonCeilingError(
                 f"resonator photon number {n_max:.1f} exceeds ceiling "

@@ -74,6 +74,8 @@ class ShotConfig:
             raise ConfigError("mixing rates must be non-negative")
         if not (0.0 < self.premeasure_window <= self.premeasure_duration):
             raise ConfigError("need 0 < premeasure_window <= premeasure_duration")
+        if self.reset_gap < 0.0:
+            raise ConfigError("reset_gap must be non-negative")
 
 
 def window_bins(pulse: PulseEnvelope, cfg: ShotConfig) -> int:

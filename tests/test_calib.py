@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 
 from conftest import noisy_spectrum_pairs, spectrum_fit_errors
 from fastreadout import calib
-from fastreadout.calib import (SpectrumParams, StarkFit, efficiency_report,
+from fastreadout.calib import (SpectrumParams, efficiency_report,
                                fit_transmission, output_power,
                                phase_sensitive_efficiency, stark_calibration,
                                total_efficiency, transmission)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 from importlib import resources
 from pathlib import Path
 
@@ -13,9 +14,12 @@ from fastreadout import cli
 from fastreadout.analysis import build_weights
 from fastreadout.calib import SpectrumParams, transmission
 from fastreadout.cli import main
-from fastreadout.dynamics import (TWOPI, TwoCavityModel, full_model_signal,
-                                  optimal_lo_phase, to_sqrt_mhz)
-from fastreadout.shots import ShotBatch
+from fastreadout.config import load_config, parse_quantity
+from fastreadout.dynamics import (TWOPI, PulseEnvelope, TwoCavityModel,
+                                  full_model_signal, optimal_lo_phase,
+                                  to_sqrt_mhz)
+from fastreadout.params import DeviceParams
+from fastreadout.shots import ShotBatch, ShotConfig
 
 REFERENCE_CONF = resources.files("fastreadout.data") / "reference.conf"
 
@@ -102,6 +106,8 @@ class TestExitCodes:
 
     def test_missing_required_keys(self, tmp_path, capsys):
         assert run("derive", "--output-dir", str(tmp_path)) == 2
+        assert ("missing required keys: g, omega_q, omega_r, omega_p, alpha, "
+                "J, Q_p, T1, eta, n_drive\n") in capsys.readouterr().err
 
     def test_invalid_shot_count(self, conf, tmp_path):
         code = run("simulate", "--config", conf, "--output-dir", str(tmp_path),
@@ -147,13 +153,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("value", [
         "g=0", "g=-208MHz", "omega_p=0", "omega_p=-1GHz",
         "power_grid=1,nan", "power_grid=1,inf", "ratio_tau_grid=nan,4.5",
-        "g=1e400", "tau=1e300GHz",
+        "g=1e400", "tau=1e300GHz", "reset_gap=-100ns",
     ])
     def test_invalid_value(self, conf, tmp_path, capsys, value):
-        # every key is parsed and the device built before derive writes, so
-        # derive also stands in for the commands that read the list keys
-        code = run("derive", "--config", conf, "--output-dir", str(tmp_path),
-                   "--set", value)
+        # every key is parsed and the device, pulse and shot configuration
+        # built before simulate draws a shot, so simulate also stands in for
+        # the commands that read the list keys
+        code = run("simulate", "--config", conf, "--output-dir", str(tmp_path),
+                   "--n-shots", "10", "--set", "preselect=true", "--set", value)
         assert code == 2
         assert "error: " + value.split("=")[0] in capsys.readouterr().err
 
@@ -161,6 +168,58 @@ class TestExitCodes:
         code = run("analyze", "--config", conf, "--output-dir", str(tmp_path),
                    "--input", str(tmp_path / "missing.csv"))
         assert code == 4
+
+
+class TestSchema:
+    # the command line's keys and type tags, listed by hand: a dataclass
+    # field added, renamed or retyped shows up here as a change to them
+    TAGS = {
+        "g": "quantity", "omega_q": "quantity", "omega_r": "quantity",
+        "omega_p": "quantity", "alpha": "quantity", "J": "quantity",
+        "Q_p": "quantity", "T1": "quantity", "eta": "quantity",
+        "n_drive": "quantity", "delta_p": "quantity", "gamma_int": "quantity",
+        "omega_d": "quantity", "dispersive_guard": "quantity",
+        "pulse_kind": "str", "pulse_amplitude": "quantity",
+        "boost_factor": "quantity", "boost_duration": "quantity",
+        "pulse_duration": "quantity",
+        "n_shots": "int", "p_thermal": "quantity", "gamma_mix_up": "quantity",
+        "gamma_mix_down": "quantity", "preselect": "bool",
+        "prep_error": "quantity", "dt_bin": "quantity",
+        "measure_duration": "quantity", "premeasure_duration": "quantity",
+        "premeasure_window": "quantity", "premeasure_amplitude": "quantity",
+        "reset_gap": "quantity",
+        "tau": "quantity", "grid_step": "quantity",
+        "ratio_tau_grid": "floats", "power_grid": "floats",
+        "mix_coeff": "quantity", "seed": "int", "output_dir": "str",
+    }
+    RENAMED = {"kind": "pulse_kind", "amplitude": "pulse_amplitude",
+               "total_duration": "pulse_duration", "master_seed": "seed"}
+    ANNOTATION_TAGS = {"float": "quantity", "float | None": "quantity",
+                       "int": "int", "bool": "bool", "str": "str"}
+
+    def test_keys_and_tags(self):
+        assert len(self.TAGS) == 38
+        assert {key: tag for key, (tag, _) in cli.SCHEMA.items()} == self.TAGS
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        reference = load_config(REFERENCE_CONF)
+        required = {f.name: reference[f.name] for f in fields(DeviceParams)
+                    if f.default is MISSING}
+        cfg = cli.resolve_config(None, [f"{k}={v}" for k, v in required.items()])
+        for cls in (DeviceParams, PulseEnvelope, ShotConfig):
+            for f in fields(cls):
+                key = self.RENAMED.get(f.name, f.name)
+                assert cli.SCHEMA[key][0] == self.ANNOTATION_TAGS[f.type], key
+                if f.name in required:
+                    assert cfg[key] == parse_quantity(required[key]), key
+                elif f.default is MISSING:
+                    # the one required field with a command-line default
+                    assert (cls, key, cfg[key]) == (ShotConfig, "n_shots", 20000)
+                else:
+                    assert cfg[key] == f.default, key
+                    assert type(cfg[key]) is type(f.default), key
+        assert cli.build_pulse(cfg) == PulseEnvelope()
+        assert cli.build_shot_config(cfg) == ShotConfig(n_shots=20000)
 
 
 class TestSignalAndRate:

@@ -110,6 +110,15 @@ class TestPulseEnvelope:
             PulseEnvelope(kind="two_step", boost_duration=200e-9,
                           total_duration=100e-9)
 
+    @pytest.mark.parametrize("key,value", [
+        ("amplitude", math.nan), ("amplitude", math.inf),
+        ("boost_factor", math.nan), ("boost_factor", math.inf),
+        ("total_duration", math.inf),
+    ])
+    def test_non_finite_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            PulseEnvelope(kind="two_step", **{key: value})
+
 
 class TestFullModel:
     def test_steady_state_is_exact_nullspace(self, device):
@@ -187,6 +196,15 @@ class TestFullModel:
         hot = make_device(n_drive=500.0)
         with pytest.raises(PhotonCeilingError):
             full_model_signal(hot, gated_pulse, fine_times)
+
+    def test_non_finite_photon_number(self, device, gated_pulse, fine_times):
+        # NaN compares false with the ceiling, so it is checked on its own
+        model = TwoCavityModel(device)
+        fields = model.trace([-1, +1], gated_pulse, fine_times)
+        for bad in (math.nan, math.inf):
+            fields[1, -1, 0] = bad
+            with pytest.raises(PhotonCeilingError, match="not finite"):
+                model.check_ceiling(fields)
 
 
 class TestExactTrace:

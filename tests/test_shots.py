@@ -25,6 +25,8 @@ class TestShotConfig:
             ShotConfig(n_shots=10, dt_bin=0.0)
         with pytest.raises(ConfigError):
             ShotConfig(n_shots=10, gamma_mix_up=-1.0)
+        with pytest.raises(ConfigError, match="reset_gap must be non-negative"):
+            ShotConfig(n_shots=10, preselect=True, reset_gap=-100e-9)
 
     def test_non_finite_rejected(self):
         for key in ("gamma_mix_up", "dt_bin", "reset_gap", "measure_duration"):
