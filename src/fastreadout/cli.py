@@ -114,6 +114,8 @@ def resolve_config(path: str | None, overrides) -> dict:
                if default is MISSING and out[k] in (None, MISSING)]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
+    if not out["grid_step"] > 0.0:
+        raise ConfigError("grid_step must be positive")
     return out
 
 
@@ -189,6 +191,10 @@ def cmd_derive(cfg: dict, args) -> int:
 
 
 def _fine_times(cfg: dict):
+    n = cfg["pulse_duration"] / cfg["grid_step"]
+    if n > shots.MAX_BINS:
+        raise ConfigError(f"grid_step = {cfg['grid_step']:g} s gives {n:.3g} grid "
+                          f"points, more than {shots.MAX_BINS}")
     return np.arange(0.0, cfg["pulse_duration"], cfg["grid_step"])
 
 

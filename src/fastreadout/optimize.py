@@ -139,7 +139,7 @@ def power_tradeoff(device: DeviceParams, n_grid, tau: float,
         cfg = ShotConfig(n_shots=n_shots, master_seed=master_seed,
                          gamma_mix_up=g_mix, gamma_mix_down=g_mix)
         chain = ReadoutChain(dev_n, pulse, cfg)
-        batch = chain.run(np.arange(n_shots))
+        batch = chain.run(range(n_shots))
         q, prep = integrate_batch(batch, chain.weights(tau), chain.device.kappa_p)
         fit, *_ = fit_shot_histograms(q, prep)
         budget = error_budget(q, prep, fit)

@@ -8,11 +8,35 @@ noise of variance sigma_bin^2 = 1/(4 eta * 2 pi kappa_p * dt_bin). That
 variance is the unique choice for which the mode-matched integral
 q_tau = sqrt(2 pi kappa_p) * sum Q_k w_k dt has Var[q_tau] = 1/(4 eta).
 
-Shots are mutually independent and bit-reproducible: shot i draws from a
-Philox generator keyed by (master_seed, i) at counter 0, so batches are
-identical for any execution order or parallel split. A batch is held
-columnar (ShotBatch); the per-shot loop only draws, and the conditioned
-means of all shots are computed on arrays afterwards.
+Random stream. All draws come from one counter-based Philox4x64 stream keyed
+by (master_seed, 0). Shot i owns the 64-bit words [i W, (i + 1) W), where W
+(ReadoutChain.n_words) is padded to a multiple of 4, the words per counter
+step; a run of shots is one advance() and one random_raw() per chunk, and
+shot i depends only on (master_seed, i). A word k becomes
+u = ((k >> 12) + 0.5) 2^-52, exact in float64, so u is never 0 or 1. The
+words of one shot, in order:
+
+    thermal word                         initial state e when u < p_thermal
+    with preselection only:
+      K jump words                       premeasurement window
+      n_win noise words, padded to even  last n_win premeasurement bins
+      reset word                         e decays in the gap when u < p_reset
+    prep word                            'e' prepares (flips) when u >= prep_error
+    K jump words                         measurement window
+    n_bins noise words, padded to even   measurement bins
+
+One word per draw: a Bernoulli draw is u < p; a waiting time is -log(u)
+times the mean wait 1/rate of the state left (+inf at rate 0); normals are
+Box-Muller pairs of consecutive words, z_2j = r cos(theta) and
+z_2j+1 = r sin(theta) with r = sqrt(-2 log u_2j), theta = 2 pi u_2j+1. The
+jump times of a window are the cumulative sums of its K = 4 waits. A shot
+whose K-th jump still falls inside a window is an overflow shot: it draws
+its further waits, one word each, from its own stream Philox(key=
+(master_seed, 1 + i)), the premeasurement window's first.
+
+A batch is held columnar (ShotBatch). The draws of a chunk of shots are
+array operations, and the conditioned means of all shots are computed on
+arrays afterwards; only overflow shots loop in Python.
 """
 
 from __future__ import annotations
@@ -32,9 +56,39 @@ from .params import DeviceParams
 #: one-sided z score of the 99% Gaussian CDF point
 Z99 = 2.3263478740408408
 
-#: rows per step when adding the mean quadratures in place; bounds the
-#: temporaries of the batched jump path
+#: rows per step when drawing and when adding the mean quadratures in place;
+#: bounds the temporaries of the draws and of the batched jump path
 _CHUNK = 256
+
+#: jump words per window: the waits drawn as array columns before a shot
+#: overflows into its own stream
+K_JUMPS = 4
+
+#: most samples per state a window may hold (bins of a shot window, points
+#: of a fine time grid); checked before anything is allocated
+MAX_BINS = 10**7
+
+
+def _unit(words):
+    """64-bit words to u = ((k >> 12) + 0.5) 2^-52 in (0, 1), exactly."""
+    u = (words >> np.uint64(12)).astype(float)
+    u += 0.5
+    u *= 2.0**-52
+    return u
+
+
+def _box_muller(u, out):
+    """Standard normals into out (m, n) from the word pairs of u
+    (m, n rounded up to even): z_2j = r cos(theta), z_2j+1 = r sin(theta)."""
+    r = np.sqrt(-2.0 * np.log(u[:, 0::2]))
+    theta = TWOPI * u[:, 1::2]
+    np.multiply(r, np.cos(theta), out=out[:, 0::2])
+    half = out.shape[1] // 2
+    np.multiply(r[:, :half], np.sin(theta[:, :half]), out=out[:, 1::2])
+
+
+def _even(n: int) -> int:
+    return n + n % 2
 
 
 def noise_sigma_bin(eta: float, kappa_p: float, dt_bin: float) -> float:
@@ -108,33 +162,43 @@ class ShotBatch:
 
     prep (N,) holds the labels 'g'/'e'; samples (N, n_bins) the binned
     quadratures; preselect (N,) the premeasurement values, NaN without
-    preselection. jump_shot, jump_time and jump_kind (J,) list every
-    qubit jump of the measurement window by row ('eg' decay, 'ge'
-    excitation), rows ascending and times ascending within a row. All
-    arrays are read-only; len, batch[i] and iteration give read-only
-    ShotRecord views.
+    preselection; overflow (N,) marks the shots that drew waits past the
+    K_JUMPS array columns of a window (all false for data read from a
+    file). jump_shot, jump_time and jump_kind (J,) list every qubit jump of
+    the measurement window by row ('eg' decay, 'ge' excitation), rows
+    ascending and times ascending within a row. All arrays are read-only;
+    len, batch[i] and iteration give read-only ShotRecord views.
     """
 
     def __init__(self, prep, samples, preselect=None, jump_shot=(), jump_time=(),
-                 jump_kind=()):
+                 jump_kind=(), overflow=None):
         self.samples = _read_only(np.asarray(samples, dtype=float))
         n = len(self.samples)
         self.prep = _read_only(np.asarray(prep, dtype="U1"))
         if preselect is None:
             preselect = np.full(n, np.nan)
         self.preselect = _read_only(np.asarray(preselect, dtype=float))
+        if overflow is None:
+            overflow = np.zeros(n, dtype=bool)
+        self.overflow = _read_only(np.asarray(overflow, dtype=bool))
         self.jump_shot = _read_only(np.asarray(jump_shot, dtype=np.int64))
         self.jump_time = _read_only(np.asarray(jump_time, dtype=float))
         self.jump_kind = _read_only(np.asarray(jump_kind, dtype="U2"))
         if self.samples.ndim != 2 or self.prep.shape != (n,) \
-                or self.preselect.shape != (n,):
-            raise ValueError("prep, samples and preselect need one row per shot")
+                or self.preselect.shape != (n,) or self.overflow.shape != (n,):
+            raise ValueError("prep, samples, preselect and overflow need one "
+                             "row per shot")
         # jumps of row i: [_jump_start[i], _jump_start[i + 1])
         self._jump_start = np.searchsorted(self.jump_shot, np.arange(n + 1))
 
     @property
     def n_bins(self) -> int:
         return self.samples.shape[1]
+
+    @property
+    def n_overflow(self) -> int:
+        """Number of overflow shots."""
+        return int(np.count_nonzero(self.overflow))
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -159,7 +223,7 @@ class ShotBatch:
         jumps = keep[self.jump_shot]
         return ShotBatch(self.prep[keep], self.samples[keep], self.preselect[keep],
                          row[self.jump_shot[jumps]], self.jump_time[jumps],
-                         self.jump_kind[jumps])
+                         self.jump_kind[jumps], self.overflow[keep])
 
 
 class ReadoutChain:
@@ -174,13 +238,20 @@ class ReadoutChain:
     def __init__(self, device: DeviceParams, pulse: PulseEnvelope, cfg: ShotConfig):
         self.device = device
         self.cfg = cfg
-        self.model = TwoCavityModel(device)
-
         self.n_bins = window_bins(pulse, cfg)
+        if cfg.preselect:
+            self.n_pre = int(round(cfg.premeasure_duration / cfg.dt_bin))
+            self.n_win = max(1, int(round(cfg.premeasure_window / cfg.dt_bin)))
+        for window, n in (("measurement window", self.n_bins),
+                          ("premeasure_duration", getattr(self, "n_pre", 0))):
+            if n > MAX_BINS:
+                raise ConfigError(f"dt_bin = {cfg.dt_bin:g} s gives {n} bins per "
+                                  f"{window}, more than {MAX_BINS}")
         if self.n_bins < 1:
             raise GridError("sampling window shorter than one bin")
         if pulse.total_duration < self.n_bins * cfg.dt_bin - 1e-12:
             raise GridError("pulse does not cover the sampling window")
+        self.model = TwoCavityModel(device)
         self.pulse = pulse
         self.bin_centers = (np.arange(self.n_bins) + 0.5) * cfg.dt_bin
         self.sigma_bin = noise_sigma_bin(device.eta, device.kappa_p, cfg.dt_bin)
@@ -191,134 +262,185 @@ class ReadoutChain:
         self.phi_lo, self.rot = lo_rotation(beta[1] - beta[0])
         self.mean_bins = dict(zip((-1, +1), np.real(self.rot * beta)))
 
+        pre_words = 0
         if cfg.preselect:
             self.pre_pulse = PulseEnvelope(
                 kind="gated",
                 amplitude=pulse.amplitude * cfg.premeasure_amplitude,
                 total_duration=cfg.premeasure_duration,
             )
-            self.n_pre = int(round(cfg.premeasure_duration / cfg.dt_bin))
-            self.n_win = max(1, int(round(cfg.premeasure_window / cfg.dt_bin)))
             self.pre_centers = (np.arange(self.n_pre) + 0.5) * cfg.dt_bin
             # only the last n_win bins enter the premeasurement value
             beta = self.model.trace([-1, +1], self.pre_pulse,
                                     self.pre_centers[-self.n_win:])[..., 1]
             self.pre_bins = dict(zip((-1, +1), np.real(self.rot * beta)))
             self.p_reset = 1.0 - math.exp(-cfg.reset_gap / device.T1)
+            pre_words = K_JUMPS + _even(self.n_win) + 1
+        #: words per shot in the stream (see the module docstring)
+        self.n_words = -(-(2 + pre_words + K_JUMPS + _even(self.n_bins)) // 4) * 4
 
-        self.down_rate = 1.0 / device.T1 + cfg.gamma_mix_down
-        self.up_rate = cfg.gamma_mix_up
+        # mean waiting time in state s; +inf (set here, not divided by 0 in
+        # numpy) where the state cannot be left
+        rates = {+1: 1.0 / device.T1 + cfg.gamma_mix_down, -1: cfg.gamma_mix_up}
+        self._mean_wait = {s: 1.0 / r if r > 0.0 else math.inf
+                          for s, r in rates.items()}
+        # the mean waits of the K jump words of a window started in state s
+        self._waits = {s: np.array([self._mean_wait[s * (-1) ** k]
+                                    for k in range(K_JUMPS)]) for s in (-1, +1)}
+        self._key = cfg.master_seed & 0xFFFFFFFFFFFFFFFF
 
     def weights(self, tau: float) -> WeightFunction:
         """Mode-matched weights over [0, tau] from the bin-centre means."""
         return build_weights(self.bin_centers, self.mean_bins[-1],
                              self.mean_bins[+1], tau, self.cfg.dt_bin)
 
-    # -- random draws of one shot ----------------------------------------------
+    # -- random draws -------------------------------------------------------------
 
-    def _jumps(self, rng, row: int, s: int, t1: float, out: list) -> int:
-        """Append the Markov-chain jumps in [0, t1) to out as (row, time,
-        kind); returns the final state."""
-        t = 0.0
-        while True:
-            rate = self.down_rate if s == +1 else self.up_rate
-            if rate <= 0.0:
-                return s
-            t = t + rng.exponential(1.0 / rate)
-            if t >= t1:
-                return s
-            out.append((row, t, "eg" if s == +1 else "ge"))
-            s = -s
+    def _jumps(self, u, s, t1, shots, streams):
+        """Jumps in [0, t1) of the shots `shots` (one per row), starting in
+        states s, from their K jump words u (m, K).
+
+        Returns the final states, the overflow mask and the jumps as
+        (row, time, decay) arrays, rows ascending and times ascending within
+        a row. An overflow row continues from streams[shot], made on first
+        use and kept for the shot's next window.
+        """
+        waits = -np.log(u)
+        waits *= np.where(s[:, None] > 0, self._waits[+1], self._waits[-1])
+        times = np.cumsum(waits, axis=1)
+        inside = times < t1
+        row, k = np.nonzero(inside)
+        time, decay = times[row, k], (s[row] > 0) == (k % 2 == 0)
+        s = np.where(np.count_nonzero(inside, axis=1) % 2 == 1, -s, s)
+        over = inside[:, -1]
+        extra = []
+        for r in np.flatnonzero(over).tolist():
+            shot = shots[r]
+            if shot not in streams:
+                streams[shot] = np.random.Philox(key=[self._key, 1 + shot])
+            t, state = float(times[r, -1]), int(s[r])
+            while True:
+                u_next = float(_unit(streams[shot].random_raw(1))[0])
+                t = t + -math.log(u_next) * self._mean_wait[state]
+                if t >= t1:
+                    break
+                extra.append((r, t, state > 0))
+                state = -state
+            s[r] = state
+        if extra:
+            x_row, x_time, x_decay = map(np.array, zip(*extra))
+            order = np.argsort(np.concatenate([row, x_row]), kind="stable")
+            row = np.concatenate([row, x_row])[order]
+            time = np.concatenate([time, x_time])[order]
+            decay = np.concatenate([decay, x_decay])[order]
+        return s, over, (row, time, decay)
 
     # -- noise-free means, all shots at once ------------------------------------
 
-    def _add_means(self, out, s0, jumps, pulse, times, mean_bins):
+    def _add_means(self, out, s0, jump_shot, jump_time, pulse, times, mean_bins):
         """out += noise-free quadratures at `times` per row, conditioned on
-        the row's jumps; in place, so out = mean + noise bit for bit."""
-        rows = np.array([r for r, _, _ in jumps], dtype=int)
-        jump_rows, first, counts = np.unique(rows, return_index=True,
+        the row's jumps (jump_shot rows ascending, jump_time ascending within
+        a row); in place, so out = mean + noise bit for bit."""
+        jump_rows, first, counts = np.unique(jump_shot, return_index=True,
                                              return_counts=True)
         jump_noise = out[jump_rows]
-        for a in range(0, len(out), _CHUNK):
-            out[a:a + _CHUNK] += np.where(s0[a:a + _CHUNK, None] > 0,
-                                          mean_bins[+1], mean_bins[-1])
-        times_of = np.array([t for _, t, _ in jumps])
+        excited = (s0 > 0)[:, None]
+        np.add(out, mean_bins[+1], out=out, where=excited)
+        np.add(out, mean_bins[-1], out=out, where=~excited)
         for a in range(0, len(jump_rows), _CHUNK):
             # jump times of these rows, padded with +inf
             n_jumps, start = counts[a:a + _CHUNK], first[a:a + _CHUNK]
             switch = np.full((len(n_jumps), n_jumps.max()), np.inf)
             row_of = np.repeat(np.arange(len(n_jumps)), n_jumps)
             index = np.arange(len(row_of)) + start[0]
-            switch[row_of, index - start[row_of]] = times_of[index]
+            switch[row_of, index - start[row_of]] = jump_time[index]
             chunk = jump_rows[a:a + _CHUNK]
             fields = self.model.trace(s0[chunk], pulse, times, switch)
             out[chunk] = np.real(self.rot * fields[..., 1]) + jump_noise[a:a + _CHUNK]
 
     # -- a batch of shots --------------------------------------------------------
 
-    def run(self, indices, prep=None) -> ShotBatch:
-        """Shots `indices` with labels `prep` (None: g, e, g, e, ... by index
-        parity); shot i depends only on (master_seed, i).
+    def run(self, shots: range, prep=None) -> ShotBatch:
+        """The shots of the range `shots` with labels `prep` (None: g, e, g,
+        e, ... by index parity); shot i depends only on (master_seed, i).
 
-        The draws of shot i come from a Philox generator keyed by
-        (master_seed, i) at counter 0, in the order: thermal state,
-        premeasurement jumps and noise, reset, preparation, jumps, noise.
-        One generator is re-keyed per shot; the means are computed for all
-        shots afterwards.
+        Shot i reads the words [i W, (i + 1) W), W = n_words, of
+        Philox(key=(master_seed, 0)): thermal, then with preselection K
+        premeasurement jump words, n_win noise words (padded to even) and
+        the reset word, then prep, K jump words and n_bins noise words
+        (padded to even). Normals are Box-Muller pairs of words, waits
+        -log(u) times the mean wait, K = K_JUMPS; an overflow shot finishes
+        its waits from Philox(key=(master_seed, 1 + i)). The module
+        docstring gives every rule. Each chunk of _CHUNK shots is one
+        random_raw draw; samples are filled in place with the noise, scaled
+        by sigma_bin, and the conditioned means are added for all shots
+        at the end.
         """
+        if not isinstance(shots, range) or shots.step != 1:
+            raise ValueError("shots must be a range of consecutive shot indices")
         cfg = self.cfg
-        indices = np.asarray(indices)
+        n = len(shots)
         if prep is None:
-            prep = np.where(indices % 2 == 0, "g", "e")
+            prep = np.where(np.arange(shots.start, shots.stop) % 2 == 0, "g", "e")
         prep = np.asarray(prep, dtype="U1")
-        n = len(prep)
-        bits = np.random.Philox(key=[cfg.master_seed & 0xFFFFFFFFFFFFFFFF, 0])
-        rng = np.random.Generator(bits)
-        fresh = bits.state  # counter 0, empty buffer
-        key = fresh["state"]["key"]
+        if prep.shape != (n,):
+            raise ValueError("prep needs one label per shot")
+        excite = prep == "e"
+        bits = np.random.Philox(key=[self._key, 0])
+        bits.advance(shots.start * self.n_words // 4)
+        window = self.n_bins * cfg.dt_bin
+        n_pre_noise = _even(self.n_win) if cfg.preselect else 0
 
+        samples = np.empty((n, self.n_bins))
         s_main = np.empty(n, dtype=int)
-        noise = np.empty((n, self.n_bins))
-        jumps: list = []
+        overflow = np.zeros(n, dtype=bool)
+        no_jumps = (np.empty(0, dtype=int), np.empty(0), np.empty(0, dtype=bool))
+        jumps, streams = [no_jumps], {}
         if cfg.preselect:
             s_pre = np.empty(n, dtype=int)
-            pre_noise = np.empty((n, self.n_win))
-            pre_draw = np.empty(self.n_pre)
-            pre_jumps: list = []
-        excite = prep == "e"
-        window = self.n_bins * cfg.dt_bin
-        for row, index in enumerate(indices.tolist()):
-            key[1] = index
-            bits.state = fresh
-            s = +1 if rng.random() < cfg.p_thermal else -1
+            pre = np.empty((n, self.n_win))
+            pre_jumps = [no_jumps]
+        for a in range(0, n, _CHUNK):
+            b = min(a + _CHUNK, n)
+            u = _unit(bits.random_raw((b - a) * self.n_words)).reshape(b - a, -1)
+            s = np.where(u[:, 0] < cfg.p_thermal, 1, -1)
+            c = 1
             if cfg.preselect:
-                s_pre[row] = s
-                s = self._jumps(rng, row, s, cfg.premeasure_duration, pre_jumps)
-                rng.standard_normal(out=pre_draw)
-                pre_noise[row] = pre_draw[-self.n_win:]
+                s_pre[a:b] = s
+                s, over, (row, time, decay) = self._jumps(
+                    u[:, c:c + K_JUMPS], s, cfg.premeasure_duration, shots[a:b],
+                    streams)
+                overflow[a:b] |= over
+                pre_jumps.append((row + a, time, decay))
+                c += K_JUMPS
+                _box_muller(u[:, c:c + n_pre_noise], pre[a:b])
+                pre[a:b] *= self.sigma_bin
+                c += n_pre_noise
                 # reset gap: cavity returns to vacuum, qubit only decays
-                if s == +1 and rng.random() < self.p_reset:
-                    s = -1
-            if excite[row] and rng.random() >= cfg.prep_error:
-                s = -s
-            s_main[row] = s
-            self._jumps(rng, row, s, window, jumps)
-            rng.standard_normal(out=noise[row])
+                s = np.where((s > 0) & (u[:, c] < self.p_reset), -1, s)
+                c += 1
+            s = np.where(excite[a:b] & (u[:, c] >= cfg.prep_error), -s, s)
+            s_main[a:b] = s
+            c += 1
+            _, over, (row, time, decay) = self._jumps(
+                u[:, c:c + K_JUMPS], s, window, shots[a:b], streams)
+            overflow[a:b] |= over
+            jumps.append((row + a, time, decay))
+            c += K_JUMPS
+            _box_muller(u[:, c:c + _even(self.n_bins)], samples[a:b])
+            samples[a:b] *= self.sigma_bin
 
-        # samples = mean + noise * sigma, as in a per-shot loop
-        noise *= self.sigma_bin
-        self._add_means(noise, s_main, jumps, self.pulse, self.bin_centers,
+        row, time, decay = map(np.concatenate, zip(*jumps))
+        self._add_means(samples, s_main, row, time, self.pulse, self.bin_centers,
                         self.mean_bins)
         preselect = None
         if cfg.preselect:
-            pre_noise *= self.sigma_bin
-            self._add_means(pre_noise, s_pre, pre_jumps, self.pre_pulse,
+            pre_row, pre_time, _ = map(np.concatenate, zip(*pre_jumps))
+            self._add_means(pre, s_pre, pre_row, pre_time, self.pre_pulse,
                             self.pre_centers[-self.n_win:], self.pre_bins)
-            preselect = np.mean(pre_noise, axis=1)
-        return ShotBatch(prep, noise, preselect,
-                         jump_shot=[r for r, _, _ in jumps],
-                         jump_time=[t for _, t, _ in jumps],
-                         jump_kind=[k for _, _, k in jumps])
+            preselect = np.mean(pre, axis=1)
+        return ShotBatch(prep, samples, preselect, row, time,
+                         np.where(decay, "eg", "ge"), overflow)
 
 
 def _check_prep(prep: str):
@@ -330,7 +452,7 @@ def simulate_shot(device: DeviceParams, pulse: PulseEnvelope, cfg: ShotConfig,
                   prep: str, index: int = 0) -> ShotRecord:
     """Generate one shot; deterministic given (cfg.master_seed, index)."""
     _check_prep(prep)
-    return ReadoutChain(device, pulse, cfg).run([index], [prep])[0]
+    return ReadoutChain(device, pulse, cfg).run(range(index, index + 1), [prep])[0]
 
 
 def simulate_batch(device: DeviceParams, pulse: PulseEnvelope, cfg: ShotConfig,
@@ -344,7 +466,7 @@ def simulate_batch(device: DeviceParams, pulse: PulseEnvelope, cfg: ShotConfig,
     if prep is not None:
         _check_prep(prep)
         prep = np.full(cfg.n_shots, prep)
-    return ReadoutChain(device, pulse, cfg).run(np.arange(cfg.n_shots), prep)
+    return ReadoutChain(device, pulse, cfg).run(range(cfg.n_shots), prep)
 
 
 # ---------------------------------------------------------------------------

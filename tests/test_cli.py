@@ -164,6 +164,28 @@ class TestExitCodes:
         assert code == 2
         assert "error: " + value.split("=")[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,value,key", [
+        ("signal", "grid_step=0", "grid_step"),
+        ("rate", "grid_step=0", "grid_step"),
+        ("signal", "grid_step=-1ns", "grid_step"),
+        ("rate", "grid_step=-1ns", "grid_step"),
+        # 3e8 fine-grid points and 3e8, 3.75e7 and 1.25e8 bins: each is refused
+        # before any array of that size is asked for
+        ("signal", "grid_step=1e-15", "grid_step"),
+        ("simulate", "dt_bin=1e-15", "dt_bin"),
+        ("simulate", "dt_bin=8e-15", "dt_bin"),
+        ("analyze", "dt_bin=8e-15", "dt_bin"),
+        ("simulate", "premeasure_duration=1s", "premeasure_duration"),
+    ])
+    def test_step_and_size_guards(self, conf, tmp_path, capsys, command, value,
+                                  key):
+        code = run(command, "--config", conf, "--output-dir", str(tmp_path),
+                   "--set", value, "--set", "preselect=true",
+                   "--set", "n_shots=10", *(["--input", "shots.csv"]
+                                            if command == "analyze" else []))
+        assert code == 2
+        assert key in capsys.readouterr().err
+
     def test_unreadable_input(self, conf, tmp_path):
         code = run("analyze", "--config", conf, "--output-dir", str(tmp_path),
                    "--input", str(tmp_path / "missing.csv"))

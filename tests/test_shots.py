@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from scipy import stats
 from conftest import (DT_BIN, bin_grid, loop_trace, make_device,
                       random_device, rk4_switching_fields)
 from fastreadout.analysis import build_weights, integrate_batch
+from fastreadout.cli import (build_device, build_pulse, build_shot_config,
+                             resolve_config)
 from fastreadout.dynamics import (PulseEnvelope, TwoCavityModel,
                                   mean_quadrature_traces, optimal_lo_phase)
 from fastreadout.errors import ConfigError, FitError, GridError
@@ -95,7 +98,7 @@ class TestNoiseCalibration:
         w_shape = rng.uniform(0.5, 2.0, chain.n_bins)
         weights = build_weights(chain.bin_centers, np.zeros(chain.n_bins), w_shape,
                                 chain.n_bins * dt_bin, dt_bin)
-        batch = chain.run(np.arange(cfg.n_shots), np.full(cfg.n_shots, "g"))
+        batch = chain.run(range(cfg.n_shots), np.full(cfg.n_shots, "g"))
         q, _ = integrate_batch(batch, weights, chain.device.kappa_p)
         assert np.var(q) == pytest.approx(1.0 / (4.0 * dev.eta), rel=0.05)
 
@@ -171,6 +174,34 @@ class TestJumpStatistics:
                 for a, b in zip(kinds[:-1], kinds[1:]):
                     assert a != b
         assert saw_multi
+
+    def test_poisson_jump_count_with_overflow(self, gated_pulse):
+        # equal mixing rates both ways and T1 -> infinity: the jump count of
+        # the 160 ns window is Poisson(gamma t). At gamma t = 1.5, 6.6 % of
+        # the shots reach their 4th jump inside the window (overflow) and
+        # 1.9 % need more than the 4 array-drawn waits
+        lam = 1.5
+        gamma = lam / 160e-9
+        dev = make_device(T1=1.0)
+        cfg = ShotConfig(n_shots=20000, master_seed=41, p_thermal=0.0,
+                         gamma_mix_up=gamma, gamma_mix_down=gamma)
+        batch = simulate_batch(dev, gated_pulse, cfg)
+        n = len(batch)
+        counts = np.bincount(batch.jump_shot, minlength=n)
+        assert abs(counts.mean() - lam) < 3 * math.sqrt(lam / n)
+        assert batch.n_overflow > 0
+        for frac, p in ((np.mean(counts > 4), stats.poisson.sf(4, lam)),
+                        (batch.n_overflow / n, stats.poisson.sf(3, lam))):
+            assert abs(frac - p) < 3 * math.sqrt(p * (1 - p) / n)
+
+    def test_no_overflow_on_reference_conf(self):
+        # without mixing a shot jumps at most once: decay, then no way back
+        cfg = resolve_config(str(resources.files("fastreadout.data")
+                                 / "reference.conf"), [])
+        batch = simulate_batch(build_device(cfg), build_pulse(cfg),
+                               build_shot_config(cfg))
+        assert len(batch) == 20000 and len(batch.jump_time) > 0
+        assert batch.n_overflow == 0
 
     def test_all_samples_finite(self, device, gated_pulse):
         cfg = ShotConfig(n_shots=50, master_seed=8, gamma_mix_up=1e5,
@@ -267,48 +298,164 @@ class TestShotBatch:
             assert np.array_equal(a.samples, b.samples)
 
 
-def _stream_config(n_shots: int) -> ShotConfig:
+def _stream_config(n_shots: int, **kw) -> ShotConfig:
     # jumps in both windows, preparation errors and preselection: every draw
-    return ShotConfig(n_shots=n_shots, master_seed=2024, p_thermal=0.2,
-                      gamma_mix_up=3e6, gamma_mix_down=2e6, prep_error=0.1,
-                      preselect=True, measure_duration=160e-9)
+    base = dict(n_shots=n_shots, master_seed=2024, p_thermal=0.2,
+                gamma_mix_up=3e6, gamma_mix_down=2e6, prep_error=0.1,
+                preselect=True, measure_duration=160e-9)
+    return ShotConfig(**{**base, **kw})
+
+
+def _words(seed: int, shot: int, n_words: int) -> np.ndarray:
+    """Shot `shot`'s words of the stream keyed (seed, 0) as u in (0, 1)."""
+    bits = np.random.Philox(key=[seed, 0])
+    bits.advance(shot * n_words // 4)
+    u = (bits.random_raw(n_words) >> np.uint64(12)).astype(float)
+    return (u + 0.5) * 2.0**-52
+
+
+def _box_muller(u: np.ndarray, n: int) -> np.ndarray:
+    """n normals from the first n words, rounded up to even, of u."""
+    u = u[:n + n % 2]
+    z = np.empty(len(u))
+    r = np.sqrt(-2.0 * np.log(u[0::2]))
+    z[0::2] = r * np.cos(2.0 * math.pi * u[1::2])
+    z[1::2] = r * np.sin(2.0 * math.pi * u[1::2])
+    return z[:n]
+
+
+def _mean_wait(device, cfg, s: int) -> float:
+    rate = 1.0 / device.T1 + cfg.gamma_mix_down if s > 0 else cfg.gamma_mix_up
+    return 1.0 / rate if rate > 0.0 else math.inf
+
+
+def _window_jumps(device, cfg, u, s, t1, shot, stream):
+    """The jumps in [0, t1) from the 4 jump words u, starting in state s:
+    cumsum of -log(u) times the mean wait; past the 4th, one word per wait
+    from the shot's own stream (made on first use, kept in `stream`)."""
+    waits = -np.log(u) * np.array([_mean_wait(device, cfg, s * (-1) ** k)
+                                   for k in range(4)])
+    times = np.cumsum(waits)
+    jumps = []
+    for t in times[times < t1].tolist():
+        jumps.append((t, "eg" if s > 0 else "ge"))
+        s = -s
+    if times[-1] < t1:
+        if not stream:
+            stream.append(np.random.Philox(key=[cfg.master_seed, 1 + shot]))
+        t = float(times[-1])
+        while True:
+            k = stream[0].random_raw()
+            t = t + -math.log(((k >> 12) + 0.5) * 2.0**-52) * _mean_wait(device, cfg, s)
+            if t >= t1:
+                break
+            jumps.append((t, "eg" if s > 0 else "ge"))
+            s = -s
+    return tuple(jumps), s
+
+
+def _shot_from_words(chain, cfg, shot, prep):
+    """(jumps, preselect-window jumps, s_pre, s_main) of one shot, worked
+    out from its words in the documented order."""
+    u = _words(cfg.master_seed, shot, chain.n_words)
+    device, stream = chain.device, []
+    s = s_pre = +1 if u[0] < cfg.p_thermal else -1
+    c, pre_jumps = 1, ()
+    if cfg.preselect:
+        pre_jumps, s = _window_jumps(device, cfg, u[c:c + 4], s,
+                                     cfg.premeasure_duration, shot, stream)
+        c += 4 + chain.n_win + chain.n_win % 2
+        if s > 0 and u[c] < chain.p_reset:
+            s = -1
+        c += 1
+    if prep == "e" and u[c] >= cfg.prep_error:
+        s = -s
+    jumps, _ = _window_jumps(device, cfg, u[c + 1:c + 5], s,
+                             chain.n_bins * cfg.dt_bin, shot, stream)
+    return u[c + 5:], jumps, pre_jumps, s_pre, s
 
 
 class TestStreamPinning:
     def test_shot_independent_of_batch_size(self, device, gated_pulse):
-        small = simulate_batch(device, gated_pulse, _stream_config(8))
-        large = simulate_batch(device, gated_pulse, _stream_config(50))
-        assert any(r.jump_times for r in small)
+        # rows of a 50-shot batch, of a batch started at shot 3 and of a
+        # batch spanning several draw chunks equal their one-shot runs
+        chain = ReadoutChain(device, gated_pulse, _stream_config(50))
+        batch = chain.run(range(50))
+        assert len(batch.jump_time) > 0 and np.isfinite(batch.preselect).all()
+        assert np.array_equal(batch.prep[:4], ["g", "e", "g", "e"])
+        offset = chain.run(range(3, 11))
         for i in range(8):
-            solo = simulate_shot(device, gated_pulse, _stream_config(50),
-                                 small[i].prep, i)
-            for rec in (large[i], solo):
-                assert rec.prep == small[i].prep
-                assert np.array_equal(rec.samples, small[i].samples)
-                assert rec.jump_times == small[i].jump_times
-                assert rec.preselect_value == small[i].preselect_value
+            solo = chain.run(range(i, i + 1), batch.prep[i:i + 1])
+            for other, row in ((solo, 0), (offset, i - 3)):
+                if row < 0:
+                    continue
+                assert other.prep[row] == batch.prep[i]
+                assert np.array_equal(other.samples[row], batch.samples[i])
+                assert other[row].jump_times == batch[i].jump_times
+                assert other.preselect[row] == batch.preselect[i]
+                assert other.overflow[row] == batch.overflow[i]
+        rec = simulate_shot(device, gated_pulse, _stream_config(1), batch.prep[5], 5)
+        assert np.array_equal(rec.samples, batch.samples[5])
+        many = ReadoutChain(device, gated_pulse, _stream_config(600)).run(range(600))
+        part = chain.run(range(250, 262))
+        assert np.array_equal(part.samples, many.samples[250:262])
+        assert np.array_equal(part.preselect, many.preselect[250:262])
 
     def test_no_jump_noise_is_philox_stream(self, device, gated_pulse):
-        # shot i: thermal draw, preparation draw (e only), one exponential
-        # waiting time when the state can jump, then the bin noise
-        cfg = ShotConfig(n_shots=40, master_seed=77, p_thermal=0.1,
-                         prep_error=0.05)
-        batch = simulate_batch(device, gated_pulse, cfg)
+        # a no-jump row is mean_bins[s] + sigma * Box-Muller of its noise
+        # words. Words: thermal, [4 jump words, 6 noise words, reset word],
+        # prep, 4 jump words, 20 noise words; W padded to a multiple of 4
+        for preselect, n_words in ((False, 28), (True, 40)):
+            cfg = ShotConfig(n_shots=40, master_seed=77, p_thermal=0.1,
+                             prep_error=0.05, preselect=preselect,
+                             measure_duration=160e-9)
+            chain = ReadoutChain(device, gated_pulse, cfg)
+            assert chain.n_words == n_words
+            checked = 0
+            for i, rec in enumerate(chain.run(range(40))):
+                noise_words, jumps, pre_jumps, s_pre, s = \
+                    _shot_from_words(chain, cfg, i, rec.prep)
+                assert jumps == rec.jump_times
+                if jumps:
+                    continue
+                noise = chain.sigma_bin * _box_muller(noise_words, chain.n_bins)
+                assert np.array_equal(rec.samples, chain.mean_bins[s] + noise)
+                checked += 1
+                if preselect and not pre_jumps:
+                    pre = chain.sigma_bin * _box_muller(
+                        _words(cfg.master_seed, i, n_words)[5:11], 6)
+                    assert rec.preselect_value == \
+                        np.mean(chain.pre_bins[s_pre] + pre)
+            assert checked >= 35
+
+    def test_jump_times_are_cumsum_of_scaled_waits(self, device, gated_pulse):
+        cfg = _stream_config(200, preselect=False, gamma_mix_up=6e6)
         chain = ReadoutChain(device, gated_pulse, cfg)
-        checked = 0
+        batch = chain.run(range(200))
+        assert 0 < len(np.unique(batch.jump_shot)) < 200
         for i, rec in enumerate(batch):
-            if rec.jump_times:
-                continue
-            rng = np.random.Generator(np.random.Philox(key=[cfg.master_seed, i]))
-            s = +1 if rng.random() < cfg.p_thermal else -1
-            if rec.prep == "e" and rng.random() >= cfg.prep_error:
-                s = -s
-            if s == +1:
-                rng.exponential(device.T1)
-            noise = chain.sigma_bin * rng.standard_normal(chain.n_bins)
-            assert np.array_equal(rec.samples, chain.mean_bins[s] + noise)
-            checked += 1
-        assert checked >= 35
+            assert _shot_from_words(chain, cfg, i, rec.prep)[1] == rec.jump_times
+
+    @pytest.mark.parametrize("preselect", [False, True])
+    def test_overflow_continues_from_its_own_stream(self, device, gated_pulse,
+                                                    preselect):
+        # at 2e7 1/s both ways about 2 shots in 5 need more than 4 waits
+        cfg = _stream_config(60, preselect=preselect, gamma_mix_up=2e7,
+                             gamma_mix_down=2e7)
+        chain = ReadoutChain(device, gated_pulse, cfg)
+        batch = chain.run(range(60))
+        assert batch.n_overflow >= 5
+        over = np.flatnonzero(batch.overflow)
+        for i in over.tolist():
+            _, jumps, pre_jumps, *_ = _shot_from_words(chain, cfg, i, batch.prep[i])
+            assert jumps == batch[i].jump_times
+            assert len(jumps) >= 4 or len(pre_jumps) >= 4
+            solo = chain.run(range(i, i + 1), batch.prep[i:i + 1])
+            assert np.array_equal(solo.samples[0], batch.samples[i])
+            assert solo[0].jump_times == jumps and solo.overflow[0]
+            assert solo.preselect[0] == batch.preselect[i] \
+                or (np.isnan(solo.preselect[0]) and not preselect)
+        assert any(len(batch[i].jump_times) > 4 for i in over)
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +489,11 @@ def rk4_switching_means(model, rot, s0, jumps, pulse, centers):
 
 def batched_means(chain, s0, jump_lists, pulse, times, mean_bins):
     """The chain's conditioned means, all rows in one call."""
-    jumps = [(row, t, "") for row, ts in enumerate(jump_lists) for t in ts]
+    jump_shot = np.repeat(np.arange(len(jump_lists)), [len(ts) for ts in jump_lists])
+    jump_time = np.concatenate([np.asarray(ts, dtype=float) for ts in jump_lists])
     out = np.zeros((len(s0), len(times)))
-    chain._add_means(out, np.asarray(s0), jumps, pulse, times, mean_bins)
+    chain._add_means(out, np.asarray(s0), jump_shot, jump_time, pulse, times,
+                     mean_bins)
     return out
 
 
