@@ -104,20 +104,24 @@ class MixtureFit:
                 + self.A_ee * _normal_pdf(q, self.mu_e, self.sigma_e))
 
 
-def histogram_bins(q: np.ndarray, min_bins: int = 60) -> np.ndarray:
-    """Freedman-Diaconis bin edges on pooled data, at least `min_bins` bins."""
+#: fewest histogram bins the mixture fit is given
+_MIN_BINS = 60
+
+
+def histogram_bins(q: np.ndarray) -> np.ndarray:
+    """Freedman-Diaconis bin edges on pooled data, at least `_MIN_BINS` bins."""
     q = np.asarray(q, dtype=float)
     lo, hi = float(np.min(q)), float(np.max(q))
     if hi <= lo:
         hi = lo + 1.0
     iqr = float(np.subtract(*np.percentile(q, [75, 25])))
     width = 2.0 * iqr / len(q) ** (1.0 / 3.0) if iqr > 0 else 0.0
-    n_bins = int(np.ceil((hi - lo) / width)) if width > 0 else min_bins
-    n_bins = max(n_bins, min_bins)
+    n_bins = int(np.ceil((hi - lo) / width)) if width > 0 else _MIN_BINS
+    n_bins = max(n_bins, _MIN_BINS)
     return np.linspace(lo, hi, n_bins + 1)
 
 
-def fit_mixture(centers, counts_g, counts_e, max_nfev: int = 2000) -> MixtureFit:
+def fit_mixture(centers, counts_g, counts_e) -> MixtureFit:
     """Simultaneous least-squares fit of both histograms to the shared model."""
     centers = np.asarray(centers, dtype=float)
     counts_g = np.asarray(counts_g, dtype=float)
@@ -157,7 +161,7 @@ def fit_mixture(centers, counts_g, counts_e, max_nfev: int = 2000) -> MixtureFit
         cg, ce = model(p)
         return np.concatenate([cg - counts_g, ce - counts_e])
 
-    sol = least_squares(resid, p0, bounds=(lo, hi), max_nfev=max_nfev)
+    sol = least_squares(resid, p0, bounds=(lo, hi), max_nfev=2000)
     if not sol.success:
         raise FitError(f"mixture fit did not converge: {sol.message}")
     mg, me, sg, se, agg, aeg, age, aee = sol.x
@@ -201,7 +205,7 @@ def _intersection_threshold(fit: MixtureFit) -> float:
     return float(q) if a + eps <= q <= b - eps else midpoint
 
 
-def fit_shot_histograms(q: np.ndarray, prep: np.ndarray, min_bins: int = 60):
+def fit_shot_histograms(q: np.ndarray, prep: np.ndarray):
     """Bin pooled q values and run the mixture fit; returns (fit, centers, hg, he)."""
     q = np.asarray(q, dtype=float)
     prep = np.asarray(prep)
@@ -218,7 +222,7 @@ def fit_shot_histograms(q: np.ndarray, prep: np.ndarray, min_bins: int = 60):
                          A_ge=0.0, A_ee=float(len(q_e)),
                          threshold=0.5 * (mg + me))
         return fit, np.array([mg, me]), np.array([len(q_g), 0]), np.array([0, len(q_e)])
-    edges = histogram_bins(q, min_bins=min_bins)
+    edges = histogram_bins(q)
     centers = 0.5 * (edges[:-1] + edges[1:])
     hg, _ = np.histogram(q_g, bins=edges)
     he, _ = np.histogram(q_e, bins=edges)

@@ -56,16 +56,15 @@ def transmission(omega, p: SpectrumParams, qubit_state: str = "g"):
     return p.scale * np.abs(kappa_p / denom)
 
 
-def fit_transmission(omega, s21_g, s21_e,
-                     p0: SpectrumParams | None = None) -> SpectrumParams:
+def fit_transmission(omega, s21_g, s21_e) -> SpectrumParams:
     """Joint least-squares fit of both spectra to the shared two-mode model.
 
     The two spectra share (omega_p, omega_r, J, Q_p, gamma, scale) and differ
-    only through ±chi. Raises FitError on non-convergence or when a
-    parameter lands on a search bound.
-
-    The default start takes omega_r and chi from the two notches: |S21|_g
-    is smallest at omega_r - chi and |S21|_e at omega_r + chi.
+    only through ±chi: seven parameters in all. One relative-residual fit
+    runs from a start that takes omega_r and chi from the two notches:
+    |S21|_g is smallest at omega_r - chi and |S21|_e at omega_r + chi.
+    Raises FitError on non-convergence or when a parameter lands on a search
+    bound.
     """
     omega = np.asarray(omega, dtype=float)
     s21_g = np.asarray(s21_g, dtype=float)
@@ -73,18 +72,17 @@ def fit_transmission(omega, s21_g, s21_e,
     if len(omega) < 10:
         raise FitError("need at least 10 frequency points")
 
-    if p0 is None:
-        mean = 0.5 * (s21_g + s21_e)
-        center = float(np.sum(omega * mean) / np.sum(mean))
-        span = float(omega[-1] - omega[0])
-        notch_g = float(omega[np.argmin(s21_g)])
-        notch_e = float(omega[np.argmin(s21_e)])
-        p0 = SpectrumParams(
-            omega_p=center, omega_r=0.5 * (notch_g + notch_e), J=0.1 * span,
-            chi=0.5 * (notch_e - notch_g),
-            Q_p=center / (0.25 * span), gamma=1e-4 * span,
-            scale=float(np.max(mean)),
-        )
+    mean = 0.5 * (s21_g + s21_e)
+    center = float(np.sum(omega * mean) / np.sum(mean))
+    span = float(omega[-1] - omega[0])
+    notch_g = float(omega[np.argmin(s21_g)])
+    notch_e = float(omega[np.argmin(s21_e)])
+    p0 = SpectrumParams(
+        omega_p=center, omega_r=0.5 * (notch_g + notch_e), J=0.1 * span,
+        chi=0.5 * (notch_e - notch_g),
+        Q_p=center / (0.25 * span), gamma=1e-4 * span,
+        scale=float(np.max(mean)),
+    )
 
     # internal vector scaled to O(1) for conditioning
     f0 = p0.omega_p
@@ -102,13 +100,6 @@ def fit_transmission(omega, s21_g, s21_e,
     lo = np.array([0.5, 0.5, 1e-6, -50.0, 1e-3, 0.0, 1e-12])
     hi = np.array([1.5, 1.5, 50.0, 50.0, 1e3, 50.0, 1e12])
 
-    def resid_abs(x):
-        p = unpack(x)
-        return np.concatenate([
-            transmission(omega, p, "g") - s21_g,
-            transmission(omega, p, "e") - s21_e,
-        ])
-
     # relative residuals: the right weighting for multiplicative noise and
     # the only way the deep qubit-mode notch (which pins gamma) is not
     # swamped by the pass-band points
@@ -121,17 +112,12 @@ def fit_transmission(omega, s21_g, s21_e,
         re = (transmission(omega, p, "e") - s21_e) / np.maximum(s21_e, floor_e)
         return np.concatenate([rg, re])
 
-    # stage 1 (absolute) pins the global shape from a rough start; stage 2
-    # (relative) refines gamma via the notch depth. x_scale="jac": omega_p/f0
-    # and omega_r/f0 move by ~1e-3 while the other entries move by O(1), so
-    # unscaled trust-region steps crawl along the two frequencies
-    pre = least_squares(resid_abs, np.clip(pack(p0), lo, hi), bounds=(lo, hi),
+    # x_scale="jac": omega_p/f0 and omega_r/f0 move by ~1e-3 while the other
+    # entries move by O(1), so unscaled trust-region steps crawl along the
+    # two frequencies
+    sol = least_squares(resid_rel, np.clip(pack(p0), lo, hi), bounds=(lo, hi),
                         x_scale="jac", xtol=1e-14, ftol=1e-14, gtol=1e-14,
                         max_nfev=5000)
-    if not pre.success:
-        raise FitError(f"transmission fit did not converge: {pre.message}")
-    sol = least_squares(resid_rel, pre.x, bounds=(lo, hi), x_scale="jac",
-                        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=5000)
     if not sol.success:
         raise FitError(f"transmission fit did not converge: {sol.message}")
     at_bound = np.any(np.isclose(sol.x, lo, rtol=0, atol=1e-12) |
@@ -154,13 +140,12 @@ class StarkFit:
     degenerate: bool
 
 
-def stark_calibration(powers, qubit_freqs, chi: float,
-                      max_rel_residual: float = 0.05) -> StarkFit:
+def stark_calibration(powers, qubit_freqs, chi: float) -> StarkFit:
     """Fit the linear qubit-frequency-vs-power law; slope per photon is 2 chi.
 
-    Raises FitError when the residuals exceed max_rel_residual of the total
-    frequency excursion (saturation / nonlinear regime). A zero fitted slope
-    is returned with degenerate=True.
+    Raises FitError when a residual exceeds 5 % of the total frequency
+    excursion (saturation / nonlinear regime). Data with no excursion is
+    returned with degenerate=True.
     """
     powers = np.asarray(powers, dtype=float)
     freqs = np.asarray(qubit_freqs, dtype=float)
@@ -174,7 +159,7 @@ def stark_calibration(powers, qubit_freqs, chi: float,
                         degenerate=True)
     slope, nu0 = np.polyfit(powers, freqs, 1)
     resid = freqs - (nu0 + slope * powers)
-    if float(np.max(np.abs(resid))) > max_rel_residual * span:
+    if float(np.max(np.abs(resid))) > 0.05 * span:
         raise FitError("residuals too large: data outside the linear Stark regime")
     k = float(slope / (2.0 * chi))
     return StarkFit(photons_per_watt=k, nu_q0=float(nu0), degenerate=False)

@@ -114,8 +114,11 @@ def resolve_config(path: str | None, overrides) -> dict:
                if default is MISSING and out[k] in (None, MISSING)]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
-    if not out["grid_step"] > 0.0:
-        raise ConfigError("grid_step must be positive")
+    for key in ("grid_step", "tau"):
+        if not out[key] > 0.0:
+            raise ConfigError(f"{key} must be positive")
+    if not all(x > 0.0 for x in out["ratio_tau_grid"]):
+        raise ConfigError("ratio_tau_grid entries must be positive")
     return out
 
 
@@ -222,6 +225,9 @@ def cmd_rate(cfg: dict, args) -> int:
     device = build_device(cfg)
     pulse = build_pulse(cfg)
     times = _fine_times(cfg)
+    if not 0.0 < cfg["dt_bin"] < times[-1]:
+        raise ConfigError(f"dt_bin = {cfg['dt_bin']:g} s gives no rate point "
+                          f"inside the {times[-1]:g} s grid")
     trace = full_model_signal(device, pulse, times)
     taus = np.arange(cfg["dt_bin"], times[-1], cfg["dt_bin"])
     rows = [(tau * 1e9, integrated_rate(trace, tau)) for tau in taus]

@@ -152,7 +152,7 @@ class TestMixtureFit:
 
     def test_histogram_bins_minimum(self):
         q = np.random.default_rng(4).normal(size=500)
-        edges = histogram_bins(q, min_bins=60)
+        edges = histogram_bins(q)
         assert len(edges) >= 61
 
     def test_zero_noise_degenerate_branch(self):

@@ -176,10 +176,18 @@ class TestExitCodes:
         ("simulate", "dt_bin=8e-15", "dt_bin"),
         ("analyze", "dt_bin=8e-15", "dt_bin"),
         ("simulate", "premeasure_duration=1s", "premeasure_duration"),
+        # command-line-only keys that no dataclass checks, and a rate grid
+        # with no point below the pulse's end
+        ("optimize --mode ratio", "ratio_tau_grid=-1", "ratio_tau_grid"),
+        ("optimize --mode ratio", "ratio_tau_grid=2,0", "ratio_tau_grid"),
+        ("optimize --mode power", "tau=0", "tau"),
+        ("rate", "dt_bin=1e-3", "dt_bin"),
+        ("rate", "dt_bin=0", "dt_bin"),
     ])
     def test_step_and_size_guards(self, conf, tmp_path, capsys, command, value,
                                   key):
-        code = run(command, "--config", conf, "--output-dir", str(tmp_path),
+        code = run(*command.split(), "--config", conf,
+                   "--output-dir", str(tmp_path),
                    "--set", value, "--set", "preselect=true",
                    "--set", "n_shots=10", *(["--input", "shots.csv"]
                                             if command == "analyze" else []))
