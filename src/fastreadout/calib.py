@@ -33,6 +33,18 @@ class SpectrumParams:
         return self.omega_p / self.Q_p
 
 
+def _denominator(omega, sign, p: SpectrumParams):
+    """D and E of |S21| = scale kappa_p / |D|, with sign = -1 for g and
+    +1 for e (a scalar or one sign per frequency):
+
+    D = (gamma + kappa_p)/2 + i(omega_p - omega) + 2 J^2 / E,
+    E = gamma + 2i(omega_r + sign chi - omega).
+    """
+    e = p.gamma + 2j * (p.omega_r + sign * p.chi - omega)
+    d = 0.5 * (p.gamma + p.kappa_p) + 1j * (p.omega_p - omega) + 2.0 * p.J ** 2 / e
+    return d, e
+
+
 def transmission(omega, p: SpectrumParams, qubit_state: str = "g"):
     """|S21| of the resonator/filter pair conditioned on the qubit state.
 
@@ -46,14 +58,8 @@ def transmission(omega, p: SpectrumParams, qubit_state: str = "g"):
     if p.gamma < 0.0:
         raise ConfigError("gamma must be non-negative")
     sign = +1.0 if qubit_state == "e" else -1.0
-    omega = np.asarray(omega, dtype=float)
-    kappa_p = p.kappa_p
-    denom = (
-        0.5 * (p.gamma + kappa_p)
-        + 1j * (p.omega_p - omega)
-        + 2.0 * p.J ** 2 / (p.gamma + 2j * (p.omega_r + sign * p.chi - omega))
-    )
-    return p.scale * np.abs(kappa_p / denom)
+    denom, _ = _denominator(np.asarray(omega, dtype=float), sign, p)
+    return p.scale * np.abs(p.kappa_p / denom)
 
 
 def fit_transmission(omega, s21_g, s21_e) -> SpectrumParams:
@@ -102,22 +108,50 @@ def fit_transmission(omega, s21_g, s21_e) -> SpectrumParams:
 
     # relative residuals: the right weighting for multiplicative noise and
     # the only way the deep qubit-mode notch (which pins gamma) is not
-    # swamped by the pass-band points
-    floor_g = 1e-6 * float(np.max(s21_g))
-    floor_e = 1e-6 * float(np.max(s21_e))
+    # swamped by the pass-band points; both spectra in one array, g first
+    n = len(omega)
+    omega2 = np.concatenate([omega, omega])
+    sign = np.repeat([-1.0, 1.0], n)
+    data = np.concatenate([s21_g, s21_e])
+    weight = np.concatenate([np.maximum(s21_g, 1e-6 * float(np.max(s21_g))),
+                             np.maximum(s21_e, 1e-6 * float(np.max(s21_e)))])
+    # d(parameter)/d(x) of each packed entry
+    units = np.array([f0, f0, u, u, 100.0, u, 1.0])
 
     def resid_rel(x):
         p = unpack(x)
-        rg = (transmission(omega, p, "g") - s21_g) / np.maximum(s21_g, floor_g)
-        re = (transmission(omega, p, "e") - s21_e) / np.maximum(s21_e, floor_e)
-        return np.concatenate([rg, re])
+        denom, _ = _denominator(omega2, sign, p)
+        return (p.scale * np.abs(p.kappa_p / denom) - data) / weight
+
+    def jac_rel(x):
+        # d|S21|/dθ = |S21| (dln kappa_p/dθ + dln scale/dθ - Re(dD/dθ / D))
+        # with dD/d(omega_p) = 1/(2 Q_p) + i, dD/dQ_p = -kappa_p/(2 Q_p),
+        # dD/dJ = 4J/E, dD/d(omega_r) = sign dD/dchi = -4i J^2/E^2 and
+        # dD/dgamma = 1/2 - 2 J^2/E^2; one row per parameter, returned as
+        # the (2n, 7) transpose
+        p = unpack(x)
+        denom, e = _denominator(omega2, sign, p)
+        g = 1.0 / denom
+        h = g / e                        # 1 / (D E)
+        k = h / e                        # 1 / (D E^2)
+        rows = np.empty((7, 2 * n))
+        rows[0] = 1.0 / p.omega_p - 0.5 / p.Q_p * g.real + g.imag
+        rows[1] = -4.0 * p.J ** 2 * k.imag
+        rows[2] = -4.0 * p.J * h.real
+        rows[3] = sign * rows[1]
+        rows[4] = 0.5 * p.kappa_p / p.Q_p * g.real - 1.0 / p.Q_p
+        rows[5] = 2.0 * p.J ** 2 * k.real - 0.5 * g.real
+        rows[6] = 1.0 / p.scale
+        rows *= units[:, None]
+        rows *= p.scale * p.kappa_p * np.abs(g) / weight
+        return rows.T
 
     # x_scale="jac": omega_p/f0 and omega_r/f0 move by ~1e-3 while the other
     # entries move by O(1), so unscaled trust-region steps crawl along the
     # two frequencies
-    sol = least_squares(resid_rel, np.clip(pack(p0), lo, hi), bounds=(lo, hi),
-                        x_scale="jac", xtol=1e-14, ftol=1e-14, gtol=1e-14,
-                        max_nfev=5000)
+    sol = least_squares(resid_rel, np.clip(pack(p0), lo, hi), jac=jac_rel,
+                        bounds=(lo, hi), x_scale="jac", xtol=1e-14, ftol=1e-14,
+                        gtol=1e-14, max_nfev=5000)
     if not sol.success:
         raise FitError(f"transmission fit did not converge: {sol.message}")
     at_bound = np.any(np.isclose(sol.x, lo, rtol=0, atol=1e-12) |

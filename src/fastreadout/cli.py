@@ -228,6 +228,10 @@ def cmd_rate(cfg: dict, args) -> int:
     if not 0.0 < cfg["dt_bin"] < times[-1]:
         raise ConfigError(f"dt_bin = {cfg['dt_bin']:g} s gives no rate point "
                           f"inside the {times[-1]:g} s grid")
+    n = (times[-1] - cfg["dt_bin"]) / cfg["dt_bin"]
+    if n > shots.MAX_BINS:
+        raise ConfigError(f"dt_bin = {cfg['dt_bin']:g} s gives {n:.3g} rate "
+                          f"points, more than {shots.MAX_BINS}")
     trace = full_model_signal(device, pulse, times)
     taus = np.arange(cfg["dt_bin"], times[-1], cfg["dt_bin"])
     rows = [(tau * 1e9, integrated_rate(trace, tau)) for tau in taus]

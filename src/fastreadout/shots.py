@@ -91,6 +91,38 @@ def _even(n: int) -> int:
     return n + n % 2
 
 
+class _OverflowStreams:
+    """The streams Philox(key=(master_seed, 1 + i)) of overflow shots i, all
+    read through one generator, built on first use. A shot's stream goes on
+    where its last window left it: `uniforms` points the generator at the
+    shot's first unread word by setting its key and counter, so no generator
+    is built (nor seeded from OS entropy) per shot."""
+
+    def __init__(self, master_key: int):
+        self._key = master_key
+        self._bits = None
+        self._read: dict[int, int] = {}
+
+    def uniforms(self, shot: int):
+        """The shot's unread words as uniforms in (0, 1), one per next();
+        valid until the next call."""
+        word = self._read.get(shot, 0)
+        if self._bits is None:
+            self._bits = np.random.Philox(key=[self._key, 0])
+        # a Philox4x64 generator steps its counter before each block of 4
+        # words, so counter c with an empty buffer reads from word 4 c on
+        self._bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.array([word // 4, 0, 0, 0], dtype=np.uint64),
+                      "key": np.array([self._key, 1 + shot], dtype=np.uint64)},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+        self._bits.random_raw(word % 4)
+        while True:
+            self._read[shot] = word = word + 1
+            yield float(_unit(self._bits.random_raw(1))[0])
+
+
 def noise_sigma_bin(eta: float, kappa_p: float, dt_bin: float) -> float:
     """Per-bin quadrature noise standard deviation; kappa_p in ordinary Hz."""
     return 1.0 / math.sqrt(4.0 * eta * TWOPI * kappa_p * dt_bin)
@@ -302,8 +334,9 @@ class ReadoutChain:
 
         Returns the final states, the overflow mask and the jumps as
         (row, time, decay) arrays, rows ascending and times ascending within
-        a row. An overflow row continues from streams[shot], made on first
-        use and kept for the shot's next window.
+        a row. An overflow row continues from its shot's stream in
+        `streams` (_OverflowStreams), which the shot's next window goes on
+        reading.
         """
         waits = -np.log(u)
         waits *= np.where(s[:, None] > 0, self._waits[+1], self._waits[-1])
@@ -315,13 +348,10 @@ class ReadoutChain:
         over = inside[:, -1]
         extra = []
         for r in np.flatnonzero(over).tolist():
-            shot = shots[r]
-            if shot not in streams:
-                streams[shot] = np.random.Philox(key=[self._key, 1 + shot])
+            words = streams.uniforms(shots[r])
             t, state = float(times[r, -1]), int(s[r])
             while True:
-                u_next = float(_unit(streams[shot].random_raw(1))[0])
-                t = t + -math.log(u_next) * self._mean_wait[state]
+                t = t + -math.log(next(words)) * self._mean_wait[state]
                 if t >= t1:
                     break
                 extra.append((r, t, state > 0))
@@ -395,7 +425,7 @@ class ReadoutChain:
         s_main = np.empty(n, dtype=int)
         overflow = np.zeros(n, dtype=bool)
         no_jumps = (np.empty(0, dtype=int), np.empty(0), np.empty(0, dtype=bool))
-        jumps, streams = [no_jumps], {}
+        jumps, streams = [no_jumps], _OverflowStreams(self._key)
         if cfg.preselect:
             s_pre = np.empty(n, dtype=int)
             pre = np.empty((n, self.n_win))

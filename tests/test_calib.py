@@ -118,12 +118,23 @@ class TestTransmissionFit:
 
     def test_stages_converge_within_150_evaluations(self, monkeypatch):
         # criterion 7's pairs: one least_squares call per pair, each within
-        # the bound that Jacobian scaling and the notch start brought
+        # the bound that Jacobian scaling and the notch start brought; with
+        # a callable Jacobian every residual call is a counted evaluation
+        # (no finite differences), and the total stays within the 296 that
+        # the finite-difference fit needed
         nfev = []
         solve = calib.least_squares
 
-        def counting(*args, **kwargs):
-            sol = solve(*args, **kwargs)
+        def counting(fun, x0, **kwargs):
+            assert callable(kwargs.get("jac"))
+            calls = []
+
+            def counted(x):
+                calls.append(1)
+                return fun(x)
+
+            sol = solve(counted, x0, **kwargs)
+            assert len(calls) == sol.nfev
             nfev.append(sol.nfev)
             return sol
 
@@ -132,6 +143,40 @@ class TestTransmissionFit:
             fit_transmission(omega, s_g, s_e)
         assert len(nfev) == 20
         assert max(nfev) <= 150, nfev
+        assert sum(nfev) <= 296, nfev
+
+    def test_jacobian_matches_central_differences(self, monkeypatch):
+        # the closed-form Jacobian at random points around the optimum of
+        # several devices, spectra in both orders, against 3-point central
+        # differences; each column keeps the better of two relative steps
+        fits = []
+        solve = calib.least_squares
+
+        def capturing(fun, x0, **kwargs):
+            sol = solve(fun, x0, **kwargs)
+            fits.append((fun, kwargs["jac"], sol.x))
+            return sol
+
+        monkeypatch.setattr(calib, "least_squares", capturing)
+        for _, omega, s_g, s_e in noisy_spectrum_pairs(41, 3):
+            fit_transmission(omega, s_g, s_e)
+            fit_transmission(omega, s_e, s_g)
+        rng = np.random.default_rng(5)
+        worst = 0.0
+        for fun, jac, x_fit in fits:
+            for _ in range(2):
+                x = x_fit * (1.0 + 1e-3 * rng.standard_normal(len(x_fit)))
+                analytic = jac(x)
+                for j in range(len(x)):
+                    errors = []
+                    for rel in (1e-6, 1e-7):
+                        step = np.zeros(len(x))
+                        step[j] = rel * abs(x[j])
+                        central = (fun(x + step) - fun(x - step)) / (2.0 * step[j])
+                        errors.append(np.max(np.abs(central - analytic[:, j])))
+                    worst = max(worst, min(errors) / np.max(np.abs(analytic[:, j])))
+        assert len(fits) == 6
+        assert worst <= 1e-5, worst
 
     def test_recovery_on_more_pairs_with_swaps(self):
         # criterion 7's 1 % bar on 40 pairs from another generator seed;

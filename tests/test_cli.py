@@ -183,6 +183,7 @@ class TestExitCodes:
         ("optimize --mode power", "tau=0", "tau"),
         ("rate", "dt_bin=1e-3", "dt_bin"),
         ("rate", "dt_bin=0", "dt_bin"),
+        ("rate", "dt_bin=1e-15", "dt_bin"),
     ])
     def test_step_and_size_guards(self, conf, tmp_path, capsys, command, value,
                                   key):
