@@ -234,7 +234,7 @@ def cmd_rate(cfg: dict, args) -> int:
                           f"points, more than {shots.MAX_BINS}")
     trace = full_model_signal(device, pulse, times)
     taus = np.arange(cfg["dt_bin"], times[-1], cfg["dt_bin"])
-    rows = [(tau * 1e9, integrated_rate(trace, tau)) for tau in taus]
+    rows = zip(taus * 1e9, integrated_rate(trace, taus))
     _write_csv(Path(cfg["output_dir"]) / "rate.csv", cfg, "rate",
                ("tau_ns", "s_tau"), rows)
     return 0

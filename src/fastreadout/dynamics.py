@@ -358,16 +358,19 @@ def mean_quadrature_traces(device: DeviceParams, pulse: PulseEnvelope,
     return QuadratureTraces(q_g=q_g, q_e=q_e, phi_lo=phi, signal=signal)
 
 
-def integrated_rate(trace: SignalTrace, tau: float) -> float:
-    """s(tau) = (1/sqrt(tau)) * integral_0^tau S(t) dt (trapezoidal)."""
-    times = trace.times
-    if tau <= 0.0 or tau > times[-1] + 1e-15:
-        raise TauRangeError(f"tau = {tau:g} s outside trace support")
-    mask = times <= tau + 1e-15
-    t_sub = times[mask]
-    v_sub = trace.values[mask]
-    if t_sub[-1] < tau - 1e-15:
-        v_end = np.interp(tau, times, trace.values)
-        t_sub = np.append(t_sub, tau)
-        v_sub = np.append(v_sub, v_end)
-    return float(np.trapezoid(v_sub, t_sub) / math.sqrt(tau))
+def integrated_rate(trace: SignalTrace, tau):
+    """s(tau) = (1/sqrt(tau)) * integral_0^tau S(t) dt, a float for a scalar
+    tau and an array for a 1-D array: one cumulative trapezoid over the
+    trace's points t_k <= tau, plus the piece to tau, S(tau) interpolated."""
+    times, values = trace.times, trace.values
+    taus = np.atleast_1d(np.asarray(tau, dtype=float))
+    bad = taus[~((taus > 0.0) & (taus <= times[-1] + 1e-15))]
+    if bad.size:
+        raise TauRangeError(f"tau = {bad[0]:g} s outside trace support")
+    area = np.concatenate(
+        ([0.0], np.cumsum(np.diff(times) * (values[1:] + values[:-1]) / 2.0)))
+    k = np.searchsorted(times, taus + 1e-15, side="right") - 1
+    piece = (taus - times[k]) * (values[k] + np.interp(taus, times, values)) / 2.0
+    area = area[k] + np.where(times[k] < taus - 1e-15, piece, 0.0)
+    rate = area / np.sqrt(taus)
+    return float(rate[0]) if np.ndim(tau) == 0 else rate

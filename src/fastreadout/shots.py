@@ -29,18 +29,23 @@ One word per draw: a Bernoulli draw is u < p; a waiting time is -log(u)
 times the mean wait 1/rate of the state left (+inf at rate 0); normals are
 Box-Muller pairs of consecutive words, z_2j = r cos(theta) and
 z_2j+1 = r sin(theta) with r = sqrt(-2 log u_2j), theta = 2 pi u_2j+1. The
-jump times of a window are the cumulative sums of its K = 4 waits. A shot
-whose K-th jump still falls inside a window is an overflow shot: it draws
-its further waits, one word each, from its own stream Philox(key=
-(master_seed, 1 + i)), the premeasurement window's first.
+jump times of a window are the cumulative sums of its waits, drawn in
+rounds of K = 4 words. Round 0 is the window's K jump words above. A shot
+whose K-th jump of round r - 1 still falls inside the window goes on to
+round r >= 1, the words [i K, (i + 1) K) of Philox(key=(master_seed,
+2 r - 1 + w)), w = 0 for the premeasurement and 1 for the measurement
+window; the round's sums start at the previous round's K-th jump time, in
+the state the previous round started in (K is even). Shots that need
+round 1 in either window are overflow shots.
 
 A batch is held columnar (ShotBatch). The draws of a chunk of shots are
-array operations, and the conditioned means of all shots are computed on
-arrays afterwards; only overflow shots loop in Python.
+array operations, one per round for the jump waits, and the conditioned
+means of all shots are computed on arrays afterwards.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -60,9 +65,13 @@ Z99 = 2.3263478740408408
 #: bounds the temporaries of the draws and of the batched jump path
 _CHUNK = 256
 
-#: jump words per window: the waits drawn as array columns before a shot
-#: overflows into its own stream
+#: jump words per window and round; even, so a round starts in the state
+#: its previous one started in, and 4 words are one Philox counter step
 K_JUMPS = 4
+
+#: most mean qubit jumps per window, 2 T / (1/rate_g + 1/rate_e); checked
+#: before anything is drawn
+MAX_MEAN_JUMPS = 100
 
 #: most samples per state a window may hold (bins of a shot window, points
 #: of a fine time grid); checked before anything is allocated
@@ -89,38 +98,6 @@ def _box_muller(u, out):
 
 def _even(n: int) -> int:
     return n + n % 2
-
-
-class _OverflowStreams:
-    """The streams Philox(key=(master_seed, 1 + i)) of overflow shots i, all
-    read through one generator, built on first use. A shot's stream goes on
-    where its last window left it: `uniforms` points the generator at the
-    shot's first unread word by setting its key and counter, so no generator
-    is built (nor seeded from OS entropy) per shot."""
-
-    def __init__(self, master_key: int):
-        self._key = master_key
-        self._bits = None
-        self._read: dict[int, int] = {}
-
-    def uniforms(self, shot: int):
-        """The shot's unread words as uniforms in (0, 1), one per next();
-        valid until the next call."""
-        word = self._read.get(shot, 0)
-        if self._bits is None:
-            self._bits = np.random.Philox(key=[self._key, 0])
-        # a Philox4x64 generator steps its counter before each block of 4
-        # words, so counter c with an empty buffer reads from word 4 c on
-        self._bits.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.array([word // 4, 0, 0, 0], dtype=np.uint64),
-                      "key": np.array([self._key, 1 + shot], dtype=np.uint64)},
-            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0}
-        self._bits.random_raw(word % 4)
-        while True:
-            self._read[shot] = word = word + 1
-            yield float(_unit(self._bits.random_raw(1))[0])
 
 
 def noise_sigma_bin(eta: float, kappa_p: float, dt_bin: float) -> float:
@@ -194,9 +171,8 @@ class ShotBatch:
 
     prep (N,) holds the labels 'g'/'e'; samples (N, n_bins) the binned
     quadratures; preselect (N,) the premeasurement values, NaN without
-    preselection; overflow (N,) marks the shots that drew waits past the
-    K_JUMPS array columns of a window (all false for data read from a
-    file). jump_shot, jump_time and jump_kind (J,) list every qubit jump of
+    preselection; overflow (N,) marks the shots that drew a second round
+    of K_JUMPS waits in a window (all false for data read from a file). jump_shot, jump_time and jump_kind (J,) list every qubit jump of
     the measurement window by row ('eg' decay, 'ge' excitation), rows
     ascending and times ascending within a row. All arrays are read-only;
     len, batch[i] and iteration give read-only ShotRecord views.
@@ -274,11 +250,25 @@ class ReadoutChain:
         if cfg.preselect:
             self.n_pre = int(round(cfg.premeasure_duration / cfg.dt_bin))
             self.n_win = max(1, int(round(cfg.premeasure_window / cfg.dt_bin)))
-        for window, n in (("measurement window", self.n_bins),
-                          ("premeasure_duration", getattr(self, "n_pre", 0))):
+        # mean waiting time in state s; +inf (set here, not divided by 0 in
+        # numpy) where the state cannot be left
+        rates = {+1: 1.0 / device.T1 + cfg.gamma_mix_down, -1: cfg.gamma_mix_up}
+        self._mean_wait = {s: 1.0 / r if r > 0.0 else math.inf
+                          for s, r in rates.items()}
+        windows = {"measurement window": (self.n_bins, self.n_bins * cfg.dt_bin)}
+        if cfg.preselect:
+            windows["premeasure_duration"] = (self.n_pre, cfg.premeasure_duration)
+        for window, (n, duration) in windows.items():
             if n > MAX_BINS:
                 raise ConfigError(f"dt_bin = {cfg.dt_bin:g} s gives {n} bins per "
                                   f"{window}, more than {MAX_BINS}")
+            jumps = 2.0 * duration / (self._mean_wait[-1] + self._mean_wait[+1])
+            if jumps > MAX_MEAN_JUMPS:
+                raise ConfigError(
+                    f"gamma_mix_up = {cfg.gamma_mix_up:g} 1/s, gamma_mix_down = "
+                    f"{cfg.gamma_mix_down:g} 1/s and T1 = {device.T1:g} s give "
+                    f"{jumps:.3g} mean qubit jumps per {window}, more than "
+                    f"{MAX_MEAN_JUMPS}")
         if self.n_bins < 1:
             raise GridError("sampling window shorter than one bin")
         if pulse.total_duration < self.n_bins * cfg.dt_bin - 1e-12:
@@ -311,11 +301,6 @@ class ReadoutChain:
         #: words per shot in the stream (see the module docstring)
         self.n_words = -(-(2 + pre_words + K_JUMPS + _even(self.n_bins)) // 4) * 4
 
-        # mean waiting time in state s; +inf (set here, not divided by 0 in
-        # numpy) where the state cannot be left
-        rates = {+1: 1.0 / device.T1 + cfg.gamma_mix_down, -1: cfg.gamma_mix_up}
-        self._mean_wait = {s: 1.0 / r if r > 0.0 else math.inf
-                          for s, r in rates.items()}
         # the mean waits of the K jump words of a window started in state s
         self._waits = {s: np.array([self._mean_wait[s * (-1) ** k]
                                     for k in range(K_JUMPS)]) for s in (-1, +1)}
@@ -328,42 +313,43 @@ class ReadoutChain:
 
     # -- random draws -------------------------------------------------------------
 
-    def _jumps(self, u, s, t1, shots, streams):
-        """Jumps in [0, t1) of the shots `shots` (one per row), starting in
-        states s, from their K jump words u (m, K).
+    def _jumps(self, u, s, t1, first, window):
+        """Jumps in [0, t1) of the shots first, first + 1, ... (one per row)
+        from states s and their round-0 jump words u (m, K).
 
-        Returns the final states, the overflow mask and the jumps as
-        (row, time, decay) arrays, rows ascending and times ascending within
-        a row. An overflow row continues from its shot's stream in
-        `streams` (_OverflowStreams), which the shot's next window goes on
-        reading.
+        A row stays open while its round's K-th sum is below t1; round r >= 1
+        sums on from there shot i's words [i K, (i + 1) K) of Philox(key=
+        (master_seed, 2 r - 1 + window)), window 0 premeasurement and 1
+        measurement, read as one random_raw over the open rows' span.
+        Returns the final states, the overflow mask (rows that needed round
+        1) and the (row, time, decay) jumps, rows then times ascending.
         """
-        waits = -np.log(u)
-        waits *= np.where(s[:, None] > 0, self._waits[+1], self._waits[-1])
-        times = np.cumsum(waits, axis=1)
-        inside = times < t1
-        row, k = np.nonzero(inside)
-        time, decay = times[row, k], (s[row] > 0) == (k % 2 == 0)
-        s = np.where(np.count_nonzero(inside, axis=1) % 2 == 1, -s, s)
-        over = inside[:, -1]
-        extra = []
-        for r in np.flatnonzero(over).tolist():
-            words = streams.uniforms(shots[r])
-            t, state = float(times[r, -1]), int(s[r])
-            while True:
-                t = t + -math.log(next(words)) * self._mean_wait[state]
-                if t >= t1:
-                    break
-                extra.append((r, t, state > 0))
-                state = -state
-            s[r] = state
-        if extra:
-            x_row, x_time, x_decay = map(np.array, zip(*extra))
-            order = np.argsort(np.concatenate([row, x_row]), kind="stable")
-            row = np.concatenate([row, x_row])[order]
-            time = np.concatenate([time, x_time])[order]
-            decay = np.concatenate([decay, x_decay])[order]
-        return s, over, (row, time, decay)
+        s = s.copy()
+        rows, t0, found = np.arange(len(s)), np.zeros(len(s)), []
+        for r in itertools.count():
+            if r:
+                bits = np.random.Philox(key=[self._key, 2 * r - 1 + window])
+                bits.advance(int(first + rows[0]))
+                words = bits.random_raw((rows[-1] + 1 - rows[0]) * K_JUMPS)
+                u = _unit(words.reshape(-1, K_JUMPS)[rows - rows[0]])
+            s_r = s[rows]
+            waits = -np.log(u)
+            waits *= np.where(s_r[:, None] > 0, self._waits[+1], self._waits[-1])
+            waits[:, 0] += t0
+            times = np.cumsum(waits, axis=1)
+            inside = times < t1
+            row, k = np.nonzero(inside)
+            found.append((rows[row], times[row, k], (s_r[row] > 0) == (k % 2 == 0)))
+            s[rows] = np.where(np.count_nonzero(inside, axis=1) % 2 == 1, -s_r, s_r)
+            still = inside[:, -1]
+            if r == 0:
+                over = still
+            rows, t0 = rows[still], times[still, -1]
+            if not len(rows):
+                break
+        row, time, decay = map(np.concatenate, zip(*found))
+        order = np.argsort(row, kind="stable")
+        return s, over, (row[order], time[order], decay[order])
 
     # -- noise-free means, all shots at once ------------------------------------
 
@@ -399,9 +385,9 @@ class ReadoutChain:
         premeasurement jump words, n_win noise words (padded to even) and
         the reset word, then prep, K jump words and n_bins noise words
         (padded to even). Normals are Box-Muller pairs of words, waits
-        -log(u) times the mean wait, K = K_JUMPS; an overflow shot finishes
-        its waits from Philox(key=(master_seed, 1 + i)). The module
-        docstring gives every rule. Each chunk of _CHUNK shots is one
+        -log(u) times the mean wait, K = K_JUMPS; further rounds of K waits
+        come from Philox(key=(master_seed, 2 r - 1 + window)) (_jumps). The
+        module docstring gives every rule. Each chunk of _CHUNK shots is one
         random_raw draw; samples are filled in place with the noise, scaled
         by sigma_bin, and the conditioned means are added for all shots
         at the end.
@@ -418,14 +404,13 @@ class ReadoutChain:
         excite = prep == "e"
         bits = np.random.Philox(key=[self._key, 0])
         bits.advance(shots.start * self.n_words // 4)
-        window = self.n_bins * cfg.dt_bin
         n_pre_noise = _even(self.n_win) if cfg.preselect else 0
 
         samples = np.empty((n, self.n_bins))
         s_main = np.empty(n, dtype=int)
         overflow = np.zeros(n, dtype=bool)
         no_jumps = (np.empty(0, dtype=int), np.empty(0), np.empty(0, dtype=bool))
-        jumps, streams = [no_jumps], _OverflowStreams(self._key)
+        jumps = [no_jumps]
         if cfg.preselect:
             s_pre = np.empty(n, dtype=int)
             pre = np.empty((n, self.n_win))
@@ -438,8 +423,8 @@ class ReadoutChain:
             if cfg.preselect:
                 s_pre[a:b] = s
                 s, over, (row, time, decay) = self._jumps(
-                    u[:, c:c + K_JUMPS], s, cfg.premeasure_duration, shots[a:b],
-                    streams)
+                    u[:, c:c + K_JUMPS], s, cfg.premeasure_duration,
+                    shots.start + a, 0)
                 overflow[a:b] |= over
                 pre_jumps.append((row + a, time, decay))
                 c += K_JUMPS
@@ -453,7 +438,8 @@ class ReadoutChain:
             s_main[a:b] = s
             c += 1
             _, over, (row, time, decay) = self._jumps(
-                u[:, c:c + K_JUMPS], s, window, shots[a:b], streams)
+                u[:, c:c + K_JUMPS], s, self.n_bins * cfg.dt_bin,
+                shots.start + a, 1)
             overflow[a:b] |= over
             jumps.append((row + a, time, decay))
             c += K_JUMPS

@@ -184,12 +184,19 @@ class TestExitCodes:
         ("rate", "dt_bin=1e-3", "dt_bin"),
         ("rate", "dt_bin=0", "dt_bin"),
         ("rate", "dt_bin=1e-15", "dt_bin"),
+        # mixing rates whose mean jump count per window would ask for
+        # gigabytes of switch times, or never finish drawing them
+        ("simulate", "gamma_mix_up=1e11 gamma_mix_down=1e11", "gamma_mix_up"),
+        ("simulate", "gamma_mix_up=1e300 gamma_mix_down=1e300", "gamma_mix_down"),
+        ("optimize --mode power", "mix_coeff=1e300", "T1"),
     ])
     def test_step_and_size_guards(self, conf, tmp_path, capsys, command, value,
                                   key):
+        # value holds one or more space-separated key=value overrides
+        sets = [arg for item in value.split() for arg in ("--set", item)]
         code = run(*command.split(), "--config", conf,
                    "--output-dir", str(tmp_path),
-                   "--set", value, "--set", "preselect=true",
+                   *sets, "--set", "preselect=true",
                    "--set", "n_shots=10", *(["--input", "shots.csv"]
                                             if command == "analyze" else []))
         assert code == 2

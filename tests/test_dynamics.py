@@ -373,6 +373,31 @@ class TestIntegratedRate:
             integrated_rate(trace, 1e-6)
         with pytest.raises(TauRangeError):
             integrated_rate(trace, 0.0)
+        with pytest.raises(TauRangeError):
+            integrated_rate(trace, np.array([10e-9, 1e-6]))
+
+    def test_array_matches_per_point_trapezoid(self, device, gated_pulse,
+                                               fine_times):
+        # taus on, between and within 1e-15 s of the grid points, up to the
+        # last one: each row equals the scalar call and a per-point
+        # np.trapezoid over the points up to tau plus the interpolated end
+        trace = full_model_signal(device, gated_pulse, fine_times)
+        times, values = trace.times, trace.values
+        rng = np.random.default_rng(12)
+        taus = np.concatenate([times[1:], rng.uniform(0.0, times[-1], 200),
+                               times[1::7] + 5e-16, times[1::7] - 5e-16])
+        rates = integrated_rate(trace, taus)
+        assert rates.shape == taus.shape
+        for tau, rate in zip(taus.tolist(), rates.tolist()):
+            t = times[times <= tau + 1e-15]
+            v = values[:len(t)]
+            if t[-1] < tau - 1e-15:
+                t = np.append(t, tau)
+                v = np.append(v, np.interp(tau, times, values))
+            oracle = np.trapezoid(v, t) / math.sqrt(tau)
+            assert rate == pytest.approx(oracle, rel=1e-12, abs=0.0)
+            assert rate == pytest.approx(integrated_rate(trace, tau), rel=1e-12,
+                                         abs=0.0)
 
 
 class TestLoPhase:

@@ -306,12 +306,16 @@ def _stream_config(n_shots: int, **kw) -> ShotConfig:
     return ShotConfig(**{**base, **kw})
 
 
+def _unit(words: np.ndarray) -> np.ndarray:
+    """64-bit words as u = ((k >> 12) + 0.5) 2^-52 in (0, 1)."""
+    return ((words >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
+
+
 def _words(seed: int, shot: int, n_words: int) -> np.ndarray:
     """Shot `shot`'s words of the stream keyed (seed, 0) as u in (0, 1)."""
     bits = np.random.Philox(key=[seed, 0])
     bits.advance(shot * n_words // 4)
-    u = (bits.random_raw(n_words) >> np.uint64(12)).astype(float)
-    return (u + 0.5) * 2.0**-52
+    return _unit(bits.random_raw(n_words))
 
 
 def _box_muller(u: np.ndarray, n: int) -> np.ndarray:
@@ -329,41 +333,36 @@ def _mean_wait(device, cfg, s: int) -> float:
     return 1.0 / rate if rate > 0.0 else math.inf
 
 
-def _window_jumps(device, cfg, u, s, t1, shot, stream):
-    """The jumps in [0, t1) from the 4 jump words u, starting in state s:
-    cumsum of -log(u) times the mean wait; past the 4th, one word per wait
-    from the shot's own stream (made on first use, kept in `stream`)."""
-    waits = -np.log(u) * np.array([_mean_wait(device, cfg, s * (-1) ** k)
-                                   for k in range(4)])
-    times = np.cumsum(waits)
-    jumps = []
-    for t in times[times < t1].tolist():
-        jumps.append((t, "eg" if s > 0 else "ge"))
-        s = -s
-    if times[-1] < t1:
-        if not stream:
-            stream.append(np.random.Philox(key=[cfg.master_seed, 1 + shot]))
-        t = float(times[-1])
-        while True:
-            k = stream[0].random_raw()
-            t = t + -math.log(((k >> 12) + 0.5) * 2.0**-52) * _mean_wait(device, cfg, s)
+def _window_jumps(device, cfg, u, s, t1, shot, window):
+    """The jumps in [0, t1) from the 4 round-0 jump words u, starting in
+    state s: a running sum, word by word, of -log(u) times the mean wait of
+    the state left. While a round's 4th jump still lands inside, round
+    r >= 1 reads the shot's 4 words [4 shot, 4 shot + 4) from the start of
+    Philox(key=[seed, 2 r - 1 + window])."""
+    jumps, t, r = [], 0.0, 0
+    while True:
+        if r:
+            key = [cfg.master_seed, 2 * r - 1 + window]
+            u = _unit(np.random.Philox(key=key).random_raw(4 * shot + 4)[4 * shot:])
+        for w in (-np.log(u)).tolist():
+            t = t + w * _mean_wait(device, cfg, s)
             if t >= t1:
-                break
+                return tuple(jumps), s
             jumps.append((t, "eg" if s > 0 else "ge"))
             s = -s
-    return tuple(jumps), s
+        r += 1
 
 
 def _shot_from_words(chain, cfg, shot, prep):
     """(jumps, preselect-window jumps, s_pre, s_main) of one shot, worked
     out from its words in the documented order."""
     u = _words(cfg.master_seed, shot, chain.n_words)
-    device, stream = chain.device, []
+    device = chain.device
     s = s_pre = +1 if u[0] < cfg.p_thermal else -1
     c, pre_jumps = 1, ()
     if cfg.preselect:
         pre_jumps, s = _window_jumps(device, cfg, u[c:c + 4], s,
-                                     cfg.premeasure_duration, shot, stream)
+                                     cfg.premeasure_duration, shot, 0)
         c += 4 + chain.n_win + chain.n_win % 2
         if s > 0 and u[c] < chain.p_reset:
             s = -1
@@ -371,7 +370,7 @@ def _shot_from_words(chain, cfg, shot, prep):
     if prep == "e" and u[c] >= cfg.prep_error:
         s = -s
     jumps, _ = _window_jumps(device, cfg, u[c + 1:c + 5], s,
-                             chain.n_bins * cfg.dt_bin, shot, stream)
+                             chain.n_bins * cfg.dt_bin, shot, 1)
     return u[c + 5:], jumps, pre_jumps, s_pre, s
 
 
@@ -456,6 +455,22 @@ class TestStreamPinning:
             assert solo.preselect[0] == batch.preselect[i] \
                 or (np.isnan(solo.preselect[0]) and not preselect)
         assert any(len(batch[i].jump_times) > 4 for i in over)
+
+    def test_overflow_rows_independent_of_batch_size(self, device, gated_pulse):
+        # rows 250-261 straddle the draw chunk boundary at 256 and include
+        # overflow rows: their later rounds read the same words either way
+        cfg = _stream_config(600, gamma_mix_up=2e7, gamma_mix_down=2e7)
+        chain = ReadoutChain(device, gated_pulse, cfg)
+        many = chain.run(range(600))
+        part = chain.run(range(250, 262))
+        assert part.overflow.any()
+        assert np.array_equal(part.overflow, many.overflow[250:262])
+        assert np.array_equal(part.samples, many.samples[250:262])
+        assert np.array_equal(part.preselect, many.preselect[250:262])
+        rows = (many.jump_shot >= 250) & (many.jump_shot < 262)
+        assert np.array_equal(part.jump_shot + 250, many.jump_shot[rows])
+        assert np.array_equal(part.jump_time, many.jump_time[rows])
+        assert np.array_equal(part.jump_kind, many.jump_kind[rows])
 
 
 # ---------------------------------------------------------------------------
