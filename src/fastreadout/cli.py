@@ -15,6 +15,7 @@ import argparse
 import csv
 import math
 import sys
+import warnings
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -308,6 +309,11 @@ def _read_shot_csv(path: str, cfg: dict) -> shots.ShotBatch:
     The '#' header must echo the same device, pulse, dt_bin and
     measure_duration as `cfg`; otherwise ConfigError names the difference.
     """
+    # at most this many data rows (lines after the header), so that loadtxt
+    # allocates the shot array once instead of growing it
+    with open(path, "rb") as fh:
+        max_rows = 1 + sum(block.count(b"\n")
+                           for block in iter(lambda: fh.read(1 << 20), b""))
     header = {}
     with open(path) as fh:
         line = fh.readline()
@@ -315,6 +321,8 @@ def _read_shot_csv(path: str, cfg: dict) -> shots.ShotBatch:
             key, _, value = line[1:].partition("=")
             header[key.strip()] = value.strip()
             line = fh.readline()
+            max_rows -= 1
+        max_rows -= 1  # the column line
         if line.split(",")[:3] != ["shot_id", "prep", "preselect_value"]:
             raise ConfigError("analyze expects the wide shot CSV format")
         for key in _SHOT_FILE_KEYS:
@@ -323,10 +331,17 @@ def _read_shot_csv(path: str, cfg: dict) -> shots.ShotBatch:
                     f"shot file has {key} = {header.get(key, '(missing)')}, "
                     f"the configuration {_fmt(cfg[key])}")
         try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2,
-                              converters={1: {"g": 0.0, "e": 1.0}.__getitem__})
+            with warnings.catch_warnings():
+                # blank lines are skipped and do not count towards max_rows
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=max_rows,
+                                  converters={1: {"g": 0.0, "e": 1.0}.__getitem__})
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"malformed shot file {path}: {exc}") from exc
+        # rows beyond the bound only come from lines that end in a bare "\r"
+        if fh.read().strip():
+            raise ConfigError(f"malformed shot file {path}: a line ends in a "
+                              "bare carriage return")
     if len(data) == 0:
         raise ConfigError(f"shot file {path} holds no shots")
     return shots.ShotBatch(prep=np.where(data[:, 1] == 1.0, "e", "g"),

@@ -7,8 +7,9 @@ Two models of the state-dependent output signal S(t):
 * the full two-cavity linear model (readout resonator + Purcell filter),
   solved exactly by `TwoCavityModel.trace`, the one solver: the
   eigendecomposition of each qubit state's system matrix gives the field on
-  every segment of constant drive and qubit state, for one or many
-  trajectories (both prepared states, or shots with qubit jumps) in one call.
+  every segment of constant drive, for one or both prepared states held
+  through the pulse, in one call. Shots whose qubit jumps are these
+  no-jump fields plus decaying transients (`shots.ReadoutChain`).
 
 `mean_quadrature_traces` projects both prepared states' filter fields onto
 the LO quadrature of `optimal_lo_phase`, whose maximum has a closed form,
@@ -188,66 +189,49 @@ class TwoCavityModel:
         """Exact steady state (d/dt = 0) for a constant drive eps."""
         return eps * self._x_unit[int(s > 0)]
 
-    def trace(self, s0, pulse: PulseEnvelope, times,
-              switch_times=None) -> np.ndarray:
-        """Exact fields (alpha, beta) at `times`, from vacuum at t = 0.
+    def trace(self, s0, pulse: PulseEnvelope, times) -> np.ndarray:
+        """Exact fields (alpha, beta) at `times`, from vacuum at t = 0, with
+        the qubit held in state s0 (-1 g, +1 e).
 
-        s0 is the qubit state at t = 0 (-1 g, +1 e). A scalar s0 gives
-        shape (len(times), 2); a 1-D s0 gives one row per entry, shape
-        (rows, len(times), 2). Row k flips its state at each entry of
-        switch_times[k] (shape (rows, K); pad short rows with +inf). The
-        edges of a row are its switch times merged with the drive edges of
-        `pulse`; on the segment that starts at edge a the field is the
-        closed form x_ss + V exp(lambda (t - a)) c, evaluated for every
-        (row, sample) at once. A sample within 1e-15 s after an edge
-        belongs to the segment that ends there. Raises GridError unless
+        A scalar s0 gives shape (len(times), 2); a 1-D s0 gives one row per
+        entry, shape (rows, len(times), 2). The edges are t = 0 and the
+        drive edges of `pulse`; on the segment that starts at edge a the
+        field is the closed form x_ss + V exp(lambda (t - a)) c, evaluated
+        for every (row, sample) at once. A sample within 1e-15 s after an
+        edge belongs to the segment that ends there. Raises GridError unless
         `times` is ascending.
         """
         times = np.asarray(times, dtype=float)
         if np.any(times[1:] < times[:-1]):
             raise GridError("trace times must be ascending")
         s0 = np.asarray(s0)
-        n_rows = s0.size
         if len(times) == 0:
             return np.empty(s0.shape + (0, 2), dtype=complex)
         t_max = float(times[-1])
-        drive = sorted({t for a, b, _ in pulse.segments() for t in (a, b)
-                        if 1e-15 < t < t_max - 1e-15})
-        # switches after the last sample only add empty segments at t_max
-        switch = np.empty((n_rows, 0)) if switch_times is None else \
-            np.minimum(np.reshape(switch_times, (n_rows, -1)), t_max)
-        n_switch = switch.shape[1]
-        edges = np.zeros((n_rows, 1 + n_switch + len(drive)))
-        edges[:, 1:1 + n_switch] = switch
-        edges[:, 1 + n_switch:] = drive
-        edges.sort(axis=1)
-        ends = np.empty_like(edges)
-        ends[:, :-1] = edges[:, 1:]
-        ends[:, -1] = t_max
+        edges = np.array([0.0] + sorted({t for a, b, _ in pulse.segments()
+                                         for t in (a, b)
+                                         if 1e-15 < t < t_max - 1e-15}))
+        ends = np.append(edges[1:], t_max)
 
-        # per segment: the eigen tables of its qubit state (flipped once per
-        # switch up to its start) and the coefficients c of the closed form,
-        # carried from each segment's start to the next
-        flips = np.sum(switch[:, None, :] <= edges[..., None], axis=2)
-        state = ((s0.reshape(-1, 1) > 0) + flips) % 2
-        xss = (self.eps0 * pulse.envelope(0.5 * (edges + ends)))[..., None] \
-            * self._x_unit[state]
+        # per row: the eigen tables of its state; per segment: the steady
+        # state and the coefficients c of the closed form, carried from each
+        # segment's start to the next
+        state = (s0.reshape(-1) > 0).astype(int)
         lam, V, Vi = self._lam[state], self._V[state], self._Vi[state]
-        growth = np.exp(lam * (ends - edges)[..., None])
+        xss = (self.eps0 * pulse.envelope(0.5 * (edges + ends)))[:, None] \
+            * self._x_unit[state][:, None]
+        growth = np.exp(lam[:, None] * (ends - edges)[:, None])
         c = np.empty_like(xss)
-        c[:, 0] = _apply(Vi[:, 0], -xss[:, 0])  # from vacuum at t = 0
-        for j in range(1, edges.shape[1]):
-            x = xss[:, j - 1] + _apply(V[:, j - 1], growth[:, j - 1] * c[:, j - 1])
-            c[:, j] = _apply(Vi[:, j], x - xss[:, j])
-        Vc = V * c[..., None, :]
+        c[:, 0] = _apply(Vi, -xss[:, 0])  # from vacuum at t = 0
+        for j in range(1, len(edges)):
+            x = xss[:, j - 1] + _apply(V, growth[:, j - 1] * c[:, j - 1])
+            c[:, j] = _apply(Vi, x - xss[:, j])
+        Vc = V[:, None] * c[..., None, :]
 
-        # segment of each sample: the edges after 0 it passes by over 1e-15 s,
-        # as an index into the (rows * segments) tables
-        seg = np.sum(edges[:, None, 1:] + 1e-15 < times[:, None], axis=2)
-        seg += edges.shape[1] * np.arange(n_rows)[:, None]
-        growth = np.exp(lam.reshape(-1, 2)[seg]
-                        * (times - edges.reshape(-1)[seg])[..., None])
-        out = xss.reshape(-1, 2)[seg] + _apply(Vc.reshape(-1, 2, 2)[seg], growth)
+        # segment of each sample: the edges after 0 it passes by over 1e-15 s
+        seg = np.sum(edges[1:] + 1e-15 < times[:, None], axis=1)
+        growth = np.exp(lam[:, None] * (times - edges[seg])[:, None])
+        out = xss[:, seg] + _apply(Vc[:, seg], growth)
         return out.reshape(s0.shape + out.shape[1:])
 
     def check_ceiling(self, fields: np.ndarray):

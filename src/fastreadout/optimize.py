@@ -22,7 +22,8 @@ from .dynamics import TWOPI, PulseEnvelope, SignalTrace, full_model_signal, \
 from .errors import ConfigError
 from .params import DeviceParams
 from .search import maximize_unimodal
-from .shots import ReadoutChain, ShotConfig
+from .shots import MAX_MEAN_JUMPS, ReadoutChain, ShotConfig, mean_jumps, \
+    mean_waits, window_bins
 
 #: mixing-rate coefficient (Hz): gamma_mix = MIX_COEFF * lambda * n_drive,
 #: tuned so the simulated excess ground-state error is about 0.23% at the
@@ -127,17 +128,30 @@ def power_tradeoff(device: DeviceParams, n_grid, tau: float,
         raise ConfigError("drive powers must be positive")
     if pulse is None:
         pulse = PulseEnvelope(kind="gated", total_duration=max(160e-9, tau + 24e-9))
-    times = np.arange(0.0, pulse.total_duration, 0.5e-9)
-    trace = full_model_signal(device, pulse, times)
-    eps_curve = overlap_vs_power(trace, device.eta, tau, device.n_drive, n_grid)
-
-    out = []
-    for n, eps_o in zip(n_grid, eps_curve):
+    cfgs = []
+    for n in n_grid:
         dev_n = replace(device, n_drive=float(n))
         g_mix = 0.0 if mix_coeff is None else \
             mix_coeff * dev_n.lambda_mix * float(n)
         cfg = ShotConfig(n_shots=n_shots, master_seed=master_seed,
                          gamma_mix_up=g_mix, gamma_mix_down=g_mix)
+        # checked for every power before any chain is built, in the terms
+        # the caller set
+        jumps = mean_jumps(mean_waits(dev_n, cfg),
+                           window_bins(pulse, cfg) * cfg.dt_bin)
+        if jumps > MAX_MEAN_JUMPS:
+            raise ConfigError(
+                f"mix_coeff = {mix_coeff:g} Hz at n_drive = {n:g} gives "
+                f"gamma_mix = {g_mix:g} 1/s and, with T1 = {device.T1:g} s, "
+                f"{jumps:.3g} mean qubit jumps per measurement window, more "
+                f"than {MAX_MEAN_JUMPS}")
+        cfgs.append((dev_n, cfg))
+    times = np.arange(0.0, pulse.total_duration, 0.5e-9)
+    trace = full_model_signal(device, pulse, times)
+    eps_curve = overlap_vs_power(trace, device.eta, tau, device.n_drive, n_grid)
+
+    out = []
+    for n, eps_o, (dev_n, cfg) in zip(n_grid, eps_curve, cfgs):
         chain = ReadoutChain(dev_n, pulse, cfg)
         batch = chain.run(range(n_shots))
         q, prep = integrate_batch(batch, chain.weights(tau), chain.device.kappa_p)
@@ -145,7 +159,7 @@ def power_tradeoff(device: DeviceParams, n_grid, tau: float,
         budget = error_budget(q, prep, fit)
         out.append(PowerPoint(n_drive=float(n), eps_o=float(eps_o),
                               fidelity_mc=budget.fidelity,
-                              gamma_mix=g_mix))
+                              gamma_mix=cfg.gamma_mix_up))
     return out
 
 

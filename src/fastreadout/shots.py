@@ -41,6 +41,17 @@ round 1 in either window are overflow shots.
 A batch is held columnar (ShotBatch). The draws of a chunk of shots are
 array operations, one per round for the jump waits, and the conditioned
 means of all shots are computed on arrays afterwards.
+
+Conditioned means. A shot whose qubit does not jump gets the bin-centre
+means of its state (ReadoutChain.mean_bins). Between jumps the field of a
+shot and the no-jump field X_s of its current state s obey the same driven
+linear equation, so their difference evolves freely: after a jump into s
+at t_j the field is X_s(t) + V_s exp(lambda_s (t - t_j)) c_j, with lambda_s
+and V_s the eigenvalues and eigenvectors of the system matrix of s. The
+2-vector c_j follows from continuity at t_j, and one 2 x 2 recurrence
+carries it from jump to jump. X_g and X_e are therefore solved only at the
+jump times, and a sample after a jump is the no-jump mean of its state
+plus a decaying transient (ReadoutChain._add_means).
 """
 
 from __future__ import annotations
@@ -53,7 +64,7 @@ import numpy as np
 
 from ._scipy import least_squares
 from .analysis import WeightFunction, build_weights
-from .dynamics import TWOPI, PulseEnvelope, TwoCavityModel, lo_rotation
+from .dynamics import TWOPI, PulseEnvelope, TwoCavityModel, _apply, lo_rotation
 from .config import require_finite
 from .errors import ConfigError, FitError, GridError
 from .params import DeviceParams
@@ -61,9 +72,12 @@ from .params import DeviceParams
 #: one-sided z score of the 99% Gaussian CDF point
 Z99 = 2.3263478740408408
 
-#: rows per step when drawing and when adding the mean quadratures in place;
-#: bounds the temporaries of the draws and of the batched jump path
+#: rows per step when drawing; bounds the temporaries of the draws
 _CHUNK = 256
+
+#: jump rows per step when adding the jump-conditioned means; bounds the
+#: temporaries of the transients, a few hundred bytes per row and bin
+_JUMP_CHUNK = 1024
 
 #: jump words per window and round; even, so a round starts in the state
 #: its previous one started in, and 4 words are one Philox counter step
@@ -150,6 +164,20 @@ def window_bins(pulse: PulseEnvelope, cfg: ShotConfig) -> int:
     return int(math.floor(duration / cfg.dt_bin + 1e-9))
 
 
+def mean_waits(device: DeviceParams, cfg: ShotConfig) -> dict:
+    """Mean waiting time in qubit state s (-1 g, +1 e): the inverse of the
+    rate of leaving it, +inf where it cannot be left."""
+    rates = {+1: 1.0 / device.T1 + cfg.gamma_mix_down, -1: cfg.gamma_mix_up}
+    # +inf set here, not divided by 0 in numpy
+    return {s: 1.0 / r if r > 0.0 else math.inf for s, r in rates.items()}
+
+
+def mean_jumps(mean_wait: dict, duration: float) -> float:
+    """Mean qubit jumps in a window of `duration` s at the stationary jump
+    rate, 2 duration / (mean wait in g + mean wait in e)."""
+    return 2.0 * duration / (mean_wait[-1] + mean_wait[+1])
+
+
 @dataclass(frozen=True)
 class ShotRecord:
     """One repetition: preparation label, binned samples, hidden diagnostics."""
@@ -172,10 +200,11 @@ class ShotBatch:
     prep (N,) holds the labels 'g'/'e'; samples (N, n_bins) the binned
     quadratures; preselect (N,) the premeasurement values, NaN without
     preselection; overflow (N,) marks the shots that drew a second round
-    of K_JUMPS waits in a window (all false for data read from a file). jump_shot, jump_time and jump_kind (J,) list every qubit jump of
-    the measurement window by row ('eg' decay, 'ge' excitation), rows
-    ascending and times ascending within a row. All arrays are read-only;
-    len, batch[i] and iteration give read-only ShotRecord views.
+    of K_JUMPS waits in a window (all false for data read from a file).
+    jump_shot, jump_time and jump_kind (J,) list every qubit jump of the
+    measurement window by row ('eg' decay, 'ge' excitation), rows ascending
+    and times ascending within a row. All arrays are read-only; len,
+    batch[i] and iteration give read-only ShotRecord views.
     """
 
     def __init__(self, prep, samples, preselect=None, jump_shot=(), jump_time=(),
@@ -250,11 +279,7 @@ class ReadoutChain:
         if cfg.preselect:
             self.n_pre = int(round(cfg.premeasure_duration / cfg.dt_bin))
             self.n_win = max(1, int(round(cfg.premeasure_window / cfg.dt_bin)))
-        # mean waiting time in state s; +inf (set here, not divided by 0 in
-        # numpy) where the state cannot be left
-        rates = {+1: 1.0 / device.T1 + cfg.gamma_mix_down, -1: cfg.gamma_mix_up}
-        self._mean_wait = {s: 1.0 / r if r > 0.0 else math.inf
-                          for s, r in rates.items()}
+        self._mean_wait = mean_waits(device, cfg)
         windows = {"measurement window": (self.n_bins, self.n_bins * cfg.dt_bin)}
         if cfg.preselect:
             windows["premeasure_duration"] = (self.n_pre, cfg.premeasure_duration)
@@ -262,7 +287,7 @@ class ReadoutChain:
             if n > MAX_BINS:
                 raise ConfigError(f"dt_bin = {cfg.dt_bin:g} s gives {n} bins per "
                                   f"{window}, more than {MAX_BINS}")
-            jumps = 2.0 * duration / (self._mean_wait[-1] + self._mean_wait[+1])
+            jumps = mean_jumps(self._mean_wait, duration)
             if jumps > MAX_MEAN_JUMPS:
                 raise ConfigError(
                     f"gamma_mix_up = {cfg.gamma_mix_up:g} 1/s, gamma_mix_down = "
@@ -354,25 +379,89 @@ class ReadoutChain:
     # -- noise-free means, all shots at once ------------------------------------
 
     def _add_means(self, out, s0, jump_shot, jump_time, pulse, times, mean_bins):
-        """out += noise-free quadratures at `times` per row, conditioned on
-        the row's jumps (jump_shot rows ascending, jump_time ascending within
-        a row); in place, so out = mean + noise bit for bit."""
+        """out += noise-free quadratures at `times` (a uniform grid) per row,
+        conditioned on the row's jumps (jump_shot rows ascending, jump_time
+        ascending within a row); in place, so out = mean + noise bit for bit.
+
+        Every row first gets the no-jump means mean_bins[s0]; the samples
+        before a row's first jump keep them. After the row's jump into
+        state s at t_j its field is x(t) = X_s(t) + V_s exp(lambda_s (t -
+        t_j)) c_j (module docstring), where continuity at t_j gives c_j =
+        Vi_s (x(t_j) - X_s(t_j)) and x(t_j) = X_s'(t_j) + V_s' exp(lambda_s'
+        (t_j - t_j-1)) c_j-1 in the state s' left (the second term is absent
+        at a row's first jump). Jump rows are taken _JUMP_CHUNK at a time:
+        one trace of both states at the chunk's jump times, then c_j for
+        all first jumps, all second jumps, and so on. A sample k belongs to
+        the last jump it passes by more than 1e-15 s (the rule of trace)
+        and becomes mean_bins[s][k] + Re(rot V_s[1] exp(lambda_s (t_k -
+        t_j)) c_j); the exponential is a per-state table of exp(lambda_s m
+        dt) at m = k - k_j, k_j the jump's first sample, times the per-jump
+        factor exp(lambda_s (t_k_j - t_j)).
+        """
+        n = out.shape[1]
         jump_rows, first, counts = np.unique(jump_shot, return_index=True,
                                              return_counts=True)
         jump_noise = out[jump_rows]
         excited = (s0 > 0)[:, None]
         np.add(out, mean_bins[+1], out=out, where=excited)
         np.add(out, mean_bins[-1], out=out, where=~excited)
-        for a in range(0, len(jump_rows), _CHUNK):
-            # jump times of these rows, padded with +inf
-            n_jumps, start = counts[a:a + _CHUNK], first[a:a + _CHUNK]
-            switch = np.full((len(n_jumps), n_jumps.max()), np.inf)
-            row_of = np.repeat(np.arange(len(n_jumps)), n_jumps)
-            index = np.arange(len(row_of)) + start[0]
-            switch[row_of, index - start[row_of]] = jump_time[index]
-            chunk = jump_rows[a:a + _CHUNK]
-            fields = self.model.trace(s0[chunk], pulse, times, switch)
-            out[chunk] = np.real(self.rot * fields[..., 1]) + jump_noise[a:a + _CHUNK]
+        lam, V, Vi = self.model._lam, self.model._V, self.model._Vi
+        means = np.array([mean_bins[-1], mean_bins[+1]])
+        # (state, m, mode): rot V_s[1] exp(lambda_s m dt), state 0 g and 1 e
+        table = self.rot * V[:, None, 1] \
+            * np.exp(lam[:, None] * (times - times[0])[:, None])
+        # Vi_s V_s' for the state s entered and the state s' left
+        basis = Vi @ V[::-1]
+        # per jump: its row's place in jump_rows, its rank in the row and
+        # its first sample
+        pos = np.repeat(np.arange(len(jump_rows)), counts)
+        rank = np.arange(len(jump_shot)) - first[pos]
+        k0 = np.searchsorted(times, jump_time + 1e-15, side="right")
+        bounds = np.append(first, len(jump_shot))
+        for a in range(0, len(jump_rows), _JUMP_CHUNK):
+            j = slice(bounds[a], bounds[min(a + _JUMP_CHUNK, len(jump_rows))])
+            # jumps after the last sample end their rows and change nothing
+            keep = k0[j] < n
+            row, p, q, t, k = (x[j][keep] for x in (jump_shot, pos, rank,
+                                                     jump_time, k0))
+            if not len(t):
+                continue
+            after = ((s0[row] > 0) + q + 1) % 2
+
+            # X_g and X_e at the jump times, then c_j: all first jumps, then
+            # all second jumps, ...
+            order = np.argsort(t, kind="stable")
+            X = np.empty((2, len(t), 2), dtype=complex)
+            X[:, order] = self.model.trace([-1, +1], pulse, t[order])
+            at = np.arange(len(t))
+            c = _apply(Vi[after], X[1 - after, at] - X[after, at])
+            later = np.flatnonzero(q > 0)
+            step = basis[after[later]] * np.exp(
+                lam[1 - after[later]] * (t[later] - t[later - 1])[:, None])[:, None]
+            by_rank = np.argsort(q[later], kind="stable")
+            rank_end = np.cumsum(np.bincount(q[later]))
+            for lo, hi in zip(rank_end[:-1], rank_end[1:]):
+                i = by_rank[lo:hi]
+                c[later[i]] += _apply(step[i], c[later[i] - 1])
+
+            # jump j sets the samples k_j + m of its row up to the next jump,
+            # or to n after the row's last jump; computed in place, so a
+            # chunk holds few temporaries of one value per sample
+            last = np.append(row[1:] != row[:-1], True)
+            length = np.where(last, n, np.append(k[1:], n)) - k
+            w = np.exp(lam[after] * (times[k] - t)[:, None]) * c
+            seg = np.repeat(at, length)
+            m = np.arange(len(seg))
+            m -= (np.cumsum(length) - length)[seg]
+            state, kk = after[seg], k[seg]
+            kk += m
+            z = table[state, m]
+            z *= w[seg]
+            mean = z[:, 0].real + z[:, 1].real
+            del z
+            mean += means[state, kk]
+            mean += jump_noise[p[seg], kk]
+            out[row[seg], kk] = mean
 
     # -- a batch of shots --------------------------------------------------------
 

@@ -18,6 +18,7 @@ from fastreadout.config import load_config, parse_quantity
 from fastreadout.dynamics import (TWOPI, PulseEnvelope, TwoCavityModel,
                                   full_model_signal, optimal_lo_phase,
                                   to_sqrt_mhz)
+from fastreadout.errors import ConfigError
 from fastreadout.params import DeviceParams
 from fastreadout.shots import ShotBatch, ShotConfig
 
@@ -185,10 +186,11 @@ class TestExitCodes:
         ("rate", "dt_bin=0", "dt_bin"),
         ("rate", "dt_bin=1e-15", "dt_bin"),
         # mixing rates whose mean jump count per window would ask for
-        # gigabytes of switch times, or never finish drawing them
+        # gigabytes of jump times, or never finish drawing them
         ("simulate", "gamma_mix_up=1e11 gamma_mix_down=1e11", "gamma_mix_up"),
         ("simulate", "gamma_mix_up=1e300 gamma_mix_down=1e300", "gamma_mix_down"),
         ("optimize --mode power", "mix_coeff=1e300", "T1"),
+        ("optimize --mode power", "mix_coeff=1e300", "mix_coeff"),
     ])
     def test_step_and_size_guards(self, conf, tmp_path, capsys, command, value,
                                   key):
@@ -327,6 +329,25 @@ class TestSimulateAnalyze:
         header, rows = read_csv(tmp_path / "histogram.csv")
         assert header == ["bin_center", "count_g", "count_e", "fit_g", "fit_e"]
         assert len(rows) >= 60
+
+    def test_line_endings_of_the_shot_file(self, conf, tmp_path):
+        # the reader bounds the rows by the file's "\n" count: other line
+        # endings give the same rows, or fail loudly
+        assert run("simulate", "--config", conf, "--output-dir", str(tmp_path),
+                   "--wide", "--n-shots", "50") == 0
+        cfg = cli.resolve_config(conf, [])
+        text = (tmp_path / "shots.csv").read_bytes()
+        ref = cli._read_shot_csv(str(tmp_path / "shots.csv"), cfg)
+        path = tmp_path / "edited.csv"
+        for edited in (text.rstrip(b"\r\n"), text + b"\r\n\n",
+                       text.replace(b"\r\n", b"\n")):
+            path.write_bytes(edited)
+            assert np.array_equal(cli._read_shot_csv(str(path), cfg).samples,
+                                  ref.samples)
+        head, column, rows = text.partition(b"shot_id")
+        path.write_bytes(head + column + rows.replace(b"\r\n", b"\r"))
+        with pytest.raises(ConfigError, match="carriage return"):
+            cli._read_shot_csv(str(path), cfg)
 
     def test_weights_at_exact_bin_centres(self, conf, tmp_path, monkeypatch):
         # dt_bin / 2 = 1.125 ns is off the 0.5 ns grid_step: the weights must

@@ -248,22 +248,6 @@ class TestExactTrace:
                 assert np.allclose(one, ref, rtol=1e-13, atol=0.1 * atol)
         assert model.trace(-1, boosted, np.empty(0)).shape == (0, 2)
 
-    def test_switch_on_bin_centre_and_drive_edge(self, device, boosted):
-        # the qubit flips at 4 ns: a bin centre of the 8 ns bins and the end
-        # of the boost. The sample there ends the first segment; the solve
-        # continues from the field at 4 ns in the flipped state.
-        model = TwoCavityModel(device)
-        centers = (np.arange(20) + 0.5) * 8e-9
-        switch = 4e-9
-        assert centers[0] == switch == boosted.segments()[0][1]
-        for s in (-1, +1):
-            got = model.trace([s], boosted, centers, [[switch, np.inf]])[0]
-            before = loop_trace(model, s, boosted, centers[:1])
-            after = loop_trace(model, -s, boosted, centers[1:], x0=before[-1],
-                               t0=switch)
-            self.assert_close(got, np.concatenate([before, after]), 1e-13)
-            assert np.array_equal(got[0], model.trace(s, boosted, centers)[0])
-
     def test_both_states_in_one_call(self, device, boosted):
         model = TwoCavityModel(device)
         times = np.arange(0.0, 160e-9, 0.5e-9)

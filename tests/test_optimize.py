@@ -137,6 +137,20 @@ class TestPowerTradeoff:
                        pulse=gated_pulse)
         assert len(built) == len(grid)
 
+    def test_too_many_jumps_refused_before_any_chain(self, device, gated_pulse,
+                                                      monkeypatch):
+        # at mix_coeff = 5e9 Hz the 160 ns window holds about 26 mean jumps
+        # at n_drive = 1 and about 300 at n_drive = 5
+        from fastreadout.shots import ReadoutChain
+        built = []
+        monkeypatch.setattr(ReadoutChain, "__init__",
+                            lambda self, *args: built.append(args))
+        with pytest.raises(ConfigError, match=r"mix_coeff = 5e\+09 Hz at "
+                                              r"n_drive = 5 "):
+            power_tradeoff(device, [1.0, 5.0], 56e-9, mix_coeff=5e9,
+                           n_shots=100, pulse=gated_pulse)
+        assert built == []
+
     def test_invalid_power(self, device):
         with pytest.raises(ConfigError):
             power_tradeoff(device, [0.0, 1.0], 56e-9, n_shots=100)

@@ -14,7 +14,8 @@ from fastreadout.cli import (build_device, build_pulse, build_shot_config,
 from fastreadout.dynamics import (PulseEnvelope, TwoCavityModel,
                                   mean_quadrature_traces, optimal_lo_phase)
 from fastreadout.errors import ConfigError, FitError, GridError
-from fastreadout.shots import (ReadoutChain, ShotConfig, noise_sigma_bin,
+from fastreadout import shots
+from fastreadout.shots import (K_JUMPS, ReadoutChain, ShotConfig, noise_sigma_bin,
                                run_preselection, simulate_batch, simulate_shot)
 
 
@@ -502,11 +503,12 @@ def rk4_switching_means(model, rot, s0, jumps, pulse, centers):
     return np.real(rot * fields[:, 1])
 
 
-def batched_means(chain, s0, jump_lists, pulse, times, mean_bins):
-    """The chain's conditioned means, all rows in one call."""
+def batched_means(chain, s0, jump_lists, pulse, times, mean_bins, noise=None):
+    """The chain's conditioned means, all rows in one call, added to
+    `noise` (zeros by default)."""
     jump_shot = np.repeat(np.arange(len(jump_lists)), [len(ts) for ts in jump_lists])
     jump_time = np.concatenate([np.asarray(ts, dtype=float) for ts in jump_lists])
-    out = np.zeros((len(s0), len(times)))
+    out = np.zeros((len(s0), len(times))) if noise is None else noise.copy()
     chain._add_means(out, np.asarray(s0), jump_shot, jump_time, pulse, times,
                      mean_bins)
     return out
@@ -552,3 +554,74 @@ def test_batched_jump_means_match_trace_and_rk4(seed):
             assert np.allclose(got[row], ref, rtol=1e-12, atol=1e-12 * scale)
             ode = rk4_switching_means(chain.model, chain.rot, s, js, pulse, times)
             assert np.allclose(got[row], ode, rtol=1e-7, atol=1e-7 * scale)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_many_jumps_and_jumps_outside_the_samples(seed):
+    # rows with 5-12 jumps, more than one round of K_JUMPS waits, each with
+    # a jump before the first sample and one after the last; one row whose
+    # only jump follows the last sample and one without jumps
+    rng = np.random.default_rng(1000 + seed)
+    for chain, pulse, times, mean_bins, _, _ in _random_cases(seed):
+        end = times[-1] + 0.5 * chain.cfg.dt_bin
+        jumps = [np.sort(np.concatenate([
+            rng.uniform(0.0, end, int(rng.integers(3, 11))),
+            rng.uniform(0.0, times[0], 1), rng.uniform(times[-1], end, 1)])).tolist()
+            for _ in range(4)] + [rng.uniform(times[-1], end, 1).tolist(), []]
+        assert all(len(js) > K_JUMPS for js in jumps[:4])
+        s0 = rng.choice([-1, 1], size=len(jumps))
+        noise = rng.standard_normal((len(s0), len(times)))
+        got = batched_means(chain, s0, jumps, pulse, times, mean_bins)
+        noisy = batched_means(chain, s0, jumps, pulse, times, mean_bins, noise)
+        for row, (s, js) in enumerate(zip(s0, jumps)):
+            # samples up to the first jump: the no-jump means plus the noise
+            before = times <= (js[0] if js else np.inf) + 1e-15
+            assert np.array_equal(noisy[row, before],
+                                  mean_bins[s][before] + noise[row, before])
+            inside = [t for t in js if t < times[-1]]
+            ref = piecewise_trace_means(chain.model, chain.rot, s, inside, pulse,
+                                        times)
+            scale = float(np.max(np.abs(ref)))
+            assert np.allclose(got[row], ref, rtol=1e-12, atol=1e-12 * scale)
+            ode = rk4_switching_means(chain.model, chain.rot, s, js, pulse, times)
+            assert np.allclose(got[row], ode, rtol=1e-7, atol=1e-7 * scale)
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_jump_means_independent_of_chunk_size(device, gated_pulse, monkeypatch,
+                                              chunk):
+    # at 2e7 1/s both ways most shots jump in both windows, often more than
+    # K_JUMPS times
+    cfg = _stream_config(40, gamma_mix_up=2e7, gamma_mix_down=2e7)
+    chain = ReadoutChain(device, gated_pulse, cfg)
+    whole = chain.run(range(40))
+    assert whole.n_overflow > 0
+    monkeypatch.setattr(shots, "_JUMP_CHUNK", chunk)
+    part = chain.run(range(40))
+    assert np.array_equal(part.samples, whole.samples)
+    assert np.array_equal(part.preselect, whole.preselect)
+
+
+def test_switch_on_bin_centre_and_drive_edge(device):
+    # the qubit flips at 4 ns: a bin centre of the 8 ns bins and the end
+    # of the boost. The sample there ends the first segment; the solve
+    # continues from the field at 4 ns in the flipped state.
+    boosted = PulseEnvelope(kind="two_step", boost_duration=4e-9,
+                            total_duration=100e-9)
+    chain = ReadoutChain(device, boosted,
+                         ShotConfig(n_shots=1, measure_duration=96e-9))
+    model = chain.model
+    centers = (np.arange(20) + 0.5) * 8e-9
+    switch = 4e-9
+    assert centers[0] == switch == boosted.segments()[0][1]
+    beta = model.trace([-1, +1], boosted, centers)[..., 1]
+    mean_bins = dict(zip((-1, +1), np.real(chain.rot * beta)))
+    for s in (-1, +1):
+        got = batched_means(chain, [s], [[switch]], boosted, centers, mean_bins)[0]
+        before = loop_trace(model, s, boosted, centers[:1])
+        after = loop_trace(model, -s, boosted, centers[1:], x0=before[-1],
+                           t0=switch)
+        ref = np.real(chain.rot * np.concatenate([before, after])[:, 1])
+        scale = float(np.max(np.abs(ref)))
+        assert np.allclose(got, ref, rtol=1e-13, atol=1e-13 * scale)
+        assert got[0] == mean_bins[s][0]
