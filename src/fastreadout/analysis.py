@@ -65,12 +65,18 @@ def build_weights(times, mean_g, mean_e, tau: float, dt: float) -> WeightFunctio
 def integrate_batch(batch, weights: WeightFunction, kappa_p: float):
     """q_tau = sqrt(2 pi kappa_p) * sum Q_k w_k dt for every row of a
     ShotBatch, as one matrix-vector product; returns (q values, preparation
-    labels)."""
+    labels). A row's q does not depend on the rows around it, so a file
+    integrated in chunks gives the q of one batch."""
     n = len(weights.w)
     if batch.n_bins < n:
         raise TauRangeError("shot record does not cover the weight support")
     scale = math.sqrt(TWOPI * kappa_p) * weights.dt
-    return scale * (batch.samples[:, :n] @ weights.w), batch.prep
+    samples = batch.samples[:, :n]
+    if len(samples) == 1:
+        # numpy computes a one-row product as a dot product, whose sum can
+        # differ in the last bit from the row's in a matrix-vector product
+        samples = np.repeat(samples, 2, axis=0)
+    return scale * (samples @ weights.w)[:len(batch)], batch.prep
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import sys
 import warnings
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, calib, optimize, shots
+from . import _g9, analysis, calib, optimize, shots
 from .config import load_config, parse_bool, parse_int, parse_quantity
 from .dynamics import (PulseEnvelope, full_model_signal, integrated_rate,
                        mean_quadrature_traces, qss_signal, to_sqrt_mhz)
@@ -241,60 +242,92 @@ def cmd_rate(cfg: dict, args) -> int:
     return 0
 
 
-#: shot rows formatted per write by the shot-file writer
-_SHOT_CHUNK = 2048
+#: shots per step through the shot file: simulate draws, encodes and writes
+#: them, analyze parses and integrates them
+_STREAM_CHUNK = 1024
 
 
-def _write_shot_csv(path: Path, cfg: dict, batch: shots.ShotBatch, wide: bool):
-    """Write the shot CSV with the bytes _write_csv would give.
+def _shot_rows(batch: shots.ShotBatch, start: int, times) -> bytes:
+    """The CSV rows of `batch`, shot ids counting from `start`, with the
+    bytes csv.writer gives the _fmt values.
 
-    Wide: one row per shot (shot_id, prep, preselect_value, q0, q1, ...);
-    long: one row per bin (shot_id, prep, t_ns, Q). Each chunk of
-    _SHOT_CHUNK shots is formatted with one %-template that repeats the
-    csv.writer row, so no per-value list of the whole file is built.
+    Wide (times None): one row per shot (shot_id, prep, preselect_value, q0,
+    q1, ...); long: one row per bin (shot_id, prep, t_ns, Q), times holding
+    the records of the t_ns fields. Each field is a NUL-padded record of
+    _g9.WIDTH bytes, the value ones from _g9.encode; deleting the NULs
+    gives the rows.
     """
-    n_bins = batch.n_bins
+    n, n_bins = batch.samples.shape
+    ids = np.arange(start, start + n).astype(f"S{len(str(start + n - 1))}")
+    w = ids.itemsize
+    head = np.zeros((n, _g9.WIDTH), dtype=np.uint8)  # "<id>,<prep>,"
+    head[:, :w] = ids.view(np.uint8).reshape(n, w)
+    head[:, w] = head[:, w + 2] = ord(",")
+    head[:, w + 1] = batch.prep.astype("S1").view(np.uint8)
+    if times is None:
+        rows = np.empty((n, 2 + n_bins, _g9.WIDTH), dtype=np.uint8)
+        rows[:, 0] = head
+        _g9.encode(batch.preselect, rows[:, 1])
+        _g9.encode(batch.samples, rows[:, 2:])
+        rows[:, 1:-1, _g9.SEP] = ord(",")
+    else:
+        rows = np.empty((n, n_bins, 3, _g9.WIDTH), dtype=np.uint8)
+        rows[:, :, 0] = head[:, None]
+        rows[:, :, 1] = times
+        _g9.encode(batch.samples, rows[:, :, 2])
+    rows[..., -1, _g9.SEP:_g9.SEP + 2] = np.frombuffer(b"\r\n", dtype=np.uint8)
+    return rows.tobytes().translate(None, b"\0")
+
+
+def _write_shot_csv(path: Path, cfg: dict, batches, wide: bool):
+    """Write the shot CSV of the ShotBatch chunks `batches`, one after the
+    other, shot ids counting on across them (see _shot_rows). The first
+    chunk is drawn before the file is opened."""
+    batches = iter(batches)
+    first = next(batches)
     if wide:
         columns = ["shot_id", "prep", "preselect_value"] + \
-                  [f"q{k}" for k in range(n_bins)]
-        row = "%d,%s,%.9g" + ",%.9g" * n_bins + "\r\n"
-        fields = 3 + n_bins
+                  [f"q{k}" for k in range(first.n_bins)]
+        times = None
     else:
         columns = ["shot_id", "prep", "t_ns", "Q"]
-        t_ns = (np.arange(n_bins) + 0.5) * cfg["dt_bin"] * 1e9
-        row = "".join(f"%d,%s,{_fmt(t)},%.9g\r\n" for t in t_ns.tolist())
-        fields = 3 * n_bins
+        times = np.empty((first.n_bins, _g9.WIDTH), dtype=np.uint8)
+        _g9.encode((np.arange(first.n_bins) + 0.5) * cfg["dt_bin"] * 1e9, times)
+        times[:, _g9.SEP] = ord(",")
     with open(path, "w", newline="") as fh:
         for line in _header_lines(cfg, "simulate"):
             fh.write(line + "\n")
         csv.writer(fh).writerow(columns)
-        for a in range(0, len(batch), _SHOT_CHUNK):
-            b = min(a + _SHOT_CHUNK, len(batch))
-            values = np.empty((b - a, fields), dtype=object)
-            if wide:
-                values[:, 0] = np.arange(a, b)
-                values[:, 1] = batch.prep[a:b]
-                values[:, 2] = batch.preselect[a:b]
-                values[:, 3:] = batch.samples[a:b]
-            else:
-                values[:, 0::3] = np.arange(a, b)[:, None]
-                values[:, 1::3] = batch.prep[a:b, None]
-                values[:, 2::3] = batch.samples[a:b]
-            fh.write((row * (b - a)) % tuple(values.ravel().tolist()))
+        fh.flush()
+        start = 0
+        for batch in itertools.chain([first], batches):
+            fh.buffer.write(_shot_rows(batch, start, times))
+            start += len(batch)
 
 
 def cmd_simulate(cfg: dict, args) -> int:
     device = build_device(cfg)
     pulse = build_pulse(cfg)
     shot_cfg = build_shot_config(cfg)
-    batch = shots.simulate_batch(device, pulse, shot_cfg)
+    n = shot_cfg.n_shots
+    preselect = []
+
+    def chunks():
+        for a in range(0, n, _STREAM_CHUNK):
+            batch = shots.simulate_batch(device, pulse, shot_cfg,
+                                         shots=range(a, min(a + _STREAM_CHUNK, n)))
+            if shot_cfg.preselect:
+                preselect.append(batch.preselect)
+            yield batch
+
     out_dir = Path(cfg["output_dir"])
-    _write_shot_csv(out_dir / "shots.csv", cfg, batch, args.wide)
+    _write_shot_csv(out_dir / "shots.csv", cfg, chunks(), args.wide)
     if shot_cfg.preselect:
-        kept, rejected = shots.run_preselection(batch)
+        q_p = np.concatenate(preselect)
+        n_kept = int(np.count_nonzero(q_p <= shots.preselection_threshold(q_p)))
         _write_report(out_dir / "preselect_summary.txt", cfg, "simulate",
-                      [("n_shots", len(batch)), ("n_kept", len(kept)),
-                       ("rejected_fraction", rejected)])
+                      [("n_shots", n), ("n_kept", n_kept),
+                       ("rejected_fraction", 1.0 - n_kept / n)])
     return 0
 
 
@@ -303,49 +336,54 @@ _SHOT_FILE_KEYS = tuple(_key(f) for cls in (DeviceParams, PulseEnvelope)
                         for f in fields(cls)) + ("dt_bin", "measure_duration")
 
 
-def _read_shot_csv(path: str, cfg: dict) -> shots.ShotBatch:
-    """Read a wide-format shot CSV that matches the configuration.
+def _check_line_ends(lines: list[bytes], path: str):
+    """Every "\r" of the lines, split after "\n", ends a line as "\r\n"."""
+    if b"".join(lines).count(b"\r") != sum(line.endswith(b"\r\n") for line in lines):
+        raise ConfigError(f"malformed shot file {path}: a line ends in a "
+                          "bare carriage return")
+
+
+def _read_shot_csv(path: str, cfg: dict):
+    """Yield the shots of a wide-format shot CSV that matches the
+    configuration, as ShotBatch chunks of at most _STREAM_CHUNK shots.
 
     The '#' header must echo the same device, pulse, dt_bin and
     measure_duration as `cfg`; otherwise ConfigError names the difference.
+    Lines end in "\n" or "\r\n"; a bare "\r" raises ConfigError, and so
+    does a file without shots.
     """
-    # at most this many data rows (lines after the header), so that loadtxt
-    # allocates the shot array once instead of growing it
-    with open(path, "rb") as fh:
-        max_rows = 1 + sum(block.count(b"\n")
-                           for block in iter(lambda: fh.read(1 << 20), b""))
     header = {}
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         line = fh.readline()
-        while line.startswith("#"):
-            key, _, value = line[1:].partition("=")
+        while line.startswith(b"#"):
+            key, _, value = line[1:].decode(errors="replace").partition("=")
             header[key.strip()] = value.strip()
             line = fh.readline()
-            max_rows -= 1
-        max_rows -= 1  # the column line
-        if line.split(",")[:3] != ["shot_id", "prep", "preselect_value"]:
+        if line.split(b",")[:3] != [b"shot_id", b"prep", b"preselect_value"]:
             raise ConfigError("analyze expects the wide shot CSV format")
         for key in _SHOT_FILE_KEYS:
             if header.get(key) != _fmt(cfg[key]):
                 raise ConfigError(
                     f"shot file has {key} = {header.get(key, '(missing)')}, "
                     f"the configuration {_fmt(cfg[key])}")
-        try:
-            with warnings.catch_warnings():
-                # blank lines are skipped and do not count towards max_rows
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", ndmin=2, max_rows=max_rows,
-                                  converters={1: {"g": 0.0, "e": 1.0}.__getitem__})
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(f"malformed shot file {path}: {exc}") from exc
-        # rows beyond the bound only come from lines that end in a bare "\r"
-        if fh.read().strip():
-            raise ConfigError(f"malformed shot file {path}: a line ends in a "
-                              "bare carriage return")
-    if len(data) == 0:
+        _check_line_ends([line], path)
+        n = 0
+        while lines := list(itertools.islice(fh, _STREAM_CHUNK)):
+            _check_line_ends(lines, path)
+            try:
+                with warnings.catch_warnings():
+                    # a chunk of blank lines holds no data
+                    warnings.simplefilter("ignore", UserWarning)
+                    data = np.loadtxt(lines, delimiter=",", ndmin=2, converters={
+                        1: {"g": 0.0, "e": 1.0}.__getitem__})
+            except (ValueError, KeyError) as exc:
+                raise ConfigError(f"malformed shot file {path}: {exc}") from exc
+            if len(data):
+                n += len(data)
+                yield shots.ShotBatch(prep=np.where(data[:, 1] == 1.0, "e", "g"),
+                                      samples=data[:, 3:], preselect=data[:, 2])
+    if n == 0:
         raise ConfigError(f"shot file {path} holds no shots")
-    return shots.ShotBatch(prep=np.where(data[:, 1] == 1.0, "e", "g"),
-                           samples=data[:, 3:], preselect=data[:, 2])
 
 
 def cmd_analyze(cfg: dict, args) -> int:
@@ -353,12 +391,18 @@ def cmd_analyze(cfg: dict, args) -> int:
         raise ConfigError("analyze requires --input shots.csv")
     chain = shots.ReadoutChain(build_device(cfg), build_pulse(cfg),
                                build_shot_config(cfg))
-    batch = _read_shot_csv(args.input, cfg)
-    if batch.n_bins != chain.n_bins:
-        raise ConfigError(f"shot file holds {batch.n_bins} bins, the "
-                          f"configuration's window {chain.n_bins}")
-    q, prep = analysis.integrate_batch(batch, chain.weights(cfg["tau"]),
-                                       chain.device.kappa_p)
+    q, prep, weights = [], [], None
+    for batch in _read_shot_csv(args.input, cfg):
+        if batch.n_bins != chain.n_bins:
+            raise ConfigError(f"shot file holds {batch.n_bins} bins, the "
+                              f"configuration's window {chain.n_bins}")
+        if weights is None:  # a file that fails its checks exits 2 first
+            weights = chain.weights(cfg["tau"])
+        q_chunk, prep_chunk = analysis.integrate_batch(batch, weights,
+                                                       chain.device.kappa_p)
+        q.append(q_chunk)
+        prep.append(prep_chunk)
+    q, prep = np.concatenate(q), np.concatenate(prep)
     fit, bin_centers, hist_g, hist_e = analysis.fit_shot_histograms(q, prep)
     budget = analysis.error_budget(q, prep, fit)
     out_dir = Path(cfg["output_dir"])

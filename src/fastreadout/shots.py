@@ -561,33 +561,38 @@ def simulate_shot(device: DeviceParams, pulse: PulseEnvelope, cfg: ShotConfig,
 
 
 def simulate_batch(device: DeviceParams, pulse: PulseEnvelope, cfg: ShotConfig,
-                   prep: str | None = None) -> ShotBatch:
-    """Generate cfg.n_shots shots as a ShotBatch.
+                   prep: str | None = None, shots: range | None = None) -> ShotBatch:
+    """Generate the shots of the range `shots` (None: all cfg.n_shots) as a
+    ShotBatch.
 
     prep None alternates g, e, g, e, ... (shot index parity); 'g' or 'e'
     prepares a single class. Order-independent: shot i depends only on
-    (master_seed, i).
+    (master_seed, i), so consecutive ranges give the rows of one batch.
     """
+    if shots is None:
+        shots = range(cfg.n_shots)
     if prep is not None:
         _check_prep(prep)
-        prep = np.full(cfg.n_shots, prep)
-    return ReadoutChain(device, pulse, cfg).run(range(cfg.n_shots), prep)
+        prep = np.full(len(shots), prep)
+    return ReadoutChain(device, pulse, cfg).run(shots, prep)
 
 
 # ---------------------------------------------------------------------------
 # preselection
 # ---------------------------------------------------------------------------
 
-def run_preselection(batch: ShotBatch):
-    """Reject shots whose premeasurement flags an initially excited qubit.
+def preselection_threshold(q_p) -> float:
+    """Threshold on the premeasurement values q_p above which a shot
+    flags an initially excited qubit.
 
-    Fits a single Gaussian to the q_p histogram, thresholds at the 99% point
-    of the fitted CDF (mu + 2.326 sigma) and drops shots above it. Returns
-    (surviving ShotBatch, rejected fraction).
+    Fits a single Gaussian to the q_p histogram and returns the 99% point of
+    the fitted CDF, mu + 2.326 sigma. Fewer than 100 values, values that are
+    not finite, and a histogram range that is zero or not finite raise
+    FitError.
     """
-    if len(batch) < 100:
+    q_p = np.asarray(q_p, dtype=float)
+    if len(q_p) < 100:
         raise FitError("preselection needs at least 100 records")
-    q_p = batch.preselect
     if np.any(~np.isfinite(q_p)):
         raise FitError("records lack preselection values")
 
@@ -595,7 +600,14 @@ def run_preselection(batch: ShotBatch):
     iqr = float(np.subtract(*np.percentile(q_p, [75, 25])))
     sig0 = max(iqr / 1.349, 1e-12 * (1.0 + abs(med)))
     core = q_p[np.abs(q_p - med) < 4.0 * sig0]
-    edges = np.histogram_bin_edges(core, bins=max(40, int(math.sqrt(len(core)))))
+    lo, hi = float(np.min(core)), float(np.max(core))
+    n_bins = max(40, int(math.sqrt(len(core))))
+    # the bins of np.histogram_bin_edges, which fails on a range it cannot
+    # split into n_bins increasing edges
+    edges = np.linspace(lo, hi, n_bins + 1) if math.isfinite(hi - lo) else None
+    if edges is None or not np.all(edges[1:] > edges[:-1]):
+        raise FitError(f"preselection values spread over {hi - lo:g} around "
+                       f"{med:g}, too little to histogram in {n_bins} bins")
     counts, _ = np.histogram(core, bins=edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
 
@@ -607,7 +619,13 @@ def run_preselection(batch: ShotBatch):
     if not sol.success:
         raise FitError(f"preselection Gaussian fit failed: {sol.message}")
     mu, sigma = float(sol.x[1]), abs(float(sol.x[2]))
-    threshold = mu + Z99 * sigma
-    kept = batch.select(q_p <= threshold)
-    rejected = 1.0 - len(kept) / len(batch)
-    return kept, rejected
+    return mu + Z99 * sigma
+
+
+def run_preselection(batch: ShotBatch):
+    """Reject shots whose premeasurement flags an initially excited qubit
+    (preselection_threshold). Returns (surviving ShotBatch, rejected
+    fraction).
+    """
+    kept = batch.select(batch.preselect <= preselection_threshold(batch.preselect))
+    return kept, 1.0 - len(kept) / len(batch)

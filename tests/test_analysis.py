@@ -113,6 +113,22 @@ class TestIntegration:
                 expected, rel=1e-12)
         assert list(prep) == ["g"] * 5
 
+    def test_rows_independent_of_the_batch(self, reference_traces):
+        # analyze integrates a shot file in chunks: every chunking, single
+        # rows included, gives the q of one batch bit for bit
+        dev, _, qt = reference_traces
+        centers, idx = bin_grid(17)
+        w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 56e-9, DT_BIN)
+        # strided rows, as the columns of a parsed shot file
+        samples = np.random.default_rng(12).normal(size=(301, 20))[:, 3:]
+        whole, _ = integrate_batch(ShotBatch(prep=["g"] * 301, samples=samples),
+                                   w, dev.kappa_p)
+        for size in (1, 2, 7, 256):
+            parts = [integrate_batch(ShotBatch(prep=["g"] * len(rows), samples=rows),
+                                     w, dev.kappa_p)[0]
+                     for rows in np.split(samples, range(size, 301, size))]
+            assert np.array_equal(np.concatenate(parts), whole)
+
 
 class TestMixtureFit:
     def synth(self, rng, n, mu_g=-1.0, mu_e=1.0, sigma=0.3, ge_frac=0.0):

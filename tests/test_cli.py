@@ -20,7 +20,8 @@ from fastreadout.dynamics import (TWOPI, PulseEnvelope, TwoCavityModel,
                                   to_sqrt_mhz)
 from fastreadout.errors import ConfigError
 from fastreadout.params import DeviceParams
-from fastreadout.shots import ShotBatch, ShotConfig
+from fastreadout.shots import (ShotBatch, ShotConfig, run_preselection,
+                               simulate_batch)
 
 REFERENCE_CONF = resources.files("fastreadout.data") / "reference.conf"
 
@@ -123,6 +124,15 @@ class TestExitCodes:
                        "--set", "n_drive=500", "--set", "n_shots=10")
             assert code == 3
             assert "failure" in capsys.readouterr().err
+
+    def test_preselection_without_spread(self, conf, tmp_path, capsys):
+        # a premeasurement so strong that its noise vanishes below the last
+        # digit of its values leaves nothing to histogram
+        code = run("simulate", "--config", conf, "--output-dir", str(tmp_path),
+                   "--wide", "--n-shots", "200", "--set", "preselect=true",
+                   "--set", "premeasure_amplitude=1e300")
+        assert code == 3
+        assert "preselection values spread over 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,key,extra", [
         ("derive", "gamma_int", []),
@@ -330,24 +340,38 @@ class TestSimulateAnalyze:
         assert header == ["bin_center", "count_g", "count_e", "fit_g", "fit_e"]
         assert len(rows) >= 60
 
-    def test_line_endings_of_the_shot_file(self, conf, tmp_path):
-        # the reader bounds the rows by the file's "\n" count: other line
-        # endings give the same rows, or fail loudly
+    def test_line_endings_of_the_shot_file(self, conf, tmp_path, capsys,
+                                           monkeypatch):
+        # the reader splits lines at "\n": "\r\n" and "\n" endings, a missing
+        # last one and blank lines give the same rows; a bare "\r" fails
+        # loudly, in the column line or in a chunk of rows
         assert run("simulate", "--config", conf, "--output-dir", str(tmp_path),
                    "--wide", "--n-shots", "50") == 0
         cfg = cli.resolve_config(conf, [])
         text = (tmp_path / "shots.csv").read_bytes()
-        ref = cli._read_shot_csv(str(tmp_path / "shots.csv"), cfg)
+        ref = read_shots(tmp_path / "shots.csv", cfg)
         path = tmp_path / "edited.csv"
-        for edited in (text.rstrip(b"\r\n"), text + b"\r\n\n",
-                       text.replace(b"\r\n", b"\n")):
-            path.write_bytes(edited)
-            assert np.array_equal(cli._read_shot_csv(str(path), cfg).samples,
-                                  ref.samples)
+        # chunks of one line put the blank lines in chunks of their own
+        for size in (1, cli._STREAM_CHUNK):
+            monkeypatch.setattr(cli, "_STREAM_CHUNK", size)
+            for edited in (text.rstrip(b"\r\n"), text + b"\r\n\n",
+                           text.replace(b"\r\n", b"\n")):
+                path.write_bytes(edited)
+                assert np.array_equal(read_shots(path, cfg).samples, ref.samples)
         head, column, rows = text.partition(b"shot_id")
-        path.write_bytes(head + column + rows.replace(b"\r\n", b"\r"))
-        with pytest.raises(ConfigError, match="carriage return"):
-            cli._read_shot_csv(str(path), cfg)
+        path.write_bytes(head + column + rows.split(b"\n", 1)[0] + b"\n\r\n")
+        with pytest.raises(ConfigError, match="holds no shots"):
+            read_shots(path, cfg)
+        columns, data = rows.split(b"\r\n", 1)
+        for edited in (rows.replace(b"\r\n", b"\r"),
+                       columns + b"\r\n" + data.replace(b"\r\n", b"\r", 30)):
+            path.write_bytes(head + column + edited)
+            with pytest.raises(ConfigError, match="carriage return"):
+                read_shots(path, cfg)
+            capsys.readouterr()
+            assert run("analyze", "--config", conf, "--output-dir", str(tmp_path),
+                       "--input", str(path)) == 2
+            assert "carriage return" in capsys.readouterr().err
 
     def test_weights_at_exact_bin_centres(self, conf, tmp_path, monkeypatch):
         # dt_bin / 2 = 1.125 ns is off the 0.5 ns grid_step: the weights must
@@ -375,7 +399,9 @@ class TestSimulateAnalyze:
         rot = np.exp(-1j * optimal_lo_phase(beta_e - beta_g))
         expected = build_weights(centers, np.real(rot * beta_g),
                                  np.real(rot * beta_e), cfg["tau"], cfg["dt_bin"])
-        (weights,) = used
+        # one set of weights for every chunk of the file
+        weights = used[0]
+        assert all(w is weights for w in used)
         assert np.array_equal(weights.times, expected.times)
         assert np.allclose(weights.w, expected.w, rtol=1e-12, atol=0.0)
 
@@ -399,12 +425,17 @@ class TestSimulateAnalyze:
         monkeypatch.setattr(cli.analysis, "integrate_batch", spy)
         assert run("analyze", "--config", conf, "--output-dir", out,
                    "--input", str(tmp_path / "shots.csv"), *sets) == 0
-        (batch, weights, q), = used
+        # the chunks of the file, one set of weights for all
+        weights = used[0][1]
+        assert all(w is weights for _, w, _ in used)
+        samples = np.concatenate([batch.samples for batch, _, _ in used])
+        q = np.concatenate([q for _, _, q in used])
+        assert len(q) == 2000
         dt = 8e-9
         kappa_p = cli.build_device(cli.resolve_config(conf, overrides)).kappa_p
         assert weights.dt == dt
         assert np.allclose(weights.w, [1.0 / math.sqrt(dt)], rtol=1e-12, atol=0.0)
-        expected = math.sqrt(TWOPI * kappa_p) * batch.samples[:, 0] * dt / math.sqrt(dt)
+        expected = math.sqrt(TWOPI * kappa_p) * samples[:, 0] * dt / math.sqrt(dt)
         assert np.allclose(q, expected, rtol=1e-12, atol=0.0)
 
     def test_preselect_summary(self, conf, tmp_path):
@@ -460,6 +491,19 @@ def reference_shot_csv(path: Path, cfg: dict, batch: ShotBatch, wide: bool):
                 writer.writerow([cli._fmt(v) for v in row])
 
 
+def read_shots(path: Path, cfg: dict) -> ShotBatch:
+    """The chunks _read_shot_csv yields, concatenated."""
+    chunks = list(cli._read_shot_csv(str(path), cfg))
+    return ShotBatch(*(np.concatenate([getattr(c, name) for c in chunks])
+                       for name in ("prep", "samples", "preselect")))
+
+
+def split(batch: ShotBatch, size: int) -> list[ShotBatch]:
+    """Consecutive chunks of `size` shots."""
+    chunk = np.arange(len(batch)) // size
+    return [batch.select(chunk == k) for k in range(chunk[-1] + 1)]
+
+
 class TestShotFile:
     @pytest.fixture()
     def small(self, conf):
@@ -471,18 +515,19 @@ class TestShotFile:
         return cfg, ShotBatch(prep=list("gegeeeg"), samples=samples, preselect=pre)
 
     @pytest.mark.parametrize("wide", [True, False])
-    def test_bytes_match_csv_writer(self, small, tmp_path, monkeypatch, wide):
+    def test_bytes_match_csv_writer(self, small, tmp_path, wide):
         cfg, batch = small
-        monkeypatch.setattr(cli, "_SHOT_CHUNK", 3)  # chunk edges inside the batch
-        cli._write_shot_csv(tmp_path / "new.csv", cfg, batch, wide)
         reference_shot_csv(tmp_path / "ref.csv", cfg, batch, wide)
-        assert (tmp_path / "new.csv").read_bytes() == \
-            (tmp_path / "ref.csv").read_bytes()
+        # one chunk, then chunk edges inside the batch
+        for size in (7, 3):
+            cli._write_shot_csv(tmp_path / "new.csv", cfg, split(batch, size), wide)
+            assert (tmp_path / "new.csv").read_bytes() == \
+                (tmp_path / "ref.csv").read_bytes()
 
     def test_read_back_identical(self, small, tmp_path):
         cfg, batch = small
-        cli._write_shot_csv(tmp_path / "shots.csv", cfg, batch, True)
-        back = cli._read_shot_csv(str(tmp_path / "shots.csv"), cfg)
+        cli._write_shot_csv(tmp_path / "shots.csv", cfg, [batch], True)
+        back = read_shots(tmp_path / "shots.csv", cfg)
         written = np.vectorize(lambda v: float("%.9g" % v))
         assert list(back.prep) == list(batch.prep)
         assert np.array_equal(back.samples, written(batch.samples))
@@ -505,12 +550,84 @@ class TestShotFile:
     def test_bin_count_mismatch_exits_2(self, small, conf, tmp_path, capsys):
         cfg, batch = small
         short = ShotBatch(prep=batch.prep, samples=batch.samples[:, :4])
-        cli._write_shot_csv(tmp_path / "shots.csv", cfg, short, True)
+        cli._write_shot_csv(tmp_path / "shots.csv", cfg, [short], True)
         code = run("analyze", "--config", conf, "--output-dir", str(tmp_path),
                    "--input", str(tmp_path / "shots.csv"),
                    "--set", "pulse_duration=40ns")
         assert code == 2
         assert "bins" in capsys.readouterr().err
+
+
+def simulate_args(path: Path, n_shots: int, seed: int, wide: bool, overrides):
+    return ["simulate", "--config", str(path.parent / "device.conf"),
+            "--output-dir", str(path.parent), "--n-shots", str(n_shots),
+            "--seed", str(seed), *(["--wide"] if wide else []),
+            *(a for o in overrides for a in ("--set", o))]
+
+
+class TestStreaming:
+    """simulate and analyze take the shot file _STREAM_CHUNK shots at a
+    time; no chunk size changes a byte they write."""
+
+    CASES = {
+        "wide": (True, []),
+        "long": (False, []),
+        "preselected": (True, ["preselect=true"]),
+        "overflow": (True, ["preselect=true", "gamma_mix_up=2e7",
+                            "gamma_mix_down=2e7"]),
+        "overflow long": (False, ["gamma_mix_up=2e7", "gamma_mix_down=2e7"]),
+    }
+
+    @pytest.mark.parametrize("size", [1, 7, None])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_simulate_matches_one_batch(self, conf, tmp_path, monkeypatch,
+                                        case, size):
+        # 103 shots: not a multiple of 7 nor of the default chunk
+        wide, overrides = self.CASES[case]
+        overrides = ["pulse_duration=160ns", *overrides]
+        if size is not None:
+            monkeypatch.setattr(cli, "_STREAM_CHUNK", size)
+        assert main(simulate_args(tmp_path / "shots.csv", 103, 5, wide,
+                                  overrides)) == 0
+        cfg = cli.resolve_config(conf, overrides)
+        cfg.update(n_shots=103, seed=5, output_dir=str(tmp_path))
+        shot_cfg = cli.build_shot_config(cfg)
+        batch = simulate_batch(cli.build_device(cfg), cli.build_pulse(cfg),
+                               shot_cfg)
+        assert (batch.n_overflow > 0) == ("overflow" in case)
+        reference_shot_csv(tmp_path / "ref.csv", cfg, batch, wide)
+        assert (tmp_path / "shots.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+        if shot_cfg.preselect:
+            kept, rejected = run_preselection(batch)
+            rep = read_report(tmp_path / "preselect_summary.txt")
+            assert (int(rep["n_kept"]), rep["rejected_fraction"]) == \
+                (len(kept), cli._fmt(rejected))
+
+    @staticmethod
+    def analyze_outputs(conf, path: Path, out: Path, monkeypatch, size):
+        monkeypatch.setattr(cli, "_STREAM_CHUNK", size)
+        assert run("analyze", "--config", conf, "--output-dir", str(out),
+                   "--input", str(path)) == 0
+        return [(out / name).read_bytes() for name in ("report.txt",
+                                                       "histogram.csv")]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_analyze_matches_one_chunk(self, conf, tmp_path, monkeypatch, seed):
+        # one chunk of all shots is one parse and one matrix-vector product,
+        # as the reader did before it streamed
+        path = tmp_path / "shots.csv"
+        assert main(simulate_args(path, 20_000, seed, True, [])) == 0
+        whole = self.analyze_outputs(conf, path, tmp_path, monkeypatch, 10**6)
+        for size in (7, cli._STREAM_CHUNK):
+            assert self.analyze_outputs(conf, path, tmp_path, monkeypatch,
+                                        size) == whole
+
+    def test_analyze_one_shot_chunks(self, conf, tmp_path, monkeypatch):
+        path = tmp_path / "shots.csv"
+        assert main(simulate_args(path, 2001, 3, True, [])) == 0
+        whole = self.analyze_outputs(conf, path, tmp_path, monkeypatch, 10**6)
+        assert self.analyze_outputs(conf, path, tmp_path, monkeypatch, 1) == whole
 
 
 class TestOptimize:

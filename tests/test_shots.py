@@ -16,7 +16,8 @@ from fastreadout.dynamics import (PulseEnvelope, TwoCavityModel,
 from fastreadout.errors import ConfigError, FitError, GridError
 from fastreadout import shots
 from fastreadout.shots import (K_JUMPS, ReadoutChain, ShotConfig, noise_sigma_bin,
-                               run_preselection, simulate_batch, simulate_shot)
+                               preselection_threshold, run_preselection,
+                               simulate_batch, simulate_shot)
 
 
 class TestShotConfig:
@@ -248,6 +249,24 @@ class TestPreselection:
         recs = simulate_batch(device, gated_pulse, cfg)
         with pytest.raises(FitError):
             run_preselection(recs)
+
+    def test_threshold_from_the_column_alone(self, device, gated_pulse):
+        cfg = ShotConfig(n_shots=4000, master_seed=34, preselect=True,
+                         measure_duration=160e-9)
+        batch = simulate_batch(device, gated_pulse, cfg)
+        kept, rejected = run_preselection(batch)
+        keep = batch.preselect <= preselection_threshold(batch.preselect.copy())
+        assert np.array_equal(kept.samples, batch.samples[keep])
+        assert rejected == 1.0 - np.count_nonzero(keep) / len(batch)
+
+    @pytest.mark.parametrize("values", [
+        np.full(200, 0.25),                          # no spread
+        np.full(200, -4.6e299),                      # noise below the last digit
+        np.repeat([1e16, 1e16 + 2.0], 100),          # two values one ulp apart
+    ])
+    def test_no_spread_to_histogram(self, values):
+        with pytest.raises(FitError, match="spread"):
+            preselection_threshold(values)
 
 
 class TestReadoutChain:
