@@ -1,0 +1,83 @@
+"""A small bounded Levenberg-Marquardt least-squares solver in numpy.
+
+The readout fits solve their amplitudes in closed form and leave at most
+four nonlinear parameters, so each step solves the damped normal equations
+(J^T J + lam D) dx = -J^T r directly, D the diagonal of J^T J (Marquardt's
+scaling), and clips the trial point to the bounds. A trial that lowers the
+cost is taken and divides lam by 10; one that does not multiplies it by 10.
+The solve stops when a step changes x by at most XTOL relative, when a
+taken step lowers the cost by at most FTOL relative while its reduction is
+at least a quarter of the one the linear model predicts, or after max_nfev
+evaluations of the residuals. `least_squares` returns the fields of
+scipy.optimize.least_squares's result that the fits read.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+#: relative stopping tolerances on the cost and on x: near the rounding
+#: level, so that a fit's printed digits do not depend on where it stopped
+FTOL = 1e-13
+XTOL = 1e-13
+
+
+@dataclass
+class LsqResult:
+    """x, cost = sum(r**2) / 2 at x, the residual evaluations, and status:
+    0 when max_nfev stopped the solve, 2 the FTOL test, 3 the XTOL test
+    (scipy's codes)."""
+
+    x: np.ndarray
+    cost: float
+    nfev: int
+    status: int
+    message: str
+
+    @property
+    def success(self) -> bool:
+        return self.status > 0
+
+
+def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf),
+                  max_nfev=1000) -> LsqResult:
+    """Minimize sum(fun(x)**2) / 2 over lo <= x <= hi; jac(x) is the
+    Jacobian of fun, a (len(r), len(x)) array."""
+    x = np.asarray(x0, dtype=float)
+    lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), x.shape) for b in bounds)
+    x = np.clip(x, lo, hi)
+    r = fun(x)
+    cost = 0.5 * float(r @ r)
+    nfev, lam = 1, 1e-3
+
+    def result(status, message):
+        return LsqResult(x, cost, nfev, status, message)
+
+    while True:
+        J = jac(x)
+        grad, hess = J.T @ r, J.T @ J
+        diag = np.diag(hess)
+        scale = np.diag(np.where(diag > 0.0, diag, 1.0))
+        while True:
+            x_new = np.clip(x + np.linalg.solve(hess + lam * scale, -grad),
+                            lo, hi)
+            step = x_new - x
+            if np.linalg.norm(step) <= XTOL * (XTOL + np.linalg.norm(x)):
+                return result(3, "the step is below XTOL")
+            if nfev >= max_nfev:
+                return result(0, f"stopped after max_nfev = {max_nfev} "
+                                 "evaluations")
+            r_new = fun(x_new)
+            nfev += 1
+            cost_new = 0.5 * float(r_new @ r_new)
+            if cost_new < cost:
+                break
+            lam *= 10.0
+        predicted = -float(grad @ step + 0.5 * step @ hess @ step)
+        reduction = cost - cost_new
+        x, r, cost = x_new, r_new, cost_new
+        lam = max(lam / 10.0, 1e-12)
+        if reduction <= FTOL * cost and reduction >= 0.25 * predicted:
+            return result(2, "the cost reduction is below FTOL")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import TWOPI, SignalTrace
-from ._scipy import least_squares
+from ._lsq import least_squares
 from .errors import FitError, NoSignalError, TauRangeError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -127,8 +127,72 @@ def histogram_bins(q: np.ndarray) -> np.ndarray:
     return np.linspace(lo, hi, n_bins + 1)
 
 
+class NormalColumns:
+    """Histograms as non-negative combinations of k normal densities.
+
+    counts (n, m) holds m histograms over the bin centres (n,). At the
+    parameters theta = (mu_1..mu_k, sigma_1..sigma_k), k <= 2, the
+    amplitudes (k, m) solve a non-negative least-squares problem in closed
+    form, so a fit sees only theta (variable projection; Golub and
+    Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)). `resid` gives
+    model - counts, histogram after histogram, and `jac` its Jacobian in
+    Kaufman's form, whose J^T r is the exact gradient of the cost.
+    """
+
+    def __init__(self, centers, counts):
+        self.centers = np.asarray(centers, dtype=float)
+        self.counts = np.asarray(counts, dtype=float).reshape(len(self.centers), -1)
+
+    def densities(self, theta):
+        """phi (n, k) and its derivatives (n, 2k) in theta's order."""
+        mu, sigma = np.split(np.asarray(theta, dtype=float), 2)
+        z = (self.centers[:, None] - mu) / sigma
+        phi = _normal_pdf(self.centers[:, None], mu, sigma)
+        return phi, np.hstack([phi * z / sigma, phi * (z * z - 1.0) / sigma])
+
+    def amplitudes(self, phi):
+        """The non-negative amplitudes (k, m) that fit each histogram best
+        with the columns of phi: the normal equations' solution, or where
+        a sign fails, the better one-column fit (the optimum for k <= 2)."""
+        gram, proj = phi.T @ phi, phi.T @ self.counts
+        try:
+            amps = np.linalg.solve(gram, proj)
+        except np.linalg.LinAlgError:
+            amps = np.full_like(proj, np.nan)
+        failed = ~np.all(amps >= 0.0, axis=0)
+        if np.any(failed):
+            norm2 = np.diag(gram)[:, None]
+            one = np.divide(np.maximum(proj, 0.0), norm2,
+                            out=np.zeros_like(proj), where=norm2 > 0.0)
+            # the column that removes the most squared residual, b^2 / |phi|^2
+            best = np.argmax(one * proj, axis=0)
+            for h in np.flatnonzero(failed):
+                amps[:, h] = 0.0
+                amps[best[h], h] = one[best[h], h]
+        return amps
+
+    def resid(self, theta):
+        phi, _ = self.densities(theta)
+        return (phi @ self.amplitudes(phi) - self.counts).ravel(order="F")
+
+    def jac(self, theta):
+        """(I - P) dphi a per histogram, P the projection onto the columns
+        with a non-zero amplitude."""
+        phi, dphi = self.densities(theta)
+        blocks = []
+        for a in self.amplitudes(phi).T:
+            v = dphi * np.tile(a, 2)
+            used = phi[:, a > 0.0]
+            if used.shape[1]:
+                v -= used @ np.linalg.lstsq(used, v, rcond=None)[0]
+            blocks.append(v)
+        return np.vstack(blocks)
+
+
 def fit_mixture(centers, counts_g, counts_e) -> MixtureFit:
-    """Simultaneous least-squares fit of both histograms to the shared model."""
+    """Simultaneous least-squares fit of both histograms to the shared
+    model: (mu_g, mu_e, sigma_g, sigma_e) by `least_squares`, the four
+    amplitudes, each >= 0, in closed form (NormalColumns)."""
     centers = np.asarray(centers, dtype=float)
     counts_g = np.asarray(counts_g, dtype=float)
     counts_e = np.asarray(counts_e, dtype=float)
@@ -148,31 +212,18 @@ def fit_mixture(centers, counts_g, counts_e) -> MixtureFit:
 
     mu_g0, sig_g0 = robust_center(counts_g)
     mu_e0, sig_e0 = robust_center(counts_e)
-    p0 = np.array([mu_g0, mu_e0, sig_g0, sig_e0,
-                   0.99 * n_g * binw, 0.01 * n_g * binw,
-                   0.01 * n_e * binw, 0.99 * n_e * binw])
     span = float(centers[-1] - centers[0])
-    lo = [centers[0] - span, centers[0] - span, binw / 10.0, binw / 10.0,
-          0.0, 0.0, 0.0, 0.0]
-    hi = [centers[-1] + span, centers[-1] + span, span, span,
-          2 * n_g * binw, 2 * n_g * binw, 2 * n_e * binw, 2 * n_e * binw]
-
-    def model(p):
-        mg, me, sg, se, agg, aeg, age, aee = p
-        pdf_g = _normal_pdf(centers, mg, sg)
-        pdf_e = _normal_pdf(centers, me, se)
-        return agg * pdf_g + aeg * pdf_e, age * pdf_g + aee * pdf_e
-
-    def resid(p):
-        cg, ce = model(p)
-        return np.concatenate([cg - counts_g, ce - counts_e])
-
-    sol = least_squares(resid, p0, bounds=(lo, hi), max_nfev=2000)
+    lo = [centers[0] - span, centers[0] - span, binw / 10.0, binw / 10.0]
+    hi = [centers[-1] + span, centers[-1] + span, span, span]
+    model = NormalColumns(centers, np.column_stack([counts_g, counts_e]))
+    sol = least_squares(model.resid, [mu_g0, mu_e0, sig_g0, sig_e0], model.jac,
+                        bounds=(lo, hi), max_nfev=2000)
     if not sol.success:
         raise FitError(f"mixture fit did not converge: {sol.message}")
-    mg, me, sg, se, agg, aeg, age, aee = sol.x
+    mg, me, sg, se = (float(v) for v in sol.x)
     if max(sg, se) / min(sg, se) > 1e3:
         raise FitError("degenerate mixture fit (sigma ratio > 1e3)")
+    (agg, age), (aeg, aee) = model.amplitudes(model.densities(sol.x)[0]).tolist()
     fit = MixtureFit(mu_g=mg, mu_e=me, sigma_g=sg, sigma_e=se,
                      A_gg=agg, A_eg=aeg, A_ge=age, A_ee=aee, threshold=0.0)
     fit.threshold = _intersection_threshold(fit)
@@ -211,27 +262,40 @@ def _intersection_threshold(fit: MixtureFit) -> float:
     return float(q) if a + eps <= q <= b - eps else midpoint
 
 
-def fit_shot_histograms(q: np.ndarray, prep: np.ndarray):
-    """Bin pooled q values and run the mixture fit; returns (fit, centers, hg, he)."""
-    q = np.asarray(q, dtype=float)
+def _excited(prep) -> np.ndarray:
+    """True for the e-prepared shots; prep holds the labels 'g'/'e' or is
+    this boolean array already."""
     prep = np.asarray(prep)
-    q_g = q[prep == "g"]
-    q_e = q[prep == "e"]
-    if len(q_g) == 0 or len(q_e) == 0:
+    return prep if prep.dtype == bool else prep == "e"
+
+
+def fit_shot_histograms(q: np.ndarray, prep: np.ndarray):
+    """Bin pooled q values and run the mixture fit; returns (fit, centers, hg, he).
+
+    prep: the labels 'g'/'e', or a boolean array, true for e. A class's q
+    values are copied out one class at a time, so the peak is q, the labels
+    and the bin edges' percentile copy of q.
+    """
+    q = np.asarray(q, dtype=float)
+    excited = _excited(prep)
+    n_e = int(np.count_nonzero(excited))
+    if n_e == 0 or n_e == len(q):
         raise FitError("need shots for both preparations")
+    (mg, spread_g), (me, spread_e) = (
+        (float(np.mean(v)), float(np.ptp(v)))
+        for v in (q[excited == side] for side in (False, True)))
     # degenerate (noise-free) batches bypass the histogram fit
-    if np.std(q_g) == 0.0 and np.std(q_e) == 0.0 and np.mean(q_g) != np.mean(q_e):
-        mg, me = float(np.mean(q_g)), float(np.mean(q_e))
+    if spread_g == spread_e == 0.0 and mg != me:
+        n_g = len(q) - n_e
         sig = abs(me - mg) * 1e-9
         fit = MixtureFit(mu_g=mg, mu_e=me, sigma_g=sig, sigma_e=sig,
-                         A_gg=float(len(q_g)), A_eg=0.0,
-                         A_ge=0.0, A_ee=float(len(q_e)),
+                         A_gg=float(n_g), A_eg=0.0, A_ge=0.0, A_ee=float(n_e),
                          threshold=0.5 * (mg + me))
-        return fit, np.array([mg, me]), np.array([len(q_g), 0]), np.array([0, len(q_e)])
+        return fit, np.array([mg, me]), np.array([n_g, 0]), np.array([0, n_e])
     edges = histogram_bins(q)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    hg, _ = np.histogram(q_g, bins=edges)
-    he, _ = np.histogram(q_e, bins=edges)
+    hg, _ = np.histogram(q[~excited], bins=edges)
+    he, _ = np.histogram(q[excited], bins=edges)
     fit = fit_mixture(centers, hg, he)
     return fit, centers, hg, he
 
@@ -260,17 +324,20 @@ class ErrorBudget:
 
 
 def error_budget(q: np.ndarray, prep: np.ndarray, fit: MixtureFit) -> ErrorBudget:
-    """Empirical misassignment fractions plus fitted-Gaussian overlap errors."""
+    """Empirical misassignment fractions plus fitted-Gaussian overlap errors;
+    prep as for fit_shot_histograms."""
     q = np.asarray(q, dtype=float)
-    prep = np.asarray(prep)
-    q_g = q[prep == "g"]
-    q_e = q[prep == "e"]
-    if len(q_g) == 0 or len(q_e) == 0:
+    excited = _excited(prep)
+    n_e = int(np.count_nonzero(excited))
+    n_g = len(q) - n_e
+    if n_g == 0 or n_e == 0:
         raise FitError("empty preparation class")
     thr = fit.threshold
     e_high = fit.mu_e >= fit.mu_g  # excited state on the high-q side?
-    eps_g = float(np.mean((q_g >= thr) == e_high))
-    eps_e = float(np.mean((q_e >= thr) != e_high))
+    wrong = ((q >= thr) == e_high) != excited  # assigned to the other class
+    wrong_e = int(np.count_nonzero(wrong & excited))
+    eps_g = (int(np.count_nonzero(wrong)) - wrong_e) / n_g
+    eps_e = wrong_e / n_e
     # tail of each fitted Gaussian on the far side of the threshold
     side = 1.0 if e_high else -1.0
     eps_o_g = _normal_sf(side * (thr - fit.mu_g) / fit.sigma_g)

@@ -386,12 +386,22 @@ def _read_shot_csv(path: str, cfg: dict):
         raise ConfigError(f"shot file {path} holds no shots")
 
 
+def _room(a: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The first n entries of a, in a new array of at least m and 2 n
+    entries; the pages past n stay untouched until written."""
+    out = np.empty(max(m, 2 * n), a.dtype)
+    out[:n] = a[:n]
+    return out
+
+
 def cmd_analyze(cfg: dict, args) -> int:
     if args.input is None:
         raise ConfigError("analyze requires --input shots.csv")
     chain = shots.ReadoutChain(build_device(cfg), build_pulse(cfg),
                                build_shot_config(cfg))
-    q, prep, weights = [], [], None
+    # q and the e labels of the shots read so far: n entries of arrays that
+    # double their room when a chunk does not fit
+    q, excited, n, weights = np.empty(0), np.empty(0, dtype=bool), 0, None
     for batch in _read_shot_csv(args.input, cfg):
         if batch.n_bins != chain.n_bins:
             raise ConfigError(f"shot file holds {batch.n_bins} bins, the "
@@ -400,11 +410,14 @@ def cmd_analyze(cfg: dict, args) -> int:
             weights = chain.weights(cfg["tau"])
         q_chunk, prep_chunk = analysis.integrate_batch(batch, weights,
                                                        chain.device.kappa_p)
-        q.append(q_chunk)
-        prep.append(prep_chunk)
-    q, prep = np.concatenate(q), np.concatenate(prep)
-    fit, bin_centers, hist_g, hist_e = analysis.fit_shot_histograms(q, prep)
-    budget = analysis.error_budget(q, prep, fit)
+        m = n + len(batch)
+        if m > len(q):
+            q, excited = _room(q, n, m), _room(excited, n, m)
+        q[n:m], excited[n:m] = q_chunk, prep_chunk == "e"
+        n = m
+    q, excited = q[:n], excited[:n]
+    fit, bin_centers, hist_g, hist_e = analysis.fit_shot_histograms(q, excited)
+    budget = analysis.error_budget(q, excited, fit)
     out_dir = Path(cfg["output_dir"])
     _write_report(out_dir / "report.txt", cfg, "analyze", [
         ("fidelity", budget.fidelity),

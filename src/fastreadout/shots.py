@@ -62,8 +62,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scipy import least_squares
-from .analysis import WeightFunction, build_weights
+from ._lsq import least_squares
+from .analysis import NormalColumns, WeightFunction, build_weights
 from .dynamics import TWOPI, PulseEnvelope, TwoCavityModel, _apply, lo_rotation
 from .config import require_finite
 from .errors import ConfigError, FitError, GridError
@@ -585,10 +585,11 @@ def preselection_threshold(q_p) -> float:
     """Threshold on the premeasurement values q_p above which a shot
     flags an initially excited qubit.
 
-    Fits a single Gaussian to the q_p histogram and returns the 99% point of
-    the fitted CDF, mu + 2.326 sigma. Fewer than 100 values, values that are
-    not finite, and a histogram range that is zero or not finite raise
-    FitError.
+    Fits a single Gaussian to the q_p histogram, (mu, sigma) by
+    least_squares and its amplitude in closed form (analysis.NormalColumns),
+    and returns the 99% point of the fitted CDF, mu + 2.326 sigma. Fewer
+    than 100 values, values that are not finite, a histogram range that is
+    zero or not finite, and a fit that does not converge raise FitError.
     """
     q_p = np.asarray(q_p, dtype=float)
     if len(q_p) < 100:
@@ -610,15 +611,13 @@ def preselection_threshold(q_p) -> float:
                        f"{med:g}, too little to histogram in {n_bins} bins")
     counts, _ = np.histogram(core, bins=edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
-
-    def resid(p):
-        a, mu, sigma = p
-        return a * np.exp(-0.5 * ((centers - mu) / sigma) ** 2) - counts
-
-    sol = least_squares(resid, [float(np.max(counts)), med, sig0], max_nfev=5000)
+    model = NormalColumns(centers, counts)
+    binw = float(centers[1] - centers[0])
+    sol = least_squares(model.resid, [med, sig0], model.jac,
+                        bounds=([-np.inf, binw / 10.0], np.inf), max_nfev=5000)
     if not sol.success:
         raise FitError(f"preselection Gaussian fit failed: {sol.message}")
-    mu, sigma = float(sol.x[1]), abs(float(sol.x[2]))
+    mu, sigma = (float(v) for v in sol.x)
     return mu + Z99 * sigma
 
 

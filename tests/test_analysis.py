@@ -1,13 +1,15 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 from scipy.special import erfc, ndtr
 
 from conftest import DT_BIN, bin_grid, make_device
+from fastreadout import analysis, cli
 from fastreadout.analysis import (FilterConfig, MixtureFit,
-                                  _intersection_threshold, build_weights,
-                                  error_budget, fit_mixture,
+                                  _intersection_threshold, _normal_pdf,
+                                  build_weights, error_budget, fit_mixture,
                                   fit_shot_histograms, histogram_bins,
                                   integrate_batch, overlap_model,
                                   overlap_vs_power)
@@ -15,7 +17,8 @@ from fastreadout.dynamics import (PulseEnvelope, SignalTrace, TWOPI,
                                   full_model_signal, mean_quadrature_traces,
                                   qss_steady_signal)
 from fastreadout.errors import FitError, NoSignalError, TauRangeError
-from fastreadout.shots import ShotBatch, ShotConfig, simulate_batch
+from fastreadout.optimize import power_tradeoff
+from fastreadout.shots import ReadoutChain, ShotBatch, ShotConfig, simulate_batch
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +182,163 @@ class TestMixtureFit:
         bud = error_budget(q, prep, fit)
         assert bud.fidelity == 1.0
         assert bud.eps_g == bud.eps_e == 0.0
+
+
+REFERENCE_CONF = resources.files("fastreadout.data") / "reference.conf"
+
+
+def oracle_cost(centers, counts_g, counts_e) -> float:
+    """Oracle: the 8-parameter formulation fit_mixture solved before its
+    amplitudes went closed-form, (mu_g, mu_e, sigma_g, sigma_e, A_gg, A_eg,
+    A_ge, A_ee) in one bounded scipy.optimize.least_squares solve from the
+    same start; returns its cost."""
+    from scipy.optimize import least_squares
+
+    n_g, n_e = float(np.sum(counts_g)), float(np.sum(counts_e))
+    binw = centers[1] - centers[0]
+
+    def robust_center(counts):
+        cdf = np.cumsum(counts) / np.sum(counts)
+        q25, med, q75 = np.interp([0.25, 0.5, 0.75], cdf, centers)
+        return med, max((q75 - q25) / 1.349, binw / 2.0)
+
+    (mu_g0, sig_g0), (mu_e0, sig_e0) = robust_center(counts_g), robust_center(counts_e)
+    p0 = [mu_g0, mu_e0, sig_g0, sig_e0, 0.99 * n_g * binw, 0.01 * n_g * binw,
+          0.01 * n_e * binw, 0.99 * n_e * binw]
+    span = centers[-1] - centers[0]
+    lo = [centers[0] - span] * 2 + [binw / 10.0] * 2 + [0.0] * 4
+    hi = [centers[-1] + span] * 2 + [span] * 2 + [2 * n_g * binw] * 2 \
+        + [2 * n_e * binw] * 2
+
+    def resid(p):
+        mg, me, sg, se, agg, aeg, age, aee = p
+        pdf_g = _normal_pdf(centers, mg, sg)
+        pdf_e = _normal_pdf(centers, me, se)
+        return np.concatenate([agg * pdf_g + aeg * pdf_e - counts_g,
+                               age * pdf_g + aee * pdf_e - counts_e])
+
+    sol = least_squares(resid, p0, bounds=(lo, hi), max_nfev=2000)
+    assert sol.success
+    return sol.cost
+
+
+def mixture_cost(fit: MixtureFit, centers, counts_g, counts_e) -> float:
+    r = np.concatenate([fit.counts_g(centers) - counts_g,
+                        fit.counts_e(centers) - counts_e])
+    return 0.5 * float(r @ r)
+
+
+def report_digits(q, prep) -> list[str]:
+    """The numbers of analyze's report.txt as it prints them."""
+    fit, *_ = fit_shot_histograms(q, prep)
+    budget = error_budget(q, prep, fit)
+    return [cli._fmt(v) for v in (*vars(budget).values(), *vars(fit).values())]
+
+
+@pytest.fixture(scope="module")
+def reference_q():
+    """(q by matrix-vector product, q by per-row np.dot, labels) of
+    reference.conf's 1e5-shot runs at seeds 0-2."""
+    out = []
+    for seed in range(3):
+        cfg = cli.resolve_config(str(REFERENCE_CONF),
+                                 [f"seed={seed}", "n_shots=100000"])
+        chain = ReadoutChain(cli.build_device(cfg), cli.build_pulse(cfg),
+                             cli.build_shot_config(cfg))
+        batch = chain.run(range(cfg["n_shots"]))
+        weights = chain.weights(cfg["tau"])
+        q, prep = integrate_batch(batch, weights, chain.device.kappa_p)
+        scale = math.sqrt(TWOPI * chain.device.kappa_p) * weights.dt
+        n = len(weights.w)
+        q_dot = np.array([scale * np.dot(row[:n], weights.w)
+                          for row in batch.samples])
+        out.append((q, q_dot, prep))
+    return out
+
+
+class TestSeparableFit:
+    """fit_mixture's 4-parameter variable projection against the
+    8-parameter oracle: a cost no higher than the oracle's, 1e-9 relative."""
+
+    def test_reference_runs(self, reference_q):
+        for q, _, prep in reference_q:
+            fit, centers, hg, he = fit_shot_histograms(q, prep)
+            assert mixture_cost(fit, centers, hg, he) \
+                <= oracle_cost(centers, hg, he) * (1 + 1e-9)
+
+    def test_report_digits_do_not_follow_the_last_ulp_of_q(self, reference_q):
+        # a third or so of the per-row dot products differ from the
+        # matrix-vector product's in the last bit
+        for q, q_dot, prep in reference_q:
+            assert np.count_nonzero(q != q_dot) > len(q) // 10
+            assert report_digits(q, prep) == report_digits(q_dot, prep)
+
+    def test_mixing_sweep_powers(self, monkeypatch):
+        # the histograms of optimize --mode power under strong mixing
+        seen = []
+        solve = analysis.fit_mixture
+
+        def recording(centers, counts_g, counts_e):
+            fit = solve(centers, counts_g, counts_e)
+            seen.append((fit, centers, counts_g, counts_e))
+            return fit
+
+        monkeypatch.setattr(analysis, "fit_mixture", recording)
+        cfg = cli.resolve_config(str(REFERENCE_CONF), [])
+        power_tradeoff(cli.build_device(cfg), (1.0, 1.5, 2.0, 2.5, 3.5, 5.0),
+                       cfg["tau"], mix_coeff=3e7, n_shots=10000, master_seed=0)
+        assert len(seen) == 6
+        for fit, centers, hg, he in seen:
+            assert mixture_cost(fit, centers, hg, he) \
+                <= oracle_cost(centers, hg, he) * (1 + 1e-9)
+
+    def test_random_mixtures(self):
+        rng = np.random.default_rng(41)
+        for _ in range(24):
+            n = int(rng.integers(10000, 100000))
+            sigma_g = rng.uniform(0.2, 1.0)
+            sigma_e = sigma_g * math.exp(rng.uniform(-1.2, 1.2))
+            sep = rng.uniform(0.5, 6.0) * max(sigma_g, sigma_e)
+            eg, ge = rng.uniform(0.0, 0.1), rng.uniform(0.0, 0.2)
+            q_g = np.where(rng.random(n) < eg, rng.normal(sep, sigma_e, n),
+                           rng.normal(0.0, sigma_g, n))
+            q_e = np.where(rng.random(n) < ge, rng.normal(0.0, sigma_g, n),
+                           rng.normal(sep, sigma_e, n))
+            fit, centers, hg, he = fit_shot_histograms(
+                np.concatenate([q_g, q_e]), np.repeat([False, True], n))
+            assert mixture_cost(fit, centers, hg, he) \
+                <= oracle_cost(centers, hg, he) * (1 + 1e-9)
+
+    def test_amplitudes_meet_the_optimality_conditions(self):
+        # at the fitted (mu, sigma), the gradient of each histogram's cost in
+        # an amplitude is zero where the amplitude is positive and not
+        # negative where it is zero; here A_eg = 0 and the others are not
+        q, prep = TestMixtureFit().synth(np.random.default_rng(40), 30000,
+                                         ge_frac=0.02)
+        fit, centers, hg, he = fit_shot_histograms(q, prep)
+        phi = np.column_stack([_normal_pdf(centers, fit.mu_g, fit.sigma_g),
+                               _normal_pdf(centers, fit.mu_e, fit.sigma_e)])
+        amps = np.array([[fit.A_gg, fit.A_ge], [fit.A_eg, fit.A_ee]])
+        assert fit.A_eg == 0.0 and min(fit.A_gg, fit.A_ge, fit.A_ee) > 0.0
+        for a, counts in zip(amps.T, (hg, he)):
+            grad = phi.T @ (phi @ a - counts)
+            tol = 1e-9 * (phi.T @ counts)
+            assert np.all(np.where(a > 0.0, np.abs(grad) <= tol, grad >= -tol))
+
+    def test_sigma_ratio_above_1e3_raises(self):
+        # noise-free histograms of sigma_g = binw / 4 and sigma_e = 400 binw:
+        # the fit finds them, and refuses the ratio
+        centers = np.arange(4001.0)
+        with pytest.raises(FitError, match="sigma ratio"):
+            fit_mixture(centers, 5000.0 * _normal_pdf(centers, 1500.0, 0.25),
+                        5000.0 * _normal_pdf(centers, 2500.0, 400.0))
+
+    def test_boolean_labels_give_the_same_fit(self):
+        q, prep = TestMixtureFit().synth(np.random.default_rng(43), 20000,
+                                         ge_frac=0.03)
+        fit, *_ = fit_shot_histograms(q, prep)
+        assert fit_shot_histograms(q, prep == "e")[0] == fit
+        assert error_budget(q, prep == "e", fit) == error_budget(q, prep, fit)
 
 
 def brentq_threshold(fit: MixtureFit) -> float:

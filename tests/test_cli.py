@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fastreadout import cli
+from fastreadout import analysis, cli, shots
 from fastreadout.analysis import build_weights
 from fastreadout.calib import SpectrumParams, transmission
 from fastreadout.cli import main
@@ -37,19 +37,60 @@ def run(*argv):
     return main(list(argv))
 
 
-def test_import_defers_the_fit_stack():
-    # importing scipy costs most of the start-up time; only the fitting
-    # functions load scipy.optimize, on first use
+#: run in a fresh interpreter by test_import_defers_the_fit_stack: the
+#: modules scipy has loaded after import, after the commands whose fits run
+#: on numpy alone, and after a spectrum calibration
+FIT_STACK_SCRIPT = """
+import sys
+from pathlib import Path
+import numpy as np
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import fastreadout.cli
+print(scipy_modules())
+from fastreadout.calib import SpectrumParams, transmission
+conf, out = sys.argv[1], Path(sys.argv[2])
+
+def run(*argv):
+    argv = [*argv, "--config", conf, "--output-dir", str(out)]
+    assert fastreadout.cli.main(argv) == 0, argv
+
+run("simulate", "--wide", "--n-shots", "2400")
+run("analyze", "--input", str(out / "shots.csv"))
+run("simulate", "--wide", "--n-shots", "2400", "--set", "preselect=true")
+run("optimize", "--mode", "power", "--set", "n_shots=2400",
+    "--set", "power_grid=2,3")
+print("scipy.optimize" in sys.modules)
+truth = SpectrumParams(omega_p=4.756e9, omega_r=4.754e9, J=25e6, chi=-7.7e6,
+                       Q_p=74.0, gamma=1.6e5)
+omega = np.linspace(4.63e9, 4.88e9, 401)
+for state in "ge":
+    np.savetxt(out / f"{state}.csv",
+               np.column_stack([omega, transmission(omega, truth, state)]),
+               delimiter=",")
+run("calibrate", "--mode", "spectrum", "--input-g", str(out / "g.csv"),
+    "--input-e", str(out / "e.csv"))
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_import_defers_the_fit_stack(conf, tmp_path):
+    # importing scipy costs most of the start-up time: importing the package
+    # loads no scipy module, the readout fits (preselection, the mixture fit
+    # of analyze and of the power sweep) run on numpy alone, and only the
+    # spectrum fit loads scipy.optimize
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, fastreadout.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.stdout.strip() == "[]"
+    proc = subprocess.run([sys.executable, "-c", FIT_STACK_SCRIPT, conf,
+                           str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()  # analyze prints its fidelity too
+    assert (lines[0], lines[-2], lines[-1]) == ("[]", "False", "True")
 
 
 def read_report(path: Path) -> dict:
@@ -133,6 +174,26 @@ class TestExitCodes:
                    "--set", "premeasure_amplitude=1e300")
         assert code == 3
         assert "preselection values spread over 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("module,command", [
+        (analysis, "analyze"), (shots, "simulate")])
+    def test_fit_stopped_at_max_nfev(self, conf, tmp_path, capsys, monkeypatch,
+                                     module, command):
+        # a readout fit that runs out of evaluations is a numerical failure:
+        # the mixture fit of analyze, the preselection fit of simulate
+        out = str(tmp_path)
+        simulate = ("simulate", "--config", conf, "--output-dir", out, "--wide",
+                    "--n-shots", "3000", "--set", "preselect=true")
+        argv = {"simulate": simulate,
+                "analyze": ("analyze", "--config", conf, "--output-dir", out,
+                            "--input", str(tmp_path / "shots.csv"))}[command]
+        assert run(*simulate) == 0 and run(*argv) == 0
+        solve = module.least_squares
+        monkeypatch.setattr(module, "least_squares",
+                            lambda *a, **kw: solve(*a, **{**kw, "max_nfev": 2}))
+        capsys.readouterr()
+        assert run(*argv) == 3
+        assert "max_nfev = 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,key,extra", [
         ("derive", "gamma_int", []),

@@ -1,0 +1,48 @@
+"""The numpy Levenberg-Marquardt solver of the readout fits."""
+
+import numpy as np
+
+from fastreadout._lsq import least_squares
+
+
+def test_linear_problem_reaches_the_normal_equations_solution():
+    rng = np.random.default_rng(0)
+    A, b = rng.normal(size=(50, 4)), rng.normal(size=50)
+    sol = least_squares(lambda x: A @ x - b, np.zeros(4), lambda x: A)
+    want = np.linalg.lstsq(A, b, rcond=None)[0]
+    assert sol.success and sol.status > 0
+    assert np.allclose(sol.x, want, rtol=1e-12, atol=1e-12)
+    assert sol.cost == 0.5 * float((A @ sol.x - b) @ (A @ sol.x - b))
+
+
+def test_rosenbrock_from_the_classic_start():
+    def fun(x):
+        return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+    def jac(x):
+        return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+    sol = least_squares(fun, [-1.2, 1.0], jac)
+    assert sol.success
+    assert np.allclose(sol.x, [1.0, 1.0], rtol=0.0, atol=1e-12)
+
+
+def test_a_minimum_beyond_a_bound_stops_on_the_bound():
+    # (x - 2)^2 + (y + 1)^2 over x <= 1, y >= 0: the corner (1, 0)
+    sol = least_squares(lambda x: x - np.array([2.0, -1.0]), [0.0, 0.5],
+                        lambda x: np.eye(2), bounds=([-np.inf, 0.0], [1.0, np.inf]))
+    assert sol.success
+    assert sol.x.tolist() == [1.0, 0.0]
+    assert sol.cost == 1.0
+
+
+def test_max_nfev_stops_without_success():
+    def fun(x):
+        return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+    def jac(x):
+        return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+    sol = least_squares(fun, [-1.2, 1.0], jac, max_nfev=3)
+    assert sol.nfev == 3 and sol.status == 0 and not sol.success
+    assert "max_nfev = 3" in sol.message

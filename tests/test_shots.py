@@ -15,9 +15,9 @@ from fastreadout.dynamics import (PulseEnvelope, TwoCavityModel,
                                   mean_quadrature_traces, optimal_lo_phase)
 from fastreadout.errors import ConfigError, FitError, GridError
 from fastreadout import shots
-from fastreadout.shots import (K_JUMPS, ReadoutChain, ShotConfig, noise_sigma_bin,
-                               preselection_threshold, run_preselection,
-                               simulate_batch, simulate_shot)
+from fastreadout.shots import (K_JUMPS, Z99, ReadoutChain, ShotConfig,
+                               noise_sigma_bin, preselection_threshold,
+                               run_preselection, simulate_batch, simulate_shot)
 
 
 class TestShotConfig:
@@ -258,6 +258,54 @@ class TestPreselection:
         keep = batch.preselect <= preselection_threshold(batch.preselect.copy())
         assert np.array_equal(kept.samples, batch.samples[keep])
         assert rejected == 1.0 - np.count_nonzero(keep) / len(batch)
+
+    def test_threshold_matches_the_3_parameter_fit(self, monkeypatch):
+        # oracle: a * exp(-(x - mu)^2 / (2 sigma^2)) with a, mu and sigma
+        # all free, by scipy on the same histogram, with its Jacobian and
+        # tolerances at the rounding level so that it stops at the minimum
+        # (with its defaults it stops up to 2e-6 away). The threshold
+        # mu + Z99 sigma can cancel towards 0, so the 1e-9 is relative to
+        # |mu| + Z99 sigma.
+        from scipy.optimize import least_squares as scipy_least_squares
+
+        seen = []
+        solve = shots.least_squares
+
+        def recording(fun, x0, jac, **kw):
+            seen.append(fun.__self__)
+            return solve(fun, x0, jac, **kw)
+
+        monkeypatch.setattr(shots, "least_squares", recording)
+        rng = np.random.default_rng(35)
+        for _ in range(24):
+            n = int(rng.integers(100, 50000))
+            mu, sigma = rng.uniform(-5.0, 5.0) * 10 ** rng.uniform(-3, 3), \
+                10 ** rng.uniform(-3, 2)
+            q_p = rng.normal(mu, sigma, n)
+            excited = rng.random(n) < rng.uniform(0.0, 0.05)
+            q_p[excited] += rng.uniform(2.0, 8.0) * sigma
+            threshold = preselection_threshold(q_p)
+            c, counts = seen[-1].centers, seen[-1].counts[:, 0]
+
+            def gauss(p):
+                z = (c - p[1]) / p[2]
+                return z, np.exp(-0.5 * z * z)
+
+            def resid(p):
+                return p[0] * gauss(p)[1] - counts
+
+            def jac(p):
+                z, g = gauss(p)
+                return np.column_stack([g, p[0] * g * z / p[2],
+                                        p[0] * g * z * z / p[2]])
+
+            med = float(np.median(q_p))
+            sig0 = float(np.subtract(*np.percentile(q_p, [75, 25]))) / 1.349
+            sol = scipy_least_squares(resid, [counts.max(), med, sig0], jac=jac,
+                                      ftol=1e-15, xtol=1e-15, gtol=1e-15)
+            _, mu_o, sigma_o = sol.x
+            assert abs(threshold - (mu_o + Z99 * abs(sigma_o))) \
+                <= 1e-9 * (abs(mu_o) + Z99 * abs(sigma_o))
 
     @pytest.mark.parametrize("values", [
         np.full(200, 0.25),                          # no spread
