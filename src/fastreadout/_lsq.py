@@ -1,15 +1,19 @@
 """A small bounded Levenberg-Marquardt least-squares solver in numpy.
 
-The readout fits solve their amplitudes in closed form and leave at most
-four nonlinear parameters, so each step solves the damped normal equations
+It serves every nonlinear fit of the package: the readout fits, which solve
+their amplitudes in closed form and leave at most four nonlinear
+parameters, and the seven-parameter joint fit of the two transmission
+spectra in `calib`. Each step solves the damped normal equations
 (J^T J + lam D) dx = -J^T r directly, D the diagonal of J^T J (Marquardt's
-scaling), and clips the trial point to the bounds. A trial that lowers the
+scaling, which also evens out parameters that move on very different
+scales), and clips the trial point to the bounds. A trial that lowers the
 cost is taken and divides lam by 10; one that does not multiplies it by 10.
 The solve stops when a step changes x by at most XTOL relative, when a
 taken step lowers the cost by at most FTOL relative while its reduction is
 at least a quarter of the one the linear model predicts, or after max_nfev
-evaluations of the residuals. `least_squares` returns the fields of
-scipy.optimize.least_squares's result that the fits read.
+evaluations of the residuals. Residuals that are not finite at the start
+point raise FitError. `least_squares` returns an `LsqResult`: x, the
+cost, the evaluation count and a status code.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import FitError
 
 #: relative stopping tolerances on the cost and on x: near the rounding
 #: level, so that a fit's printed digits do not depend on where it stopped
@@ -27,8 +33,7 @@ XTOL = 1e-13
 @dataclass
 class LsqResult:
     """x, cost = sum(r**2) / 2 at x, the residual evaluations, and status:
-    0 when max_nfev stopped the solve, 2 the FTOL test, 3 the XTOL test
-    (scipy's codes)."""
+    0 when max_nfev stopped the solve, 2 the FTOL test, 3 the XTOL test."""
 
     x: np.ndarray
     cost: float
@@ -44,11 +49,14 @@ class LsqResult:
 def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf),
                   max_nfev=1000) -> LsqResult:
     """Minimize sum(fun(x)**2) / 2 over lo <= x <= hi; jac(x) is the
-    Jacobian of fun, a (len(r), len(x)) array."""
+    Jacobian of fun, a (len(r), len(x)) array. Raises FitError when fun is
+    not finite at x0 (clipped to the bounds)."""
     x = np.asarray(x0, dtype=float)
     lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), x.shape) for b in bounds)
     x = np.clip(x, lo, hi)
     r = fun(x)
+    if not np.all(np.isfinite(r)):
+        raise FitError("the residuals at the start point are not finite")
     cost = 0.5 * float(r @ r)
     nfev, lam = 1, 1e-3
 

@@ -1,5 +1,5 @@
 """Calibration mathematics: transmission-spectrum model and fit, ac-Stark
-photon-number calibration, and the measurement-efficiency calculus.
+photon-number calibration, and the phase-sensitive amplifier efficiency.
 
 All frequencies are ordinary frequencies in Hz. The transmission expression
 is homogeneous in the frequency unit, so ordinary and angular evaluation
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scipy import least_squares
+from ._lsq import least_squares
 from .errors import ConfigError, FitError
 
 
@@ -69,14 +69,23 @@ def fit_transmission(omega, s21_g, s21_e) -> SpectrumParams:
     only through ±chi: seven parameters in all. One relative-residual fit
     runs from a start that takes omega_r and chi from the two notches:
     |S21|_g is smallest at omega_r - chi and |S21|_e at omega_r + chi.
-    Raises FitError on non-convergence or when a parameter lands on a search
-    bound.
+    Raises ConfigError for a non-finite frequency or |S21| and for a
+    spectrum with no positive value, and FitError on non-convergence or
+    when a parameter lands on a search bound.
     """
     omega = np.asarray(omega, dtype=float)
     s21_g = np.asarray(s21_g, dtype=float)
     s21_e = np.asarray(s21_e, dtype=float)
     if len(omega) < 10:
         raise FitError("need at least 10 frequency points")
+    if not np.all(np.isfinite(omega)):
+        raise ConfigError("a frequency is not a finite number")
+    for state, s21 in (("g", s21_g), ("e", s21_e)):
+        if not np.all(np.isfinite(s21)):
+            raise ConfigError(f"an |S21| of the {state} spectrum is not a "
+                              "finite number")
+        if not np.any(s21 > 0.0):
+            raise ConfigError(f"the {state} spectrum has no positive |S21|")
 
     mean = 0.5 * (s21_g + s21_e)
     center = float(np.sum(omega * mean) / np.sum(mean))
@@ -146,12 +155,11 @@ def fit_transmission(omega, s21_g, s21_e) -> SpectrumParams:
         rows *= p.scale * p.kappa_p * np.abs(g) / weight
         return rows.T
 
-    # x_scale="jac": omega_p/f0 and omega_r/f0 move by ~1e-3 while the other
-    # entries move by O(1), so unscaled trust-region steps crawl along the
-    # two frequencies
-    sol = least_squares(resid_rel, np.clip(pack(p0), lo, hi), jac=jac_rel,
-                        bounds=(lo, hi), x_scale="jac", xtol=1e-14, ftol=1e-14,
-                        gtol=1e-14, max_nfev=5000)
+    # omega_p/f0 and omega_r/f0 move by ~1e-3 while the other entries move
+    # by O(1); Marquardt's diagonal scaling in _lsq keeps the steps along
+    # the two frequencies from crawling
+    sol = least_squares(resid_rel, pack(p0), jac=jac_rel, bounds=(lo, hi),
+                        max_nfev=5000)
     if not sol.success:
         raise FitError(f"transmission fit did not converge: {sol.message}")
     at_bound = np.any(np.isclose(sol.x, lo, rtol=0, atol=1e-12) |
@@ -212,34 +220,9 @@ def phase_sensitive_efficiency(G0: float, n_hemt: float) -> float:
     return 1.0 / (1.0 + n_hemt / (2.0 * G0))
 
 
-def output_power(chi: float, J: float, kappa_p: float, n_drive: float) -> float:
-    """Emitted readout power P_out = (chi/J)^2 kappa_p n_drive (photon flux)."""
-    if J == 0.0:
-        raise ConfigError("J must be nonzero")
-    return (chi / J) ** 2 * kappa_p * n_drive
-
-
 def total_efficiency(eta_phi_amp: float, eta_loss: float) -> float:
     """Total measurement efficiency eta = eta_phi_amp * eta_loss."""
     for name, v in (("eta_phi_amp", eta_phi_amp), ("eta_loss", eta_loss)):
         if not (0.0 < v <= 1.0):
             raise ConfigError(f"{name} must lie in (0, 1]")
     return eta_phi_amp * eta_loss
-
-
-@dataclass
-class EfficiencyReport:
-    """Gain/noise inputs and the resulting efficiency chain."""
-
-    G0: float
-    n_hemt: float
-    eta_phi_amp: float
-    eta_loss: float
-    eta_total: float
-
-
-def efficiency_report(G0: float, n_hemt: float, eta_loss: float) -> EfficiencyReport:
-    eta_amp = phase_sensitive_efficiency(G0, n_hemt)
-    return EfficiencyReport(G0=G0, n_hemt=n_hemt, eta_phi_amp=eta_amp,
-                            eta_loss=eta_loss,
-                            eta_total=total_efficiency(eta_amp, eta_loss))

@@ -490,9 +490,13 @@ def cmd_calibrate(cfg: dict, args) -> int:
             raise ConfigError("calibrate spectrum requires --input-g and --input-e")
         om_g, s_g = _read_two_column_csv(args.input_g)
         om_e, s_e = _read_two_column_csv(args.input_e)
-        if len(om_g) != len(om_e) or np.any(om_g != om_e):
+        if not np.array_equal(om_g, om_e, equal_nan=True):
             raise ConfigError("spectrum files must share the frequency grid")
-        fit = calib.fit_transmission(om_g, s_g, s_e)
+        try:
+            fit = calib.fit_transmission(om_g, s_g, s_e)
+        except ConfigError as exc:
+            raise ConfigError(f"{args.input_g} (g), {args.input_e} (e): "
+                              f"{exc}") from exc
         _write_report(out_dir / "spectrum_fit.txt", cfg, "calibrate", [
             ("omega_p_Hz", fit.omega_p), ("omega_r_Hz", fit.omega_r),
             ("J_Hz", fit.J), ("chi_Hz", fit.chi), ("Q_p", fit.Q_p),

@@ -1,8 +1,10 @@
-"""The numpy Levenberg-Marquardt solver of the readout fits."""
+"""The numpy Levenberg-Marquardt solver of the readout and spectrum fits."""
 
 import numpy as np
+import pytest
 
 from fastreadout._lsq import least_squares
+from fastreadout.errors import FitError
 
 
 def test_linear_problem_reaches_the_normal_equations_solution():
@@ -46,3 +48,17 @@ def test_max_nfev_stops_without_success():
     sol = least_squares(fun, [-1.2, 1.0], jac, max_nfev=3)
     assert sol.nfev == 3 and sol.status == 0 and not sol.success
     assert "max_nfev = 3" in sol.message
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_residuals_at_the_start_raise_fit_error(bad):
+    # a non-finite cost would reject every trial and run to max_nfev
+    calls = []
+
+    def fun(x):
+        calls.append(1)
+        return np.array([x[0] - 1.0, bad])
+
+    with pytest.raises(FitError, match="start point"):
+        least_squares(fun, [0.0], lambda x: np.array([[1.0], [0.0]]))
+    assert len(calls) == 1
