@@ -444,7 +444,6 @@ def overlap_vs_power(trace: SignalTrace, eta: float, tau: float,
     out = np.empty(len(n_grid))
     for i, n in enumerate(n_grid):
         scaled = SignalTrace(times=trace.times,
-                             values=trace.values * math.sqrt(n / n_ref),
-                             model=trace.model)
+                             values=trace.values * math.sqrt(n / n_ref))
         out[i] = overlap_model(scaled, eta, tau, filt)
     return out

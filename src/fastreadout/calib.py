@@ -186,8 +186,9 @@ def stark_calibration(powers, qubit_freqs, chi: float) -> StarkFit:
     """Fit the linear qubit-frequency-vs-power law; slope per photon is 2 chi.
 
     Raises FitError when a residual exceeds 5 % of the total frequency
-    excursion (saturation / nonlinear regime). Data with no excursion is
-    returned with degenerate=True.
+    excursion (saturation / nonlinear regime), and ConfigError for a power
+    or frequency that is not finite and for powers that are all equal. Data
+    with no excursion is returned with degenerate=True.
     """
     powers = np.asarray(powers, dtype=float)
     freqs = np.asarray(qubit_freqs, dtype=float)
@@ -195,6 +196,12 @@ def stark_calibration(powers, qubit_freqs, chi: float) -> StarkFit:
         raise FitError("need at least 3 points for the Stark calibration")
     if chi == 0.0:
         raise ConfigError("chi must be nonzero")
+    for name, values in (("power", powers), ("qubit frequency", freqs)):
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"a {name} is not a finite number")
+    if np.max(powers) == np.min(powers):
+        raise ConfigError(f"every power is {powers[0]:g} W; the fit needs "
+                          "powers that differ")
     span = float(np.max(freqs) - np.min(freqs))
     if span == 0.0:
         return StarkFit(photons_per_watt=0.0, nu_q0=float(freqs[0]),

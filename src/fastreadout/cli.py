@@ -446,6 +446,14 @@ def cmd_optimize(cfg: dict, args) -> int:
     if args.mode == "ratio":
         x_grid = np.asarray(cfg["ratio_tau_grid"], dtype=float)
         taus = x_grid / (2.0 * math.pi * abs(device.chi))
+        # the full model solves each tau on this grid; checked before any solve
+        n = float(np.max(taus)) / optimize.RATE_STEP
+        if not n <= shots.MAX_BINS:
+            raise ConfigError(
+                f"ratio_tau_grid = {_fmt(cfg['ratio_tau_grid'])} at chi = "
+                f"{device.chi:g} Hz reaches tau = {np.max(taus):g} s, "
+                f"{n:.3g} points of the {optimize.RATE_STEP:g} s grid, more "
+                f"than {shots.MAX_BINS}")
         r_qss = optimize.optimal_ratio_vs_tau(device, taus, "qss")
         r_full = optimize.optimal_ratio_vs_tau(device, taus, "full")
         rows = zip(taus * 1e9, r_qss, r_full)
@@ -508,7 +516,10 @@ def cmd_calibrate(cfg: dict, args) -> int:
             raise ConfigError("calibrate stark requires --input")
         chi = build_device(cfg).chi
         powers, freqs = _read_two_column_csv(args.input)
-        fit = calib.stark_calibration(powers, freqs, chi)
+        try:
+            fit = calib.stark_calibration(powers, freqs, chi)
+        except ConfigError as exc:
+            raise ConfigError(f"{args.input}: {exc}") from exc
         _write_report(out_dir / "stark_fit.txt", cfg, "calibrate", [
             ("photons_per_watt", fit.photons_per_watt),
             ("nu_q0_Hz", fit.nu_q0),

@@ -87,11 +87,10 @@ class PulseEnvelope:
 
 @dataclass
 class SignalTrace:
-    """S(t) samples on a uniform time grid; model is 'QSS' or 'full'."""
+    """S(t) samples on a uniform time grid."""
 
     times: np.ndarray
     values: np.ndarray
-    model: str
 
     @property
     def dt(self) -> float:
@@ -234,8 +233,18 @@ class TwoCavityModel:
         out = xss[:, seg] + _apply(Vc[:, seg], growth)
         return out.reshape(s0.shape + out.shape[1:])
 
+    def filter_fields(self, pulse: PulseEnvelope, times) -> np.ndarray:
+        """The filter fields beta at `times` of both prepared states held
+        through `pulse`, row 0 g and row 1 e, after checking the resonator
+        photon number of the same solve against PHOTON_CEILING."""
+        fields = self.trace([-1, +1], pulse, times)
+        self.check_ceiling(fields)
+        return fields[..., 1]
+
     def check_ceiling(self, fields: np.ndarray):
-        n_max = float(np.max(np.abs(fields[..., 0]) ** 2))
+        # squared as a Python float: a huge field gives inf, not a warning
+        a_max = float(np.max(np.abs(fields[..., 0])))
+        n_max = a_max * a_max
         if not math.isfinite(n_max):
             raise PhotonCeilingError(
                 f"resonator photon number is not finite ({n_max})")
@@ -262,11 +271,9 @@ def _solve_both_states(device: DeviceParams, pulse: PulseEnvelope, times):
     if dt > 0.5e-9 + 1e-15:
         raise GridError(f"grid step {dt:g} s exceeds 0.5 ns")
     model = TwoCavityModel(device)
-    fields = model.trace([-1, +1], pulse, times)
-    model.check_ceiling(fields)
-    beta = fields[..., 1]
+    beta = model.filter_fields(pulse, times)
     values = math.sqrt(model.kappa_pa) * np.abs(beta[1] - beta[0])
-    return SignalTrace(times=times, values=values, model="full"), beta
+    return SignalTrace(times=times, values=values), beta
 
 
 def full_model_signal(device: DeviceParams, pulse: PulseEnvelope, times,

@@ -1,6 +1,6 @@
 """Parameter-space sweeps: the optimal |chi/kappa_eff| ratio versus
-integration time, signal families over (chi, ratio), the drive-power
-tradeoff, and a design-constraint report.
+integration time (`optimize --mode ratio`) and the drive-power tradeoff
+(`optimize --mode power`).
 
 Convention for the ratio sweeps: chi is held fixed and kappa_eff is varied.
 In the full two-cavity model kappa_eff is steered through the coupling J at
@@ -17,11 +17,10 @@ import numpy as np
 
 from .analysis import error_budget, fit_shot_histograms, integrate_batch, \
     overlap_vs_power
-from .dynamics import TWOPI, PulseEnvelope, SignalTrace, full_model_signal, \
-    integrated_rate, qss_signal
+from .dynamics import PulseEnvelope, full_model_signal, integrated_rate, \
+    qss_signal
 from .errors import ConfigError
 from .params import DeviceParams
-from .search import maximize_unimodal
 from .shots import MAX_MEAN_JUMPS, ReadoutChain, ShotConfig, mean_jumps, \
     mean_waits, window_bins
 
@@ -29,6 +28,56 @@ from .shots import MAX_MEAN_JUMPS, ReadoutChain, ShotConfig, mean_jumps, \
 #: tuned so the simulated excess ground-state error is about 0.23% at the
 #: reference operating point (n_drive = 2.5, tau = 56 ns)
 DEFAULT_MIX_COEFF = 6.0e5
+
+#: |chi/kappa_eff| interval searched by optimal_ratio_vs_tau
+RATIO_BOUNDS = (0.02, 3.0)
+#: step of the time grid of the full-model rate (s)
+RATE_STEP = 0.5e-9
+#: trapezoid steps of the closed-form rate
+_QSS_STEPS = 1500
+#: points of the pre-scan, and of the dense scan that replaces it when it
+#: finds several separated maxima
+_N_SCAN, _N_FALLBACK = 17, 400
+#: golden-section stop: bracket width relative to the start, and most steps
+_TOL, _MAX_ITER = 1e-5, 200
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_section_max(f, lo: float, hi: float):
+    """Golden-section search for the argmax of a unimodal function on
+    [lo, hi]."""
+    a, b = float(lo), float(hi)
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    width0 = b - a
+    for _ in range(_MAX_ITER):
+        if b - a <= _TOL * width0:
+            break
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    return c if fc > fd else d
+
+
+def _maximize(f, lo: float, hi: float):
+    """Argmax of f on [lo, hi]: a pre-scan, then golden-section refinement
+    around its best point."""
+    for n in (_N_SCAN, _N_FALLBACK):
+        xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+        fs = [f(x) for x in xs]
+        peaks = [i for i in range(1, n - 1)
+                 if fs[i] >= fs[i - 1] and fs[i] >= fs[i + 1]]
+        if len(peaks) <= 1:
+            break
+    best = max(range(n), key=fs.__getitem__)
+    return _golden_section_max(f, xs[max(best - 1, 0)], xs[min(best + 1, n - 1)])
 
 
 def _j_for_kappa_eff(kappa_eff: float, Q_p: float, omega_p: float,
@@ -38,9 +87,8 @@ def _j_for_kappa_eff(kappa_eff: float, Q_p: float, omega_p: float,
                      / (4.0 * Q_p))
 
 
-def _qss_rate(n_drive: float, chi: float, kappa_eff: float, tau: float,
-              n_steps: int = 1500) -> float:
-    t = np.linspace(0.0, tau, n_steps + 1)
+def _qss_rate(n_drive: float, chi: float, kappa_eff: float, tau: float) -> float:
+    t = np.linspace(0.0, tau, _QSS_STEPS + 1)
     return float(np.trapezoid(qss_signal(n_drive, chi, kappa_eff, t), t)
                  / math.sqrt(tau))
 
@@ -48,16 +96,16 @@ def _qss_rate(n_drive: float, chi: float, kappa_eff: float, tau: float,
 def _full_rate(device: DeviceParams, kappa_eff: float, tau: float) -> float:
     J = _j_for_kappa_eff(kappa_eff, device.Q_p, device.omega_p, device.delta_p)
     dev = replace(device, J=J)
-    dt = 0.5e-9
-    times = np.arange(0.0, tau + dt, dt)
+    times = np.arange(0.0, tau + RATE_STEP, RATE_STEP)
     pulse = PulseEnvelope(kind="gated", total_duration=tau + 10e-9)
     trace = full_model_signal(dev, pulse, times)
     return integrated_rate(trace, tau)
 
 
-def optimal_ratio_vs_tau(device: DeviceParams, tau_grid, model: str = "qss",
-                         ratio_bounds=(0.02, 3.0)) -> np.ndarray:
-    """|chi/kappa_eff| maximizing s(tau), per tau, at fixed chi.
+def optimal_ratio_vs_tau(device: DeviceParams, tau_grid,
+                         model: str = "qss") -> np.ndarray:
+    """|chi/kappa_eff| in RATIO_BOUNDS maximizing s(tau), per tau, at fixed
+    chi.
 
     model 'qss' uses the closed-form single-cavity signal; 'full' re-solves
     the two-cavity model with J adjusted to realize each candidate
@@ -75,31 +123,7 @@ def optimal_ratio_vs_tau(device: DeviceParams, tau_grid, model: str = "qss",
         else:
             def objective(r):
                 return _full_rate(device, abs(chi) / r, tau)
-        r_opt, _ = maximize_unimodal(objective, ratio_bounds[0], ratio_bounds[1],
-                                     tol=1e-5)
-        out[i] = r_opt
-    return out
-
-
-def signal_family(chi_list, ratio_list, t_grid, n_crit: float = 14.0,
-                  drive_fraction: float = 0.2):
-    """QSS signal traces S(t) for each (chi, ratio) pair.
-
-    Drive power is tied to the dispersive scale as n_drive = drive_fraction
-    * n_crit, keeping every family member at the same validity margin.
-    Returns a dict keyed by (chi, ratio).
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    n_drive = drive_fraction * n_crit
-    out = {}
-    for chi in chi_list:
-        for ratio in ratio_list:
-            kappa = abs(chi) / ratio
-            out[(chi, ratio)] = SignalTrace(
-                times=t_grid,
-                values=qss_signal(n_drive, chi, kappa, t_grid),
-                model="QSS",
-            )
+        out[i] = _maximize(objective, *RATIO_BOUNDS)
     return out
 
 
@@ -161,38 +185,3 @@ def power_tradeoff(device: DeviceParams, n_grid, tau: float,
                               fidelity_mc=budget.fidelity,
                               gamma_mix=cfg.gamma_mix_up))
     return out
-
-
-@dataclass
-class ConstraintReport:
-    """Pass/fail judgement of a design; the device owns chi, n_crit,
-    kappa_eff and lambda_mix."""
-
-    ratio_chi_kappa: float
-    drive_fraction: float
-    dispersive_ok: bool
-    drive_ok: bool
-    signal_ok: bool
-    advice: str
-
-
-def constraint_report(device: DeviceParams, target_tau: float | None = None,
-                      n_crit_min: float = 10.0,
-                      drive_fraction_max: float = 0.25) -> ConstraintReport:
-    """Check a parameter set against the standard design constraints."""
-    chi, n_crit, kappa_eff = device.chi, device.n_crit, device.kappa_eff
-    frac = device.n_drive / n_crit if n_crit > 0 else math.inf
-    ratio = abs(chi / kappa_eff) if kappa_eff > 0 else math.inf
-    if target_tau is None:
-        advice = "no target integration time given"
-    elif TWOPI * abs(chi) * target_tau < 4.5:
-        advice = ("short integration window (|chi| tau < 4.5): a larger "
-                  "kappa_eff (ratio below 0.5) gains signal")
-    else:
-        advice = "long integration window: |chi/kappa_eff| = 0.5 is optimal"
-    return ConstraintReport(
-        ratio_chi_kappa=ratio, drive_fraction=frac,
-        dispersive_ok=n_crit >= n_crit_min, drive_ok=frac <= drive_fraction_max,
-        # advisory: chi below 1 kHz gives no contrast
-        signal_ok=abs(chi) > 1e3, advice=advice,
-    )

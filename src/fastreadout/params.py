@@ -115,6 +115,13 @@ class DeviceParams:
                 f"|Delta| = {abs(delta):g} Hz does not exceed "
                 f"{self.dispersive_guard:g} x g = {self.dispersive_guard * self.g:g} Hz"
             )
+        for name, keys in (("chi", "g, omega_q, omega_r and alpha"),
+                           ("kappa_eff", "J, Q_p, omega_p and omega_r"),
+                           ("kappa_p", "omega_p and Q_p")):
+            value = getattr(self, name)
+            if value == 0.0 or not math.isfinite(value):
+                raise ConfigError(f"{keys} give {name} = {value:g} Hz, which "
+                                  "must be nonzero and finite")
 
     @property
     def delta(self) -> float:

@@ -303,10 +303,8 @@ class ReadoutChain:
         self.bin_centers = (np.arange(self.n_bins) + 0.5) * cfg.dt_bin
         self.sigma_bin = noise_sigma_bin(device.eta, device.kappa_p, cfg.dt_bin)
 
-        fields = self.model.trace([-1, +1], pulse, self.bin_centers)
-        self.model.check_ceiling(fields)
-        beta = fields[..., 1]
-        self.phi_lo, self.rot = lo_rotation(beta[1] - beta[0])
+        beta = self.model.filter_fields(pulse, self.bin_centers)
+        _, self.rot = lo_rotation(beta[1] - beta[0])
         self.mean_bins = dict(zip((-1, +1), np.real(self.rot * beta)))
 
         pre_words = 0
@@ -317,9 +315,10 @@ class ReadoutChain:
                 total_duration=cfg.premeasure_duration,
             )
             self.pre_centers = (np.arange(self.n_pre) + 0.5) * cfg.dt_bin
-            # only the last n_win bins enter the premeasurement value
-            beta = self.model.trace([-1, +1], self.pre_pulse,
-                                    self.pre_centers[-self.n_win:])[..., 1]
+            # every bin centre meets the photon ceiling, as in the measurement
+            # window; only the last n_win bins enter the premeasurement value
+            beta = self.model.filter_fields(self.pre_pulse,
+                                            self.pre_centers)[:, -self.n_win:]
             self.pre_bins = dict(zip((-1, +1), np.real(self.rot * beta)))
             self.p_reset = 1.0 - math.exp(-cfg.reset_gap / device.T1)
             pre_words = K_JUMPS + _even(self.n_win) + 1
@@ -548,18 +547,6 @@ class ReadoutChain:
                          np.where(decay, "eg", "ge"), overflow)
 
 
-def _check_prep(prep: str):
-    if prep not in ("g", "e"):
-        raise ConfigError(f"preparation must be 'g' or 'e', got {prep!r}")
-
-
-def simulate_shot(device: DeviceParams, pulse: PulseEnvelope, cfg: ShotConfig,
-                  prep: str, index: int = 0) -> ShotRecord:
-    """Generate one shot; deterministic given (cfg.master_seed, index)."""
-    _check_prep(prep)
-    return ReadoutChain(device, pulse, cfg).run(range(index, index + 1), [prep])[0]
-
-
 def simulate_batch(device: DeviceParams, pulse: PulseEnvelope, cfg: ShotConfig,
                    prep: str | None = None, shots: range | None = None) -> ShotBatch:
     """Generate the shots of the range `shots` (None: all cfg.n_shots) as a
@@ -572,7 +559,8 @@ def simulate_batch(device: DeviceParams, pulse: PulseEnvelope, cfg: ShotConfig,
     if shots is None:
         shots = range(cfg.n_shots)
     if prep is not None:
-        _check_prep(prep)
+        if prep not in ("g", "e"):
+            raise ConfigError(f"preparation must be 'g' or 'e', got {prep!r}")
         prep = np.full(len(shots), prep)
     return ReadoutChain(device, pulse, cfg).run(shots, prep)
 

@@ -535,15 +535,14 @@ class TestErrorBudget:
 class TestOverlapModel:
     def test_zero_signal(self):
         times = np.linspace(0, 100e-9, 201)
-        trace = SignalTrace(times=times, values=np.zeros_like(times), model="QSS")
+        trace = SignalTrace(times=times, values=np.zeros_like(times))
         assert overlap_model(trace, 0.66, 56e-9) == pytest.approx(1.0)
 
     def test_matched_filter_steady_state_identity(self):
         # constant S: eps_o = erfc(sqrt(eta/2) S_ss sqrt(tau) / 2)
         s_ss = qss_steady_signal(2.5, -7.9e6, 37.5e6)
         times = np.linspace(0, 200e-9, 401)
-        trace = SignalTrace(times=times, values=np.full_like(times, s_ss),
-                            model="QSS")
+        trace = SignalTrace(times=times, values=np.full_like(times, s_ss))
         tau, eta = 56e-9, 0.66
         filt = FilterConfig(amp_bandwidth=None, dt_bin=None)
         expected = erfc(math.sqrt(eta / 2.0) * s_ss * math.sqrt(tau))

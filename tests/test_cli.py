@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import MISSING, fields
@@ -164,9 +165,29 @@ class TestExitCodes:
             assert code == 3
             assert "failure" in capsys.readouterr().err
 
-    def test_preselection_without_spread(self, conf, tmp_path, capsys):
+    @pytest.mark.parametrize("amplitude", ["20", "6"])
+    def test_premeasurement_photon_ceiling(self, conf, tmp_path, capsys,
+                                           amplitude):
+        # the premeasurement pulse is checked against the same ceiling as the
+        # measurement pulse; at 20 x the reference amplitude it once exited
+        # 0 and wrote a preselection summary. At 6 x only the ring-up
+        # overshoot before the premeasurement window exceeds the ceiling
+        code = run("simulate", "--config", conf, "--output-dir", str(tmp_path),
+                   "--wide", "--n-shots", "2000", "--set", "preselect=true",
+                   "--set", f"premeasure_amplitude={amplitude}")
+        assert code == 3
+        assert re.search(r"resonator photon number [\d.]+ exceeds ceiling 100",
+                         capsys.readouterr().err)
+        assert not (tmp_path / "preselect_summary.txt").exists()
+
+    def test_preselection_without_spread(self, conf, tmp_path, capsys,
+                                         monkeypatch):
         # a premeasurement so strong that its noise vanishes below the last
-        # digit of its values leaves nothing to histogram
+        # digit of its values leaves nothing to histogram; the photon
+        # ceiling, which stops such a pulse first, is switched off to reach
+        # the preselection fit
+        monkeypatch.setattr(TwoCavityModel, "check_ceiling",
+                            lambda self, fields: None)
         code = run("simulate", "--config", conf, "--output-dir", str(tmp_path),
                    "--wide", "--n-shots", "200", "--set", "preselect=true",
                    "--set", "premeasure_amplitude=1e300")
@@ -260,6 +281,17 @@ class TestExitCodes:
         ("simulate", "gamma_mix_up=1e300 gamma_mix_down=1e300", "gamma_mix_down"),
         ("optimize --mode power", "mix_coeff=1e300", "T1"),
         ("optimize --mode power", "mix_coeff=1e300", "mix_coeff"),
+        # a device whose chi, kappa_eff or kappa_p is zero or not finite:
+        # signal and optimize divided by it, the model's matrices overflowed
+        ("derive", "alpha=0", "alpha"),
+        ("signal", "alpha=0", "alpha"),
+        ("signal", "J=0", "J,"),
+        ("signal", "Q_p=1e-300", "Q_p"),
+        ("optimize --mode ratio", "alpha=0", "alpha"),
+        # a ratio search whose longest tau needs more than MAX_BINS points:
+        # one asked numpy for more than it allows, the other for 267 GiB
+        ("optimize --mode ratio", "ratio_tau_grid=1e300", "ratio_tau_grid"),
+        ("optimize --mode ratio", "alpha=-1", "ratio_tau_grid"),
     ])
     def test_step_and_size_guards(self, conf, tmp_path, capsys, command, value,
                                   key):
@@ -788,6 +820,26 @@ class TestCalibrate:
         err = capsys.readouterr().err
         assert code == 2
         assert f"{tmp_path / 'e.csv'} (e)" in err and message in err
+
+    @pytest.mark.parametrize("rows,message", [
+        # exited 0 and wrote photons_per_watt = nan
+        ("0,6.316e9\n1e-16,nan\n2e-16,6.31e9\n3e-16,6.30e9\n",
+         "a qubit frequency is not a finite number"),
+        ("0,6.316e9\nnan,6.31e9\n2e-16,6.30e9\n",
+         "a power is not a finite number"),
+        # exited 1 with a LinAlgError traceback from the line fit
+        ("0,6.316e9\n0,6.31e9\n0,6.30e9\n", "every power is 0 W")],
+        ids=["nan_frequency", "nan_power", "equal_powers"])
+    def test_bad_stark_input_exits_2(self, conf, tmp_path, capsys, rows,
+                                     message):
+        path = tmp_path / "stark.csv"
+        path.write_text(rows)
+        code = run("calibrate", "--config", conf, "--output-dir", str(tmp_path),
+                   "--mode", "stark", "--input", str(path))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{path}: {message}" in err
+        assert not (tmp_path / "stark_fit.txt").exists()
 
     def test_spectrum_grid_mismatch(self, conf, tmp_path):
         for name, n in (("a.csv", 20), ("b.csv", 21)):

@@ -319,8 +319,7 @@ class TestMeanQuadratures:
 class TestIntegratedRate:
     def test_constant_signal(self):
         times = np.linspace(0.0, 100e-9, 201)
-        trace = SignalTrace(times=times, values=np.full_like(times, 3.0),
-                            model="QSS")
+        trace = SignalTrace(times=times, values=np.full_like(times, 3.0))
         tau = 64e-9
         assert integrated_rate(trace, tau) == pytest.approx(
             3.0 * math.sqrt(tau), rel=1e-9)
@@ -333,16 +332,14 @@ class TestIntegratedRate:
         for ratio in (0.2, 0.5):
             trace = SignalTrace(times=times,
                                 values=qss_signal(2.5, chi, abs(chi) / ratio,
-                                                  times),
-                                model="QSS")
+                                                  times))
             s[ratio] = integrated_rate(trace, tau)
         assert s[0.2] > s[0.5]
 
     def test_asymptotic_slope_is_steady_state(self):
         chi, kappa = -7.9e6, 37.5e6
         times = np.linspace(0.0, 2e-6, 8001)
-        trace = SignalTrace(times=times, values=qss_signal(2.5, chi, kappa, times),
-                            model="QSS")
+        trace = SignalTrace(times=times, values=qss_signal(2.5, chi, kappa, times))
         s_ss = qss_steady_signal(2.5, chi, kappa)
         # slope of the accumulated integral s(tau) sqrt(tau) between 1 and
         # 2 us equals the steady-state signal once the transient has passed

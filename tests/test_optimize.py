@@ -5,8 +5,8 @@ import pytest
 
 from conftest import make_device
 from fastreadout.errors import ConfigError
-from fastreadout.optimize import (constraint_report, optimal_ratio_vs_tau,
-                                  power_tradeoff, signal_family)
+from fastreadout.dynamics import SignalTrace, integrated_rate, qss_signal
+from fastreadout.optimize import optimal_ratio_vs_tau, power_tradeoff
 
 
 def tau_for(device, x):
@@ -55,37 +55,42 @@ class TestOptimalRatio:
 
 
 class TestSignalFamily:
+    """QSS signals over (chi, ratio) at kappa_eff = |chi| / ratio, the drive
+    tied to the dispersive scale: n_drive = 0.2 n_crit at n_crit = 14."""
+
+    N_DRIVE = 0.2 * 14.0
+
     def test_shapes_and_keys(self):
         t = np.linspace(0.0, 400e-9, 801)
-        fam = signal_family([-4e6, -8e6], [0.2, 0.5], t)
-        assert set(fam) == {(-4e6, 0.2), (-4e6, 0.5), (-8e6, 0.2), (-8e6, 0.5)}
-        for trace in fam.values():
-            assert trace.values.shape == t.shape
-            assert trace.values[0] == pytest.approx(0.0, abs=1e-9)
-            assert np.all(trace.values >= -1e-12)
+        for chi in (-4e6, -8e6):
+            for ratio in (0.2, 0.5):
+                values = qss_signal(self.N_DRIVE, chi, abs(chi) / ratio, t)
+                assert values.shape == t.shape
+                assert values[0] == pytest.approx(0.0, abs=1e-9)
+                assert np.all(values >= -1e-12)
 
     def test_ring_up_time_scales_inversely_with_chi(self):
         # at fixed ratio the dynamics depend on t only through chi t
         t = np.linspace(0.0, 2e-6, 20001)
-        fam = signal_family([-4e6, -8e6], [0.5], t)
 
-        def t95(trace):
-            target = 0.95 * trace.values[-1]
-            return trace.times[np.argmax(trace.values >= target)]
+        def t95(chi):
+            values = qss_signal(self.N_DRIVE, chi, abs(chi) / 0.5, t)
+            return t[np.argmax(values >= 0.95 * values[-1])]
 
-        ratio = t95(fam[(-4e6, 0.5)]) / t95(fam[(-8e6, 0.5)])
-        assert ratio == pytest.approx(2.0, rel=0.05)
+        assert t95(-4e6) / t95(-8e6) == pytest.approx(2.0, rel=0.05)
 
     def test_fast_ratio_wins_early(self):
         # over a 50 ns window the over-coupled (ratio 0.2) filter has
         # accumulated more separation: its ring-up is faster even though the
         # matched ratio 0.5 wins in steady state
-        from fastreadout.dynamics import integrated_rate
         t = np.linspace(0.0, 60e-9, 601)
-        fam = signal_family([-7.9e6], [0.2, 0.5], t)
-        s_fast = integrated_rate(fam[(-7.9e6, 0.2)], 50e-9)
-        s_slow = integrated_rate(fam[(-7.9e6, 0.5)], 50e-9)
-        assert s_fast > s_slow
+        chi = -7.9e6
+
+        def rate(ratio):
+            values = qss_signal(self.N_DRIVE, chi, abs(chi) / ratio, t)
+            return integrated_rate(SignalTrace(times=t, values=values), 50e-9)
+
+        assert rate(0.2) > rate(0.5)
 
 
 class TestPowerTradeoff:
@@ -154,27 +159,3 @@ class TestPowerTradeoff:
     def test_invalid_power(self, device):
         with pytest.raises(ConfigError):
             power_tradeoff(device, [0.0, 1.0], 56e-9, n_shots=100)
-
-
-class TestConstraintReport:
-    def test_reference_point_passes(self, device):
-        rep = constraint_report(device, target_tau=56e-9)
-        assert rep.dispersive_ok and rep.drive_ok and rep.signal_ok
-        assert device.n_crit == pytest.approx(14.0986, abs=0.01)
-        assert rep.drive_fraction == pytest.approx(2.5 / 14.0986, rel=1e-3)
-        assert "larger" in rep.advice  # 2 pi |chi| tau = 2.7 < 4.5
-
-    def test_long_window_advice(self, device):
-        rep = constraint_report(device, target_tau=tau_for(device, 10.0))
-        assert "0.5" in rep.advice
-
-    def test_overdriven_flagged(self):
-        dev = make_device(n_drive=14.0)
-        rep = constraint_report(dev)
-        assert not rep.drive_ok
-        assert rep.dispersive_ok
-
-    def test_weak_coupling_flagged(self):
-        dev = make_device(g=30e6)
-        rep = constraint_report(dev)
-        assert not rep.dispersive_ok or abs(dev.chi) < 1e6

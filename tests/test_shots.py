@@ -17,7 +17,7 @@ from fastreadout.errors import ConfigError, FitError, GridError
 from fastreadout import shots
 from fastreadout.shots import (K_JUMPS, Z99, ReadoutChain, ShotConfig,
                                noise_sigma_bin, preselection_threshold,
-                               run_preselection, simulate_batch, simulate_shot)
+                               run_preselection, simulate_batch)
 
 
 class TestShotConfig:
@@ -44,7 +44,7 @@ class TestShotConfig:
         pulse = PulseEnvelope(kind="gated", total_duration=40e-9)
         cfg = ShotConfig(n_shots=1, measure_duration=160e-9)
         with pytest.raises(GridError):
-            simulate_shot(device, pulse, cfg, "g")
+            simulate_batch(device, pulse, cfg, "g", shots=range(0, 1))
 
 
 class TestDeterminism:
@@ -60,14 +60,14 @@ class TestDeterminism:
         # shot i depends only on (master_seed, i), not on the batch context
         cfg = ShotConfig(n_shots=8, master_seed=9)
         batch = simulate_batch(device, gated_pulse, cfg)
-        solo = simulate_shot(device, gated_pulse, cfg, "e", 5)
-        assert np.array_equal(batch[5].samples, solo.samples)
+        solo = simulate_batch(device, gated_pulse, cfg, "e", shots=range(5, 6))
+        assert np.array_equal(batch.samples[5], solo.samples[0])
 
     def test_seed_changes_samples(self, device, gated_pulse):
-        a = simulate_shot(device, gated_pulse,
-                          ShotConfig(n_shots=1, master_seed=1), "g", 0)
-        b = simulate_shot(device, gated_pulse,
-                          ShotConfig(n_shots=1, master_seed=2), "g", 0)
+        a = simulate_batch(device, gated_pulse,
+                           ShotConfig(n_shots=1, master_seed=1), "g", range(0, 1))
+        b = simulate_batch(device, gated_pulse,
+                           ShotConfig(n_shots=1, master_seed=2), "g", range(0, 1))
         assert not np.array_equal(a.samples, b.samples)
 
 
@@ -461,8 +461,9 @@ class TestStreamPinning:
                 assert other[row].jump_times == batch[i].jump_times
                 assert other.preselect[row] == batch.preselect[i]
                 assert other.overflow[row] == batch.overflow[i]
-        rec = simulate_shot(device, gated_pulse, _stream_config(1), batch.prep[5], 5)
-        assert np.array_equal(rec.samples, batch.samples[5])
+        rec = simulate_batch(device, gated_pulse, _stream_config(1),
+                             batch.prep[5], range(5, 6))
+        assert np.array_equal(rec.samples[0], batch.samples[5])
         many = ReadoutChain(device, gated_pulse, _stream_config(600)).run(range(600))
         part = chain.run(range(250, 262))
         assert np.array_equal(part.samples, many.samples[250:262])
