@@ -64,9 +64,9 @@ def build_weights(times, mean_g, mean_e, tau: float, dt: float) -> WeightFunctio
 
 def integrate_batch(batch, weights: WeightFunction, kappa_p: float):
     """q_tau = sqrt(2 pi kappa_p) * sum Q_k w_k dt for every row of a
-    ShotBatch, as one matrix-vector product; returns (q values, preparation
-    labels). A row's q does not depend on the rows around it, so a file
-    integrated in chunks gives the q of one batch."""
+    ShotBatch, as one matrix-vector product; the labels stay in
+    batch.excited. A row's q does not depend on the rows around it, so a
+    file integrated in chunks gives the q of one batch."""
     n = len(weights.w)
     if batch.n_bins < n:
         raise TauRangeError("shot record does not cover the weight support")
@@ -76,7 +76,7 @@ def integrate_batch(batch, weights: WeightFunction, kappa_p: float):
         # numpy computes a one-row product as a dot product, whose sum can
         # differ in the last bit from the row's in a matrix-vector product
         samples = np.repeat(samples, 2, axis=0)
-    return scale * (samples @ weights.w)[:len(batch)], batch.prep
+    return scale * (samples @ weights.w)[:len(batch)]
 
 
 # ---------------------------------------------------------------------------
@@ -262,22 +262,24 @@ def _intersection_threshold(fit: MixtureFit) -> float:
     return float(q) if a + eps <= q <= b - eps else midpoint
 
 
-def _excited(prep) -> np.ndarray:
-    """True for the e-prepared shots; prep holds the labels 'g'/'e' or is
-    this boolean array already."""
-    prep = np.asarray(prep)
-    return prep if prep.dtype == bool else prep == "e"
+def _bool_labels(excited) -> np.ndarray:
+    """The prepared labels `excited` (true for e) as an array; TypeError
+    unless they are boolean, since text labels cast to bool are all true."""
+    excited = np.asarray(excited)
+    if excited.dtype != bool:
+        raise TypeError(f"prepared labels must be boolean, not {excited.dtype}")
+    return excited
 
 
-def fit_shot_histograms(q: np.ndarray, prep: np.ndarray):
+def fit_shot_histograms(q: np.ndarray, excited: np.ndarray):
     """Bin pooled q values and run the mixture fit; returns (fit, centers, hg, he).
 
-    prep: the labels 'g'/'e', or a boolean array, true for e. A class's q
-    values are copied out one class at a time, so the peak is q, the labels
-    and the bin edges' percentile copy of q.
+    excited: the boolean prepared labels, true for e (TypeError for any
+    other dtype). A class's q values are copied out one class at a time, so
+    the peak is q, the labels and the bin edges' percentile copy of q.
     """
     q = np.asarray(q, dtype=float)
-    excited = _excited(prep)
+    excited = _bool_labels(excited)
     n_e = int(np.count_nonzero(excited))
     if n_e == 0 or n_e == len(q):
         raise FitError("need shots for both preparations")
@@ -323,11 +325,11 @@ class ErrorBudget:
         return 1.0 - 0.5 * (self.eps_g + self.eps_e)
 
 
-def error_budget(q: np.ndarray, prep: np.ndarray, fit: MixtureFit) -> ErrorBudget:
+def error_budget(q: np.ndarray, excited: np.ndarray, fit: MixtureFit) -> ErrorBudget:
     """Empirical misassignment fractions plus fitted-Gaussian overlap errors;
-    prep as for fit_shot_histograms."""
+    excited as for fit_shot_histograms."""
     q = np.asarray(q, dtype=float)
-    excited = _excited(prep)
+    excited = _bool_labels(excited)
     n_e = int(np.count_nonzero(excited))
     n_g = len(q) - n_e
     if n_g == 0 or n_e == 0:

@@ -119,8 +119,9 @@ def resolve_config(path: str | None, overrides) -> dict:
     for key in ("grid_step", "tau"):
         if not out[key] > 0.0:
             raise ConfigError(f"{key} must be positive")
-    if not all(x > 0.0 for x in out["ratio_tau_grid"]):
-        raise ConfigError("ratio_tau_grid entries must be positive")
+    for key in ("ratio_tau_grid", "power_grid"):
+        if not all(x > 0.0 for x in out[key]):
+            raise ConfigError(f"{key} entries must be positive")
     return out
 
 
@@ -247,53 +248,37 @@ def cmd_rate(cfg: dict, args) -> int:
 _STREAM_CHUNK = 1024
 
 
-def _shot_rows(batch: shots.ShotBatch, start: int, times) -> bytes:
-    """The CSV rows of `batch`, shot ids counting from `start`, with the
-    bytes csv.writer gives the _fmt values.
+def _shot_rows(batch: shots.ShotBatch, start: int) -> bytes:
+    """The CSV rows of `batch`, one per shot (shot_id, prep,
+    preselect_value, q0, q1, ...), shot ids counting from `start` and prep
+    'e' or 'g', with the bytes csv.writer gives the _fmt values.
 
-    Wide (times None): one row per shot (shot_id, prep, preselect_value, q0,
-    q1, ...); long: one row per bin (shot_id, prep, t_ns, Q), times holding
-    the records of the t_ns fields. Each field is a NUL-padded record of
-    _g9.WIDTH bytes, the value ones from _g9.encode; deleting the NULs
-    gives the rows.
+    Each field is a NUL-padded record of _g9.WIDTH bytes, the value ones
+    from _g9.encode; deleting the NULs gives the rows.
     """
     n, n_bins = batch.samples.shape
     ids = np.arange(start, start + n).astype(f"S{len(str(start + n - 1))}")
     w = ids.itemsize
-    head = np.zeros((n, _g9.WIDTH), dtype=np.uint8)  # "<id>,<prep>,"
+    rows = np.empty((n, 2 + n_bins, _g9.WIDTH), dtype=np.uint8)
+    head = rows[:, 0]  # "<id>,<prep>,"
+    head[:] = 0
     head[:, :w] = ids.view(np.uint8).reshape(n, w)
-    head[:, w] = head[:, w + 2] = ord(",")
-    head[:, w + 1] = batch.prep.astype("S1").view(np.uint8)
-    if times is None:
-        rows = np.empty((n, 2 + n_bins, _g9.WIDTH), dtype=np.uint8)
-        rows[:, 0] = head
-        _g9.encode(batch.preselect, rows[:, 1])
-        _g9.encode(batch.samples, rows[:, 2:])
-        rows[:, 1:-1, _g9.SEP] = ord(",")
-    else:
-        rows = np.empty((n, n_bins, 3, _g9.WIDTH), dtype=np.uint8)
-        rows[:, :, 0] = head[:, None]
-        rows[:, :, 1] = times
-        _g9.encode(batch.samples, rows[:, :, 2])
-    rows[..., -1, _g9.SEP:_g9.SEP + 2] = np.frombuffer(b"\r\n", dtype=np.uint8)
+    head[:, w:w + 3] = np.where(batch.excited, b",e,", b",g,")[:, None].view(np.uint8)
+    _g9.encode(batch.preselect, rows[:, 1])
+    _g9.encode(batch.samples, rows[:, 2:])
+    rows[:, 1:-1, _g9.SEP] = ord(",")
+    rows[:, -1, _g9.SEP:_g9.SEP + 2] = np.frombuffer(b"\r\n", dtype=np.uint8)
     return rows.tobytes().translate(None, b"\0")
 
 
-def _write_shot_csv(path: Path, cfg: dict, batches, wide: bool):
+def _write_shot_csv(path: Path, cfg: dict, batches):
     """Write the shot CSV of the ShotBatch chunks `batches`, one after the
     other, shot ids counting on across them (see _shot_rows). The first
     chunk is drawn before the file is opened."""
     batches = iter(batches)
     first = next(batches)
-    if wide:
-        columns = ["shot_id", "prep", "preselect_value"] + \
-                  [f"q{k}" for k in range(first.n_bins)]
-        times = None
-    else:
-        columns = ["shot_id", "prep", "t_ns", "Q"]
-        times = np.empty((first.n_bins, _g9.WIDTH), dtype=np.uint8)
-        _g9.encode((np.arange(first.n_bins) + 0.5) * cfg["dt_bin"] * 1e9, times)
-        times[:, _g9.SEP] = ord(",")
+    columns = ["shot_id", "prep", "preselect_value"] + \
+              [f"q{k}" for k in range(first.n_bins)]
     with open(path, "w", newline="") as fh:
         for line in _header_lines(cfg, "simulate"):
             fh.write(line + "\n")
@@ -301,7 +286,7 @@ def _write_shot_csv(path: Path, cfg: dict, batches, wide: bool):
         fh.flush()
         start = 0
         for batch in itertools.chain([first], batches):
-            fh.buffer.write(_shot_rows(batch, start, times))
+            fh.buffer.write(_shot_rows(batch, start))
             start += len(batch)
 
 
@@ -321,7 +306,7 @@ def cmd_simulate(cfg: dict, args) -> int:
             yield batch
 
     out_dir = Path(cfg["output_dir"])
-    _write_shot_csv(out_dir / "shots.csv", cfg, chunks(), args.wide)
+    _write_shot_csv(out_dir / "shots.csv", cfg, chunks())
     if shot_cfg.preselect:
         q_p = np.concatenate(preselect)
         n_kept = int(np.count_nonzero(q_p <= shots.preselection_threshold(q_p)))
@@ -344,8 +329,8 @@ def _check_line_ends(lines: list[bytes], path: str):
 
 
 def _read_shot_csv(path: str, cfg: dict):
-    """Yield the shots of a wide-format shot CSV that matches the
-    configuration, as ShotBatch chunks of at most _STREAM_CHUNK shots.
+    """Yield the shots of a shot CSV that matches the configuration, as
+    ShotBatch chunks of at most _STREAM_CHUNK shots (prep 'e' is excited).
 
     The '#' header must echo the same device, pulse, dt_bin and
     measure_duration as `cfg`; otherwise ConfigError names the difference.
@@ -360,7 +345,8 @@ def _read_shot_csv(path: str, cfg: dict):
             header[key.strip()] = value.strip()
             line = fh.readline()
         if line.split(b",")[:3] != [b"shot_id", b"prep", b"preselect_value"]:
-            raise ConfigError("analyze expects the wide shot CSV format")
+            raise ConfigError(f"malformed shot file {path}: the columns are "
+                              "not shot_id,prep,preselect_value,q0,...")
         for key in _SHOT_FILE_KEYS:
             if header.get(key) != _fmt(cfg[key]):
                 raise ConfigError(
@@ -380,7 +366,7 @@ def _read_shot_csv(path: str, cfg: dict):
                 raise ConfigError(f"malformed shot file {path}: {exc}") from exc
             if len(data):
                 n += len(data)
-                yield shots.ShotBatch(prep=np.where(data[:, 1] == 1.0, "e", "g"),
+                yield shots.ShotBatch(excited=data[:, 1] == 1.0,
                                       samples=data[:, 3:], preselect=data[:, 2])
     if n == 0:
         raise ConfigError(f"shot file {path} holds no shots")
@@ -399,7 +385,7 @@ def cmd_analyze(cfg: dict, args) -> int:
         raise ConfigError("analyze requires --input shots.csv")
     chain = shots.ReadoutChain(build_device(cfg), build_pulse(cfg),
                                build_shot_config(cfg))
-    # q and the e labels of the shots read so far: n entries of arrays that
+    # q and the labels of the shots read so far: n entries of arrays that
     # double their room when a chunk does not fit
     q, excited, n, weights = np.empty(0), np.empty(0, dtype=bool), 0, None
     for batch in _read_shot_csv(args.input, cfg):
@@ -408,12 +394,11 @@ def cmd_analyze(cfg: dict, args) -> int:
                               f"configuration's window {chain.n_bins}")
         if weights is None:  # a file that fails its checks exits 2 first
             weights = chain.weights(cfg["tau"])
-        q_chunk, prep_chunk = analysis.integrate_batch(batch, weights,
-                                                       chain.device.kappa_p)
+        q_chunk = analysis.integrate_batch(batch, weights, chain.device.kappa_p)
         m = n + len(batch)
         if m > len(q):
             q, excited = _room(q, n, m), _room(excited, n, m)
-        q[n:m], excited[n:m] = q_chunk, prep_chunk == "e"
+        q[n:m], excited[n:m] = q_chunk, batch.excited
         n = m
     q, excited = q[:n], excited[:n]
     fit, bin_centers, hist_g, hist_e = analysis.fit_shot_histograms(q, excited)
@@ -551,10 +536,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sim)
     p_sim.add_argument("--n-shots", type=int, help="override n_shots")
     p_sim.add_argument("--wide", action="store_true",
-                       help="one row per shot instead of one row per bin")
+                       help="ignored: shots.csv always has one row per shot")
     p_an = sub.add_parser("analyze")
     common(p_an)
-    p_an.add_argument("--input", help="wide-format shot CSV to analyze")
+    p_an.add_argument("--input", help="shot CSV written by simulate")
     p_opt = sub.add_parser("optimize")
     common(p_opt)
     p_opt.add_argument("--mode", choices=("ratio", "power"), default="ratio")

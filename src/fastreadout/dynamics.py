@@ -40,6 +40,9 @@ DEFAULT_BOOST_FACTOR = 2.5
 DEFAULT_BOOST_DURATION = 4e-9
 #: largest resonator photon number the linear model is trusted at
 PHOTON_CEILING = 100.0
+#: step (s) of the grid on which filter_fields checks PHOTON_CEILING, and
+#: its points per trace, which bound the temporaries of the check
+CEILING_STEP, _CEILING_CHUNK = 0.5e-9, 2**16
 
 
 def to_sqrt_mhz(s):
@@ -49,7 +52,9 @@ def to_sqrt_mhz(s):
 
 @dataclass(frozen=True)
 class PulseEnvelope:
-    """Readout drive envelope: square ('gated') or boosted ('two_step')."""
+    """Readout drive envelope: square ('gated') or boosted ('two_step').
+    Errors name kind, amplitude and total_duration by their configuration
+    keys pulse_kind, pulse_amplitude and pulse_duration."""
 
     kind: str = "gated"
     amplitude: float = 1.0
@@ -60,13 +65,13 @@ class PulseEnvelope:
     def __post_init__(self):
         require_finite(self)
         if self.kind not in ("gated", "two_step"):
-            raise ConfigError(f"unknown pulse kind {self.kind!r}")
+            raise ConfigError(f"unknown pulse_kind {self.kind!r}")
         if self.kind == "gated":
             object.__setattr__(self, "boost_factor", 1.0)
         if self.amplitude < 0.0 or self.boost_factor < 0.0:
-            raise ConfigError("pulse amplitudes must be non-negative")
+            raise ConfigError("pulse_amplitude and boost_factor must be non-negative")
         if not (0.0 <= self.boost_duration < self.total_duration):
-            raise ConfigError("need 0 <= boost_duration < total_duration")
+            raise ConfigError("need 0 <= boost_duration < pulse_duration")
 
     def segments(self):
         """Constant-amplitude pieces as (t_start, t_end, amplitude) triples,
@@ -236,9 +241,17 @@ class TwoCavityModel:
     def filter_fields(self, pulse: PulseEnvelope, times) -> np.ndarray:
         """The filter fields beta at `times` of both prepared states held
         through `pulse`, row 0 g and row 1 e, after checking the resonator
-        photon number of the same solve against PHOTON_CEILING."""
+        photon number against PHOTON_CEILING at `times` and every
+        CEILING_STEP of [0, times[-1]], a grid that 8 ns bin centres are
+        not, so every caller meets one rule; finer times stand for it."""
+        times = np.asarray(times, dtype=float)
         fields = self.trace([-1, +1], pulse, times)
         self.check_ceiling(fields)
+        if np.max(np.diff(times, prepend=0.0)) > CEILING_STEP + 1e-15:
+            n = math.ceil(times[-1] / CEILING_STEP)
+            for a in range(0, n, _CEILING_CHUNK):
+                fine = np.arange(a, min(a + _CEILING_CHUNK, n)) * CEILING_STEP
+                self.check_ceiling(self.trace([-1, +1], pulse, fine))
         return fields[..., 1]
 
     def check_ceiling(self, fields: np.ndarray):

@@ -178,9 +178,9 @@ def power_tradeoff(device: DeviceParams, n_grid, tau: float,
     for n, eps_o, (dev_n, cfg) in zip(n_grid, eps_curve, cfgs):
         chain = ReadoutChain(dev_n, pulse, cfg)
         batch = chain.run(range(n_shots))
-        q, prep = integrate_batch(batch, chain.weights(tau), chain.device.kappa_p)
-        fit, *_ = fit_shot_histograms(q, prep)
-        budget = error_budget(q, prep, fit)
+        q = integrate_batch(batch, chain.weights(tau), chain.device.kappa_p)
+        fit, *_ = fit_shot_histograms(q, batch.excited)
+        budget = error_budget(q, batch.excited, fit)
         out.append(PowerPoint(n_drive=float(n), eps_o=float(eps_o),
                               fidelity_mc=budget.fidelity,
                               gamma_mix=cfg.gamma_mix_up))

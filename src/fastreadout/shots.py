@@ -21,7 +21,7 @@ words of one shot, in order:
       K jump words                       premeasurement window
       n_win noise words, padded to even  last n_win premeasurement bins
       reset word                         e decays in the gap when u < p_reset
-    prep word                            'e' prepares (flips) when u >= prep_error
+    prep word                            e labels flip s when u >= prep_error
     K jump words                         measurement window
     n_bins noise words, padded to even   measurement bins
 
@@ -63,7 +63,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lsq import least_squares
-from .analysis import NormalColumns, WeightFunction, build_weights
+from .analysis import (NormalColumns, WeightFunction, _bool_labels,
+                       build_weights)
 from .dynamics import TWOPI, PulseEnvelope, TwoCavityModel, _apply, lo_rotation
 from .config import require_finite
 from .errors import ConfigError, FitError, GridError
@@ -147,21 +148,28 @@ class ShotConfig:
             p = getattr(self, name)
             if not (0.0 <= p <= 1.0):
                 raise ConfigError(f"{name} must lie in [0, 1]")
-        if self.gamma_mix_up < 0.0 or self.gamma_mix_down < 0.0:
-            raise ConfigError("mixing rates must be non-negative")
+        for name in ("gamma_mix_up", "gamma_mix_down", "reset_gap"):
+            if getattr(self, name) < 0.0:
+                raise ConfigError(f"{name} must be non-negative")
         if not (0.0 < self.premeasure_window <= self.premeasure_duration):
             raise ConfigError("need 0 < premeasure_window <= premeasure_duration")
-        if self.reset_gap < 0.0:
-            raise ConfigError("reset_gap must be non-negative")
 
 
 def window_bins(pulse: PulseEnvelope, cfg: ShotConfig) -> int:
     """Number of dt_bin bins in the measurement window (measure_duration,
-    or the whole pulse)."""
-    duration = cfg.measure_duration
+    or the whole pulse); ConfigError above MAX_BINS."""
+    duration, window = cfg.measure_duration, "measure_duration"
     if duration is None:
-        duration = pulse.total_duration
-    return int(math.floor(duration / cfg.dt_bin + 1e-9))
+        duration, window = pulse.total_duration, "pulse_duration"
+    return _bin_count(np.floor(duration / cfg.dt_bin + 1e-9), cfg.dt_bin, window)
+
+
+def _bin_count(n: float, dt_bin: float, window: str) -> int:
+    """The whole float n as an int; ConfigError above MAX_BINS (inf too)."""
+    if n > MAX_BINS:
+        raise ConfigError(f"dt_bin = {dt_bin:g} s gives {n:.3g} bins per "
+                          f"{window}, more than {MAX_BINS}")
+    return int(n)
 
 
 def mean_waits(device: DeviceParams, cfg: ShotConfig) -> dict:
@@ -180,9 +188,10 @@ def mean_jumps(mean_wait: dict, duration: float) -> float:
 
 @dataclass(frozen=True)
 class ShotRecord:
-    """One repetition: preparation label, binned samples, hidden diagnostics."""
+    """One repetition: prepared label (true for e), binned samples, hidden
+    diagnostics (jump_times: (t, decay) pairs, decay true for e -> g)."""
 
-    prep: str
+    excited: bool
     samples: np.ndarray
     jump_times: tuple = ()
     preselect_value: float | None = None
@@ -197,21 +206,21 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class ShotBatch:
     """Columnar shot data: one row per shot, hidden jumps held sparsely.
 
-    prep (N,) holds the labels 'g'/'e'; samples (N, n_bins) the binned
-    quadratures; preselect (N,) the premeasurement values, NaN without
-    preselection; overflow (N,) marks the shots that drew a second round
-    of K_JUMPS waits in a window (all false for data read from a file).
-    jump_shot, jump_time and jump_kind (J,) list every qubit jump of the
-    measurement window by row ('eg' decay, 'ge' excitation), rows ascending
-    and times ascending within a row. All arrays are read-only; len,
-    batch[i] and iteration give read-only ShotRecord views.
+    excited (N,) holds the boolean prepared labels, true for e (TypeError
+    for another dtype); samples (N, n_bins) the binned quadratures;
+    preselect (N,) the premeasurement values, NaN without preselection;
+    overflow (N,) marks the shots that drew a second round of K_JUMPS waits
+    in a window (all false for data read from a file). jump_shot, jump_time
+    and jump_decay (J,) list every qubit jump of the measurement window by
+    row (decay true for e -> g), rows then times ascending. All arrays are
+    read-only; len, batch[i] and iteration give read-only ShotRecord views.
     """
 
-    def __init__(self, prep, samples, preselect=None, jump_shot=(), jump_time=(),
-                 jump_kind=(), overflow=None):
+    def __init__(self, excited, samples, preselect=None, jump_shot=(),
+                 jump_time=(), jump_decay=(), overflow=None):
         self.samples = _read_only(np.asarray(samples, dtype=float))
         n = len(self.samples)
-        self.prep = _read_only(np.asarray(prep, dtype="U1"))
+        self.excited = _read_only(_bool_labels(excited))
         if preselect is None:
             preselect = np.full(n, np.nan)
         self.preselect = _read_only(np.asarray(preselect, dtype=float))
@@ -220,11 +229,10 @@ class ShotBatch:
         self.overflow = _read_only(np.asarray(overflow, dtype=bool))
         self.jump_shot = _read_only(np.asarray(jump_shot, dtype=np.int64))
         self.jump_time = _read_only(np.asarray(jump_time, dtype=float))
-        self.jump_kind = _read_only(np.asarray(jump_kind, dtype="U2"))
-        if self.samples.ndim != 2 or self.prep.shape != (n,) \
+        self.jump_decay = _read_only(np.asarray(jump_decay, dtype=bool))
+        if self.samples.ndim != 2 or self.excited.shape != (n,) \
                 or self.preselect.shape != (n,) or self.overflow.shape != (n,):
-            raise ValueError("prep, samples, preselect and overflow need one "
-                             "row per shot")
+            raise ValueError("excited, samples, preselect, overflow: one row per shot")
         # jumps of row i: [_jump_start[i], _jump_start[i + 1])
         self._jump_start = np.searchsorted(self.jump_shot, np.arange(n + 1))
 
@@ -245,8 +253,8 @@ class ShotBatch:
         a, b = self._jump_start[i], self._jump_start[i + 1]
         pre = float(self.preselect[i])
         jumps = () if a == b else tuple(zip(self.jump_time[a:b].tolist(),
-                                            self.jump_kind[a:b].tolist()))
-        return ShotRecord(prep=str(self.prep[i]), samples=self.samples[i],
+                                            self.jump_decay[a:b].tolist()))
+        return ShotRecord(excited=bool(self.excited[i]), samples=self.samples[i],
                           jump_times=jumps,
                           preselect_value=None if math.isnan(pre) else pre)
 
@@ -258,9 +266,9 @@ class ShotBatch:
         keep = np.asarray(keep, dtype=bool)
         row = np.cumsum(keep) - 1
         jumps = keep[self.jump_shot]
-        return ShotBatch(self.prep[keep], self.samples[keep], self.preselect[keep],
+        return ShotBatch(self.excited[keep], self.samples[keep], self.preselect[keep],
                          row[self.jump_shot[jumps]], self.jump_time[jumps],
-                         self.jump_kind[jumps], self.overflow[keep])
+                         self.jump_decay[jumps], self.overflow[keep])
 
 
 class ReadoutChain:
@@ -276,17 +284,14 @@ class ReadoutChain:
         self.device = device
         self.cfg = cfg
         self.n_bins = window_bins(pulse, cfg)
+        windows = {"measurement window": self.n_bins * cfg.dt_bin}
         if cfg.preselect:
-            self.n_pre = int(round(cfg.premeasure_duration / cfg.dt_bin))
+            self.n_pre = _bin_count(np.round(cfg.premeasure_duration / cfg.dt_bin),
+                                    cfg.dt_bin, "premeasure_duration")
             self.n_win = max(1, int(round(cfg.premeasure_window / cfg.dt_bin)))
+            windows["premeasure_duration"] = cfg.premeasure_duration
         self._mean_wait = mean_waits(device, cfg)
-        windows = {"measurement window": (self.n_bins, self.n_bins * cfg.dt_bin)}
-        if cfg.preselect:
-            windows["premeasure_duration"] = (self.n_pre, cfg.premeasure_duration)
-        for window, (n, duration) in windows.items():
-            if n > MAX_BINS:
-                raise ConfigError(f"dt_bin = {cfg.dt_bin:g} s gives {n} bins per "
-                                  f"{window}, more than {MAX_BINS}")
+        for window, duration in windows.items():
             jumps = mean_jumps(self._mean_wait, duration)
             if jumps > MAX_MEAN_JUMPS:
                 raise ConfigError(
@@ -464,9 +469,10 @@ class ReadoutChain:
 
     # -- a batch of shots --------------------------------------------------------
 
-    def run(self, shots: range, prep=None) -> ShotBatch:
-        """The shots of the range `shots` with labels `prep` (None: g, e, g,
-        e, ... by index parity); shot i depends only on (master_seed, i).
+    def run(self, shots: range, excited=None) -> ShotBatch:
+        """The shots of the range `shots` with the boolean prepared labels
+        `excited`, true for e (None: g, e, g, e, ... by index parity); shot i
+        depends only on (master_seed, i).
 
         Shot i reads the words [i W, (i + 1) W), W = n_words, of
         Philox(key=(master_seed, 0)): thermal, then with preselection K
@@ -484,12 +490,11 @@ class ReadoutChain:
             raise ValueError("shots must be a range of consecutive shot indices")
         cfg = self.cfg
         n = len(shots)
-        if prep is None:
-            prep = np.where(np.arange(shots.start, shots.stop) % 2 == 0, "g", "e")
-        prep = np.asarray(prep, dtype="U1")
-        if prep.shape != (n,):
-            raise ValueError("prep needs one label per shot")
-        excite = prep == "e"
+        if excited is None:
+            excited = np.arange(shots.start, shots.stop) % 2 == 1
+        excited = _bool_labels(excited)
+        if excited.shape != (n,):
+            raise ValueError("excited needs one label per shot")
         bits = np.random.Philox(key=[self._key, 0])
         bits.advance(shots.start * self.n_words // 4)
         n_pre_noise = _even(self.n_win) if cfg.preselect else 0
@@ -522,7 +527,7 @@ class ReadoutChain:
                 # reset gap: cavity returns to vacuum, qubit only decays
                 s = np.where((s > 0) & (u[:, c] < self.p_reset), -1, s)
                 c += 1
-            s = np.where(excite[a:b] & (u[:, c] >= cfg.prep_error), -s, s)
+            s = np.where(excited[a:b] & (u[:, c] >= cfg.prep_error), -s, s)
             s_main[a:b] = s
             c += 1
             _, over, (row, time, decay) = self._jumps(
@@ -543,26 +548,17 @@ class ReadoutChain:
             self._add_means(pre, s_pre, pre_row, pre_time, self.pre_pulse,
                             self.pre_centers[-self.n_win:], self.pre_bins)
             preselect = np.mean(pre, axis=1)
-        return ShotBatch(prep, samples, preselect, row, time,
-                         np.where(decay, "eg", "ge"), overflow)
+        return ShotBatch(excited, samples, preselect, row, time, decay, overflow)
 
 
 def simulate_batch(device: DeviceParams, pulse: PulseEnvelope, cfg: ShotConfig,
-                   prep: str | None = None, shots: range | None = None) -> ShotBatch:
+                   shots: range | None = None) -> ShotBatch:
     """Generate the shots of the range `shots` (None: all cfg.n_shots) as a
-    ShotBatch.
-
-    prep None alternates g, e, g, e, ... (shot index parity); 'g' or 'e'
-    prepares a single class. Order-independent: shot i depends only on
-    (master_seed, i), so consecutive ranges give the rows of one batch.
-    """
+    ShotBatch, prepared g, e, g, e, ... by index parity. Shot i depends only
+    on (master_seed, i), so consecutive ranges give the rows of one batch."""
     if shots is None:
         shots = range(cfg.n_shots)
-    if prep is not None:
-        if prep not in ("g", "e"):
-            raise ConfigError(f"preparation must be 'g' or 'e', got {prep!r}")
-        prep = np.full(len(shots), prep)
-    return ReadoutChain(device, pulse, cfg).run(shots, prep)
+    return ReadoutChain(device, pulse, cfg).run(shots)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from fastreadout.calib import (fit_transmission, phase_sensitive_efficiency,
 from fastreadout.dynamics import (PulseEnvelope, TwoCavityModel,
                                   full_model_signal, mean_quadrature_traces)
 from fastreadout.optimize import optimal_ratio_vs_tau
-from fastreadout.shots import ShotConfig, run_preselection, simulate_batch
+from fastreadout.shots import (ReadoutChain, ShotConfig, run_preselection,
+                               simulate_batch)
 
 
 @pytest.fixture
@@ -84,9 +85,9 @@ def test_criterion_3_monte_carlo_vs_analytic(reference, report):
     details, ok = [], True
     for tau in (24e-9, 48e-9, 64e-9, 136e-9):
         w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], tau, DT_BIN)
-        q, prep = integrate_batch(recs, w, dev.kappa_p)
-        fit, *_ = fit_shot_histograms(q, prep)
-        bud = error_budget(q, prep, fit)
+        q = integrate_batch(recs, w, dev.kappa_p)
+        fit, *_ = fit_shot_histograms(q, recs.excited)
+        bud = error_budget(q, recs.excited, fit)
         eps_mc = bud.eps_g + bud.eps_e
         eps_th = overlap_model(trace, dev.eta, tau, filt)
         se = math.sqrt(2.0 * max(eps_th * (1 - eps_th), 1.0 / n_class) / n_class)
@@ -104,9 +105,9 @@ def test_criterion_4_t1_error_budget(reference, report):
     recs = simulate_batch(dev, pulse, cfg)
     centers, idx = bin_grid(17)
     w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 56e-9, DT_BIN)
-    q, prep = integrate_batch(recs, w, dev.kappa_p)
-    fit, *_ = fit_shot_histograms(q, prep)
-    bud = error_budget(q, prep, fit)
+    q = integrate_batch(recs, w, dev.kappa_p)
+    fit, *_ = fit_shot_histograms(q, recs.excited)
+    bud = error_budget(q, recs.excited, fit)
     expected = 1.0 - math.exp(-56e-9 / dev.T1)
     se = math.sqrt(expected * (1 - expected) / (cfg.n_shots // 2))
     ok = (abs(bud.eps_t_e - expected) <= 3 * se and bud.fidelity >= 0.975)
@@ -188,18 +189,19 @@ def test_criterion_9_property_suites(report):
     # noise variance calibration 1/(4 eta)
     dev0 = make_device(n_drive=0.0, T1=1.0)
     cfg = ShotConfig(n_shots=40000, master_seed=9, p_thermal=0.0)
-    recs = simulate_batch(dev0, pulse, cfg, prep="g")
+    recs = ReadoutChain(dev0, pulse, cfg).run(range(cfg.n_shots),
+                                              np.zeros(cfg.n_shots, bool))
     centers, _ = bin_grid(17)
     w = build_weights(centers, np.zeros(17), np.ones(17), 136e-9, DT_BIN)
-    q, _ = integrate_batch(recs, w, dev.kappa_p)
+    q = integrate_batch(recs, w, dev.kappa_p)
     var_ok = abs(np.var(q) * 4 * dev.eta - 1.0) < 0.05
 
     # mixture-fit round trip and affine threshold invariance
     rng = np.random.default_rng(3)
     qs = np.concatenate([rng.normal(-1, 0.3, 15000), rng.normal(1, 0.3, 15000)])
-    prep = np.array(["g"] * 15000 + ["e"] * 15000)
-    fit, *_ = fit_shot_histograms(qs, prep)
-    fit2, *_ = fit_shot_histograms(2.0 * qs + 3.0, prep)
+    excited = np.repeat([False, True], 15000)
+    fit, *_ = fit_shot_histograms(qs, excited)
+    fit2, *_ = fit_shot_histograms(2.0 * qs + 3.0, excited)
     mix_ok = (abs(fit.mu_g + 1.0) < 0.02 and abs(fit.mu_e - 1.0) < 0.02
               and abs(fit2.threshold - (2.0 * fit.threshold + 3.0)) < 0.05)
 

@@ -72,7 +72,7 @@ class TestWeights:
 
 def integrate_row(samples, w, kappa_p):
     """q_tau of one shot, through a one-row ShotBatch."""
-    q, _ = integrate_batch(ShotBatch(prep=["g"], samples=[samples]), w, kappa_p)
+    q = integrate_batch(ShotBatch(excited=[False], samples=[samples]), w, kappa_p)
     return float(q[0])
 
 
@@ -106,15 +106,14 @@ class TestIntegration:
         rng = np.random.default_rng(11)
         centers, idx = bin_grid(7)
         w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 56e-9, DT_BIN)
-        batch = ShotBatch(prep=["g"] * 5, samples=rng.normal(size=(5, 7)))
-        q, prep = integrate_batch(batch, w, dev.kappa_p)
+        batch = ShotBatch(excited=[False] * 5, samples=rng.normal(size=(5, 7)))
+        q = integrate_batch(batch, w, dev.kappa_p)
         for i, samples in enumerate(batch.samples):
             # q_tau = sqrt(2 pi kappa_p) * sum_k Q_k w_k dt
             expected = math.sqrt(TWOPI * dev.kappa_p) * np.sum(samples * w.w) * w.dt
             assert q[i] == pytest.approx(expected, rel=1e-12)
             assert integrate_row(samples, w, dev.kappa_p) == pytest.approx(
                 expected, rel=1e-12)
-        assert list(prep) == ["g"] * 5
 
     def test_rows_independent_of_the_batch(self, reference_traces):
         # analyze integrates a shot file in chunks: every chunking, single
@@ -124,11 +123,11 @@ class TestIntegration:
         w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 56e-9, DT_BIN)
         # strided rows, as the columns of a parsed shot file
         samples = np.random.default_rng(12).normal(size=(301, 20))[:, 3:]
-        whole, _ = integrate_batch(ShotBatch(prep=["g"] * 301, samples=samples),
-                                   w, dev.kappa_p)
+        whole = integrate_batch(ShotBatch(excited=[False] * 301, samples=samples),
+                                w, dev.kappa_p)
         for size in (1, 2, 7, 256):
-            parts = [integrate_batch(ShotBatch(prep=["g"] * len(rows), samples=rows),
-                                     w, dev.kappa_p)[0]
+            parts = [integrate_batch(ShotBatch(excited=[False] * len(rows),
+                                               samples=rows), w, dev.kappa_p)
                      for rows in np.split(samples, range(size, 301, size))]
             assert np.array_equal(np.concatenate(parts), whole)
 
@@ -140,26 +139,26 @@ class TestMixtureFit:
         q_e = np.where(swap, rng.normal(mu_g, sigma, n // 2),
                        rng.normal(mu_e, sigma, n // 2))
         q = np.concatenate([q_g, q_e])
-        prep = np.array(["g"] * (n // 2) + ["e"] * (n // 2))
-        return q, prep
+        excited = np.repeat([False, True], n // 2)
+        return q, excited
 
     def test_round_trip_clean(self):
-        q, prep = self.synth(np.random.default_rng(1), 30000)
-        fit, *_ = fit_shot_histograms(q, prep)
+        q, excited = self.synth(np.random.default_rng(1), 30000)
+        fit, *_ = fit_shot_histograms(q, excited)
         assert fit.mu_g == pytest.approx(-1.0, abs=0.02)
         assert fit.mu_e == pytest.approx(1.0, abs=0.02)
         assert fit.sigma_g == pytest.approx(0.3, rel=0.02)
         assert fit.sigma_e == pytest.approx(0.3, rel=0.02)
 
     def test_symmetric_threshold_at_midpoint(self):
-        q, prep = self.synth(np.random.default_rng(2), 30000)
-        fit, *_ = fit_shot_histograms(q, prep)
+        q, excited = self.synth(np.random.default_rng(2), 30000)
+        fit, *_ = fit_shot_histograms(q, excited)
         assert fit.threshold == pytest.approx(0.0, abs=0.03)
         assert min(fit.mu_g, fit.mu_e) < fit.threshold < max(fit.mu_g, fit.mu_e)
 
     def test_injected_transition_amplitude(self):
-        q, prep = self.synth(np.random.default_rng(3), 30000, ge_frac=0.05)
-        fit, *_ = fit_shot_histograms(q, prep)
+        q, excited = self.synth(np.random.default_rng(3), 30000, ge_frac=0.05)
+        fit, *_ = fit_shot_histograms(q, excited)
         frac = fit.A_ge / (fit.A_ge + fit.A_ee)
         assert frac == pytest.approx(0.05, abs=0.01)
 
@@ -176,10 +175,10 @@ class TestMixtureFit:
 
     def test_zero_noise_degenerate_branch(self):
         q = np.array([-1.0] * 2000 + [1.0] * 2000)
-        prep = np.array(["g"] * 2000 + ["e"] * 2000)
-        fit, *_ = fit_shot_histograms(q, prep)
+        excited = np.repeat([False, True], 2000)
+        fit, *_ = fit_shot_histograms(q, excited)
         assert fit.threshold == pytest.approx(0.0)
-        bud = error_budget(q, prep, fit)
+        bud = error_budget(q, excited, fit)
         assert bud.fidelity == 1.0
         assert bud.eps_g == bud.eps_e == 0.0
 
@@ -228,10 +227,10 @@ def mixture_cost(fit: MixtureFit, centers, counts_g, counts_e) -> float:
     return 0.5 * float(r @ r)
 
 
-def report_digits(q, prep) -> list[str]:
+def report_digits(q, excited) -> list[str]:
     """The numbers of analyze's report.txt as it prints them."""
-    fit, *_ = fit_shot_histograms(q, prep)
-    budget = error_budget(q, prep, fit)
+    fit, *_ = fit_shot_histograms(q, excited)
+    budget = error_budget(q, excited, fit)
     return [cli._fmt(v) for v in (*vars(budget).values(), *vars(fit).values())]
 
 
@@ -247,12 +246,12 @@ def reference_q():
                              cli.build_shot_config(cfg))
         batch = chain.run(range(cfg["n_shots"]))
         weights = chain.weights(cfg["tau"])
-        q, prep = integrate_batch(batch, weights, chain.device.kappa_p)
+        q = integrate_batch(batch, weights, chain.device.kappa_p)
         scale = math.sqrt(TWOPI * chain.device.kappa_p) * weights.dt
         n = len(weights.w)
         q_dot = np.array([scale * np.dot(row[:n], weights.w)
                           for row in batch.samples])
-        out.append((q, q_dot, prep))
+        out.append((q, q_dot, batch.excited))
     return out
 
 
@@ -261,17 +260,17 @@ class TestSeparableFit:
     8-parameter oracle: a cost no higher than the oracle's, 1e-9 relative."""
 
     def test_reference_runs(self, reference_q):
-        for q, _, prep in reference_q:
-            fit, centers, hg, he = fit_shot_histograms(q, prep)
+        for q, _, excited in reference_q:
+            fit, centers, hg, he = fit_shot_histograms(q, excited)
             assert mixture_cost(fit, centers, hg, he) \
                 <= oracle_cost(centers, hg, he) * (1 + 1e-9)
 
     def test_report_digits_do_not_follow_the_last_ulp_of_q(self, reference_q):
         # a third or so of the per-row dot products differ from the
         # matrix-vector product's in the last bit
-        for q, q_dot, prep in reference_q:
+        for q, q_dot, excited in reference_q:
             assert np.count_nonzero(q != q_dot) > len(q) // 10
-            assert report_digits(q, prep) == report_digits(q_dot, prep)
+            assert report_digits(q, excited) == report_digits(q_dot, excited)
 
     def test_mixing_sweep_powers(self, monkeypatch):
         # the histograms of optimize --mode power under strong mixing
@@ -313,9 +312,9 @@ class TestSeparableFit:
         # at the fitted (mu, sigma), the gradient of each histogram's cost in
         # an amplitude is zero where the amplitude is positive and not
         # negative where it is zero; here A_eg = 0 and the others are not
-        q, prep = TestMixtureFit().synth(np.random.default_rng(40), 30000,
+        q, excited = TestMixtureFit().synth(np.random.default_rng(40), 30000,
                                          ge_frac=0.02)
-        fit, centers, hg, he = fit_shot_histograms(q, prep)
+        fit, centers, hg, he = fit_shot_histograms(q, excited)
         phi = np.column_stack([_normal_pdf(centers, fit.mu_g, fit.sigma_g),
                                _normal_pdf(centers, fit.mu_e, fit.sigma_e)])
         amps = np.array([[fit.A_gg, fit.A_ge], [fit.A_eg, fit.A_ee]])
@@ -334,11 +333,27 @@ class TestSeparableFit:
                         5000.0 * _normal_pdf(centers, 2500.0, 400.0))
 
     def test_boolean_labels_give_the_same_fit(self):
-        q, prep = TestMixtureFit().synth(np.random.default_rng(43), 20000,
-                                         ge_frac=0.03)
-        fit, *_ = fit_shot_histograms(q, prep)
-        assert fit_shot_histograms(q, prep == "e")[0] == fit
-        assert error_budget(q, prep == "e", fit) == error_budget(q, prep, fit)
+        # a list of Python bools, as ShotRecord views give them, and the
+        # read-only array of a ShotBatch fit like the boolean array
+        q, excited = TestMixtureFit().synth(np.random.default_rng(43), 20000,
+                                            ge_frac=0.03)
+        fit, *_ = fit_shot_histograms(q, excited)
+        batch = ShotBatch(excited=excited, samples=q[:, None])
+        for labels in (excited.tolist(), batch.excited):
+            assert fit_shot_histograms(q, labels)[0] == fit
+            assert error_budget(q, labels, fit) == error_budget(q, excited, fit)
+
+    def test_text_labels_raise_type_error(self):
+        # cast to bool, 'g' and 'e' would both read as excited
+        q, excited = TestMixtureFit().synth(np.random.default_rng(43), 20000)
+        fit, *_ = fit_shot_histograms(q, excited)
+        text = np.where(excited, "e", "g")
+        with pytest.raises(TypeError, match="boolean"):
+            fit_shot_histograms(q, text)
+        with pytest.raises(TypeError, match="boolean"):
+            error_budget(q, text, fit)
+        with pytest.raises(TypeError, match="boolean"):
+            ShotBatch(excited=text, samples=q[:, None])
 
 
 def brentq_threshold(fit: MixtureFit) -> float:
@@ -468,10 +483,10 @@ class TestErrorBudget:
         fit.threshold = _intersection_threshold(fit)
         q = np.concatenate([rng.normal(fit.mu_g, fit.sigma_g, 5000),
                             rng.normal(fit.mu_e, fit.sigma_e, 5000)])
-        prep = np.array(["g"] * 5000 + ["e"] * 5000)
+        excited = np.repeat([False, True], 5000)
         mirror = MixtureFit(**{**vars(fit), "mu_g": -fit.mu_g, "mu_e": -fit.mu_e,
                                "threshold": -fit.threshold})
-        bud, bud2 = error_budget(q, prep, fit), error_budget(-q, prep, mirror)
+        bud, bud2 = error_budget(q, excited, fit), error_budget(-q, excited, mirror)
         assert bud == bud2
         thr = fit.threshold
         wg = fit.A_gg / (fit.A_gg + fit.A_eg)
@@ -487,9 +502,9 @@ class TestErrorBudget:
         rng = np.random.default_rng(5)
         q = np.concatenate([rng.normal(-1, 0.5, 20000),
                             rng.normal(1, 0.5, 20000)])
-        prep = np.array(["g"] * 20000 + ["e"] * 20000)
-        fit, *_ = fit_shot_histograms(q, prep)
-        bud = error_budget(q, prep, fit)
+        excited = np.repeat([False, True], 20000)
+        fit, *_ = fit_shot_histograms(q, excited)
+        bud = error_budget(q, excited, fit)
         assert bud.fidelity == pytest.approx(1 - bud.eps_g - bud.eps_e, rel=1e-12)
         assert bud.eps_o == pytest.approx(bud.eps_o_g + bud.eps_o_e, rel=1e-12)
         # pure overlap case: empirical errors close to the analytic tails
@@ -501,12 +516,12 @@ class TestErrorBudget:
         rng = np.random.default_rng(6)
         q = np.concatenate([rng.normal(-1, 0.4, 15000),
                             rng.normal(1, 0.4, 15000)])
-        prep = np.array(["g"] * 15000 + ["e"] * 15000)
-        fit, *_ = fit_shot_histograms(q, prep)
-        bud = error_budget(q, prep, fit)
+        excited = np.repeat([False, True], 15000)
+        fit, *_ = fit_shot_histograms(q, excited)
+        bud = error_budget(q, excited, fit)
         a, b = -2.5, 0.7  # include a sign flip
-        fit2, *_ = fit_shot_histograms(a * q + b, prep)
-        bud2 = error_budget(a * q + b, prep, fit2)
+        fit2, *_ = fit_shot_histograms(a * q + b, excited)
+        bud2 = error_budget(a * q + b, excited, fit2)
         assert fit2.threshold == pytest.approx(a * fit.threshold + b, abs=0.02)
         assert bud2.fidelity == pytest.approx(bud.fidelity, abs=0.002)
         assert bud2.eps_g == pytest.approx(bud.eps_g, abs=0.002)
@@ -523,9 +538,9 @@ class TestErrorBudget:
             qt = mean_quadrature_traces(dev, gated_pulse, times)
             centers, idx = bin_grid(7)
             w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 56e-9, DT_BIN)
-            q, prep = integrate_batch(recs, w, dev.kappa_p)
-            fit, *_ = fit_shot_histograms(q, prep)
-            results[t1] = error_budget(q, prep, fit)
+            q = integrate_batch(recs, w, dev.kappa_p)
+            fit, *_ = fit_shot_histograms(q, recs.excited)
+            results[t1] = error_budget(q, recs.excited, fit)
         assert results[3.8e-6].fidelity < results[7.6e-6].fidelity
         ratio = results[3.8e-6].eps_t_e / results[7.6e-6].eps_t_e
         expected = (1 - math.exp(-56e-9 / 3.8e-6)) / (1 - math.exp(-56e-9 / 7.6e-6))
@@ -595,9 +610,9 @@ class TestMonteCarloAgreement:
         n_class = cfg.n_shots // 2
         for tau in (24e-9, 48e-9, 64e-9, 136e-9):
             w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], tau, DT_BIN)
-            q, prep = integrate_batch(recs, w, dev.kappa_p)
-            fit, *_ = fit_shot_histograms(q, prep)
-            bud = error_budget(q, prep, fit)
+            q = integrate_batch(recs, w, dev.kappa_p)
+            fit, *_ = fit_shot_histograms(q, recs.excited)
+            bud = error_budget(q, recs.excited, fit)
             eps_mc = bud.eps_g + bud.eps_e
             eps_th = overlap_model(trace, dev.eta, tau, filt)
             se = math.sqrt(2.0 * max(eps_th * (1 - eps_th), 1.0 / n_class)

@@ -165,6 +165,17 @@ class TestExitCodes:
             assert code == 3
             assert "failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("amplitude,code", [("5.8", 3), ("5.6", 0)])
+    def test_one_photon_ceiling(self, conf, tmp_path, capsys, amplitude, code):
+        # the ring-up of the resonator peaks near 24.3 ns, between two 8 ns
+        # bin centres: simulate once ran at 5.8 x the reference amplitude,
+        # which signal refused (101.1 photons on its 0.5 ns grid)
+        for command in (["signal"], ["simulate", "--n-shots", "10"]):
+            assert run(*command, "--config", conf, "--output-dir", str(tmp_path),
+                       "--set", f"pulse_amplitude={amplitude}") == code
+            err = capsys.readouterr().err
+            assert ("photon number 101.1 exceeds" in err) == (code == 3)
+
     @pytest.mark.parametrize("amplitude", ["20", "6"])
     def test_premeasurement_photon_ceiling(self, conf, tmp_path, capsys,
                                            amplitude):
@@ -292,6 +303,18 @@ class TestExitCodes:
         # one asked numpy for more than it allows, the other for 267 GiB
         ("optimize --mode ratio", "ratio_tau_grid=1e300", "ratio_tau_grid"),
         ("optimize --mode ratio", "alpha=-1", "ratio_tau_grid"),
+        # messages that named a field under another name, or no key
+        ("simulate", "pulse_duration=-1", "pulse_duration"),
+        ("simulate", "pulse_amplitude=-1", "pulse_amplitude"),
+        ("simulate", "pulse_kind=square", "pulse_kind"),
+        ("simulate", "gamma_mix_up=-1", "gamma_mix_up"),
+        ("optimize --mode power", "power_grid=-1", "power_grid"),
+        ("simulate", "premeasure_window=0", "premeasure_window"),
+        # a bin count too large for an int, printed in 3 digits
+        ("simulate", "pulse_duration=1e300", "1.25e+308 bins per pulse_duration"),
+        ("simulate", "pulse_duration=1e308", "inf bins per pulse_duration"),
+        ("simulate", "premeasure_duration=1e308",
+         "inf bins per premeasure_duration"),
     ])
     def test_step_and_size_guards(self, conf, tmp_path, capsys, command, value,
                                   key):
@@ -509,9 +532,9 @@ class TestSimulateAnalyze:
         integrate = cli.analysis.integrate_batch
 
         def spy(batch, weights, kappa_p):
-            q, prep = integrate(batch, weights, kappa_p)
+            q = integrate(batch, weights, kappa_p)
             used.append((batch, weights, q))
-            return q, prep
+            return q
 
         monkeypatch.setattr(cli.analysis, "integrate_batch", spy)
         assert run("analyze", "--config", conf, "--output-dir", out,
@@ -542,14 +565,19 @@ class TestSimulateAnalyze:
         assert 0.003 <= frac <= 0.03
         assert int(rep["n_kept"]) == round(4000 * (1 - frac))
 
-    def test_long_format(self, conf, tmp_path):
-        assert run("simulate", "--config", conf, "--output-dir", str(tmp_path),
-                   "--n-shots", "4", "--set", "pulse_duration=160ns") == 0
-        header, rows = read_csv(tmp_path / "shots.csv")
-        assert header == ["shot_id", "prep", "t_ns", "Q"]
-        n_bins = int(160 / 8)
-        assert len(rows) == 4 * n_bins
-        assert {r[1] for r in rows} == {"g", "e"}
+    def test_one_layout(self, conf, tmp_path):
+        # --wide is accepted and changes nothing; analyze reads the file
+        # simulate writes without it
+        written = []
+        for flag in (["--wide"], []):
+            assert run("simulate", "--config", conf, "--output-dir",
+                       str(tmp_path), *flag, "--n-shots", "2000",
+                       "--set", "pulse_duration=160ns") == 0
+            written.append((tmp_path / "shots.csv").read_bytes())
+        assert written[0] == written[1]
+        assert run("analyze", "--config", conf, "--output-dir", str(tmp_path),
+                   "--input", str(tmp_path / "shots.csv"),
+                   "--set", "pulse_duration=160ns") == 0
 
     def test_seed_changes_shots(self, conf, tmp_path):
         for seed, name in ((1, "a"), (2, "b")):
@@ -562,31 +590,25 @@ class TestSimulateAnalyze:
         assert a != b
 
 
-def reference_shot_csv(path: Path, cfg: dict, batch: ShotBatch, wide: bool):
+def reference_shot_csv(path: Path, cfg: dict, batch: ShotBatch):
     """The shot file written row by row through csv.writer and _fmt."""
     with open(path, "w", newline="") as fh:
         for line in cli._header_lines(cfg, "simulate"):
             fh.write(line + "\n")
         writer = csv.writer(fh)
-        if wide:
-            writer.writerow(["shot_id", "prep", "preselect_value"]
-                            + [f"q{k}" for k in range(batch.n_bins)])
-        else:
-            writer.writerow(["shot_id", "prep", "t_ns", "Q"])
+        writer.writerow(["shot_id", "prep", "preselect_value"]
+                        + [f"q{k}" for k in range(batch.n_bins)])
         for i, rec in enumerate(batch):
             pre = float("nan") if rec.preselect_value is None else rec.preselect_value
-            rows = [[i, rec.prep, pre, *rec.samples]] if wide else [
-                (i, rec.prep, (k + 0.5) * cfg["dt_bin"] * 1e9, q)
-                for k, q in enumerate(rec.samples)]
-            for row in rows:
-                writer.writerow([cli._fmt(v) for v in row])
+            row = [i, "e" if rec.excited else "g", pre, *rec.samples]
+            writer.writerow([cli._fmt(v) for v in row])
 
 
 def read_shots(path: Path, cfg: dict) -> ShotBatch:
     """The chunks _read_shot_csv yields, concatenated."""
     chunks = list(cli._read_shot_csv(str(path), cfg))
     return ShotBatch(*(np.concatenate([getattr(c, name) for c in chunks])
-                       for name in ("prep", "samples", "preselect")))
+                       for name in ("excited", "samples", "preselect")))
 
 
 def split(batch: ShotBatch, size: int) -> list[ShotBatch]:
@@ -603,24 +625,24 @@ class TestShotFile:
         samples = rng.normal(size=(7, 5)) * 10.0 ** rng.uniform(-12, 8, (7, 5))
         samples[0, :2] = (0.0, -0.0)
         pre = np.array([np.nan, 0.5, np.nan, -1.25e-7, np.nan, 3.0, np.nan])
-        return cfg, ShotBatch(prep=list("gegeeeg"), samples=samples, preselect=pre)
+        excited = [c == "e" for c in "gegeeeg"]
+        return cfg, ShotBatch(excited=excited, samples=samples, preselect=pre)
 
-    @pytest.mark.parametrize("wide", [True, False])
-    def test_bytes_match_csv_writer(self, small, tmp_path, wide):
+    def test_bytes_match_csv_writer(self, small, tmp_path):
         cfg, batch = small
-        reference_shot_csv(tmp_path / "ref.csv", cfg, batch, wide)
+        reference_shot_csv(tmp_path / "ref.csv", cfg, batch)
         # one chunk, then chunk edges inside the batch
         for size in (7, 3):
-            cli._write_shot_csv(tmp_path / "new.csv", cfg, split(batch, size), wide)
+            cli._write_shot_csv(tmp_path / "new.csv", cfg, split(batch, size))
             assert (tmp_path / "new.csv").read_bytes() == \
                 (tmp_path / "ref.csv").read_bytes()
 
     def test_read_back_identical(self, small, tmp_path):
         cfg, batch = small
-        cli._write_shot_csv(tmp_path / "shots.csv", cfg, [batch], True)
+        cli._write_shot_csv(tmp_path / "shots.csv", cfg, [batch])
         back = read_shots(tmp_path / "shots.csv", cfg)
         written = np.vectorize(lambda v: float("%.9g" % v))
-        assert list(back.prep) == list(batch.prep)
+        assert np.array_equal(back.excited, batch.excited)
         assert np.array_equal(back.samples, written(batch.samples))
         assert np.array_equal(back.preselect, written(batch.preselect),
                               equal_nan=True)
@@ -640,8 +662,8 @@ class TestShotFile:
 
     def test_bin_count_mismatch_exits_2(self, small, conf, tmp_path, capsys):
         cfg, batch = small
-        short = ShotBatch(prep=batch.prep, samples=batch.samples[:, :4])
-        cli._write_shot_csv(tmp_path / "shots.csv", cfg, [short], True)
+        short = ShotBatch(excited=batch.excited, samples=batch.samples[:, :4])
+        cli._write_shot_csv(tmp_path / "shots.csv", cfg, [short])
         code = run("analyze", "--config", conf, "--output-dir", str(tmp_path),
                    "--input", str(tmp_path / "shots.csv"),
                    "--set", "pulse_duration=40ns")
@@ -649,11 +671,10 @@ class TestShotFile:
         assert "bins" in capsys.readouterr().err
 
 
-def simulate_args(path: Path, n_shots: int, seed: int, wide: bool, overrides):
+def simulate_args(path: Path, n_shots: int, seed: int, overrides):
     return ["simulate", "--config", str(path.parent / "device.conf"),
             "--output-dir", str(path.parent), "--n-shots", str(n_shots),
-            "--seed", str(seed), *(["--wide"] if wide else []),
-            *(a for o in overrides for a in ("--set", o))]
+            "--seed", str(seed), *(a for o in overrides for a in ("--set", o))]
 
 
 class TestStreaming:
@@ -661,12 +682,10 @@ class TestStreaming:
     time; no chunk size changes a byte they write."""
 
     CASES = {
-        "wide": (True, []),
-        "long": (False, []),
-        "preselected": (True, ["preselect=true"]),
-        "overflow": (True, ["preselect=true", "gamma_mix_up=2e7",
-                            "gamma_mix_down=2e7"]),
-        "overflow long": (False, ["gamma_mix_up=2e7", "gamma_mix_down=2e7"]),
+        "wide": [],
+        "preselected": ["preselect=true"],
+        "overflow": ["preselect=true", "gamma_mix_up=2e7", "gamma_mix_down=2e7"],
+        "overflow, no preselection": ["gamma_mix_up=2e7", "gamma_mix_down=2e7"],
     }
 
     @pytest.mark.parametrize("size", [1, 7, None])
@@ -674,19 +693,17 @@ class TestStreaming:
     def test_simulate_matches_one_batch(self, conf, tmp_path, monkeypatch,
                                         case, size):
         # 103 shots: not a multiple of 7 nor of the default chunk
-        wide, overrides = self.CASES[case]
-        overrides = ["pulse_duration=160ns", *overrides]
+        overrides = ["pulse_duration=160ns", *self.CASES[case]]
         if size is not None:
             monkeypatch.setattr(cli, "_STREAM_CHUNK", size)
-        assert main(simulate_args(tmp_path / "shots.csv", 103, 5, wide,
-                                  overrides)) == 0
+        assert main(simulate_args(tmp_path / "shots.csv", 103, 5, overrides)) == 0
         cfg = cli.resolve_config(conf, overrides)
         cfg.update(n_shots=103, seed=5, output_dir=str(tmp_path))
         shot_cfg = cli.build_shot_config(cfg)
         batch = simulate_batch(cli.build_device(cfg), cli.build_pulse(cfg),
                                shot_cfg)
         assert (batch.n_overflow > 0) == ("overflow" in case)
-        reference_shot_csv(tmp_path / "ref.csv", cfg, batch, wide)
+        reference_shot_csv(tmp_path / "ref.csv", cfg, batch)
         assert (tmp_path / "shots.csv").read_bytes() == \
             (tmp_path / "ref.csv").read_bytes()
         if shot_cfg.preselect:
@@ -708,7 +725,7 @@ class TestStreaming:
         # one chunk of all shots is one parse and one matrix-vector product,
         # as the reader did before it streamed
         path = tmp_path / "shots.csv"
-        assert main(simulate_args(path, 20_000, seed, True, [])) == 0
+        assert main(simulate_args(path, 20_000, seed, [])) == 0
         whole = self.analyze_outputs(conf, path, tmp_path, monkeypatch, 10**6)
         for size in (7, cli._STREAM_CHUNK):
             assert self.analyze_outputs(conf, path, tmp_path, monkeypatch,
@@ -716,7 +733,7 @@ class TestStreaming:
 
     def test_analyze_one_shot_chunks(self, conf, tmp_path, monkeypatch):
         path = tmp_path / "shots.csv"
-        assert main(simulate_args(path, 2001, 3, True, [])) == 0
+        assert main(simulate_args(path, 2001, 3, [])) == 0
         whole = self.analyze_outputs(conf, path, tmp_path, monkeypatch, 10**6)
         assert self.analyze_outputs(conf, path, tmp_path, monkeypatch, 1) == whole
 

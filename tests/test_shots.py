@@ -44,7 +44,7 @@ class TestShotConfig:
         pulse = PulseEnvelope(kind="gated", total_duration=40e-9)
         cfg = ShotConfig(n_shots=1, measure_duration=160e-9)
         with pytest.raises(GridError):
-            simulate_batch(device, pulse, cfg, "g", shots=range(0, 1))
+            simulate_batch(device, pulse, cfg)
 
 
 class TestDeterminism:
@@ -60,14 +60,12 @@ class TestDeterminism:
         # shot i depends only on (master_seed, i), not on the batch context
         cfg = ShotConfig(n_shots=8, master_seed=9)
         batch = simulate_batch(device, gated_pulse, cfg)
-        solo = simulate_batch(device, gated_pulse, cfg, "e", shots=range(5, 6))
+        solo = simulate_batch(device, gated_pulse, cfg, shots=range(5, 6))
         assert np.array_equal(batch.samples[5], solo.samples[0])
 
     def test_seed_changes_samples(self, device, gated_pulse):
-        a = simulate_batch(device, gated_pulse,
-                           ShotConfig(n_shots=1, master_seed=1), "g", range(0, 1))
-        b = simulate_batch(device, gated_pulse,
-                           ShotConfig(n_shots=1, master_seed=2), "g", range(0, 1))
+        a = simulate_batch(device, gated_pulse, ShotConfig(n_shots=1, master_seed=1))
+        b = simulate_batch(device, gated_pulse, ShotConfig(n_shots=1, master_seed=2))
         assert not np.array_equal(a.samples, b.samples)
 
 
@@ -76,12 +74,13 @@ class TestNoiseCalibration:
         # noise-only shots: Var[sqrt(2 pi kappa_p) * sum Q w dt] = 1/(4 eta)
         dev = make_device(n_drive=0.0, T1=1.0)
         cfg = ShotConfig(n_shots=100000, master_seed=77, p_thermal=0.0)
-        recs = simulate_batch(dev, gated_pulse, cfg, prep="g")
+        recs = ReadoutChain(dev, gated_pulse, cfg).run(
+            range(cfg.n_shots), np.zeros(cfg.n_shots, bool))
         centers, _ = bin_grid(17)
         rng = np.random.default_rng(0)
         w_shape = rng.uniform(0.5, 2.0, 17)  # any normalized weight works
         weights = build_weights(centers, np.zeros(17), w_shape, 136e-9, DT_BIN)
-        q, _ = integrate_batch(recs, weights, dev.kappa_p)
+        q = integrate_batch(recs, weights, dev.kappa_p)
         target = 1.0 / (4.0 * dev.eta)
         assert np.var(q) == pytest.approx(target, rel=0.05)
         assert np.mean(q) == pytest.approx(0.0, abs=5 * math.sqrt(target / len(q)))
@@ -100,8 +99,8 @@ class TestNoiseCalibration:
         w_shape = rng.uniform(0.5, 2.0, chain.n_bins)
         weights = build_weights(chain.bin_centers, np.zeros(chain.n_bins), w_shape,
                                 chain.n_bins * dt_bin, dt_bin)
-        batch = chain.run(range(cfg.n_shots), np.full(cfg.n_shots, "g"))
-        q, _ = integrate_batch(batch, weights, chain.device.kappa_p)
+        batch = chain.run(range(cfg.n_shots), np.zeros(cfg.n_shots, bool))
+        q = integrate_batch(batch, weights, chain.device.kappa_p)
         assert np.var(q) == pytest.approx(1.0 / (4.0 * dev.eta), rel=0.05)
 
     def test_sigma_bin_formula(self):
@@ -113,8 +112,8 @@ class TestNoiseCalibration:
         dev = make_device(n_drive=0.0, T1=1.0)
         cfg = ShotConfig(n_shots=4000, master_seed=5, p_thermal=0.0)
         recs = simulate_batch(dev, gated_pulse, cfg)
-        q_g = np.concatenate([r.samples for r in recs if r.prep == "g"])
-        q_e = np.concatenate([r.samples for r in recs if r.prep == "e"])
+        q_g = np.concatenate([r.samples for r in recs if not r.excited])
+        q_e = np.concatenate([r.samples for r in recs if r.excited])
         sigma = noise_sigma_bin(dev.eta, dev.kappa_p, cfg.dt_bin)
         _, p = stats.ks_2samp(q_g, q_e)
         assert p > 0.01
@@ -128,9 +127,9 @@ class TestNoiseCalibration:
         qt = mean_quadrature_traces(dev, gated_pulse, times)
         centers, idx = bin_grid(17)
         weights = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 136e-9, DT_BIN)
-        q, prep = integrate_batch(recs, weights, dev.kappa_p)
-        for label in ("g", "e"):
-            sample = q[prep == label]
+        q = integrate_batch(recs, weights, dev.kappa_p)
+        for excited in (False, True):
+            sample = q[recs.excited == excited]
             _, p = stats.normaltest(sample)
             assert p > 0.01
 
@@ -139,7 +138,8 @@ class TestMeanReproduction:
     def test_average_matches_mean_trace(self, gated_pulse):
         dev = make_device(eta=1.0, T1=1.0)
         cfg = ShotConfig(n_shots=10000, master_seed=4, p_thermal=0.0)
-        recs = simulate_batch(dev, gated_pulse, cfg, prep="e")
+        recs = ReadoutChain(dev, gated_pulse, cfg).run(
+            range(cfg.n_shots), np.ones(cfg.n_shots, bool))
         mean = np.mean([r.samples for r in recs], axis=0)
         times = np.arange(0.0, 160e-9, 0.5e-9)
         qt = mean_quadrature_traces(dev, gated_pulse, times)
@@ -152,7 +152,8 @@ class TestMeanReproduction:
 class TestJumpStatistics:
     def test_decay_fraction(self, device, gated_pulse):
         cfg = ShotConfig(n_shots=50000, master_seed=21, p_thermal=0.0)
-        recs = simulate_batch(device, gated_pulse, cfg, prep="e")
+        recs = ReadoutChain(device, gated_pulse, cfg).run(
+            range(cfg.n_shots), np.ones(cfg.n_shots, bool))
         window = 56e-9
         frac = np.mean([any(t < window for t, _ in r.jump_times)
                         for r in recs])
@@ -345,7 +346,7 @@ class TestShotBatch:
         batch = simulate_batch(dev, gated_pulse, cfg)
         assert len(batch) == 30 and batch.n_bins == 20
         recs = list(batch)
-        assert [r.prep for r in recs] == list(batch.prep)
+        assert [r.excited for r in recs] == list(batch.excited)
         assert sum(len(r.jump_times) for r in recs) == len(batch.jump_time)
         for i, r in enumerate(recs):
             assert np.array_equal(r.samples, batch.samples[i])
@@ -362,7 +363,7 @@ class TestShotBatch:
         expected = [r for r, k in zip(batch, keep) if k]
         assert len(kept) == len(expected)
         for a, b in zip(kept, expected):
-            assert a.prep == b.prep and a.jump_times == b.jump_times
+            assert a.excited == b.excited and a.jump_times == b.jump_times
             assert np.array_equal(a.samples, b.samples)
 
 
@@ -416,12 +417,12 @@ def _window_jumps(device, cfg, u, s, t1, shot, window):
             t = t + w * _mean_wait(device, cfg, s)
             if t >= t1:
                 return tuple(jumps), s
-            jumps.append((t, "eg" if s > 0 else "ge"))
+            jumps.append((t, s > 0))
             s = -s
         r += 1
 
 
-def _shot_from_words(chain, cfg, shot, prep):
+def _shot_from_words(chain, cfg, shot, excited):
     """(jumps, preselect-window jumps, s_pre, s_main) of one shot, worked
     out from its words in the documented order."""
     u = _words(cfg.master_seed, shot, chain.n_words)
@@ -435,7 +436,7 @@ def _shot_from_words(chain, cfg, shot, prep):
         if s > 0 and u[c] < chain.p_reset:
             s = -1
         c += 1
-    if prep == "e" and u[c] >= cfg.prep_error:
+    if excited and u[c] >= cfg.prep_error:
         s = -s
     jumps, _ = _window_jumps(device, cfg, u[c + 1:c + 5], s,
                              chain.n_bins * cfg.dt_bin, shot, 1)
@@ -449,20 +450,19 @@ class TestStreamPinning:
         chain = ReadoutChain(device, gated_pulse, _stream_config(50))
         batch = chain.run(range(50))
         assert len(batch.jump_time) > 0 and np.isfinite(batch.preselect).all()
-        assert np.array_equal(batch.prep[:4], ["g", "e", "g", "e"])
+        assert np.array_equal(batch.excited[:4], [False, True, False, True])
         offset = chain.run(range(3, 11))
         for i in range(8):
-            solo = chain.run(range(i, i + 1), batch.prep[i:i + 1])
+            solo = chain.run(range(i, i + 1), batch.excited[i:i + 1])
             for other, row in ((solo, 0), (offset, i - 3)):
                 if row < 0:
                     continue
-                assert other.prep[row] == batch.prep[i]
+                assert other.excited[row] == batch.excited[i]
                 assert np.array_equal(other.samples[row], batch.samples[i])
                 assert other[row].jump_times == batch[i].jump_times
                 assert other.preselect[row] == batch.preselect[i]
                 assert other.overflow[row] == batch.overflow[i]
-        rec = simulate_batch(device, gated_pulse, _stream_config(1),
-                             batch.prep[5], range(5, 6))
+        rec = simulate_batch(device, gated_pulse, _stream_config(1), range(5, 6))
         assert np.array_equal(rec.samples[0], batch.samples[5])
         many = ReadoutChain(device, gated_pulse, _stream_config(600)).run(range(600))
         part = chain.run(range(250, 262))
@@ -482,7 +482,7 @@ class TestStreamPinning:
             checked = 0
             for i, rec in enumerate(chain.run(range(40))):
                 noise_words, jumps, pre_jumps, s_pre, s = \
-                    _shot_from_words(chain, cfg, i, rec.prep)
+                    _shot_from_words(chain, cfg, i, rec.excited)
                 assert jumps == rec.jump_times
                 if jumps:
                     continue
@@ -502,7 +502,7 @@ class TestStreamPinning:
         batch = chain.run(range(200))
         assert 0 < len(np.unique(batch.jump_shot)) < 200
         for i, rec in enumerate(batch):
-            assert _shot_from_words(chain, cfg, i, rec.prep)[1] == rec.jump_times
+            assert _shot_from_words(chain, cfg, i, rec.excited)[1] == rec.jump_times
 
     @pytest.mark.parametrize("preselect", [False, True])
     def test_overflow_continues_from_its_own_stream(self, device, gated_pulse,
@@ -515,10 +515,11 @@ class TestStreamPinning:
         assert batch.n_overflow >= 5
         over = np.flatnonzero(batch.overflow)
         for i in over.tolist():
-            _, jumps, pre_jumps, *_ = _shot_from_words(chain, cfg, i, batch.prep[i])
+            _, jumps, pre_jumps, *_ = _shot_from_words(chain, cfg, i,
+                                                       batch.excited[i])
             assert jumps == batch[i].jump_times
             assert len(jumps) >= 4 or len(pre_jumps) >= 4
-            solo = chain.run(range(i, i + 1), batch.prep[i:i + 1])
+            solo = chain.run(range(i, i + 1), batch.excited[i:i + 1])
             assert np.array_equal(solo.samples[0], batch.samples[i])
             assert solo[0].jump_times == jumps and solo.overflow[0]
             assert solo.preselect[0] == batch.preselect[i] \
@@ -539,7 +540,7 @@ class TestStreamPinning:
         rows = (many.jump_shot >= 250) & (many.jump_shot < 262)
         assert np.array_equal(part.jump_shot + 250, many.jump_shot[rows])
         assert np.array_equal(part.jump_time, many.jump_time[rows])
-        assert np.array_equal(part.jump_kind, many.jump_kind[rows])
+        assert np.array_equal(part.jump_decay, many.jump_decay[rows])
 
 
 # ---------------------------------------------------------------------------
