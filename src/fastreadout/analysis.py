@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import TWOPI, SignalTrace
 from ._lsq import least_squares
-from .errors import FitError, NoSignalError, TauRangeError
+from .errors import ConfigError, FitError, NoSignalError, TauRangeError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -428,9 +428,13 @@ def overlap_model(trace: SignalTrace, eta: float, tau: float,
     if filt is None:
         filt = FilterConfig()
     s, dt = _filtered_binned_signal(trace, tau, filt)
-    norm2 = float(np.sum(s * s) * dt)
+    with np.errstate(over="ignore"):
+        norm2 = float(np.sum(s * s) * dt)
     if norm2 <= 0.0:
         return 1.0
+    if math.isinf(norm2):
+        # mu would be above 1e154 sigma, where erfc is 0 in double precision
+        return 0.0
     w = s / math.sqrt(norm2)
     mu = float(np.sum(s * w) * dt)
     sigma = math.sqrt(1.0 / (4.0 * eta))
@@ -438,14 +442,19 @@ def overlap_model(trace: SignalTrace, eta: float, tau: float,
 
 
 def overlap_vs_power(trace: SignalTrace, eta: float, tau: float,
-                     n_ref: float, n_grid, filt: FilterConfig | None = None):
-    """Overlap error versus drive power; S scales as sqrt(n_drive/n_ref)."""
+                     n_ref: float, n_grid):
+    """Overlap error versus drive power; S scales as sqrt(n_drive/n_ref),
+    n_ref the drive power of `trace`. ConfigError unless n_ref and every
+    power are positive."""
     n_grid = np.asarray(n_grid, dtype=float)
+    if not n_ref > 0.0:
+        raise ConfigError(f"n_drive = {n_ref:g} gives no signal to scale to "
+                          "other drive powers; it must be positive")
     if np.any(n_grid <= 0.0):
-        raise ValueError("drive powers must be positive")
+        raise ConfigError("drive powers must be positive")
     out = np.empty(len(n_grid))
     for i, n in enumerate(n_grid):
         scaled = SignalTrace(times=trace.times,
                              values=trace.values * math.sqrt(n / n_ref))
-        out[i] = overlap_model(scaled, eta, tau, filt)
+        out[i] = overlap_model(scaled, eta, tau)
     return out

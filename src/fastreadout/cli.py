@@ -24,8 +24,9 @@ import numpy as np
 
 from . import _g9, analysis, calib, optimize, shots
 from .config import load_config, parse_bool, parse_int, parse_quantity
-from .dynamics import (PulseEnvelope, full_model_signal, integrated_rate,
-                       mean_quadrature_traces, qss_signal, to_sqrt_mhz)
+from .dynamics import (GRID_STEP, PulseEnvelope, full_model_signal,
+                       integrated_rate, mean_quadrature_traces, qss_signal,
+                       to_sqrt_mhz)
 from .errors import ConfigError, FastReadoutError
 from .params import DeviceParams
 
@@ -64,7 +65,7 @@ SCHEMA.update({
     "n_shots": ("int", 20000),
     # analysis
     "tau": ("quantity", 56e-9),
-    "grid_step": ("quantity", 0.5e-9),
+    "grid_step": ("quantity", GRID_STEP),
     # optimize
     "ratio_tau_grid": ("floats", (2.0, 4.5, 8.0, 12.0, 20.0)),
     "power_grid": ("floats", (1.0, 1.5, 2.0, 2.5, 3.5, 5.0)),
@@ -197,11 +198,15 @@ def cmd_derive(cfg: dict, args) -> int:
 
 
 def _fine_times(cfg: dict):
-    n = cfg["pulse_duration"] / cfg["grid_step"]
-    if n > shots.MAX_BINS:
-        raise ConfigError(f"grid_step = {cfg['grid_step']:g} s gives {n:.3g} grid "
-                          f"points, more than {shots.MAX_BINS}")
-    return np.arange(0.0, cfg["pulse_duration"], cfg["grid_step"])
+    """The signal's grid: 0 to pulse_duration in steps of grid_step."""
+    step, duration = cfg["grid_step"], cfg["pulse_duration"]
+    if step > GRID_STEP + 1e-15:
+        raise ConfigError(f"grid_step = {step:g} s is coarser than the "
+                          f"solver's {GRID_STEP:g} s grid")
+    shots.sample_count(np.ceil(duration / step), f"pulse_duration = "
+                       f"{duration:g} s at grid_step = {step:g} s",
+                       "grid points", least=2)
+    return np.arange(0.0, duration, step)
 
 
 def cmd_signal(cfg: dict, args) -> int:
@@ -228,15 +233,12 @@ def cmd_rate(cfg: dict, args) -> int:
     device = build_device(cfg)
     pulse = build_pulse(cfg)
     times = _fine_times(cfg)
-    if not 0.0 < cfg["dt_bin"] < times[-1]:
-        raise ConfigError(f"dt_bin = {cfg['dt_bin']:g} s gives no rate point "
-                          f"inside the {times[-1]:g} s grid")
-    n = (times[-1] - cfg["dt_bin"]) / cfg["dt_bin"]
-    if n > shots.MAX_BINS:
-        raise ConfigError(f"dt_bin = {cfg['dt_bin']:g} s gives {n:.3g} rate "
-                          f"points, more than {shots.MAX_BINS}")
+    dt, end = cfg["dt_bin"], float(times[-1])
+    shots.sample_count(np.ceil((end - dt) / dt) if dt > 0.0 else 0.0,
+                       f"dt_bin = {dt:g} s",
+                       f"rate points inside the {end:g} s grid")
     trace = full_model_signal(device, pulse, times)
-    taus = np.arange(cfg["dt_bin"], times[-1], cfg["dt_bin"])
+    taus = np.arange(dt, end, dt)
     rows = zip(taus * 1e9, integrated_rate(trace, taus))
     _write_csv(Path(cfg["output_dir"]) / "rate.csv", cfg, "rate",
                ("tau_ns", "s_tau"), rows)
@@ -432,15 +434,15 @@ def cmd_optimize(cfg: dict, args) -> int:
         x_grid = np.asarray(cfg["ratio_tau_grid"], dtype=float)
         taus = x_grid / (2.0 * math.pi * abs(device.chi))
         # the full model solves each tau on this grid; checked before any solve
-        n = float(np.max(taus)) / optimize.RATE_STEP
-        if not n <= shots.MAX_BINS:
-            raise ConfigError(
-                f"ratio_tau_grid = {_fmt(cfg['ratio_tau_grid'])} at chi = "
-                f"{device.chi:g} Hz reaches tau = {np.max(taus):g} s, "
-                f"{n:.3g} points of the {optimize.RATE_STEP:g} s grid, more "
-                f"than {shots.MAX_BINS}")
-        r_qss = optimize.optimal_ratio_vs_tau(device, taus, "qss")
+        shots.sample_count(
+            float(np.max(taus)) / GRID_STEP,
+            f"ratio_tau_grid = {_fmt(cfg['ratio_tau_grid'])} at chi = "
+            f"{device.chi:g} Hz reaches tau = {np.max(taus):g} s, which",
+            f"points of the {GRID_STEP:g} s grid", least=0)
+        # the full model first: its photon ceiling refuses a drive power at
+        # which the closed form's signal overflows
         r_full = optimize.optimal_ratio_vs_tau(device, taus, "full")
+        r_qss = optimize.optimal_ratio_vs_tau(device, taus, "qss")
         rows = zip(taus * 1e9, r_qss, r_full)
         _write_csv(out_dir / "ratio.csv", cfg, "optimize",
                    ("tau_ns", "ratio_qss", "ratio_full"), rows)

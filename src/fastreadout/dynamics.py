@@ -40,9 +40,11 @@ DEFAULT_BOOST_FACTOR = 2.5
 DEFAULT_BOOST_DURATION = 4e-9
 #: largest resonator photon number the linear model is trusted at
 PHOTON_CEILING = 100.0
-#: step (s) of the grid on which filter_fields checks PHOTON_CEILING, and
-#: its points per trace, which bound the temporaries of the check
-CEILING_STEP, _CEILING_CHUNK = 0.5e-9, 2**16
+#: step (s) of the solver's uniform grid: the largest step of a signal
+#: trace and the grid on which filter_fields checks PHOTON_CEILING
+GRID_STEP = 0.5e-9
+#: points per trace of the ceiling check, which bound its temporaries
+_CEILING_CHUNK = 2**16
 
 
 def to_sqrt_mhz(s):
@@ -172,11 +174,11 @@ class TwoCavityModel:
         n_mean = 0.0
         for s in (-1, +1):
             xs = np.linalg.solve(self._matrix(s, symmetric=True), -self._b)
-            n_mean += 0.5 * abs(xs[0]) ** 2
-        if device.n_drive > 0.0 and n_mean > 0.0:
-            self.eps0 = math.sqrt(device.n_drive / n_mean)
-        else:
-            self.eps0 = 0.0
+            n_mean += 0.5 * float(abs(xs[0])) ** 2
+        self.eps0 = math.sqrt(device.n_drive / n_mean) if n_mean > 0.0 else 0.0
+        if not math.isfinite(self.eps0):
+            raise PhotonCeilingError(f"n_drive = {device.n_drive:g} needs a "
+                                     "drive amplitude that is not finite")
 
     def _matrix(self, s: int, symmetric: bool) -> np.ndarray:
         dr = 0.0 if symmetric else self.delta_r_a
@@ -242,15 +244,15 @@ class TwoCavityModel:
         """The filter fields beta at `times` of both prepared states held
         through `pulse`, row 0 g and row 1 e, after checking the resonator
         photon number against PHOTON_CEILING at `times` and every
-        CEILING_STEP of [0, times[-1]], a grid that 8 ns bin centres are
+        GRID_STEP of [0, times[-1]], a grid that 8 ns bin centres are
         not, so every caller meets one rule; finer times stand for it."""
         times = np.asarray(times, dtype=float)
         fields = self.trace([-1, +1], pulse, times)
         self.check_ceiling(fields)
-        if np.max(np.diff(times, prepend=0.0)) > CEILING_STEP + 1e-15:
-            n = math.ceil(times[-1] / CEILING_STEP)
+        if np.max(np.diff(times, prepend=0.0)) > GRID_STEP + 1e-15:
+            n = math.ceil(times[-1] / GRID_STEP)
             for a in range(0, n, _CEILING_CHUNK):
-                fine = np.arange(a, min(a + _CEILING_CHUNK, n)) * CEILING_STEP
+                fine = np.arange(a, min(a + _CEILING_CHUNK, n)) * GRID_STEP
                 self.check_ceiling(self.trace([-1, +1], pulse, fine))
         return fields[..., 1]
 
@@ -275,14 +277,14 @@ def _apply(M, y):
 
 def _solve_both_states(device: DeviceParams, pulse: PulseEnvelope, times):
     """(S(t) as a SignalTrace, beta): one exact solve of both prepared
-    states on a uniform grid of step <= 0.5 ns; beta[0] is the filter field
+    states on a uniform grid of step <= GRID_STEP; beta[0] is the filter field
     of g and beta[1] that of e, and S = sqrt(kappa_pa) |beta_e - beta_g|."""
     times = np.asarray(times, dtype=float)
     if len(times) < 2:
         raise GridError("need at least two grid points")
     dt = times[1] - times[0]
-    if dt > 0.5e-9 + 1e-15:
-        raise GridError(f"grid step {dt:g} s exceeds 0.5 ns")
+    if dt > GRID_STEP + 1e-15:
+        raise GridError(f"grid step {dt:g} s exceeds {GRID_STEP:g} s")
     model = TwoCavityModel(device)
     beta = model.filter_fields(pulse, times)
     values = math.sqrt(model.kappa_pa) * np.abs(beta[1] - beta[0])

@@ -17,12 +17,12 @@ import numpy as np
 
 from .analysis import error_budget, fit_shot_histograms, integrate_batch, \
     overlap_vs_power
-from .dynamics import PulseEnvelope, full_model_signal, integrated_rate, \
-    qss_signal
+from .dynamics import GRID_STEP, PulseEnvelope, full_model_signal, \
+    integrated_rate, qss_signal
 from .errors import ConfigError
 from .params import DeviceParams
-from .shots import MAX_MEAN_JUMPS, ReadoutChain, ShotConfig, mean_jumps, \
-    mean_waits, window_bins
+from .shots import ReadoutChain, ShotConfig, check_jumps, sample_count, \
+    window_bins
 
 #: mixing-rate coefficient (Hz): gamma_mix = MIX_COEFF * lambda * n_drive,
 #: tuned so the simulated excess ground-state error is about 0.23% at the
@@ -31,8 +31,6 @@ DEFAULT_MIX_COEFF = 6.0e5
 
 #: |chi/kappa_eff| interval searched by optimal_ratio_vs_tau
 RATIO_BOUNDS = (0.02, 3.0)
-#: step of the time grid of the full-model rate (s)
-RATE_STEP = 0.5e-9
 #: trapezoid steps of the closed-form rate
 _QSS_STEPS = 1500
 #: points of the pre-scan, and of the dense scan that replaces it when it
@@ -96,7 +94,7 @@ def _qss_rate(n_drive: float, chi: float, kappa_eff: float, tau: float) -> float
 def _full_rate(device: DeviceParams, kappa_eff: float, tau: float) -> float:
     J = _j_for_kappa_eff(kappa_eff, device.Q_p, device.omega_p, device.delta_p)
     dev = replace(device, J=J)
-    times = np.arange(0.0, tau + RATE_STEP, RATE_STEP)
+    times = np.arange(0.0, tau + GRID_STEP, GRID_STEP)
     pulse = PulseEnvelope(kind="gated", total_duration=tau + 10e-9)
     trace = full_model_signal(dev, pulse, times)
     return integrated_rate(trace, tau)
@@ -139,40 +137,35 @@ class PowerPoint:
 
 def power_tradeoff(device: DeviceParams, n_grid, tau: float,
                    mix_coeff: float | None = DEFAULT_MIX_COEFF,
-                   n_shots: int = 20000, master_seed: int = 0,
-                   pulse: PulseEnvelope | None = None) -> list[PowerPoint]:
-    """Analytic overlap error and Monte Carlo fidelity versus drive power.
+                   n_shots: int = 20000, master_seed: int = 0) -> list[PowerPoint]:
+    """Analytic overlap error and Monte Carlo fidelity versus drive power,
+    with a gated pulse of max(160 ns, tau + 24 ns).
 
     Mixing rates scale as mix_coeff * lambda(n) * n; pass mix_coeff=None to
-    disable mixing. The eps_o column shares its code path with
-    overlap_vs_power.
+    disable mixing. The eps_o column is overlap_vs_power's, which checks
+    the drive powers; the mean qubit jumps of every power are checked
+    before any chain is built.
     """
     n_grid = np.asarray(n_grid, dtype=float)
-    if np.any(n_grid <= 0.0):
-        raise ConfigError("drive powers must be positive")
-    if pulse is None:
-        pulse = PulseEnvelope(kind="gated", total_duration=max(160e-9, tau + 24e-9))
+    mix = 0.0 if mix_coeff is None else mix_coeff
+    if mix < 0.0:
+        raise ConfigError("mix_coeff must be non-negative")
+    pulse = PulseEnvelope(kind="gated", total_duration=max(160e-9, tau + 24e-9))
+    sample_count(np.ceil(pulse.total_duration / GRID_STEP), f"tau = {tau:g} s",
+                 f"points of the {GRID_STEP:g} s grid")
+    times = np.arange(0.0, pulse.total_duration, GRID_STEP)
+    trace = full_model_signal(device, pulse, times)
+    eps_curve = overlap_vs_power(trace, device.eta, tau, device.n_drive, n_grid)
     cfgs = []
     for n in n_grid:
         dev_n = replace(device, n_drive=float(n))
-        g_mix = 0.0 if mix_coeff is None else \
-            mix_coeff * dev_n.lambda_mix * float(n)
+        g_mix = mix * dev_n.lambda_mix * float(n)
         cfg = ShotConfig(n_shots=n_shots, master_seed=master_seed,
                          gamma_mix_up=g_mix, gamma_mix_down=g_mix)
-        # checked for every power before any chain is built, in the terms
-        # the caller set
-        jumps = mean_jumps(mean_waits(dev_n, cfg),
-                           window_bins(pulse, cfg) * cfg.dt_bin)
-        if jumps > MAX_MEAN_JUMPS:
-            raise ConfigError(
-                f"mix_coeff = {mix_coeff:g} Hz at n_drive = {n:g} gives "
-                f"gamma_mix = {g_mix:g} 1/s and, with T1 = {device.T1:g} s, "
-                f"{jumps:.3g} mean qubit jumps per measurement window, more "
-                f"than {MAX_MEAN_JUMPS}")
+        check_jumps(dev_n, cfg,
+                    {"measurement window": window_bins(pulse, cfg) * cfg.dt_bin},
+                    f"mix_coeff = {mix:g} Hz at n_drive = {n:g} of power_grid: ")
         cfgs.append((dev_n, cfg))
-    times = np.arange(0.0, pulse.total_duration, 0.5e-9)
-    trace = full_model_signal(device, pulse, times)
-    eps_curve = overlap_vs_power(trace, device.eta, tau, device.n_drive, n_grid)
 
     out = []
     for n, eps_o, (dev_n, cfg) in zip(n_grid, eps_curve, cfgs):

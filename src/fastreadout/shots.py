@@ -142,34 +142,42 @@ class ShotConfig:
         require_finite(self)
         if self.n_shots <= 0:
             raise ConfigError("n_shots must be positive")
-        if self.dt_bin <= 0.0:
-            raise ConfigError("dt_bin must be positive")
+        # the Philox key word is a uint64 that numpy builds through int64
+        if not 0 <= self.master_seed < 2**63:
+            raise ConfigError("seed must lie in [0, 2**63)")
+        for name in ("dt_bin", "measure_duration"):
+            if getattr(self, name) is not None and getattr(self, name) <= 0.0:
+                raise ConfigError(f"{name} must be positive")
         for name in ("p_thermal", "prep_error"):
             p = getattr(self, name)
             if not (0.0 <= p <= 1.0):
                 raise ConfigError(f"{name} must lie in [0, 1]")
-        for name in ("gamma_mix_up", "gamma_mix_down", "reset_gap"):
+        for name in ("gamma_mix_up", "gamma_mix_down", "reset_gap",
+                     "premeasure_amplitude"):
             if getattr(self, name) < 0.0:
                 raise ConfigError(f"{name} must be non-negative")
         if not (0.0 < self.premeasure_window <= self.premeasure_duration):
             raise ConfigError("need 0 < premeasure_window <= premeasure_duration")
 
 
+def sample_count(n: float, setting: str, noun: str, least: int = 1) -> int:
+    """The whole float n, a count of samples per state, as an int.
+    ConfigError "<setting> gives <n> <noun>, ..." unless least <= n <=
+    MAX_BINS (NaN and inf too); setting names the keys, "dt_bin = 8e-09 s"."""
+    if not least <= n <= MAX_BINS:
+        bound = f"fewer than {least}" if n < least else f"more than {MAX_BINS}"
+        raise ConfigError(f"{setting} gives {n:.3g} {noun}, {bound}")
+    return int(n)
+
+
 def window_bins(pulse: PulseEnvelope, cfg: ShotConfig) -> int:
     """Number of dt_bin bins in the measurement window (measure_duration,
-    or the whole pulse); ConfigError above MAX_BINS."""
+    or the whole pulse); ConfigError unless 1 to MAX_BINS."""
     duration, window = cfg.measure_duration, "measure_duration"
     if duration is None:
         duration, window = pulse.total_duration, "pulse_duration"
-    return _bin_count(np.floor(duration / cfg.dt_bin + 1e-9), cfg.dt_bin, window)
-
-
-def _bin_count(n: float, dt_bin: float, window: str) -> int:
-    """The whole float n as an int; ConfigError above MAX_BINS (inf too)."""
-    if n > MAX_BINS:
-        raise ConfigError(f"dt_bin = {dt_bin:g} s gives {n:.3g} bins per "
-                          f"{window}, more than {MAX_BINS}")
-    return int(n)
+    return sample_count(np.floor(duration / cfg.dt_bin + 1e-9),
+                        f"dt_bin = {cfg.dt_bin:g} s", f"bins per {window}")
 
 
 def mean_waits(device: DeviceParams, cfg: ShotConfig) -> dict:
@@ -180,10 +188,21 @@ def mean_waits(device: DeviceParams, cfg: ShotConfig) -> dict:
     return {s: 1.0 / r if r > 0.0 else math.inf for s, r in rates.items()}
 
 
-def mean_jumps(mean_wait: dict, duration: float) -> float:
-    """Mean qubit jumps in a window of `duration` s at the stationary jump
-    rate, 2 duration / (mean wait in g + mean wait in e)."""
-    return 2.0 * duration / (mean_wait[-1] + mean_wait[+1])
+def check_jumps(device: DeviceParams, cfg: ShotConfig, windows: dict,
+                prefix: str = ""):
+    """ConfigError, its message led by `prefix`, where a window of
+    `windows` ({name: duration in s}) holds more than MAX_MEAN_JUMPS mean
+    qubit jumps at the stationary jump rate, 2 duration / (mean wait in g +
+    mean wait in e); checked before anything is drawn."""
+    wait = mean_waits(device, cfg)
+    for window, duration in windows.items():
+        jumps = 2.0 * duration / (wait[-1] + wait[+1])
+        if jumps > MAX_MEAN_JUMPS:
+            raise ConfigError(
+                f"{prefix}gamma_mix_up = {cfg.gamma_mix_up:g} 1/s, "
+                f"gamma_mix_down = {cfg.gamma_mix_down:g} 1/s and T1 = "
+                f"{device.T1:g} s give {jumps:.3g} mean qubit jumps per "
+                f"{window}, more than {MAX_MEAN_JUMPS}")
 
 
 @dataclass(frozen=True)
@@ -286,21 +305,12 @@ class ReadoutChain:
         self.n_bins = window_bins(pulse, cfg)
         windows = {"measurement window": self.n_bins * cfg.dt_bin}
         if cfg.preselect:
-            self.n_pre = _bin_count(np.round(cfg.premeasure_duration / cfg.dt_bin),
-                                    cfg.dt_bin, "premeasure_duration")
+            self.n_pre = sample_count(np.round(cfg.premeasure_duration / cfg.dt_bin),
+                                      f"dt_bin = {cfg.dt_bin:g} s",
+                                      "bins per premeasure_duration")
             self.n_win = max(1, int(round(cfg.premeasure_window / cfg.dt_bin)))
             windows["premeasure_duration"] = cfg.premeasure_duration
-        self._mean_wait = mean_waits(device, cfg)
-        for window, duration in windows.items():
-            jumps = mean_jumps(self._mean_wait, duration)
-            if jumps > MAX_MEAN_JUMPS:
-                raise ConfigError(
-                    f"gamma_mix_up = {cfg.gamma_mix_up:g} 1/s, gamma_mix_down = "
-                    f"{cfg.gamma_mix_down:g} 1/s and T1 = {device.T1:g} s give "
-                    f"{jumps:.3g} mean qubit jumps per {window}, more than "
-                    f"{MAX_MEAN_JUMPS}")
-        if self.n_bins < 1:
-            raise GridError("sampling window shorter than one bin")
+        check_jumps(device, cfg, windows)
         if pulse.total_duration < self.n_bins * cfg.dt_bin - 1e-12:
             raise GridError("pulse does not cover the sampling window")
         self.model = TwoCavityModel(device)
@@ -331,9 +341,10 @@ class ReadoutChain:
         self.n_words = -(-(2 + pre_words + K_JUMPS + _even(self.n_bins)) // 4) * 4
 
         # the mean waits of the K jump words of a window started in state s
-        self._waits = {s: np.array([self._mean_wait[s * (-1) ** k]
+        mean_wait = mean_waits(device, cfg)
+        self._waits = {s: np.array([mean_wait[s * (-1) ** k]
                                     for k in range(K_JUMPS)]) for s in (-1, +1)}
-        self._key = cfg.master_seed & 0xFFFFFFFFFFFFFFFF
+        self._key = cfg.master_seed
 
     def weights(self, tau: float) -> WeightFunction:
         """Mode-matched weights over [0, tau] from the bin-centre means."""

@@ -315,6 +315,24 @@ class TestExitCodes:
         ("simulate", "pulse_duration=1e308", "inf bins per pulse_duration"),
         ("simulate", "premeasure_duration=1e308",
          "inf bins per premeasure_duration"),
+        # shot windows that exited 3 or named another key
+        ("simulate", "premeasure_amplitude=-1", "premeasure_amplitude"),
+        ("simulate", "measure_duration=0", "measure_duration"),
+        ("simulate", "measure_duration=-1", "measure_duration"),
+        ("simulate", "measure_duration=1e-300", "0 bins per measure_duration"),
+        ("simulate", "dt_bin=1us", "0 bins per pulse_duration"),
+        ("simulate", "seed=-1", "seed"),
+        # grid steps off the solver's 0.5 ns grid, and a pulse too long for
+        # any grid step
+        ("rate", "grid_step=200ns", "grid_step"),
+        ("signal", "grid_step=400ns", "grid_step"),
+        ("rate", "grid_step=1e300", "grid_step"),
+        ("signal", "pulse_duration=1e300", "pulse_duration"),
+        ("rate", "pulse_duration=1e300", "pulse_duration"),
+        # optimize --mode power keys that named gamma_mix_up, dt_bin or n_drive
+        ("optimize --mode power", "mix_coeff=-1", "mix_coeff"),
+        ("optimize --mode power", "tau=1e300", "tau = 1e+300 s"),
+        ("optimize --mode power", "power_grid=1e300", "power_grid"),
     ])
     def test_step_and_size_guards(self, conf, tmp_path, capsys, command, value,
                                   key):
@@ -327,6 +345,56 @@ class TestExitCodes:
                                             if command == "analyze" else []))
         assert code == 2
         assert key in capsys.readouterr().err
+
+    #: numeric keys a command reads, from the dataclasses it builds
+    DEVICE_KEYS = [cli._key(f) for f in fields(DeviceParams)]
+    PULSE_KEYS = [cli._key(f) for f in fields(PulseEnvelope)
+                  if f.name != "kind"]
+    SHOT_KEYS = [cli._key(f) for f in fields(ShotConfig)
+                 if f.name != "preselect"]
+    SWEEP = {
+        "simulate --set preselect=true": DEVICE_KEYS + PULSE_KEYS + SHOT_KEYS,
+        "simulate --set pulse_kind=two_step":
+            DEVICE_KEYS + PULSE_KEYS + SHOT_KEYS,
+        "signal": DEVICE_KEYS + PULSE_KEYS + ["grid_step"],
+        "rate": DEVICE_KEYS + PULSE_KEYS + ["grid_step", "dt_bin"],
+        "analyze": DEVICE_KEYS + PULSE_KEYS + SHOT_KEYS + ["tau"],
+        "optimize --mode power": DEVICE_KEYS + ["tau", "power_grid", "mix_coeff",
+                                                "n_shots", "seed"],
+        "optimize --mode ratio": DEVICE_KEYS + ["ratio_tau_grid"],
+    }
+
+    def test_every_numeric_key_at_edge_values(self, conf, tmp_path, capsys):
+        # each key a command reads, set to each edge value, exits 0, 2 with
+        # the key named, or 3; any other exception fails. One exception: a
+        # device key that shrinks chi on --mode ratio stretches the longest
+        # tau of ratio_tau_grid, and is reported through it and chi
+        assert {tag for keys in self.SWEEP.values()
+                for tag in (cli.SCHEMA[k][0] for k in keys)} \
+            == {"quantity", "int", "floats"}
+        base = ["--config", conf, "--set", "n_shots=100",
+                "--set", "power_grid=2.5", "--set", "ratio_tau_grid=4.5"]
+        # analyze reads a file of the unchanged configuration
+        shot_dir = tmp_path / "input"
+        assert run("simulate", *base, "--output-dir", str(shot_dir)) == 0
+        wrong = []
+        for command, keys in self.SWEEP.items():
+            argv = command.split() + (["--input", str(shot_dir / "shots.csv")]
+                                      if command == "analyze" else [])
+            for key in keys:
+                for value in ("0", "-1", "1e-300", "1e300", "nan", "none"):
+                    try:
+                        code = run(*argv, *base, "--output-dir", str(tmp_path),
+                                   "--set", f"{key}={value}")
+                    except Exception as exc:
+                        code = repr(exc)
+                    err = capsys.readouterr().err
+                    named = re.search(rf"\b{key}\b", err) or (
+                        command.endswith("ratio")
+                        and "ratio_tau_grid" in err and "at chi = " in err)
+                    if code not in (0, 2, 3) or (code == 2 and not named):
+                        wrong.append((command, f"{key}={value}", code, err))
+        assert wrong == []
 
     def test_unreadable_input(self, conf, tmp_path):
         code = run("analyze", "--config", conf, "--output-dir", str(tmp_path),

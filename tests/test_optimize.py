@@ -94,19 +94,19 @@ class TestSignalFamily:
 
 
 class TestPowerTradeoff:
-    def test_no_mixing_monotone(self, device, gated_pulse):
+    def test_no_mixing_monotone(self, device):
         pts = power_tradeoff(device, [1.0, 2.5, 5.0], 56e-9, mix_coeff=None,
-                             n_shots=8000, master_seed=7, pulse=gated_pulse)
+                             n_shots=8000, master_seed=7)
         eps = [p.eps_o for p in pts]
         fid = [p.fidelity_mc for p in pts]
         assert np.all(np.diff(eps) < 0)
         assert fid[-1] >= fid[0]
         assert all(p.gamma_mix == 0.0 for p in pts)
 
-    def test_interior_optimum_with_mixing(self, device, gated_pulse):
+    def test_interior_optimum_with_mixing(self, device):
         grid = [0.6, 1.2, 2.5, 5.0, 10.0]
         pts = power_tradeoff(device, grid, 56e-9, n_shots=20000,
-                             master_seed=7, pulse=gated_pulse)
+                             master_seed=7)
         infid = [1.0 - p.fidelity_mc for p in pts]
         best = int(np.argmin(infid))
         assert 0 < best < len(grid) - 1
@@ -118,16 +118,17 @@ class TestPowerTradeoff:
     def test_eps_o_column_matches_overlap_curve(self, device, gated_pulse):
         from fastreadout.analysis import overlap_vs_power
         from fastreadout.dynamics import full_model_signal
+        # gated_pulse is power_tradeoff's pulse at tau = 56 ns
         grid = np.array([1.0, 2.5])
         pts = power_tradeoff(device, grid, 56e-9, mix_coeff=None,
-                             n_shots=2000, master_seed=1, pulse=gated_pulse)
+                             n_shots=2000, master_seed=1)
         times = np.arange(0.0, gated_pulse.total_duration, 0.5e-9)
         trace = full_model_signal(device, gated_pulse, times)
         expected = overlap_vs_power(trace, device.eta, 56e-9,
                                     device.n_drive, grid)
         assert [p.eps_o for p in pts] == pytest.approx(list(expected), rel=1e-12)
 
-    def test_one_chain_per_power(self, device, gated_pulse, monkeypatch):
+    def test_one_chain_per_power(self, device, monkeypatch):
         from fastreadout.shots import ReadoutChain
         built = []
         init = ReadoutChain.__init__
@@ -138,12 +139,10 @@ class TestPowerTradeoff:
 
         monkeypatch.setattr(ReadoutChain, "__init__", counting_init)
         grid = [1.0, 2.5, 5.0]
-        power_tradeoff(device, grid, 56e-9, n_shots=2000, master_seed=1,
-                       pulse=gated_pulse)
+        power_tradeoff(device, grid, 56e-9, n_shots=2000, master_seed=1)
         assert len(built) == len(grid)
 
-    def test_too_many_jumps_refused_before_any_chain(self, device, gated_pulse,
-                                                      monkeypatch):
+    def test_too_many_jumps_refused_before_any_chain(self, device, monkeypatch):
         # at mix_coeff = 5e9 Hz the 160 ns window holds about 26 mean jumps
         # at n_drive = 1 and about 300 at n_drive = 5
         from fastreadout.shots import ReadoutChain
@@ -153,9 +152,9 @@ class TestPowerTradeoff:
         with pytest.raises(ConfigError, match=r"mix_coeff = 5e\+09 Hz at "
                                               r"n_drive = 5 "):
             power_tradeoff(device, [1.0, 5.0], 56e-9, mix_coeff=5e9,
-                           n_shots=100, pulse=gated_pulse)
+                           n_shots=100)
         assert built == []
 
     def test_invalid_power(self, device):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="drive powers must be positive"):
             power_tradeoff(device, [0.0, 1.0], 56e-9, n_shots=100)
