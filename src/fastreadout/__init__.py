@@ -13,25 +13,19 @@ cli       command-line front end
 
 from .errors import (
     ConfigError,
-    DispersiveRegimeError,
     FastReadoutError,
     FitError,
-    GridError,
     NoSignalError,
     PhotonCeilingError,
-    TauRangeError,
 )
 from .params import DeviceParams
 
 __all__ = [
     "ConfigError",
-    "DispersiveRegimeError",
     "FastReadoutError",
     "FitError",
-    "GridError",
     "NoSignalError",
     "PhotonCeilingError",
-    "TauRangeError",
     "DeviceParams",
 ]
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import TWOPI, SignalTrace
 from ._lsq import least_squares
-from .errors import ConfigError, FitError, NoSignalError, TauRangeError
+from .errors import ConfigError, FitError, NoSignalError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -49,11 +49,14 @@ def build_weights(times, mean_g, mean_e, tau: float, dt: float) -> WeightFunctio
     """w(t) = |<Q_e> - <Q_g>| on [0, tau], rescaled to unit discrete L2 norm.
 
     `times` is a uniform grid of step dt; a single sample is allowed.
+    ConfigError unless tau lies from times[0] to one step past times[-1].
     """
     times = np.asarray(times, dtype=float)
     diff = np.abs(np.asarray(mean_e, dtype=float) - np.asarray(mean_g, dtype=float))
-    if tau > times[-1] + dt:
-        raise TauRangeError(f"tau = {tau:g} s beyond trace support")
+    if tau + 1e-15 < times[0] or tau > times[-1] + dt:
+        raise ConfigError(f"tau = {tau:g} s lies outside [{times[0]:g}, "
+                          f"{times[-1] + dt:g}] s, from the first bin centre "
+                          "to one bin past the last")
     mask = times <= tau + 1e-15
     w = diff[mask]
     norm2 = float(np.sum(w * w) * dt)
@@ -69,7 +72,8 @@ def integrate_batch(batch, weights: WeightFunction, kappa_p: float):
     file integrated in chunks gives the q of one batch."""
     n = len(weights.w)
     if batch.n_bins < n:
-        raise TauRangeError("shot record does not cover the weight support")
+        raise ConfigError(f"tau needs {n} bins, more than the shot record's "
+                          f"{batch.n_bins}")
     scale = math.sqrt(TWOPI * kappa_p) * weights.dt
     samples = batch.samples[:, :n]
     if len(samples) == 1:
@@ -406,7 +410,8 @@ def _filtered_binned_signal(trace: SignalTrace, tau: float, filt: FilterConfig):
     per = int(round(filt.dt_bin / dt))
     n_bins = n_tau // per
     if n_bins < 1:
-        raise TauRangeError("tau shorter than one digitizer bin")
+        raise ConfigError(f"tau = {tau:g} s is shorter than one "
+                          f"{filt.dt_bin:g} s digitizer bin")
     s = s[: n_bins * per]
     if filt.bin_mode == "mean":
         binned = s.reshape(n_bins, per).mean(axis=1)

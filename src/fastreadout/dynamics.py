@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import require_finite
-from .errors import ConfigError, GridError, PhotonCeilingError, TauRangeError
+from .errors import ConfigError, PhotonCeilingError
 from .params import DeviceParams
 
 TWOPI = 2.0 * math.pi
@@ -204,12 +204,12 @@ class TwoCavityModel:
         drive edges of `pulse`; on the segment that starts at edge a the
         field is the closed form x_ss + V exp(lambda (t - a)) c, evaluated
         for every (row, sample) at once. A sample within 1e-15 s after an
-        edge belongs to the segment that ends there. Raises GridError unless
+        edge belongs to the segment that ends there. Raises ValueError unless
         `times` is ascending.
         """
         times = np.asarray(times, dtype=float)
         if np.any(times[1:] < times[:-1]):
-            raise GridError("trace times must be ascending")
+            raise ValueError("trace times must be ascending")
         s0 = np.asarray(s0)
         if len(times) == 0:
             return np.empty(s0.shape + (0, 2), dtype=complex)
@@ -265,7 +265,7 @@ class TwoCavityModel:
                 f"resonator photon number is not finite ({n_max})")
         if n_max > PHOTON_CEILING:
             raise PhotonCeilingError(
-                f"resonator photon number {n_max:.1f} exceeds ceiling "
+                f"resonator photon number {n_max:.4g} exceeds ceiling "
                 f"{PHOTON_CEILING:g}"
             )
 
@@ -281,10 +281,11 @@ def _solve_both_states(device: DeviceParams, pulse: PulseEnvelope, times):
     of g and beta[1] that of e, and S = sqrt(kappa_pa) |beta_e - beta_g|."""
     times = np.asarray(times, dtype=float)
     if len(times) < 2:
-        raise GridError("need at least two grid points")
+        raise ConfigError("the signal grid needs at least two points")
     dt = times[1] - times[0]
     if dt > GRID_STEP + 1e-15:
-        raise GridError(f"grid step {dt:g} s exceeds {GRID_STEP:g} s")
+        raise ConfigError(f"grid_step = {dt:g} s is coarser than the "
+                          f"solver's {GRID_STEP:g} s grid")
     model = TwoCavityModel(device)
     beta = model.filter_fields(pulse, times)
     values = math.sqrt(model.kappa_pa) * np.abs(beta[1] - beta[0])
@@ -372,7 +373,8 @@ def integrated_rate(trace: SignalTrace, tau):
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     bad = taus[~((taus > 0.0) & (taus <= times[-1] + 1e-15))]
     if bad.size:
-        raise TauRangeError(f"tau = {bad[0]:g} s outside trace support")
+        raise ConfigError(f"tau = {bad[0]:g} s lies outside the signal's "
+                          f"(0, {times[-1]:g}] s")
     area = np.concatenate(
         ([0.0], np.cumsum(np.diff(times) * (values[1:] + values[:-1]) / 2.0)))
     k = np.searchsorted(times, taus + 1e-15, side="right") - 1

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package. The class owns the exit
+code: ConfigError exits 2 and names the keys that set the value it refuses;
+FitError, PhotonCeilingError and NoSignalError exit 3 (numerical failure)."""
 
 
 class FastReadoutError(Exception):
@@ -9,20 +11,8 @@ class ConfigError(FastReadoutError):
     """Invalid or inconsistent configuration input."""
 
 
-class DispersiveRegimeError(FastReadoutError):
-    """Parameters straddle a resonance or violate the dispersive guard."""
-
-
-class GridError(FastReadoutError):
-    """Time grid too coarse or incompatible with the requested operation."""
-
-
 class PhotonCeilingError(FastReadoutError):
     """Intracavity photon number exceeded the configured ceiling."""
-
-
-class TauRangeError(FastReadoutError):
-    """Requested integration time lies outside the trace support."""
 
 
 class NoSignalError(FastReadoutError):

@@ -15,20 +15,22 @@ import math
 from dataclasses import dataclass
 
 from .config import require_finite
-from .errors import ConfigError, DispersiveRegimeError
+from .errors import ConfigError
 
 
 def dispersive_shift(g: float, delta: float, alpha: float) -> float:
     """Dispersive shift chi = g^2/Delta * alpha/(Delta + alpha), in Hz.
 
     `delta` is the qubit-resonator detuning omega_q - omega_r; `alpha` the
-    (negative) transmon anharmonicity. Raises DispersiveRegimeError when the
-    qubit or the alpha-shifted transition straddles the resonator.
+    (negative) transmon anharmonicity. Raises ConfigError, naming the keys,
+    when the qubit or the alpha-shifted transition sits on the resonator.
     """
     if delta == 0.0:
-        raise DispersiveRegimeError("qubit on resonance with resonator (Delta = 0)")
+        raise ConfigError("omega_q and omega_r give Delta = 0: the qubit is "
+                          "on resonance with the resonator")
     if delta + alpha == 0.0:
-        raise DispersiveRegimeError("f-transition on resonance (Delta + alpha = 0)")
+        raise ConfigError("omega_q, omega_r and alpha give Delta + alpha = 0: "
+                          "the f-transition is on resonance with the resonator")
     return (g * g / delta) * (alpha / (delta + alpha))
 
 
@@ -111,10 +113,9 @@ class DeviceParams:
             object.__setattr__(self, "omega_d", self.omega_r)
         delta = self.omega_q - self.omega_r
         if abs(delta) <= self.dispersive_guard * self.g:
-            raise DispersiveRegimeError(
-                f"|Delta| = {abs(delta):g} Hz does not exceed "
-                f"{self.dispersive_guard:g} x g = {self.dispersive_guard * self.g:g} Hz"
-            )
+            raise ConfigError(f"|omega_q - omega_r| = {abs(delta):g} Hz does "
+                              "not exceed dispersive_guard x g = "
+                              f"{self.dispersive_guard:g} x {self.g:g} Hz")
         for name, keys in (("chi", "g, omega_q, omega_r and alpha"),
                            ("kappa_eff", "J, Q_p, omega_p and omega_r"),
                            ("kappa_p", "omega_p and Q_p")):

@@ -67,7 +67,7 @@ from .analysis import (NormalColumns, WeightFunction, _bool_labels,
                        build_weights)
 from .dynamics import TWOPI, PulseEnvelope, TwoCavityModel, _apply, lo_rotation
 from .config import require_finite
-from .errors import ConfigError, FitError, GridError
+from .errors import ConfigError, FitError
 from .params import DeviceParams
 
 #: one-sided z score of the 99% Gaussian CDF point
@@ -170,14 +170,25 @@ def sample_count(n: float, setting: str, noun: str, least: int = 1) -> int:
     return int(n)
 
 
+def bin_count(duration: float, dt_bin: float, window: str) -> int:
+    """Number of whole dt_bin bins in `duration`, the value of the key
+    `window`; ConfigError unless 1 to MAX_BINS."""
+    return sample_count(np.floor(duration / dt_bin + 1e-9),
+                        f"dt_bin = {dt_bin:g} s", f"bins per {window}")
+
+
 def window_bins(pulse: PulseEnvelope, cfg: ShotConfig) -> int:
     """Number of dt_bin bins in the measurement window (measure_duration,
-    or the whole pulse); ConfigError unless 1 to MAX_BINS."""
-    duration, window = cfg.measure_duration, "measure_duration"
-    if duration is None:
-        duration, window = pulse.total_duration, "pulse_duration"
-    return sample_count(np.floor(duration / cfg.dt_bin + 1e-9),
-                        f"dt_bin = {cfg.dt_bin:g} s", f"bins per {window}")
+    or the whole pulse); ConfigError unless 1 to MAX_BINS and the pulse
+    covers them."""
+    if cfg.measure_duration is None:
+        return bin_count(pulse.total_duration, cfg.dt_bin, "pulse_duration")
+    n = bin_count(cfg.measure_duration, cfg.dt_bin, "measure_duration")
+    if pulse.total_duration < n * cfg.dt_bin - 1e-12:
+        raise ConfigError(
+            f"measure_duration = {cfg.measure_duration:g} s gives {n} bins, "
+            f"which pulse_duration = {pulse.total_duration:g} s does not cover")
+    return n
 
 
 def mean_waits(device: DeviceParams, cfg: ShotConfig) -> dict:
@@ -305,14 +316,12 @@ class ReadoutChain:
         self.n_bins = window_bins(pulse, cfg)
         windows = {"measurement window": self.n_bins * cfg.dt_bin}
         if cfg.preselect:
-            self.n_pre = sample_count(np.round(cfg.premeasure_duration / cfg.dt_bin),
-                                      f"dt_bin = {cfg.dt_bin:g} s",
-                                      "bins per premeasure_duration")
-            self.n_win = max(1, int(round(cfg.premeasure_window / cfg.dt_bin)))
+            self.n_pre = bin_count(cfg.premeasure_duration, cfg.dt_bin,
+                                   "premeasure_duration")
+            self.n_win = bin_count(cfg.premeasure_window, cfg.dt_bin,
+                                   "premeasure_window")
             windows["premeasure_duration"] = cfg.premeasure_duration
         check_jumps(device, cfg, windows)
-        if pulse.total_duration < self.n_bins * cfg.dt_bin - 1e-12:
-            raise GridError("pulse does not cover the sampling window")
         self.model = TwoCavityModel(device)
         self.pulse = pulse
         self.bin_centers = (np.arange(self.n_bins) + 0.5) * cfg.dt_bin

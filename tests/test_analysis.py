@@ -16,7 +16,7 @@ from fastreadout.analysis import (FilterConfig, MixtureFit,
 from fastreadout.dynamics import (PulseEnvelope, SignalTrace, TWOPI,
                                   full_model_signal, mean_quadrature_traces,
                                   qss_steady_signal)
-from fastreadout.errors import FitError, NoSignalError, TauRangeError
+from fastreadout.errors import ConfigError, FitError, NoSignalError
 from fastreadout.optimize import power_tradeoff
 from fastreadout.shots import ReadoutChain, ShotBatch, ShotConfig, simulate_batch
 
@@ -66,8 +66,17 @@ class TestWeights:
 
     def test_tau_beyond_support(self):
         centers, _ = bin_grid(8)
-        with pytest.raises(TauRangeError):
+        with pytest.raises(ConfigError, match=r"^tau = 1e-06 s lies outside"):
             build_weights(centers, np.zeros(8), np.ones(8), 1e-6, DT_BIN)
+
+    def test_tau_before_first_bin_centre(self):
+        # no bin centre lies in [0, tau]: the weights once came out empty
+        # and the error read as a signal the two states do not give
+        centers, _ = bin_grid(8)
+        with pytest.raises(ConfigError, match=r"^tau = 3e-09 s lies outside"):
+            build_weights(centers, np.zeros(8), np.ones(8), 3e-9, DT_BIN)
+        assert len(build_weights(centers, np.zeros(8), np.ones(8), 4e-9,
+                                 DT_BIN).w) == 1
 
 
 def integrate_row(samples, w, kappa_p):
@@ -98,7 +107,7 @@ class TestIntegration:
     def test_short_record_rejected(self):
         centers, _ = bin_grid(7)
         w = build_weights(centers, np.zeros(7), np.ones(7), 56e-9, DT_BIN)
-        with pytest.raises(TauRangeError):
+        with pytest.raises(ConfigError, match=r"^tau needs 7 bins"):
             integrate_row(np.zeros(3), w, 64.27e6)
 
     def test_batch_matches_single(self, reference_traces):

@@ -333,15 +333,40 @@ class TestExitCodes:
         ("optimize --mode power", "mix_coeff=-1", "mix_coeff"),
         ("optimize --mode power", "tau=1e300", "tau = 1e+300 s"),
         ("optimize --mode power", "power_grid=1e300", "power_grid"),
+        # configuration errors that exited 3 as numerical failures: a qubit
+        # inside the dispersive guard or on the resonator, a window longer
+        # than the pulse, a tau shorter than one bin or outside the window's
+        # bin centres, a ratio search whose shortest tau has one grid point
+        ("derive", "omega_q=4754MHz", "omega_q"),
+        ("derive", "omega_q=4754MHz dispersive_guard=-1", "omega_r give Delta = 0"),
+        ("derive", "omega_q=4414MHz", "dispersive_guard x g"),
+        ("derive", "omega_q=5094MHz dispersive_guard=-1", "alpha give Delta + alpha"),
+        ("derive", "dispersive_guard=1e300", "dispersive_guard"),
+        ("signal", "g=1e300", "dispersive_guard x g = 5 x 1e+300 Hz"),
+        ("simulate", "measure_duration=400ns", "measure_duration"),
+        ("simulate", "measure_duration=400ns", "pulse_duration = 3e-07 s"),
+        ("optimize --mode power", "tau=4ns", "tau = 4e-09 s"),
+        ("optimize --mode power", "tau=1e-300", "tau = 1e-300 s"),
+        ("optimize --mode ratio", "ratio_tau_grid=1e-300", "ratio_tau_grid"),
+        ("analyze", "tau=3ns", "tau = 3e-09 s"),
+        ("analyze", "tau=1e300", "tau = 1e+300 s"),
+        # a premeasurement value window of no whole bin, once one bin
+        ("simulate", "premeasure_window=4ns", "0 bins per premeasure_window"),
     ])
     def test_step_and_size_guards(self, conf, tmp_path, capsys, command, value,
                                   key):
-        # value holds one or more space-separated key=value overrides
+        # value holds one or more space-separated key=value overrides;
+        # analyze reads a shot file of the reference configuration, whose
+        # checks come before those of tau
         sets = [arg for item in value.split() for arg in ("--set", item)]
+        shot_file = tmp_path / "input" / "shots.csv"
+        if command == "analyze":
+            assert run("simulate", "--config", conf, "--set", "n_shots=10",
+                       "--output-dir", str(shot_file.parent)) == 0
         code = run(*command.split(), "--config", conf,
                    "--output-dir", str(tmp_path),
                    *sets, "--set", "preselect=true",
-                   "--set", "n_shots=10", *(["--input", "shots.csv"]
+                   "--set", "n_shots=10", *(["--input", str(shot_file)]
                                             if command == "analyze" else []))
         assert code == 2
         assert key in capsys.readouterr().err
@@ -353,6 +378,7 @@ class TestExitCodes:
     SHOT_KEYS = [cli._key(f) for f in fields(ShotConfig)
                  if f.name != "preselect"]
     SWEEP = {
+        "derive": DEVICE_KEYS,
         "simulate --set preselect=true": DEVICE_KEYS + PULSE_KEYS + SHOT_KEYS,
         "simulate --set pulse_kind=two_step":
             DEVICE_KEYS + PULSE_KEYS + SHOT_KEYS,

@@ -10,8 +10,7 @@ from fastreadout.dynamics import (PulseEnvelope, SignalTrace, TWOPI,
                                   integrated_rate, lo_rotation,
                                   mean_quadrature_traces, optimal_lo_phase,
                                   qss_signal, qss_steady_signal, to_sqrt_mhz)
-from fastreadout.errors import (ConfigError, GridError, PhotonCeilingError,
-                                TauRangeError)
+from fastreadout.errors import ConfigError, PhotonCeilingError
 
 
 def one_cavity_oracle(n_drive, chi, kappa_eff, times, step=0.05e-9):
@@ -189,8 +188,10 @@ class TestFullModel:
                 full_model_signal(device, gated_pulse, fine_times, method=method)
 
     def test_coarse_grid_rejected(self, device, gated_pulse):
-        with pytest.raises(GridError):
+        with pytest.raises(ConfigError, match="grid_step = 1e-09 s is coarser"):
             full_model_signal(device, gated_pulse, np.arange(0, 100e-9, 1e-9))
+        with pytest.raises(ConfigError, match="at least two points"):
+            full_model_signal(device, gated_pulse, np.zeros(1))
 
     def test_photon_ceiling(self, gated_pulse, fine_times):
         hot = make_device(n_drive=500.0)
@@ -258,7 +259,7 @@ class TestExactTrace:
 
     def test_unsorted_times_rejected(self, device, boosted):
         # a sample past times[-1] would never be written
-        with pytest.raises(GridError):
+        with pytest.raises(ValueError, match="ascending"):
             TwoCavityModel(device).trace(-1, boosted, np.array([10e-9, 120e-9, 50e-9]))
 
     @pytest.mark.parametrize("seed", range(20))
@@ -350,12 +351,10 @@ class TestIntegratedRate:
 
     def test_tau_out_of_range(self, device, gated_pulse, fine_times):
         trace = full_model_signal(device, gated_pulse, fine_times)
-        with pytest.raises(TauRangeError):
-            integrated_rate(trace, 1e-6)
-        with pytest.raises(TauRangeError):
-            integrated_rate(trace, 0.0)
-        with pytest.raises(TauRangeError):
-            integrated_rate(trace, np.array([10e-9, 1e-6]))
+        for tau, shown in ((1e-6, "1e-06"), (0.0, "0"),
+                           (np.array([10e-9, 1e-6]), "1e-06")):
+            with pytest.raises(ConfigError, match=f"^tau = {shown} s lies"):
+                integrated_rate(trace, tau)
 
     def test_array_matches_per_point_trapezoid(self, device, gated_pulse,
                                                fine_times):

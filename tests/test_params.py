@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_device
 from fastreadout.config import parse_quantity
-from fastreadout.errors import ConfigError, DispersiveRegimeError
+from fastreadout.errors import ConfigError
 from fastreadout.params import (DeviceParams, critical_photon_number,
                                 dispersive_shift, effective_linewidth,
                                 lambda_param)
@@ -39,9 +39,9 @@ class TestDispersiveShift:
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_on_resonance_raises(self):
-        with pytest.raises(DispersiveRegimeError):
+        with pytest.raises(ConfigError, match=r"^omega_q and omega_r give"):
             dispersive_shift(G, 0.0, ALPHA)
-        with pytest.raises(DispersiveRegimeError):
+        with pytest.raises(ConfigError, match=r"^omega_q, omega_r and alpha"):
             dispersive_shift(G, -ALPHA, ALPHA)
 
     def test_sign_rule(self):
@@ -148,7 +148,8 @@ class TestDeviceParams:
             reference_device(delta_p=5e6)
 
     def test_guard_rejects_small_detuning(self):
-        with pytest.raises(DispersiveRegimeError):
+        with pytest.raises(ConfigError, match=r"\|omega_q - omega_r\| = .* "
+                           r"dispersive_guard x g = 10 x"):
             reference_device(dispersive_guard=10.0)
 
     def test_eta_bounds(self):

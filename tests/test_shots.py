@@ -13,7 +13,7 @@ from fastreadout.cli import (build_device, build_pulse, build_shot_config,
                              resolve_config)
 from fastreadout.dynamics import (PulseEnvelope, TwoCavityModel,
                                   mean_quadrature_traces, optimal_lo_phase)
-from fastreadout.errors import ConfigError, FitError, GridError
+from fastreadout.errors import ConfigError, FitError
 from fastreadout import shots
 from fastreadout.shots import (K_JUMPS, Z99, ReadoutChain, ShotConfig,
                                noise_sigma_bin, preselection_threshold,
@@ -43,7 +43,8 @@ class TestShotConfig:
     def test_window_mismatch(self, device):
         pulse = PulseEnvelope(kind="gated", total_duration=40e-9)
         cfg = ShotConfig(n_shots=1, measure_duration=160e-9)
-        with pytest.raises(GridError):
+        with pytest.raises(ConfigError, match="measure_duration = 1.6e-07 s "
+                           "gives 20 bins, which pulse_duration = 4e-08 s"):
             simulate_batch(device, pulse, cfg)
 
 
@@ -336,6 +337,20 @@ class TestReadoutChain:
         expected = build_weights(centers, q[-1], q[+1], 56e-9, dt_bin)
         assert np.array_equal(w.times, expected.times)
         assert np.allclose(w.w, expected.w, rtol=1e-12, atol=0.0)
+
+    def test_one_bin_rule_for_every_window(self, device, gated_pulse):
+        # whole bins inside each window: 150 ns is 18.75 bins of 8 ns, and
+        # a 19th bin would sample 2 ns past the premeasurement pulse
+        for duration, window, n_pre, n_win in ((152e-9, 48e-9, 19, 6),
+                                               (150e-9, 48e-9, 18, 6),
+                                               (152e-9, 15e-9, 19, 1)):
+            chain = ReadoutChain(device, gated_pulse, ShotConfig(
+                n_shots=1, preselect=True, premeasure_duration=duration,
+                premeasure_window=window))
+            assert (chain.n_pre, chain.n_win) == (n_pre, n_win)
+        with pytest.raises(ConfigError, match="0 bins per premeasure_window"):
+            ReadoutChain(device, gated_pulse, ShotConfig(
+                n_shots=1, preselect=True, premeasure_window=4e-9))
 
 
 class TestShotBatch:
