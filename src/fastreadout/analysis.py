@@ -44,6 +44,11 @@ class WeightFunction:
     w: np.ndarray
     dt: float
 
+    def q_scale(self, kappa_p: float) -> float:
+        """sqrt(2 pi kappa_p) dt, the factor of q_tau = sqrt(2 pi kappa_p) *
+        sum_k Q_k w_k dt."""
+        return math.sqrt(TWOPI * kappa_p) * self.dt
+
 
 def build_weights(times, mean_g, mean_e, tau: float, dt: float) -> WeightFunction:
     """w(t) = |<Q_e> - <Q_g>| on [0, tau], rescaled to unit discrete L2 norm.
@@ -74,13 +79,12 @@ def integrate_batch(batch, weights: WeightFunction, kappa_p: float):
     if batch.n_bins < n:
         raise ConfigError(f"tau needs {n} bins, more than the shot record's "
                           f"{batch.n_bins}")
-    scale = math.sqrt(TWOPI * kappa_p) * weights.dt
     samples = batch.samples[:, :n]
     if len(samples) == 1:
         # numpy computes a one-row product as a dot product, whose sum can
         # differ in the last bit from the row's in a matrix-vector product
         samples = np.repeat(samples, 2, axis=0)
-    return scale * (samples @ weights.w)[:len(batch)]
+    return weights.q_scale(kappa_p) * (samples @ weights.w)[:len(batch)]
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +384,16 @@ class FilterConfig:
     dt_bin: boxcar/sampling bin of the digitizer (s); None keeps the fine grid.
     bin_mode: 'mean' boxcar-averages each bin, 'center' samples bin centers
         (the white-noise shot generator corresponds to 'center' with
-        amp_bandwidth=None).
+        amp_bandwidth=None); any other value raises ValueError.
     """
 
     amp_bandwidth: float | None = 27e6
     dt_bin: float | None = 8e-9
     bin_mode: str = "mean"
+
+    def __post_init__(self):
+        if self.bin_mode not in ("mean", "center"):
+            raise ValueError(f"unknown bin_mode {self.bin_mode!r}")
 
 
 def _filtered_binned_signal(trace: SignalTrace, tau: float, filt: FilterConfig):
@@ -415,10 +423,8 @@ def _filtered_binned_signal(trace: SignalTrace, tau: float, filt: FilterConfig):
     s = s[: n_bins * per]
     if filt.bin_mode == "mean":
         binned = s.reshape(n_bins, per).mean(axis=1)
-    elif filt.bin_mode == "center":
-        binned = s[per // 2:: per][:n_bins]
     else:
-        raise FitError(f"unknown bin_mode {filt.bin_mode!r}")
+        binned = s[per // 2:: per][:n_bins]
     return binned, float(filt.dt_bin)
 
 

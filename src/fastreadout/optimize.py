@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import error_budget, fit_shot_histograms, integrate_batch, \
-    overlap_vs_power
+from .analysis import error_budget, fit_shot_histograms, overlap_vs_power
 from .dynamics import GRID_STEP, PulseEnvelope, full_model_signal, \
     integrated_rate, qss_signal
 from .errors import ConfigError
@@ -139,7 +138,8 @@ def power_tradeoff(device: DeviceParams, n_grid, tau: float,
                    mix_coeff: float | None = DEFAULT_MIX_COEFF,
                    n_shots: int = 20000, master_seed: int = 0) -> list[PowerPoint]:
     """Analytic overlap error and Monte Carlo fidelity versus drive power,
-    with a gated pulse of max(160 ns, tau + 24 ns).
+    with a gated pulse of max(160 ns, tau + 24 ns). Each power's chain
+    draws its shots' q in q space (ReadoutChain.sample_q).
 
     Mixing rates scale as mix_coeff * lambda(n) * n; pass mix_coeff=None to
     disable mixing. The eps_o column is overlap_vs_power's, which checks
@@ -170,10 +170,9 @@ def power_tradeoff(device: DeviceParams, n_grid, tau: float,
     out = []
     for n, eps_o, (dev_n, cfg) in zip(n_grid, eps_curve, cfgs):
         chain = ReadoutChain(dev_n, pulse, cfg)
-        batch = chain.run(range(n_shots))
-        q = integrate_batch(batch, chain.weights(tau), chain.device.kappa_p)
-        fit, *_ = fit_shot_histograms(q, batch.excited)
-        budget = error_budget(q, batch.excited, fit)
+        q, excited = chain.sample_q(range(n_shots), tau)
+        fit, *_ = fit_shot_histograms(q, excited)
+        budget = error_budget(q, excited, fit)
         out.append(PowerPoint(n_drive=float(n), eps_o=float(eps_o),
                               fidelity_mc=budget.fidelity,
                               gamma_mix=cfg.gamma_mix_up))

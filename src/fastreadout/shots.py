@@ -8,13 +8,13 @@ noise of variance sigma_bin^2 = 1/(4 eta * 2 pi kappa_p * dt_bin). That
 variance is the unique choice for which the mode-matched integral
 q_tau = sqrt(2 pi kappa_p) * sum Q_k w_k dt has Var[q_tau] = 1/(4 eta).
 
-Random stream. All draws come from one counter-based Philox4x64 stream keyed
-by (master_seed, 0). Shot i owns the 64-bit words [i W, (i + 1) W), where W
-(ReadoutChain.n_words) is padded to a multiple of 4, the words per counter
-step; a run of shots is one advance() and one random_raw() per chunk, and
-shot i depends only on (master_seed, i). A word k becomes
-u = ((k >> 12) + 0.5) 2^-52, exact in float64, so u is never 0 or 1. The
-words of one shot, in order:
+Random stream. All draws of a record come from one counter-based Philox4x64
+stream keyed by (master_seed, 0). Shot i owns the 64-bit words
+[i W, (i + 1) W), where W (ReadoutChain.n_words) is padded to a multiple of
+4, the words per counter step; a run of shots is one advance() and one
+random_raw() per chunk, and shot i depends only on (master_seed, i). A word
+k becomes u = ((k >> 12) + 0.5) 2^-52, exact in float64, so u is never 0
+or 1. The words of one shot, in order:
 
     thermal word                         initial state e when u < p_thermal
     with preselection only:
@@ -37,6 +37,18 @@ round r >= 1, the words [i K, (i + 1) K) of Philox(key=(master_seed,
 window; the round's sums start at the previous round's K-th jump time, in
 the state the previous round started in (K is even). Shots that need
 round 1 in either window are overflow shots.
+
+q-space stream. When only q_tau is needed (ReadoutChain.sample_q), shot i
+owns the 8 words [8 i, 8 i + 8) of Philox(key=(master_seed, Q_STREAM)),
+Q_STREAM = 2^63 - 1, a key that no jump round reaches:
+
+    thermal word                         initial state e when u < p_thermal
+    prep word                            e labels flip s when u >= prep_error
+    K jump words                         [0, len(w) dt_bin), the weighted bins
+    one normal pair                      z = r cos(theta) of its two words
+
+Later jump rounds come from the measurement window's round streams above.
+Given its jumps, q = q(noise-free conditioned means) + z / (2 sqrt(eta)).
 
 A batch is held columnar (ShotBatch). The draws of a chunk of shots are
 array operations, one per round for the jump waits, and the conditioned
@@ -84,6 +96,18 @@ _JUMP_CHUNK = 1024
 #: its previous one started in, and 4 words are one Philox counter step
 K_JUMPS = 4
 
+#: second key word of the q-space stream (ReadoutChain.sample_q): the
+#: largest that numpy builds through int64; a jump round's key 2 r - 1 +
+#: window reaches it only at round 2**62
+Q_STREAM = 2**63 - 1
+
+#: words per shot of the q-space stream: thermal, prep, K_JUMPS jump words
+#: and one normal pair
+_Q_WORDS = 2 + K_JUMPS + 2
+
+#: shots per draw of sample_q; bounds its temporaries, about 200 bytes a shot
+_Q_CHUNK = 65536
+
 #: most mean qubit jumps per window, 2 T / (1/rate_g + 1/rate_e); checked
 #: before anything is drawn
 MAX_MEAN_JUMPS = 100
@@ -113,6 +137,19 @@ def _box_muller(u, out):
 
 def _even(n: int) -> int:
     return n + n % 2
+
+
+def _labels(shots: range, excited):
+    """The boolean prepared labels of the range `shots`: `excited`, or
+    g, e, g, e, ... by index parity when it is None."""
+    if not isinstance(shots, range) or shots.step != 1:
+        raise ValueError("shots must be a range of consecutive shot indices")
+    if excited is None:
+        excited = np.arange(shots.start, shots.stop) % 2 == 1
+    excited = _bool_labels(excited)
+    if excited.shape != (len(shots),):
+        raise ValueError("excited needs one label per shot")
+    return excited
 
 
 def noise_sigma_bin(eta: float, kappa_p: float, dt_bin: float) -> float:
@@ -506,15 +543,9 @@ class ReadoutChain:
         by sigma_bin, and the conditioned means are added for all shots
         at the end.
         """
-        if not isinstance(shots, range) or shots.step != 1:
-            raise ValueError("shots must be a range of consecutive shot indices")
+        excited = _labels(shots, excited)
         cfg = self.cfg
         n = len(shots)
-        if excited is None:
-            excited = np.arange(shots.start, shots.stop) % 2 == 1
-        excited = _bool_labels(excited)
-        if excited.shape != (n,):
-            raise ValueError("excited needs one label per shot")
         bits = np.random.Philox(key=[self._key, 0])
         bits.advance(shots.start * self.n_words // 4)
         n_pre_noise = _even(self.n_win) if cfg.preselect else 0
@@ -569,6 +600,70 @@ class ReadoutChain:
                             self.pre_centers[-self.n_win:], self.pre_bins)
             preselect = np.mean(pre, axis=1)
         return ShotBatch(excited, samples, preselect, row, time, decay, overflow)
+
+    def _mean_q(self, s0, jump_shot, jump_time, w: WeightFunction):
+        """q_tau of the noise-free means of rows that start in states s0 and
+        jump at jump_time (jump_shot rows ascending), over the len(w) bins
+        of the weights w: the q of mean_bins[s0] for a row without jumps,
+        of _add_means on a zero record for the others."""
+        n, scale = len(w.w), w.q_scale(self.device.kappa_p)
+
+        def integrate(rows):
+            # row by row: the q of a row in a BLAS matrix-vector product can
+            # change in the last bit with the number of rows
+            return scale * np.einsum("ij,j->i", rows, w.w)
+
+        means = {s: m[:n] for s, m in self.mean_bins.items()}
+        still = integrate(np.array([means[-1], means[+1]]))
+        q = np.where(s0 > 0, still[1], still[0])
+        rows, jump_row = np.unique(jump_shot, return_inverse=True)
+        if len(rows):
+            mean = np.zeros((len(rows), n))
+            self._add_means(mean, s0[rows], jump_row, jump_time, self.pulse,
+                            self.bin_centers[:n], means)
+            q[rows] = integrate(mean)
+        return q
+
+    def sample_q(self, shots: range, tau: float, excited=None):
+        """q_tau of the shots of the range `shots` with the boolean prepared
+        labels `excited` (None: g, e, g, e, ... by index parity), drawn in q
+        space; returns (q, excited). Shot i depends only on (master_seed, i).
+
+        q is linear in the white noise of the bins, so given a shot's jumps
+        it is Gaussian with variance 1/(4 eta) about the q of its noise-free
+        conditioned means: q of the no-jump means mean_bins[s] for a shot
+        without jumps, of _add_means on the first len(w) bins for the others.
+        Shot i reads the words [i Q, (i + 1) Q), Q = _Q_WORDS, of
+        Philox(key=(master_seed, Q_STREAM)): thermal, prep, K jump words over
+        [0, len(w) dt_bin) and one normal pair (module docstring); further
+        rounds of waits come from the streams of run. The q of a shot is
+        not the one run gives it. _Q_CHUNK shots are one random_raw draw.
+        Preselection raises ValueError: its premeasurement needs run.
+        """
+        if self.cfg.preselect:
+            raise ValueError("sample_q draws no premeasurement; use run")
+        excited = _labels(shots, excited)
+        cfg = self.cfg
+        w = self.weights(tau)
+        # the spread 1/(2 sqrt(eta)) of q for unit-norm weights
+        sigma_q = 0.5 / math.sqrt(self.device.eta)
+        bits = np.random.Philox(key=[self._key, Q_STREAM])
+        bits.advance(shots.start * _Q_WORDS // 4)
+        q = np.empty(len(shots))
+        for a in range(0, len(shots), _Q_CHUNK):
+            b = min(a + _Q_CHUNK, len(shots))
+            u = _unit(bits.random_raw((b - a) * _Q_WORDS)).reshape(b - a, -1)
+            s = np.where(u[:, 0] < cfg.p_thermal, 1, -1)
+            s = np.where(excited[a:b] & (u[:, 1] >= cfg.prep_error), -s, s)
+            _, _, (row, time, _) = self._jumps(u[:, 2:2 + K_JUMPS], s,
+                                               len(w.w) * cfg.dt_bin,
+                                               shots.start + a, 1)
+            q[a:b] = self._mean_q(s, row, time, w)
+            z = np.empty((b - a, 1))
+            _box_muller(u[:, -2:], z)
+            z *= sigma_q
+            q[a:b] += z[:, 0]
+        return q, excited
 
 
 def simulate_batch(device: DeviceParams, pulse: PulseEnvelope, cfg: ShotConfig,

@@ -603,6 +603,13 @@ class TestOverlapModel:
         eps_single = overlap_model(trace, 0.66, 56e-9)
         assert eps_curve[0] == pytest.approx(eps_single, rel=1e-12)
 
+    def test_unknown_bin_mode_refused_when_built(self):
+        # a caller's error, refused before any signal reaches the filter
+        with pytest.raises(ValueError, match="unknown bin_mode 'boxcar'"):
+            FilterConfig(bin_mode="boxcar")
+        for mode in ("mean", "center"):
+            assert FilterConfig(bin_mode=mode).bin_mode == mode
+
 
 class TestMonteCarloAgreement:
     def test_overlap_matches_analytic(self, gated_pulse):

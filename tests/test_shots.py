@@ -709,3 +709,143 @@ def test_switch_on_bin_centre_and_drive_edge(device):
         scale = float(np.max(np.abs(ref)))
         assert np.allclose(got, ref, rtol=1e-13, atol=1e-13 * scale)
         assert got[0] == mean_bins[s][0]
+
+
+# ---------------------------------------------------------------------------
+# q-space draws (ReadoutChain.sample_q)
+# ---------------------------------------------------------------------------
+
+def _q_config(n_shots: int, **kw) -> ShotConfig:
+    # _stream_config's draws without the premeasurement, and jumps often
+    # more than K_JUMPS in the 136 ns window
+    return _stream_config(n_shots, **{"preselect": False, "gamma_mix_up": 2e7,
+                                      "gamma_mix_down": 2e7, **kw})
+
+
+def _e_side(q, still):
+    """True where q lies on the e side of the midpoint of the no-jump q
+    of g and e (still[0], still[1])."""
+    return (q > 0.5 * (still[0] + still[1])) == (still[1] > still[0])
+
+
+class TestSampleQ:
+    TAU = 136e-9
+
+    @pytest.mark.parametrize("chunk", [1, 7, 256])
+    def test_q_independent_of_chunk_size(self, device, gated_pulse,
+                                         monkeypatch, chunk):
+        chain = ReadoutChain(device, gated_pulse, _q_config(600))
+        whole, excited = chain.sample_q(range(600), self.TAU)
+        monkeypatch.setattr(shots, "_Q_CHUNK", chunk)
+        part, labels = chain.sample_q(range(600), self.TAU)
+        assert np.array_equal(part, whole)
+        assert np.array_equal(labels, excited)
+
+    def test_sub_range_is_slice_of_full_range(self, device, gated_pulse):
+        chain = ReadoutChain(device, gated_pulse, _q_config(600))
+        full, excited = chain.sample_q(range(600), self.TAU)
+        assert np.array_equal(excited[:4], [False, True, False, True])
+        part, labels = chain.sample_q(range(250, 262), self.TAU)
+        assert np.array_equal(part, full[250:262])
+        assert np.array_equal(labels, excited[250:262])
+        for i in (0, 3, 255, 256, 599):
+            solo, _ = chain.sample_q(range(i, i + 1), self.TAU, excited[i:i + 1])
+            assert solo[0] == full[i]
+        # the labels choose the preparation, not the stream position
+        flipped, _ = chain.sample_q(range(250, 262), self.TAU, ~labels)
+        assert not np.array_equal(flipped, part)
+
+    def test_shot_is_its_words_of_the_q_stream(self, device, gated_pulse):
+        # words of shot i in Philox(key=(seed, Q_STREAM)): thermal, prep,
+        # 4 jump words over [0, len(w) dt_bin), one normal pair
+        cfg = _q_config(200, gamma_mix_up=6e6, gamma_mix_down=0.0)
+        chain = ReadoutChain(device, gated_pulse, cfg)
+        q, excited = chain.sample_q(range(200), self.TAU)
+        w = chain.weights(self.TAU)
+        bits = np.random.Philox(key=[cfg.master_seed, shots.Q_STREAM])
+        u = _unit(bits.random_raw(200 * 8)).reshape(200, 8)
+        jumped = 0
+        for i in range(200):
+            s = +1 if u[i, 0] < cfg.p_thermal else -1
+            if excited[i] and u[i, 1] >= cfg.prep_error:
+                s = -s
+            jumps, _ = _window_jumps(device, cfg, u[i, 2:6], s,
+                                     len(w.w) * DT_BIN, i, 1)
+            times = np.array([t for t, _ in jumps])
+            mean = chain._mean_q(np.array([s]), np.zeros(len(times), dtype=int),
+                                 times, w)
+            noise = 0.5 / math.sqrt(device.eta) * _box_muller(u[i, 6:], 1)
+            assert q[i] == mean[0] + noise[0]
+            jumped += bool(jumps)
+        assert 20 < jumped < 180
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_noise_free_q_is_integrated_zero_noise_record(self, seed):
+        # prescribed jump rows: 0 to 9 jumps, some past tau or past the
+        # last bin centre; over random devices, both pulse shapes and
+        # several tau
+        rng = np.random.default_rng(3000 + seed)
+        for chain, *_ in _random_cases(seed):
+            end = chain.n_bins * chain.cfg.dt_bin
+            jumps = [np.sort(rng.uniform(0.0, end, int(rng.integers(0, 10))))
+                     for _ in range(12)]
+            s0 = rng.choice([-1, 1], size=len(jumps))
+            jump_shot = np.repeat(np.arange(len(jumps)), [len(j) for j in jumps])
+            jump_time = np.concatenate(jumps)
+            record = np.zeros((len(jumps), chain.n_bins))
+            chain._add_means(record, s0, jump_shot, jump_time, chain.pulse,
+                             chain.bin_centers, chain.mean_bins)
+            batch = shots.ShotBatch(s0 > 0, record)
+            for k in sorted({1, int(rng.integers(2, chain.n_bins + 1)),
+                             chain.n_bins}):
+                w = chain.weights(k * chain.cfg.dt_bin)
+                ref = integrate_batch(batch, w, chain.device.kappa_p)
+                got = chain._mean_q(s0, jump_shot, jump_time, w)
+                assert np.allclose(got, ref, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(ref)))
+
+    def test_preselection_refused(self, device, gated_pulse):
+        chain = ReadoutChain(device, gated_pulse, _q_config(10, preselect=True))
+        with pytest.raises(ValueError, match="premeasurement"):
+            chain.sample_q(range(10), self.TAU)
+
+    def test_range_and_labels_checked(self, device, gated_pulse):
+        chain = ReadoutChain(device, gated_pulse, _q_config(10))
+        with pytest.raises(ValueError, match="range"):
+            chain.sample_q(range(0, 10, 2), self.TAU)
+        with pytest.raises(ValueError, match="one label per shot"):
+            chain.sample_q(range(10), self.TAU, np.zeros(9, dtype=bool))
+        with pytest.raises(ConfigError, match="tau"):
+            chain.sample_q(range(10), 200e-9)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sample_q_errors_match_the_sample_path(seed):
+    # eps_g and eps_e at the midpoint of the no-jump q of g and e, from
+    # sample_q and from run + integrate_batch, agree within 3 binomial
+    # standard errors per class, with and without mixing
+    rng = np.random.default_rng(700 + seed)
+    device = random_device(rng)
+    pulse = PulseEnvelope(kind="gated", total_duration=160e-9)
+    tau = DT_BIN * int(rng.integers(2, 21))
+    n = 40000
+    for mix in (0.0, rng.uniform(2e6, 2e7)):
+        cfg = ShotConfig(n_shots=n, master_seed=seed, gamma_mix_up=mix,
+                         gamma_mix_down=mix, p_thermal=rng.uniform(0.0, 0.05),
+                         prep_error=rng.uniform(0.0, 0.05))
+        chain = ReadoutChain(device, pulse, cfg)
+        w = chain.weights(tau)
+        still = chain._mean_q(np.array([-1, 1]), np.empty(0, dtype=int),
+                              np.empty(0), w)
+        batch = chain.run(range(n))
+        q_path = integrate_batch(batch, w, device.kappa_p)
+        q_fast, excited = chain.sample_q(range(n), tau)
+        assert np.array_equal(excited, batch.excited)
+        for prepared in (False, True):
+            cls = excited == prepared
+            wrong = [np.count_nonzero(_e_side(q[cls], still) != prepared)
+                     for q in (q_path, q_fast)]
+            m = np.count_nonzero(cls)
+            p = sum(wrong) / (2 * m)
+            sigma = math.sqrt(p * (1.0 - p) * 2.0 / m)
+            assert abs(wrong[0] - wrong[1]) / m <= 3.0 * sigma, (mix, prepared, wrong)
