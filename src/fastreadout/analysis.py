@@ -73,8 +73,9 @@ def build_weights(times, mean_g, mean_e, tau: float, dt: float) -> WeightFunctio
 def integrate_batch(batch, weights: WeightFunction, kappa_p: float):
     """q_tau = sqrt(2 pi kappa_p) * sum Q_k w_k dt for every row of a
     ShotBatch, as one matrix-vector product; the labels stay in
-    batch.excited. A row's q does not depend on the rows around it, so a
-    file integrated in chunks gives the q of one batch."""
+    batch.excited. The BLAS product can change a row's last bit with the
+    number of rows, so chunks give the q of one batch only while they stay
+    aligned with its row blocks, as analyze's 1024-row chunks do."""
     n = len(weights.w)
     if batch.n_bins < n:
         raise ConfigError(f"tau needs {n} bins, more than the shot record's "

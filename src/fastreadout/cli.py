@@ -242,29 +242,38 @@ def cmd_rate(cfg: dict, args) -> int:
     return 0
 
 
-#: shots per step through the shot file: simulate draws, encodes and writes
-#: them, analyze parses and integrates them
+#: shots per simulate_batch call of simulate: each call builds a chain and
+#: sets up its draw, so larger blocks cost less per shot (8192 raised the
+#: peak resident set)
+_DRAW_CHUNK = 4096
+#: rows per encoder step of simulate: the step's buffers, ≈ 1.8 MB at the
+#: reference window, stay below glibc's trim threshold, so the heap is not
+#: given back to the kernel and faulted in again at every step
+_ENCODE_CHUNK = 256
+#: lines per parse step of analyze; a multiple of the matrix-vector
+#: product's row blocks, so integrate_batch gives the q of one batch
 _STREAM_CHUNK = 1024
 
 
-def _shot_rows(batch: shots.ShotBatch, start: int) -> bytes:
-    """The CSV rows of `batch`, one per shot (shot_id, prep,
+def _shot_rows(excited, preselect, samples, start: int) -> bytes:
+    """The CSV rows of the shots `excited`, `preselect` and `samples` (one
+    row each of a ShotBatch's columns), one per shot (shot_id, prep,
     preselect_value, q0, q1, ...), shot ids counting from `start` and prep
     'e' or 'g', with the bytes csv.writer gives the _fmt values.
 
     Each field is a NUL-padded record of _g9.WIDTH bytes, the value ones
     from _g9.encode; deleting the NULs gives the rows.
     """
-    n, n_bins = batch.samples.shape
+    n, n_bins = samples.shape
     ids = np.arange(start, start + n).astype(f"S{len(str(start + n - 1))}")
     w = ids.itemsize
     rows = np.empty((n, 2 + n_bins, _g9.WIDTH), dtype=np.uint8)
     head = rows[:, 0]  # "<id>,<prep>,"
     head[:] = 0
     head[:, :w] = ids.view(np.uint8).reshape(n, w)
-    head[:, w:w + 3] = np.where(batch.excited, b",e,", b",g,")[:, None].view(np.uint8)
-    _g9.encode(batch.preselect, rows[:, 1])
-    _g9.encode(batch.samples, rows[:, 2:])
+    head[:, w:w + 3] = np.where(excited, b",e,", b",g,")[:, None].view(np.uint8)
+    _g9.encode(preselect, rows[:, 1])
+    _g9.encode(samples, rows[:, 2:])
     rows[:, 1:-1, _g9.SEP] = ord(",")
     rows[:, -1, _g9.SEP:_g9.SEP + 2] = np.frombuffer(b"\r\n", dtype=np.uint8)
     return rows.tobytes().translate(None, b"\0")
@@ -272,8 +281,9 @@ def _shot_rows(batch: shots.ShotBatch, start: int) -> bytes:
 
 def _write_shot_csv(path: Path, cfg: dict, batches):
     """Write the shot CSV of the ShotBatch chunks `batches`, one after the
-    other, shot ids counting on across them (see _shot_rows). The first
-    chunk is drawn before the file is opened."""
+    other, shot ids counting on across them, each encoded _ENCODE_CHUNK rows
+    at a time (see _shot_rows). The first chunk is drawn before the file is
+    opened."""
     batches = iter(batches)
     first = next(batches)
     columns = ["shot_id", "prep", "preselect_value"] + \
@@ -285,7 +295,10 @@ def _write_shot_csv(path: Path, cfg: dict, batches):
         fh.flush()
         start = 0
         for batch in itertools.chain([first], batches):
-            fh.buffer.write(_shot_rows(batch, start))
+            for a in range(0, len(batch), _ENCODE_CHUNK):
+                b = a + _ENCODE_CHUNK
+                fh.buffer.write(_shot_rows(batch.excited[a:b], batch.preselect[a:b],
+                                           batch.samples[a:b], start + a))
             start += len(batch)
 
 
@@ -294,20 +307,19 @@ def cmd_simulate(cfg: dict, args) -> int:
     pulse = build_pulse(cfg)
     shot_cfg = build_shot_config(cfg)
     n = shot_cfg.n_shots
-    preselect = []
+    q_p = np.empty(n) if shot_cfg.preselect else None
 
     def chunks():
-        for a in range(0, n, _STREAM_CHUNK):
+        for a in range(0, n, _DRAW_CHUNK):
             batch = shots.simulate_batch(device, pulse, shot_cfg,
-                                         shots=range(a, min(a + _STREAM_CHUNK, n)))
-            if shot_cfg.preselect:
-                preselect.append(batch.preselect)
+                                         shots=range(a, min(a + _DRAW_CHUNK, n)))
+            if q_p is not None:
+                q_p[a:a + len(batch)] = batch.preselect
             yield batch
 
     out_dir = Path(cfg["output_dir"])
     _write_shot_csv(out_dir / "shots.csv", cfg, chunks())
-    if shot_cfg.preselect:
-        q_p = np.concatenate(preselect)
+    if q_p is not None:
         n_kept = int(np.count_nonzero(q_p <= shots.preselection_threshold(q_p)))
         _write_report(out_dir / "preselect_summary.txt", cfg, "simulate",
                       [("n_shots", n), ("n_kept", n_kept),

@@ -101,6 +101,8 @@ class DeviceParams:
             raise ConfigError("n_drive must be non-negative")
         if self.gamma_int < 0.0:
             raise ConfigError("gamma_int must be non-negative")
+        if self.dispersive_guard < 0.0:
+            raise ConfigError("dispersive_guard must be non-negative")
         dp = self.omega_r - self.omega_p
         if self.delta_p is None:
             object.__setattr__(self, "delta_p", dp)

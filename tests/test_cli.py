@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import MISSING, fields
 from importlib import resources
 from pathlib import Path
@@ -338,9 +339,10 @@ class TestExitCodes:
         # than the pulse, a tau shorter than one bin or outside the window's
         # bin centres, a ratio search whose shortest tau has one grid point
         ("derive", "omega_q=4754MHz", "omega_q"),
-        ("derive", "omega_q=4754MHz dispersive_guard=-1", "omega_r give Delta = 0"),
+        ("derive", "omega_q=4754MHz dispersive_guard=-1",
+         "dispersive_guard must be non-negative"),
         ("derive", "omega_q=4414MHz", "dispersive_guard x g"),
-        ("derive", "omega_q=5094MHz dispersive_guard=-1", "alpha give Delta + alpha"),
+        ("derive", "omega_q=5094MHz dispersive_guard=0", "alpha give Delta + alpha"),
         ("derive", "dispersive_guard=1e300", "dispersive_guard"),
         ("signal", "g=1e300", "dispersive_guard x g = 5 x 1e+300 Hz"),
         ("simulate", "measure_duration=400ns", "measure_duration"),
@@ -772,7 +774,8 @@ def simulate_args(path: Path, n_shots: int, seed: int, overrides):
 
 
 class TestStreaming:
-    """simulate and analyze take the shot file _STREAM_CHUNK shots at a
+    """simulate draws _DRAW_CHUNK shots at a time and encodes them
+    _ENCODE_CHUNK rows at a time, analyze parses _STREAM_CHUNK lines at a
     time; no chunk size changes a byte they write."""
 
     CASES = {
@@ -782,14 +785,18 @@ class TestStreaming:
         "overflow, no preselection": ["gamma_mix_up=2e7", "gamma_mix_down=2e7"],
     }
 
-    @pytest.mark.parametrize("size", [1, 7, None])
+    # (draw, encode) chunk sizes, None the defaults; an id names the draw
+    @pytest.mark.parametrize("sizes", [(1, 1), (7, 3), (5, 8), None],
+                             ids=["1", "7", "5", "None"])
     @pytest.mark.parametrize("case", list(CASES))
     def test_simulate_matches_one_batch(self, conf, tmp_path, monkeypatch,
-                                        case, size):
-        # 103 shots: not a multiple of 7 nor of the default chunk
+                                        case, sizes):
+        # 103 shots: not a multiple of 3, 5, 7 or 8 nor of the defaults;
+        # encode slices of 3 cut 7-shot draws, of 8 outrun 5-shot draws
         overrides = ["pulse_duration=160ns", *self.CASES[case]]
-        if size is not None:
-            monkeypatch.setattr(cli, "_STREAM_CHUNK", size)
+        if sizes is not None:
+            monkeypatch.setattr(cli, "_DRAW_CHUNK", sizes[0])
+            monkeypatch.setattr(cli, "_ENCODE_CHUNK", sizes[1])
         assert main(simulate_args(tmp_path / "shots.csv", 103, 5, overrides)) == 0
         cfg = cli.resolve_config(conf, overrides)
         cfg.update(n_shots=103, seed=5, output_dir=str(tmp_path))
@@ -805,6 +812,22 @@ class TestStreaming:
             rep = read_report(tmp_path / "preselect_summary.txt")
             assert (int(rep["n_kept"]), rep["rejected_fraction"]) == \
                 (len(kept), cli._fmt(rejected))
+
+    def test_simulate_working_set_does_not_grow(self, conf, tmp_path):
+        # the traced peak of numpy's and Python's allocations, so the bound
+        # does not depend on how the C allocator returns memory; a first
+        # run fills the process's one-off caches
+        assert main(simulate_args(tmp_path / "shots.csv", 100, 0, [])) == 0
+        peaks = []
+        for n_shots in (20_000, 60_000):
+            tracemalloc.start()
+            try:
+                assert main(simulate_args(tmp_path / "shots.csv", n_shots, 0,
+                                          [])) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 0.5e6, peaks
 
     @staticmethod
     def analyze_outputs(conf, path: Path, out: Path, monkeypatch, size):

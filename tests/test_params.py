@@ -151,6 +151,9 @@ class TestDeviceParams:
         with pytest.raises(ConfigError, match=r"\|omega_q - omega_r\| = .* "
                            r"dispersive_guard x g = 10 x"):
             reference_device(dispersive_guard=10.0)
+        # a guard below 0 would turn the check off
+        with pytest.raises(ConfigError, match="dispersive_guard must be non-negative"):
+            reference_device(dispersive_guard=-1.0)
 
     def test_eta_bounds(self):
         with pytest.raises(ConfigError):
