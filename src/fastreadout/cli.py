@@ -256,8 +256,8 @@ _STREAM_CHUNK = 1024
 
 
 def _shot_rows(excited, preselect, samples, start: int) -> bytes:
-    """The CSV rows of the shots `excited`, `preselect` and `samples` (one
-    row each of a ShotBatch's columns), one per shot (shot_id, prep,
+    """The CSV rows of the shots whose ShotBatch columns are `excited`,
+    `preselect` and `samples`, one per shot (shot_id, prep,
     preselect_value, q0, q1, ...), shot ids counting from `start` and prep
     'e' or 'g', with the bytes csv.writer gives the _fmt values.
 
