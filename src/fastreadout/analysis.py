@@ -44,11 +44,6 @@ class WeightFunction:
     w: np.ndarray
     dt: float
 
-    def q_scale(self, kappa_p: float) -> float:
-        """sqrt(2 pi kappa_p) dt, the factor of q_tau = sqrt(2 pi kappa_p) *
-        sum_k Q_k w_k dt."""
-        return math.sqrt(TWOPI * kappa_p) * self.dt
-
 
 def build_weights(times, mean_g, mean_e, tau: float, dt: float) -> WeightFunction:
     """w(t) = |<Q_e> - <Q_g>| on [0, tau], rescaled to unit discrete L2 norm.
@@ -70,22 +65,17 @@ def build_weights(times, mean_g, mean_e, tau: float, dt: float) -> WeightFunctio
     return WeightFunction(times=times[mask], w=w / math.sqrt(norm2), dt=float(dt))
 
 
-def integrate_batch(batch, weights: WeightFunction, kappa_p: float):
-    """q_tau = sqrt(2 pi kappa_p) * sum Q_k w_k dt for every row of a
-    ShotBatch, as one matrix-vector product; the labels stay in
-    batch.excited. The BLAS product can change a row's last bit with the
-    number of rows, so chunks give the q of one batch only while they stay
-    aligned with its row blocks, as analyze's 1024-row chunks do."""
+def integrate_batch(samples, weights: WeightFunction, kappa_p: float):
+    """q_tau = sqrt(2 pi kappa_p) * sum Q_k w_k dt for every row of the
+    (m, n_bins) record array `samples`, over the first len(weights.w) bins.
+    Each row is summed on its own, so a row's q does not depend on the
+    rows around it: chunks of any size give the q of one batch."""
     n = len(weights.w)
-    if batch.n_bins < n:
+    if samples.shape[1] < n:
         raise ConfigError(f"tau needs {n} bins, more than the shot record's "
-                          f"{batch.n_bins}")
-    samples = batch.samples[:, :n]
-    if len(samples) == 1:
-        # numpy computes a one-row product as a dot product, whose sum can
-        # differ in the last bit from the row's in a matrix-vector product
-        samples = np.repeat(samples, 2, axis=0)
-    return weights.q_scale(kappa_p) * (samples @ weights.w)[:len(batch)]
+                          f"{samples.shape[1]}")
+    return math.sqrt(TWOPI * kappa_p) * weights.dt * np.einsum(
+        "ij,j->i", samples[:, :n], weights.w)
 
 
 # ---------------------------------------------------------------------------
@@ -121,18 +111,27 @@ class MixtureFit:
 
 #: fewest histogram bins the mixture fit is given
 _MIN_BINS = 60
+#: most histogram bins: 10^5 - 10^6 reference shots take a few hundred, and
+#: a q far from all others (a corrupted sample) would take millions
+_MAX_BINS = 10**5
 
 
 def histogram_bins(q: np.ndarray) -> np.ndarray:
-    """Freedman-Diaconis bin edges on pooled data, at least `_MIN_BINS` bins."""
+    """Freedman-Diaconis bin edges on pooled data, at least `_MIN_BINS` bins;
+    FitError if the range of q is not finite or needs over `_MAX_BINS`."""
     q = np.asarray(q, dtype=float)
     lo, hi = float(np.min(q)), float(np.max(q))
+    if not math.isfinite(hi - lo):
+        raise FitError(f"q ranges over [{lo:g}, {hi:g}], not a finite interval")
     if hi <= lo:
         hi = lo + 1.0
     iqr = float(np.subtract(*np.percentile(q, [75, 25])))
     width = 2.0 * iqr / len(q) ** (1.0 / 3.0) if iqr > 0 else 0.0
-    n_bins = int(np.ceil((hi - lo) / width)) if width > 0 else _MIN_BINS
-    n_bins = max(n_bins, _MIN_BINS)
+    n_bins = (hi - lo) / width if width > 0 else _MIN_BINS
+    if n_bins > _MAX_BINS:
+        raise FitError(f"q ranges over [{lo:g}, {hi:g}], {n_bins:.3g} "
+                       f"histogram bins of width {width:g}, more than {_MAX_BINS}")
+    n_bins = max(math.ceil(n_bins), _MIN_BINS)
     return np.linspace(lo, hi, n_bins + 1)
 
 

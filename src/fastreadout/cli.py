@@ -250,8 +250,7 @@ _DRAW_CHUNK = 4096
 #: reference window, stay below glibc's trim threshold, so the heap is not
 #: given back to the kernel and faulted in again at every step
 _ENCODE_CHUNK = 256
-#: lines per parse step of analyze; a multiple of the matrix-vector
-#: product's row blocks, so integrate_batch gives the q of one batch
+#: lines per parse step of analyze; bounds the rows parsed at once
 _STREAM_CHUNK = 1024
 
 
@@ -346,7 +345,8 @@ def _read_shot_csv(path: str, cfg: dict):
     The '#' header must echo the same device, pulse, dt_bin and
     measure_duration as `cfg`; otherwise ConfigError names the difference.
     Lines end in "\n" or "\r\n"; a bare "\r" raises ConfigError, and so
-    does a file without shots.
+    do a file without shots and a sample that is not finite (the preselect
+    value is nan without preselection).
     """
     header = {}
     with open(path, "rb") as fh:
@@ -375,6 +375,11 @@ def _read_shot_csv(path: str, cfg: dict):
                         1: {"g": 0.0, "e": 1.0}.__getitem__})
             except (ValueError, KeyError) as exc:
                 raise ConfigError(f"malformed shot file {path}: {exc}") from exc
+            finite = np.isfinite(data[:, 3:])
+            if not finite.all():
+                shot = data[np.argmin(finite.all(axis=1)), 0]
+                raise ConfigError(f"malformed shot file {path}: shot {shot:.0f} "
+                                  "holds a sample that is not finite")
             if len(data):
                 n += len(data)
                 yield shots.ShotBatch(excited=data[:, 1] == 1.0,
@@ -405,7 +410,8 @@ def cmd_analyze(cfg: dict, args) -> int:
                               f"configuration's window {chain.n_bins}")
         if weights is None:  # a file that fails its checks exits 2 first
             weights = chain.weights(cfg["tau"])
-        q_chunk = analysis.integrate_batch(batch, weights, chain.device.kappa_p)
+        q_chunk = analysis.integrate_batch(batch.samples, weights,
+                                           chain.device.kappa_p)
         m = n + len(batch)
         if m > len(q):
             q, excited = _room(q, n, m), _room(excited, n, m)

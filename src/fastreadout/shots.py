@@ -76,7 +76,7 @@ import numpy as np
 
 from ._lsq import least_squares
 from .analysis import (NormalColumns, WeightFunction, _bool_labels,
-                       build_weights)
+                       build_weights, integrate_batch)
 from .dynamics import TWOPI, PulseEnvelope, TwoCavityModel, _apply, lo_rotation
 from .config import require_finite
 from .errors import ConfigError, FitError
@@ -604,24 +604,18 @@ class ReadoutChain:
     def _mean_q(self, s0, jump_shot, jump_time, w: WeightFunction):
         """q_tau of the noise-free means of rows that start in states s0 and
         jump at jump_time (jump_shot rows ascending), over the len(w) bins
-        of the weights w: the q of mean_bins[s0] for a row without jumps,
-        of _add_means on a zero record for the others."""
-        n, scale = len(w.w), w.q_scale(self.device.kappa_p)
-
-        def integrate(rows):
-            # row by row: the q of a row in a BLAS matrix-vector product can
-            # change in the last bit with the number of rows
-            return scale * np.einsum("ij,j->i", rows, w.w)
-
+        of the weights w: integrate_batch of mean_bins[s0] for a row without
+        jumps, of _add_means on a zero record for the others."""
+        n, kappa_p = len(w.w), self.device.kappa_p
         means = {s: m[:n] for s, m in self.mean_bins.items()}
-        still = integrate(np.array([means[-1], means[+1]]))
+        still = integrate_batch(np.array([means[-1], means[+1]]), w, kappa_p)
         q = np.where(s0 > 0, still[1], still[0])
         rows, jump_row = np.unique(jump_shot, return_inverse=True)
         if len(rows):
             mean = np.zeros((len(rows), n))
             self._add_means(mean, s0[rows], jump_row, jump_time, self.pulse,
                             self.bin_centers[:n], means)
-            q[rows] = integrate(mean)
+            q[rows] = integrate_batch(mean, w, kappa_p)
         return q
 
     def sample_q(self, shots: range, tau: float, excited=None):
@@ -631,8 +625,8 @@ class ReadoutChain:
 
         q is linear in the white noise of the bins, so given a shot's jumps
         it is Gaussian with variance 1/(4 eta) about the q of its noise-free
-        conditioned means: q of the no-jump means mean_bins[s] for a shot
-        without jumps, of _add_means on the first len(w) bins for the others.
+        conditioned means, integrated by integrate_batch: mean_bins[s] for a
+        shot without jumps, _add_means on the first len(w) bins for the others.
         Shot i reads the words [i Q, (i + 1) Q), Q = _Q_WORDS, of
         Philox(key=(master_seed, Q_STREAM)): thermal, prep, K jump words over
         [0, len(w) dt_bin) and one normal pair (module docstring); further

@@ -85,7 +85,7 @@ def test_criterion_3_monte_carlo_vs_analytic(reference, report):
     details, ok = [], True
     for tau in (24e-9, 48e-9, 64e-9, 136e-9):
         w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], tau, DT_BIN)
-        q = integrate_batch(recs, w, dev.kappa_p)
+        q = integrate_batch(recs.samples, w, dev.kappa_p)
         fit, *_ = fit_shot_histograms(q, recs.excited)
         bud = error_budget(q, recs.excited, fit)
         eps_mc = bud.eps_g + bud.eps_e
@@ -105,7 +105,7 @@ def test_criterion_4_t1_error_budget(reference, report):
     recs = simulate_batch(dev, pulse, cfg)
     centers, idx = bin_grid(17)
     w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 56e-9, DT_BIN)
-    q = integrate_batch(recs, w, dev.kappa_p)
+    q = integrate_batch(recs.samples, w, dev.kappa_p)
     fit, *_ = fit_shot_histograms(q, recs.excited)
     bud = error_budget(q, recs.excited, fit)
     expected = 1.0 - math.exp(-56e-9 / dev.T1)
@@ -193,7 +193,7 @@ def test_criterion_9_property_suites(report):
                                               np.zeros(cfg.n_shots, bool))
     centers, _ = bin_grid(17)
     w = build_weights(centers, np.zeros(17), np.ones(17), 136e-9, DT_BIN)
-    q = integrate_batch(recs, w, dev.kappa_p)
+    q = integrate_batch(recs.samples, w, dev.kappa_p)
     var_ok = abs(np.var(q) * 4 * dev.eta - 1.0) < 0.05
 
     # mixture-fit round trip and affine threshold invariance

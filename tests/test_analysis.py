@@ -80,8 +80,8 @@ class TestWeights:
 
 
 def integrate_row(samples, w, kappa_p):
-    """q_tau of one shot, through a one-row ShotBatch."""
-    q = integrate_batch(ShotBatch(excited=[False], samples=[samples]), w, kappa_p)
+    """q_tau of one shot, through a one-row record array."""
+    q = integrate_batch(np.array([samples], dtype=float), w, kappa_p)
     return float(q[0])
 
 
@@ -115,9 +115,9 @@ class TestIntegration:
         rng = np.random.default_rng(11)
         centers, idx = bin_grid(7)
         w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 56e-9, DT_BIN)
-        batch = ShotBatch(excited=[False] * 5, samples=rng.normal(size=(5, 7)))
-        q = integrate_batch(batch, w, dev.kappa_p)
-        for i, samples in enumerate(batch.samples):
+        records = rng.normal(size=(5, 7))
+        q = integrate_batch(records, w, dev.kappa_p)
+        for i, samples in enumerate(records):
             # q_tau = sqrt(2 pi kappa_p) * sum_k Q_k w_k dt
             expected = math.sqrt(TWOPI * dev.kappa_p) * np.sum(samples * w.w) * w.dt
             assert q[i] == pytest.approx(expected, rel=1e-12)
@@ -126,17 +126,18 @@ class TestIntegration:
 
     def test_rows_independent_of_the_batch(self, reference_traces):
         # analyze integrates a shot file in chunks: every chunking, single
-        # rows included, gives the q of one batch bit for bit
+        # rows included, gives the q of one batch bit for bit. Over all 17
+        # bins, where a row-count dependent sum (a BLAS matrix-vector
+        # product) changes last bits; at 7 bins it does not
         dev, _, qt = reference_traces
         centers, idx = bin_grid(17)
-        w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 56e-9, DT_BIN)
+        w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 136e-9, DT_BIN)
+        assert len(w.w) == 17
         # strided rows, as the columns of a parsed shot file
         samples = np.random.default_rng(12).normal(size=(301, 20))[:, 3:]
-        whole = integrate_batch(ShotBatch(excited=[False] * 301, samples=samples),
-                                w, dev.kappa_p)
+        whole = integrate_batch(samples, w, dev.kappa_p)
         for size in (1, 2, 7, 256):
-            parts = [integrate_batch(ShotBatch(excited=[False] * len(rows),
-                                               samples=rows), w, dev.kappa_p)
+            parts = [integrate_batch(rows, w, dev.kappa_p)
                      for rows in np.split(samples, range(size, 301, size))]
             assert np.array_equal(np.concatenate(parts), whole)
 
@@ -181,6 +182,21 @@ class TestMixtureFit:
         q = np.random.default_rng(4).normal(size=500)
         edges = histogram_bins(q)
         assert len(edges) >= 61
+
+    def test_histogram_bins_refuse_an_outlier_range(self):
+        # one q far from the others would ask for ~1e8 bins, or for more
+        # than numpy allows; an infinite range has no bin count
+        q = np.random.default_rng(4).normal(size=4000)
+        assert len(histogram_bins(q)) < 200
+        for value, message in ((1e9, "histogram bins"), (1e300, "histogram bins"),
+                               (-1.7e308, "histogram bins"), (np.inf, "not a finite"),
+                               (np.nan, "not a finite")):
+            q[100] = value
+            with pytest.raises(FitError, match=message):
+                histogram_bins(q)
+        q[100], q[101] = 1.7e308, -1.7e308
+        with pytest.raises(FitError, match="not a finite"):
+            histogram_bins(q)
 
     def test_zero_noise_degenerate_branch(self):
         q = np.array([-1.0] * 2000 + [1.0] * 2000)
@@ -245,7 +261,7 @@ def report_digits(q, excited) -> list[str]:
 
 @pytest.fixture(scope="module")
 def reference_q():
-    """(q by matrix-vector product, q by per-row np.dot, labels) of
+    """(q by integrate_batch's einsum, q by per-row np.dot, labels) of
     reference.conf's 1e5-shot runs at seeds 0-2."""
     out = []
     for seed in range(3):
@@ -255,7 +271,7 @@ def reference_q():
                              cli.build_shot_config(cfg))
         batch = chain.run(range(cfg["n_shots"]))
         weights = chain.weights(cfg["tau"])
-        q = integrate_batch(batch, weights, chain.device.kappa_p)
+        q = integrate_batch(batch.samples, weights, chain.device.kappa_p)
         scale = math.sqrt(TWOPI * chain.device.kappa_p) * weights.dt
         n = len(weights.w)
         q_dot = np.array([scale * np.dot(row[:n], weights.w)
@@ -275,8 +291,8 @@ class TestSeparableFit:
                 <= oracle_cost(centers, hg, he) * (1 + 1e-9)
 
     def test_report_digits_do_not_follow_the_last_ulp_of_q(self, reference_q):
-        # a third or so of the per-row dot products differ from the
-        # matrix-vector product's in the last bit
+        # a large share of the per-row dot products differ from the
+        # einsum sums in the last bit
         for q, q_dot, excited in reference_q:
             assert np.count_nonzero(q != q_dot) > len(q) // 10
             assert report_digits(q, excited) == report_digits(q_dot, excited)
@@ -547,7 +563,7 @@ class TestErrorBudget:
             qt = mean_quadrature_traces(dev, gated_pulse, times)
             centers, idx = bin_grid(7)
             w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 56e-9, DT_BIN)
-            q = integrate_batch(recs, w, dev.kappa_p)
+            q = integrate_batch(recs.samples, w, dev.kappa_p)
             fit, *_ = fit_shot_histograms(q, recs.excited)
             results[t1] = error_budget(q, recs.excited, fit)
         assert results[3.8e-6].fidelity < results[7.6e-6].fidelity
@@ -626,7 +642,7 @@ class TestMonteCarloAgreement:
         n_class = cfg.n_shots // 2
         for tau in (24e-9, 48e-9, 64e-9, 136e-9):
             w = build_weights(centers, qt.q_g[idx], qt.q_e[idx], tau, DT_BIN)
-            q = integrate_batch(recs, w, dev.kappa_p)
+            q = integrate_batch(recs.samples, w, dev.kappa_p)
             fit, *_ = fit_shot_histograms(q, recs.excited)
             bud = error_budget(q, recs.excited, fit)
             eps_mc = bud.eps_g + bud.eps_e

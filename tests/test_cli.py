@@ -392,23 +392,39 @@ class TestExitCodes:
         "optimize --mode ratio": DEVICE_KEYS + ["ratio_tau_grid"],
     }
 
+    #: shots of the commands that fit histograms, above the mixture fit's
+    #: floor of 1000 counts per prepared state, so that their later guards
+    #: run; the other commands take 100
+    FIT_SHOTS = {"analyze": 4000, "optimize --mode power": 4000}
+    #: their cases that exit 3: a photon number past the ceiling, or ground
+    #: and excited mean traces that are identical
+    FIT_EXIT_3 = {("analyze", "n_drive=1e300"),
+                  ("analyze", "pulse_amplitude=1e300"),
+                  ("optimize --mode power", "n_drive=1e300"),
+                  ("optimize --mode power", "alpha=1e-300"),
+                  ("optimize --mode power", "gamma_int=1e300"),
+                  ("optimize --mode power", "omega_d=1e300")}
+
     def test_every_numeric_key_at_edge_values(self, conf, tmp_path, capsys):
         # each key a command reads, set to each edge value, exits 0, 2 with
-        # the key named, or 3; any other exception fails. One exception: a
-        # device key that shrinks chi on --mode ratio stretches the longest
-        # tau of ratio_tau_grid, and is reported through it and chi
+        # the key named, or 3, and none stops at the fit's count floor; any
+        # other exception fails. One exception: a device key that shrinks
+        # chi on --mode ratio stretches the longest tau of ratio_tau_grid,
+        # and is reported through it and chi
         assert {tag for keys in self.SWEEP.values()
                 for tag in (cli.SCHEMA[k][0] for k in keys)} \
             == {"quantity", "int", "floats"}
-        base = ["--config", conf, "--set", "n_shots=100",
-                "--set", "power_grid=2.5", "--set", "ratio_tau_grid=4.5"]
+        base = ["--config", conf, "--set", "power_grid=2.5",
+                "--set", "ratio_tau_grid=4.5"]
         # analyze reads a file of the unchanged configuration
         shot_dir = tmp_path / "input"
-        assert run("simulate", *base, "--output-dir", str(shot_dir)) == 0
-        wrong = []
+        assert run("simulate", *base, "--output-dir", str(shot_dir),
+                   "--set", f"n_shots={self.FIT_SHOTS['analyze']}") == 0
+        wrong, fit_exit_3 = [], set()
         for command, keys in self.SWEEP.items():
             argv = command.split() + (["--input", str(shot_dir / "shots.csv")]
                                       if command == "analyze" else [])
+            argv += ["--set", f"n_shots={self.FIT_SHOTS.get(command, 100)}"]
             for key in keys:
                 for value in ("0", "-1", "1e-300", "1e300", "nan", "none"):
                     try:
@@ -420,14 +436,45 @@ class TestExitCodes:
                     named = re.search(rf"\b{key}\b", err) or (
                         command.endswith("ratio")
                         and "ratio_tau_grid" in err and "at chi = " in err)
-                    if code not in (0, 2, 3) or (code == 2 and not named):
+                    if code not in (0, 2, 3) or (code == 2 and not named) \
+                            or "1000 counts" in err:
                         wrong.append((command, f"{key}={value}", code, err))
+                    if code == 3 and command in self.FIT_SHOTS:
+                        fit_exit_3.add((command, f"{key}={value}"))
         assert wrong == []
+        assert fit_exit_3 == self.FIT_EXIT_3
 
     def test_unreadable_input(self, conf, tmp_path):
         code = run("analyze", "--config", conf, "--output-dir", str(tmp_path),
                    "--input", str(tmp_path / "missing.csv"))
         assert code == 4
+
+    def test_corrupted_sample(self, conf, tmp_path, capsys):
+        # q0 of shot 100 edited in a file above the fit's count floor: a
+        # sample that is not finite makes a malformed file, and one far from
+        # all others leaves q a range of too many histogram bins (1e9 would
+        # take about 1e7 bins, minutes and gigabytes)
+        assert run("simulate", "--config", conf, "--output-dir", str(tmp_path),
+                   "--n-shots", "4000") == 0
+        text = (tmp_path / "shots.csv").read_bytes()
+        # "<prep>,<preselect>,<q0>,<q1>,..." of shot 100
+        head, start, rest = text.partition(b"\r\n100,")
+        row, end, tail = rest.partition(b"\r\n")
+        fields = row.split(b",", 3)
+        path = tmp_path / "edited.csv"
+        for value, code, message in [
+                ("inf", 2, "shot 100 holds a sample that is not finite"),
+                ("-inf", 2, "shot 100 holds a sample that is not finite"),
+                ("nan", 2, "shot 100 holds a sample that is not finite"),
+                ("1e300", 3, "histogram bins"), ("1e9", 3, "histogram bins")]:
+            fields[2] = value.encode()
+            path.write_bytes(head + start + b",".join(fields) + end + tail)
+            assert run("analyze", "--config", conf, "--output-dir", str(tmp_path),
+                       "--input", str(path)) == code, value
+            err = capsys.readouterr().err
+            assert message in err, (value, err)
+            if code == 2:
+                assert str(path) in err
 
 
 class TestSchema:
@@ -594,9 +641,9 @@ class TestSimulateAnalyze:
         used = []
         integrate = cli.analysis.integrate_batch
 
-        def spy(batch, weights, kappa_p):
+        def spy(samples, weights, kappa_p):
             used.append(weights)
-            return integrate(batch, weights, kappa_p)
+            return integrate(samples, weights, kappa_p)
 
         monkeypatch.setattr(cli.analysis, "integrate_batch", spy)
         assert run("analyze", "--config", conf, "--output-dir", out,
@@ -627,9 +674,9 @@ class TestSimulateAnalyze:
         used = []
         integrate = cli.analysis.integrate_batch
 
-        def spy(batch, weights, kappa_p):
-            q = integrate(batch, weights, kappa_p)
-            used.append((batch, weights, q))
+        def spy(samples, weights, kappa_p):
+            q = integrate(samples, weights, kappa_p)
+            used.append((samples, weights, q))
             return q
 
         monkeypatch.setattr(cli.analysis, "integrate_batch", spy)
@@ -638,7 +685,7 @@ class TestSimulateAnalyze:
         # the chunks of the file, one set of weights for all
         weights = used[0][1]
         assert all(w is weights for _, w, _ in used)
-        samples = np.concatenate([batch.samples for batch, _, _ in used])
+        samples = np.concatenate([rows for rows, _, _ in used])
         q = np.concatenate([q for _, _, q in used])
         assert len(q) == 2000
         dt = 8e-9
@@ -830,29 +877,44 @@ class TestStreaming:
         assert peaks[1] - peaks[0] <= 0.5e6, peaks
 
     @staticmethod
-    def analyze_outputs(conf, path: Path, out: Path, monkeypatch, size):
+    def analyze_outputs(conf, path: Path, out: Path, monkeypatch, size, tau):
+        """The bytes of the q that analyze fits, of report.txt and of
+        histogram.csv, parsing `size` lines at a time."""
         monkeypatch.setattr(cli, "_STREAM_CHUNK", size)
+        seen = []
+        fit = cli.analysis.fit_shot_histograms
+
+        def spy(q, excited):
+            seen.append(q.tobytes())
+            return fit(q, excited)
+
+        monkeypatch.setattr(cli.analysis, "fit_shot_histograms", spy)
         assert run("analyze", "--config", conf, "--output-dir", str(out),
-                   "--input", str(path)) == 0
-        return [(out / name).read_bytes() for name in ("report.txt",
-                                                       "histogram.csv")]
+                   "--input", str(path), "--set", f"tau={tau}") == 0
+        return seen + [(out / name).read_bytes() for name in ("report.txt",
+                                                              "histogram.csv")]
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_analyze_matches_one_chunk(self, conf, tmp_path, monkeypatch, seed):
-        # one chunk of all shots is one parse and one matrix-vector product,
-        # as the reader did before it streamed
+    # (shots, seed, chunk sizes), named by the seed: one-line chunks of the
+    # short file only
+    @pytest.mark.parametrize("n_shots, seed, sizes", [
+        (20_000, 0, (7, 1000, 1024)), (20_000, 1, (7, 1000, 1024)),
+        (20_000, 2, (7, 1000, 1024)), (2001, 3, (1, 7, 1000, 1024))],
+        ids=["0", "1", "2", "3"])
+    def test_analyze_matches_one_chunk(self, conf, tmp_path, monkeypatch,
+                                       n_shots, seed, sizes):
+        # one chunk of all shots is one parse and one integrate_batch call.
+        # The q of every shot must match bit for bit, since report.txt can
+        # stay equal where a row-count dependent sum changes the last bit
+        # of thousands of q; such a sum does at 136 ns (17 bins), not at
+        # 56 ns (7 bins)
         path = tmp_path / "shots.csv"
-        assert main(simulate_args(path, 20_000, seed, [])) == 0
-        whole = self.analyze_outputs(conf, path, tmp_path, monkeypatch, 10**6)
-        for size in (7, cli._STREAM_CHUNK):
-            assert self.analyze_outputs(conf, path, tmp_path, monkeypatch,
-                                        size) == whole
-
-    def test_analyze_one_shot_chunks(self, conf, tmp_path, monkeypatch):
-        path = tmp_path / "shots.csv"
-        assert main(simulate_args(path, 2001, 3, [])) == 0
-        whole = self.analyze_outputs(conf, path, tmp_path, monkeypatch, 10**6)
-        assert self.analyze_outputs(conf, path, tmp_path, monkeypatch, 1) == whole
+        assert main(simulate_args(path, n_shots, seed, [])) == 0
+        for tau in ("56ns", "136ns"):
+            whole = self.analyze_outputs(conf, path, tmp_path, monkeypatch,
+                                         10**6, tau)
+            for size in sizes:
+                assert self.analyze_outputs(conf, path, tmp_path, monkeypatch,
+                                            size, tau) == whole, (tau, size)
 
 
 class TestOptimize:

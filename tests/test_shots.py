@@ -81,7 +81,7 @@ class TestNoiseCalibration:
         rng = np.random.default_rng(0)
         w_shape = rng.uniform(0.5, 2.0, 17)  # any normalized weight works
         weights = build_weights(centers, np.zeros(17), w_shape, 136e-9, DT_BIN)
-        q = integrate_batch(recs, weights, dev.kappa_p)
+        q = integrate_batch(recs.samples, weights, dev.kappa_p)
         target = 1.0 / (4.0 * dev.eta)
         assert np.var(q) == pytest.approx(target, rel=0.05)
         assert np.mean(q) == pytest.approx(0.0, abs=5 * math.sqrt(target / len(q)))
@@ -101,7 +101,7 @@ class TestNoiseCalibration:
         weights = build_weights(chain.bin_centers, np.zeros(chain.n_bins), w_shape,
                                 chain.n_bins * dt_bin, dt_bin)
         batch = chain.run(range(cfg.n_shots), np.zeros(cfg.n_shots, bool))
-        q = integrate_batch(batch, weights, chain.device.kappa_p)
+        q = integrate_batch(batch.samples, weights, chain.device.kappa_p)
         assert np.var(q) == pytest.approx(1.0 / (4.0 * dev.eta), rel=0.05)
 
     def test_sigma_bin_formula(self):
@@ -128,7 +128,7 @@ class TestNoiseCalibration:
         qt = mean_quadrature_traces(dev, gated_pulse, times)
         centers, idx = bin_grid(17)
         weights = build_weights(centers, qt.q_g[idx], qt.q_e[idx], 136e-9, DT_BIN)
-        q = integrate_batch(recs, weights, dev.kappa_p)
+        q = integrate_batch(recs.samples, weights, dev.kappa_p)
         for excited in (False, True):
             sample = q[recs.excited == excited]
             _, p = stats.normaltest(sample)
@@ -795,14 +795,12 @@ class TestSampleQ:
             record = np.zeros((len(jumps), chain.n_bins))
             chain._add_means(record, s0, jump_shot, jump_time, chain.pulse,
                              chain.bin_centers, chain.mean_bins)
-            batch = shots.ShotBatch(s0 > 0, record)
             for k in sorted({1, int(rng.integers(2, chain.n_bins + 1)),
                              chain.n_bins}):
                 w = chain.weights(k * chain.cfg.dt_bin)
-                ref = integrate_batch(batch, w, chain.device.kappa_p)
+                ref = integrate_batch(record, w, chain.device.kappa_p)
                 got = chain._mean_q(s0, jump_shot, jump_time, w)
-                assert np.allclose(got, ref, rtol=1e-12,
-                                   atol=1e-12 * np.max(np.abs(ref)))
+                assert np.array_equal(got, ref)
 
     def test_preselection_refused(self, device, gated_pulse):
         chain = ReadoutChain(device, gated_pulse, _q_config(10, preselect=True))
@@ -838,7 +836,7 @@ def test_sample_q_errors_match_the_sample_path(seed):
         still = chain._mean_q(np.array([-1, 1]), np.empty(0, dtype=int),
                               np.empty(0), w)
         batch = chain.run(range(n))
-        q_path = integrate_batch(batch, w, device.kappa_p)
+        q_path = integrate_batch(batch.samples, w, device.kappa_p)
         q_fast, excited = chain.sample_q(range(n), tau)
         assert np.array_equal(excited, batch.excited)
         for prepared in (False, True):
