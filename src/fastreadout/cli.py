@@ -475,17 +475,49 @@ def cmd_optimize(cfg: dict, args) -> int:
 
 def _read_two_column_csv(path: str):
     """The first two columns of a CSV as float arrays. '#' lines and blank
-    rows are skipped, and so is a non-numeric first row (the column header);
-    any other row without two numbers raises ConfigError."""
-    xs, ys = [], []
+    rows are skipped, and so is a non-numeric first row of two or more
+    fields (the column header); any other row without two numbers raises
+    ConfigError naming it. The rows are parsed by np.loadtxt; a file it
+    refuses (quoted numbers, digits grouped by '_', a bad row) is read
+    again row by row with csv and float(), which give the same values."""
     with open(path) as fh:
-        lines = (line for line in fh if not line.startswith("#"))
-        rows = [row for row in csv.reader(lines) if row]
+        lines = [line for line in fh if not line.startswith("#")]
+    body = lines
+    for i, line in enumerate(lines):
+        if line.strip("\r\n"):
+            if _header(next(csv.reader([line]))):
+                body = lines[:i] + lines[i + 1:]
+            break
+    if any(line.strip() for line in body):  # np.loadtxt warns on no data
+        try:
+            data = np.loadtxt(body, delimiter=",", usecols=(0, 1),
+                              comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            return tuple(np.ascontiguousarray(data.T))
+    return _read_rows(path, lines)
+
+
+def _header(row: list[str]) -> bool:
+    """Whether a first row is the column header: two or more fields, the
+    first two not both numbers."""
+    try:
+        float(row[0]), float(row[1])
+    except (ValueError, IndexError):
+        return len(row) >= 2
+    return False
+
+
+def _read_rows(path: str, lines: list[str]):
+    """_read_two_column_csv, one csv row and float() call at a time."""
+    xs, ys = [], []
+    rows = [row for row in csv.reader(lines) if row]
     for i, row in enumerate(rows):
         try:
             x, y = float(row[0]), float(row[1])
         except (ValueError, IndexError) as exc:
-            if i == 0 and len(row) >= 2:
+            if i == 0 and _header(row):
                 continue
             raise ConfigError(f"{path}: row {','.join(row)!r} is not two numbers") \
                 from exc

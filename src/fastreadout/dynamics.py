@@ -108,21 +108,25 @@ class SignalTrace:
 # quasi-steady-state closed form (single effective cavity)
 # ---------------------------------------------------------------------------
 
-def qss_steady_signal(n_drive: float, chi: float, kappa_eff: float) -> float:
-    """Steady-state signal of the QSS model, in 1/sqrt(s) (angular)."""
-    r2 = (2.0 * chi / kappa_eff) ** 2
+def qss_steady_signal(n_drive: float, chi: float, kappa_eff):
+    """Steady-state signal of the QSS model, in 1/sqrt(s) (angular), for a
+    scalar kappa_eff or an array of them."""
+    # C pow, as ** of a Python float: numpy's square differs in the last bit
+    r2 = np.float_power(2.0 * chi / kappa_eff, 2)
     ca = TWOPI * chi
     ka = TWOPI * kappa_eff
-    return math.sqrt(16.0 * n_drive * ca * ca / ka / (1.0 + r2))
+    return np.sqrt(16.0 * n_drive * ca * ca / ka / (1.0 + r2))
 
 
-def qss_signal(n_drive: float, chi: float, kappa_eff: float, t):
+def qss_signal(n_drive: float, chi: float, kappa_eff, t):
     """QSS signal S(t) for a gated pulse starting at t = 0.
 
     Exact solution of the driven one-cavity equation of motion,
     S(t) = S_ss / (2|r|) *
     |2r - exp(-pi kappa t) (sin(2 pi chi t) + 2 r cos(2 pi chi t))|
     with r = chi/kappa, which vanishes at t = 0 as the physical signal must.
+    kappa_eff may be an array that broadcasts against t, e.g. one row of
+    candidates (K, 1) against times (N,) or (K, N).
     """
     t = np.asarray(t, dtype=float)
     r = chi / kappa_eff
@@ -150,82 +154,100 @@ class TwoCavityModel:
     with all rates angular. Pulse amplitude 1 is normalized so that the
     mean steady-state resonator photon number of the two qubit states
     equals n_drive at the symmetric drive point omega_d = omega_r.
+
+    `J`, an array of couplings in Hz, stands in for device.J: the model is
+    then a stack of models of that `shape`, one per coupling, whose tables
+    are built with one stacked np.linalg call each, and `trace` puts that
+    shape in front of its output. Each entry equals the model of
+    replace(device, J=J[k]) bit for bit; the default is the device's own
+    coupling, shape ().
     """
 
-    def __init__(self, device: DeviceParams):
+    def __init__(self, device: DeviceParams, J=None):
         self.device = device
+        J = device.J if J is None else np.asarray(J, dtype=float)
+        self.shape = np.shape(J)
         self.chi_a = TWOPI * device.chi
-        self.J_a = TWOPI * device.J
+        self.J_a = TWOPI * J
         self.kappa_pa = TWOPI * device.kappa_p
         self.gamma_a = TWOPI * device.gamma_int
         self.delta_r_a = TWOPI * (device.omega_r - device.omega_d)
         self.delta_pf_a = TWOPI * (device.omega_p - device.omega_d)
 
         self._b = np.array([0.0, math.sqrt(self.kappa_pa)], dtype=complex)
-        self._A = {s: self._matrix(s, symmetric=False) for s in (-1, +1)}
-        # the tables of trace, row 0 for g and row 1 for e: eigenvalues,
+        A = self._matrices(symmetric=False)
+        self._A = {-1: A[..., 0, :, :], +1: A[..., 1, :, :]}
+        # the tables of trace, state axis 0 for g and 1 for e: eigenvalues,
         # eigenvectors, their inverse and the steady state at unit drive
-        self._lam, self._V = np.linalg.eig(np.array([self._A[-1], self._A[+1]]))
+        self._lam, self._V = np.linalg.eig(A)
         self._Vi = np.linalg.inv(self._V)
-        self._x_unit = np.array([np.linalg.solve(self._A[s], -self._b)
-                                 for s in (-1, +1)])
+        self._x_unit = np.linalg.solve(A, -self._b[:, None])[..., 0]
 
-        # drive normalization at the symmetric point omega_d = omega_r
-        n_mean = 0.0
-        for s in (-1, +1):
-            xs = np.linalg.solve(self._matrix(s, symmetric=True), -self._b)
-            n_mean += 0.5 * float(abs(xs[0])) ** 2
-        self.eps0 = math.sqrt(device.n_drive / n_mean) if n_mean > 0.0 else 0.0
-        if not math.isfinite(self.eps0):
+        # drive normalization at the symmetric point omega_d = omega_r, from
+        # Python scalars: numpy's vectorized abs and square differ from them
+        # in the last bit
+        alpha = np.linalg.solve(self._matrices(symmetric=True),
+                                -self._b[:, None])[..., 0, 0]
+        eps0 = []
+        for a_g, a_e in alpha.reshape(-1, 2):
+            n_mean = 0.5 * float(abs(a_g)) ** 2 + 0.5 * float(abs(a_e)) ** 2
+            eps0.append(math.sqrt(device.n_drive / n_mean) if n_mean > 0.0 else 0.0)
+        if not all(map(math.isfinite, eps0)):
             raise PhotonCeilingError(f"n_drive = {device.n_drive:g} needs a "
                                      "drive amplitude that is not finite")
+        self.eps0 = eps0[0] if self.shape == () else np.reshape(eps0, self.shape)
 
-    def _matrix(self, s: int, symmetric: bool) -> np.ndarray:
+    def _matrices(self, symmetric: bool) -> np.ndarray:
+        """The system matrices of g and e, shape + (2, 2, 2)."""
         dr = 0.0 if symmetric else self.delta_r_a
         dpf = (self.delta_pf_a - self.delta_r_a) if symmetric else self.delta_pf_a
-        return np.array(
-            [
-                [-1j * (dr + s * self.chi_a) - self.gamma_a / 2.0, -1j * self.J_a],
-                [-1j * self.J_a, -1j * dpf - self.kappa_pa / 2.0],
-            ],
-            dtype=complex,
-        )
+        J = np.asarray(self.J_a)[..., None]
+        A = np.empty(self.shape + (2, 2, 2), dtype=complex)
+        A[..., 0, 0] = -1j * (dr + np.array([-1.0, 1.0]) * self.chi_a) \
+            - self.gamma_a / 2.0
+        A[..., 0, 1] = A[..., 1, 0] = -1j * J
+        A[..., 1, 1] = -1j * dpf - self.kappa_pa / 2.0
+        return A
 
     def steady_state(self, s: int, eps: float) -> np.ndarray:
         """Exact steady state (d/dt = 0) for a constant drive eps."""
-        return eps * self._x_unit[int(s > 0)]
+        return eps * self._x_unit[..., int(s > 0), :]
 
     def trace(self, s0, pulse: PulseEnvelope, times) -> np.ndarray:
         """Exact fields (alpha, beta) at `times`, from vacuum at t = 0, with
         the qubit held in state s0 (-1 g, +1 e).
 
         A scalar s0 gives shape (len(times), 2); a 1-D s0 gives one row per
-        entry, shape (rows, len(times), 2). The edges are t = 0 and the
-        drive edges of `pulse`; on the segment that starts at edge a the
-        field is the closed form x_ss + V exp(lambda (t - a)) c, evaluated
-        for every (row, sample) at once. A sample within 1e-15 s after an
-        edge belongs to the segment that ends there. Raises ValueError unless
-        `times` is ascending.
+        entry, shape (rows, len(times), 2); a stacked model puts its shape in
+        front. The edges are t = 0 and the drive edges of `pulse`; on the
+        segment that starts at edge a the field is the closed form
+        x_ss + V exp(lambda (t - a)) c, evaluated for every (row, sample) at
+        once. A sample within 1e-15 s after an edge belongs to the segment
+        that ends there. Raises ValueError unless `times` is ascending.
         """
         times = np.asarray(times, dtype=float)
         if np.any(times[1:] < times[:-1]):
             raise ValueError("trace times must be ascending")
         s0 = np.asarray(s0)
         if len(times) == 0:
-            return np.empty(s0.shape + (0, 2), dtype=complex)
+            return np.empty(self.shape + s0.shape + (0, 2), dtype=complex)
         t_max = float(times[-1])
         edges = np.array([0.0] + sorted({t for a, b, _ in pulse.segments()
                                          for t in (a, b)
                                          if 1e-15 < t < t_max - 1e-15}))
         ends = np.append(edges[1:], t_max)
 
-        # per row: the eigen tables of its state; per segment: the steady
-        # state and the coefficients c of the closed form, carried from each
-        # segment's start to the next
+        # per row, one for each model of the stack and entry of s0: the
+        # eigen tables of its state; per segment: the steady state and the
+        # coefficients c of the closed form, carried from each segment's
+        # start to the next
         state = (s0.reshape(-1) > 0).astype(int)
-        lam, V, Vi = self._lam[state], self._V[state], self._Vi[state]
-        xss = (self.eps0 * pulse.envelope(0.5 * (edges + ends)))[:, None] \
-            * self._x_unit[state][:, None]
+        lam = self._lam[..., state, :].reshape(-1, 2)
+        V, Vi = (table[..., state, :, :].reshape(-1, 2, 2)
+                 for table in (self._V, self._Vi))
+        eps = np.repeat(np.ravel(self.eps0), len(state))
+        xss = (eps[:, None] * pulse.envelope(0.5 * (edges + ends)))[..., None] \
+            * self._x_unit[..., state, :].reshape(-1, 1, 2)
         growth = np.exp(lam[:, None] * (ends - edges)[:, None])
         c = np.empty_like(xss)
         c[:, 0] = _apply(Vi, -xss[:, 0])  # from vacuum at t = 0
@@ -234,11 +256,23 @@ class TwoCavityModel:
             c[:, j] = _apply(Vi, x - xss[:, j])
         Vc = V[:, None] * c[..., None, :]
 
-        # segment of each sample: the edges after 0 it passes by over 1e-15 s
+        # segment of each sample: the edges after 0 it passes by over 1e-15 s;
+        # the times ascend, so the samples of a segment are one slice
         seg = np.sum(edges[1:] + 1e-15 < times[:, None], axis=1)
-        growth = np.exp(lam[:, None] * (times - edges[seg])[:, None])
-        out = xss[:, seg] + _apply(Vc[:, seg], growth)
-        return out.reshape(s0.shape + out.shape[1:])
+        growth = lam[:, :, None] * (times - edges[seg])  # (row, mode, sample)
+        np.exp(growth, out=growth)
+        # each field x_ss + V exp(lambda (t - a)) c, summed in place as
+        # x_ss + (V_0 g_0 + V_1 g_1)
+        out = np.empty((len(lam), len(times), 2), dtype=complex)
+        first = np.searchsorted(seg, np.arange(len(edges) + 1))
+        for j, (a, b) in enumerate(zip(first[:-1], first[1:])):
+            g = growth[..., a:b]
+            for field in (0, 1):
+                o = out[:, a:b, field]
+                np.multiply(Vc[:, j, field, 0, None], g[:, 0], out=o)
+                o += Vc[:, j, field, 1, None] * g[:, 1]
+                o += xss[:, j, field, None]
+        return out.reshape(self.shape + s0.shape + out.shape[1:])
 
     def filter_fields(self, pulse: PulseEnvelope, times) -> np.ndarray:
         """The filter fields beta at `times` of both prepared states held
@@ -256,18 +290,26 @@ class TwoCavityModel:
                 self.check_ceiling(self.trace([-1, +1], pulse, fine))
         return fields[..., 1]
 
-    def check_ceiling(self, fields: np.ndarray):
-        # squared as a Python float: a huge field gives inf, not a warning
-        a_max = float(np.max(np.abs(fields[..., 0])))
-        n_max = a_max * a_max
-        if not math.isfinite(n_max):
-            raise PhotonCeilingError(
-                f"resonator photon number is not finite ({n_max})")
-        if n_max > PHOTON_CEILING:
-            raise PhotonCeilingError(
-                f"resonator photon number {n_max:.4g} exceeds ceiling "
-                f"{PHOTON_CEILING:g}"
-            )
+    def check_ceiling(self, fields: np.ndarray, n=None):
+        """Raise PhotonCeilingError when the resonator photon number of
+        `fields` is not finite or exceeds PHOTON_CEILING. With `n`, the
+        trace of a 1-D stack is checked model by model, model k on its
+        first n[k] samples only."""
+        a = np.abs(fields[..., 0])
+        if n is not None:
+            a = np.where(np.arange(a.shape[-1]) < np.reshape(n, (-1, 1, 1)), a, 0.0)
+        for a_max in np.max(a.reshape(len(a) if n is not None else 1, -1),
+                            axis=1).tolist():
+            # squared as a Python float: a huge field gives inf, not a warning
+            n_max = a_max * a_max
+            if not math.isfinite(n_max):
+                raise PhotonCeilingError(
+                    f"resonator photon number is not finite ({n_max})")
+            if n_max > PHOTON_CEILING:
+                raise PhotonCeilingError(
+                    f"resonator photon number {n_max:.4g} exceeds ceiling "
+                    f"{PHOTON_CEILING:g}"
+                )
 
 
 def _apply(M, y):
@@ -366,19 +408,33 @@ def mean_quadrature_traces(device: DeviceParams, pulse: PulseEnvelope,
 
 
 def integrated_rate(trace: SignalTrace, tau):
-    """s(tau) = (1/sqrt(tau)) * integral_0^tau S(t) dt, a float for a scalar
-    tau and an array for a 1-D array: one cumulative trapezoid over the
-    trace's points t_k <= tau, plus the piece to tau, S(tau) interpolated."""
+    """s(tau) = (1/sqrt(tau)) * integral_0^tau S(t) dt: one cumulative
+    trapezoid over the trace's points t_k <= tau, plus the piece to tau,
+    S(tau) interpolated.
+
+    `trace.values` may stack signals on the shared `times`, shape
+    (..., len(times)); a scalar tau then gives one rate per signal, shape
+    (...), and a 1-D tau one row per signal, shape (..., len(tau)). A
+    single signal gives a float for a scalar tau. Each call takes one
+    cumulative sum, whose running totals are the same bits for every tau
+    and every prefix of the grid.
+    """
     times, values = trace.times, trace.values
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     bad = taus[~((taus > 0.0) & (taus <= times[-1] + 1e-15))]
     if bad.size:
         raise ConfigError(f"tau = {bad[0]:g} s lies outside the signal's "
                           f"(0, {times[-1]:g}] s")
-    area = np.concatenate(
-        ([0.0], np.cumsum(np.diff(times) * (values[1:] + values[:-1]) / 2.0)))
+    area = np.cumsum(np.diff(times) * (values[..., 1:] + values[..., :-1]) / 2.0,
+                     axis=-1)
+    area = np.concatenate((np.zeros(values.shape[:-1] + (1,)), area), axis=-1)
     k = np.searchsorted(times, taus + 1e-15, side="right") - 1
-    piece = (taus - times[k]) * (values[k] + np.interp(taus, times, values)) / 2.0
-    area = area[k] + np.where(times[k] < taus - 1e-15, piece, 0.0)
+    at_tau = np.reshape([np.interp(taus, times, v)
+                         for v in values.reshape(-1, len(times))],
+                        values.shape[:-1] + taus.shape)
+    piece = (taus - times[k]) * (values[..., k] + at_tau) / 2.0
+    area = area[..., k] + np.where(times[k] < taus - 1e-15, piece, 0.0)
     rate = area / np.sqrt(taus)
-    return float(rate[0]) if np.ndim(tau) == 0 else rate
+    if np.ndim(tau):
+        return rate
+    return float(rate[0]) if values.ndim == 1 else rate[..., 0]

@@ -16,10 +16,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import error_budget, fit_shot_histograms, overlap_vs_power
-from .dynamics import GRID_STEP, PulseEnvelope, full_model_signal, \
-    integrated_rate, qss_signal
+from .dynamics import GRID_STEP, PulseEnvelope, SignalTrace, TwoCavityModel, \
+    full_model_signal, integrated_rate, qss_signal
 from .errors import ConfigError
-from .params import DeviceParams
+from .params import DeviceParams, effective_linewidth
 from .shots import ReadoutChain, ShotConfig, check_jumps, sample_count, \
     window_bins
 
@@ -37,66 +37,159 @@ _QSS_STEPS = 1500
 _N_SCAN, _N_FALLBACK = 17, 400
 #: golden-section stop: bracket width relative to the start, and most steps
 _TOL, _MAX_ITER = 1e-5, 200
+#: samples of one stacked solve, summed over its candidates (and the two
+#: prepared states of a two-cavity candidate): about 1.3 MB of temporaries.
+#: A block of a search step holds as many candidates as fit, or one alone
+#: where one exceeds it, as every candidate was solved before
+_STACK_SAMPLES = 2**14
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_section_max(f, lo: float, hi: float):
-    """Golden-section search for the argmax of a unimodal function on
-    [lo, hi]."""
-    a, b = float(lo), float(hi)
+def _golden_section_max(f, lo, hi) -> np.ndarray:
+    """Golden-section searches for the argmax of unimodal functions, search
+    k on [lo[k], hi[k]], stepped in lockstep: f(x, k) takes arrays of
+    points and of the search each belongs to, and each step makes one call
+    for the searches still open."""
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
+    k = np.arange(len(a))
+    fc, fd = np.split(f(np.concatenate((c, d)), np.concatenate((k, k))), 2)
     width0 = b - a
     for _ in range(_MAX_ITER):
-        if b - a <= _TOL * width0:
+        k = np.flatnonzero(~(b - a <= _TOL * width0))
+        if not k.size:
             break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return c if fc > fd else d
+        left = fc[k] > fd[k]
+        kl, kr = k[left], k[~left]
+        b[kl], d[kl], fd[kl] = d[kl], c[kl], fc[kl]
+        c[kl] = b[kl] - _INVPHI * (b[kl] - a[kl])
+        a[kr], c[kr], fc[kr] = c[kr], d[kr], fd[kr]
+        d[kr] = a[kr] + _INVPHI * (b[kr] - a[kr])
+        fx = f(np.where(left, c[k], d[k]), k)
+        fc[kl], fd[kr] = fx[left], fx[~left]
+    return np.where(fc > fd, c, d)
 
 
-def _maximize(f, lo: float, hi: float):
-    """Argmax of f on [lo, hi]: a pre-scan, then golden-section refinement
-    around its best point."""
+def _maximize(f, lo: float, hi: float, m: int) -> np.ndarray:
+    """Argmax on [lo, hi] of each of m functions: f(x, k) takes arrays of
+    points and of the function each is for (0 <= k < m) and returns f_k(x)
+    for each.
+
+    One call scores the pre-scan of _N_SCAN points, the same points for
+    every function. Functions whose scan has several separated maxima are
+    scanned again on _N_FALLBACK points, in one more call. Then a
+    golden-section search refines each best point within its neighbours,
+    all searches in lockstep.
+    """
+    lo_k, hi_k = np.empty(m), np.empty(m)
+    todo = np.arange(m)
     for n in (_N_SCAN, _N_FALLBACK):
         xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
-        fs = [f(x) for x in xs]
-        peaks = [i for i in range(1, n - 1)
-                 if fs[i] >= fs[i - 1] and fs[i] >= fs[i + 1]]
-        if len(peaks) <= 1:
+        fs = f(np.tile(xs, len(todo)), np.repeat(todo, n)).reshape(len(todo), n)
+        peaks = (fs[:, 1:-1] >= fs[:, :-2]) & (fs[:, 1:-1] >= fs[:, 2:])
+        done = (np.count_nonzero(peaks, axis=1) <= 1) | (n == _N_FALLBACK)
+        for k, row in zip(todo[done].tolist(), fs[done].tolist()):
+            best = max(range(n), key=row.__getitem__)
+            lo_k[k], hi_k[k] = xs[max(best - 1, 0)], xs[min(best + 1, n - 1)]
+        todo = todo[~done]
+        if not todo.size:
             break
-    best = max(range(n), key=fs.__getitem__)
-    return _golden_section_max(f, xs[max(best - 1, 0)], xs[min(best + 1, n - 1)])
+    return _golden_section_max(f, lo_k, hi_k)
 
 
-def _j_for_kappa_eff(kappa_eff: float, Q_p: float, omega_p: float,
-                     delta_p: float) -> float:
+def _blocks(samples: np.ndarray) -> list[np.ndarray]:
+    """Consecutive blocks of the candidates, in the order given, each stacked
+    on the grid of its last: a block holds as many as fit _STACK_SAMPLES at
+    samples[last] each, and at least one."""
+    blocks, a = [], 0
+    while a < len(samples):
+        b = a + 1
+        while b < len(samples) and (b + 1 - a) * samples[b] <= _STACK_SAMPLES:
+            b += 1
+        blocks.append(np.arange(a, b))
+        a = b
+    return blocks
+
+
+def _j_for_kappa_eff(kappa_eff, Q_p: float, omega_p: float, delta_p: float):
     """Invert the kappa_eff formula for the resonator-filter coupling J."""
-    return math.sqrt(kappa_eff * (omega_p + 4.0 * delta_p ** 2 * Q_p ** 2 / omega_p)
-                     / (4.0 * Q_p))
+    return np.sqrt(kappa_eff * (omega_p + 4.0 * delta_p ** 2 * Q_p ** 2 / omega_p)
+                   / (4.0 * Q_p))
 
 
-def _qss_rate(n_drive: float, chi: float, kappa_eff: float, tau: float) -> float:
-    t = np.linspace(0.0, tau, _QSS_STEPS + 1)
-    return float(np.trapezoid(qss_signal(n_drive, chi, kappa_eff, t), t)
-                 / math.sqrt(tau))
+def _qss_objective(device: DeviceParams, taus: np.ndarray):
+    """f(r, k): s(taus[k]) of the closed-form signal at kappa_eff = |chi|/r,
+    a trapezoid of _QSS_STEPS steps on [0, tau]; one stacked evaluation per
+    block of (r, tau) pairs."""
+    chi = device.chi
+
+    def f(r, k):
+        out = np.empty(len(r))
+        for block in _blocks(np.full(len(r), _QSS_STEPS + 1)):
+            tau = taus[k[block]]
+            t = np.ascontiguousarray(np.linspace(0.0, tau, _QSS_STEPS + 1, axis=-1))
+            values = qss_signal(device.n_drive, chi, (abs(chi) / r[block])[:, None], t)
+            out[block] = np.trapezoid(values, t, axis=-1) / np.sqrt(tau)
+        return out
+    return f
 
 
-def _full_rate(device: DeviceParams, kappa_eff: float, tau: float) -> float:
-    J = _j_for_kappa_eff(kappa_eff, device.Q_p, device.omega_p, device.delta_p)
-    dev = replace(device, J=J)
-    times = np.arange(0.0, tau + GRID_STEP, GRID_STEP)
-    pulse = PulseEnvelope(kind="gated", total_duration=tau + 10e-9)
-    trace = full_model_signal(dev, pulse, times)
-    return integrated_rate(trace, tau)
+def _full_objective(device: DeviceParams, taus: np.ndarray):
+    """f(r, k): s(taus[k]) of the two-cavity signal under a gated pulse of
+    tau + 10 ns, from GRID_STEP samples, with J set to realize kappa_eff =
+    |chi|/r.
+
+    On [0, tau] the field does not depend on how long the pulse lasts past
+    tau, and the grids of all tau are prefixes of the longest one. So each
+    distinct r of a call is solved once, up to the longest tau it is scored
+    at (its reach), and one cumulative trapezoid gives its rate at every
+    tau. The candidates are stacked in blocks of similar reach, each solved
+    on the grid of its longest reach, and each candidate meets
+    PHOTON_CEILING on the grid of its own reach only, as when every tau had
+    its own solve.
+    """
+    chi = abs(device.chi)
+
+    def f(r, k):
+        cands, inv = np.unique(r, return_inverse=True)
+        tau_k, tau_inv = np.unique(taus[k], return_inverse=True)
+        reach = np.zeros(len(cands))
+        np.maximum.at(reach, inv, tau_k[tau_inv])
+        with np.errstate(over="ignore", invalid="ignore"):
+            J = _j_for_kappa_eff(chi / cands, device.Q_p, device.omega_p,
+                                 device.delta_p)
+            kappa = effective_linewidth(J, device.Q_p, device.omega_p, device.delta_p)
+        for j in J[~(np.isfinite(kappa) & (kappa != 0.0))].tolist()[:1]:
+            replace(device, J=j)  # raises the ConfigError of that coupling
+        # the sample count of np.arange(0.0, reach + GRID_STEP, GRID_STEP)
+        n_own = np.ceil((reach + GRID_STEP) / GRID_STEP).astype(int)
+        order = np.argsort(reach, kind="stable")
+        rates = np.empty((len(cands), len(tau_k)))
+        for block in _blocks(2 * n_own[order]):
+            block = order[block]
+            within = np.searchsorted(tau_k, reach[block[-1]], side="right")
+            rates[block, :within] = _stacked_rates(device, J[block], n_own[block],
+                                                   tau_k[:within])
+        return rates[inv, tau_inv]
+    return f
+
+
+def _stacked_rates(device: DeviceParams, J: np.ndarray, n_own: np.ndarray,
+                   taus: np.ndarray) -> np.ndarray:
+    """Rates (len(J), len(taus)) of the couplings J, stacked in one solve on
+    the GRID_STEP grid of [0, taus[-1]] under a gated pulse of taus[-1] +
+    10 ns; coupling k meets PHOTON_CEILING on its first n_own[k] samples.
+    Its arrays are freed on return, before the next block is solved."""
+    times = np.arange(0.0, taus[-1] + GRID_STEP, GRID_STEP)
+    pulse = PulseEnvelope(kind="gated", total_duration=taus[-1] + 10e-9)
+    model = TwoCavityModel(device, J)
+    fields = model.trace([-1, +1], pulse, times)
+    model.check_ceiling(fields, n_own)
+    beta = fields[..., 1]
+    values = math.sqrt(model.kappa_pa) * np.abs(beta[:, 1] - beta[:, 0])
+    return integrated_rate(SignalTrace(times, values), taus)
 
 
 def optimal_ratio_vs_tau(device: DeviceParams, tau_grid,
@@ -106,22 +199,15 @@ def optimal_ratio_vs_tau(device: DeviceParams, tau_grid,
 
     model 'qss' uses the closed-form single-cavity signal; 'full' re-solves
     the two-cavity model with J adjusted to realize each candidate
-    kappa_eff.
+    kappa_eff. The searches of all tau share each step's solve (_maximize).
     """
     if model not in ("qss", "full"):
         raise ConfigError(f"unknown model {model!r}")
-    chi = device.chi
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    out = np.empty(len(tau_grid))
-    for i, tau in enumerate(tau_grid):
-        if model == "qss":
-            def objective(r):
-                return _qss_rate(device.n_drive, chi, abs(chi) / r, tau)
-        else:
-            def objective(r):
-                return _full_rate(device, abs(chi) / r, tau)
-        out[i] = _maximize(objective, *RATIO_BOUNDS)
-    return out
+    taus = np.asarray(tau_grid, dtype=float)
+    if not np.all(taus > 0.0):
+        raise ConfigError("tau_grid entries must be positive")
+    objective = _qss_objective if model == "qss" else _full_objective
+    return _maximize(objective(device, taus), *RATIO_BOUNDS, len(taus))
 
 
 @dataclass

@@ -979,6 +979,63 @@ class TestCalibrate:
         assert float(rep["photons_per_watt"]) == pytest.approx(k, rel=1e-3)
         assert rep["degenerate"] == "false"
 
+    def test_csv_grammar(self, conf, tmp_path, monkeypatch):
+        # comment and blank lines, a third column, quoted numbers, digits
+        # grouped by '_' and CRLF line ends give the values of the plain
+        # file bit for bit, and the same fit; np.loadtxt reads the files it
+        # can, the csv rows the others
+        truth = SpectrumParams(omega_p=4.756e9, omega_r=4.754e9, J=25e6,
+                               chi=-7.7e6, Q_p=74.0, gamma=1.6e5)
+        omega = np.sort(np.concatenate([np.linspace(4.63e9, 4.88e9, 241)] + [
+            np.linspace(4.754e9 + s * 7.7e6 - 3e6, 4.754e9 + s * 7.7e6 + 3e6, 121)
+            for s in (-1.0, 1.0)]))
+        rows = {state: [(repr(float(w)), repr(float(s))) for w, s in
+                        zip(omega, transmission(omega, truth, state))]
+                for state in "ge"}
+
+        def write(name, state, header, fmt, end="\n", every=None):
+            lines = ([header] if header else []) + [
+                fmt.format(i=i, w=w, s=s) for i, (w, s) in enumerate(rows[state])]
+            if every:
+                for i in range(len(lines) - 1, 0, -every):
+                    lines[i:i] = ["", "# marker"]
+            path = tmp_path / f"{name}_{state}.csv"
+            with open(path, "w", newline="") as fh:
+                fh.write(end.join(["# exported"] + lines) + end)
+            return path
+
+        variants = {
+            "plain": ("freq_Hz,s21", "{w},{s}", "\n", None, False),
+            "headless": (None, "{w},{s}", "\n", None, False),
+            "blank_third_crlf": ("freq_Hz,s21,note", "{w},{s},{i}", "\r\n", 25,
+                                 False),
+            "quoted": ("freq_Hz,s21", '"{w}","{s}",x', "\n", 40, True),
+        }
+        rowwise = []
+        read_rows = cli._read_rows
+        monkeypatch.setattr(cli, "_read_rows", lambda path, lines: rowwise.append(
+            path) or read_rows(path, lines))
+        fits = {}
+        for name, (header, fmt, end, every, by_rows) in variants.items():
+            paths = [write(name, state, header, fmt, end, every) for state in "ge"]
+            for state, path in zip("ge", paths):
+                x, y = cli._read_two_column_csv(str(path))
+                w, s = (np.array([float(v) for v in col])
+                        for col in zip(*rows[state]))
+                assert x.tobytes() == w.tobytes() and y.tobytes() == s.tobytes()
+                assert x.flags.c_contiguous and y.flags.c_contiguous
+            assert (str(paths[0]) in rowwise) == by_rows, name
+            assert run("calibrate", "--config", conf, "--output-dir", str(tmp_path),
+                       "--mode", "spectrum", "--input-g", str(paths[0]),
+                       "--input-e", str(paths[1])) == 0
+            fits[name] = (tmp_path / "spectrum_fit.txt").read_bytes()
+        assert len(set(fits.values())) == 1
+        # '_' digit groups take the row path and parse as float() does
+        path = tmp_path / "grouped.csv"
+        path.write_text("f,s\n1_000.5,2\n3,4_0\n")
+        assert [a.tolist() for a in cli._read_two_column_csv(str(path))] == \
+            [[1000.5, 3.0], [2.0, 40.0]]
+
     @pytest.mark.parametrize("bad_row", ["5e-16", "5e-16,n/a"])
     def test_malformed_row_exits_2(self, conf, tmp_path, capsys, bad_row):
         # only the column header may be non-numeric: a short or a

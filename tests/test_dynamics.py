@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -282,6 +283,48 @@ class TestExactTrace:
                                   1e-7)
 
 
+class TestStackedModel:
+    """TwoCavityModel(device, J=couplings): one model per coupling, each
+    equal bit for bit to the model of replace(device, J=J_k)."""
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_entries_equal_single_models(self, seed):
+        device = make_device() if seed is None else \
+            random_device(np.random.default_rng(seed))
+        J = np.random.default_rng(seed).uniform(5e6, 60e6, 7)
+        stack = TwoCavityModel(device, J)
+        assert stack.shape == (7,) and stack.eps0.shape == (7,)
+        pulse = PulseEnvelope(kind="two_step", boost_duration=4e-9,
+                              total_duration=100e-9)
+        times = np.arange(0.0, 160e-9, 0.5e-9)
+        fields = stack.trace([-1, +1], pulse, times)
+        assert fields.shape == (7, 2, len(times), 2)
+        for k, j in enumerate(J.tolist()):
+            one = TwoCavityModel(replace(device, J=j))
+            assert stack.eps0[k] == one.eps0
+            for name in ("_lam", "_V", "_Vi", "_x_unit"):
+                assert np.array_equal(getattr(stack, name)[k], getattr(one, name))
+            assert np.array_equal(stack._A[-1][k], one._A[-1])
+            assert fields[k].tobytes() == one.trace([-1, +1], pulse, times).tobytes()
+
+    def test_ceiling_per_model_prefix(self):
+        # each model of a stack meets the ceiling on its first n[k] samples
+        hot = make_device(n_drive=150.0)
+        stack = TwoCavityModel(hot, [25e6, 25e6])
+        times = np.arange(0.0, 30e-9, 0.5e-9)
+        fields = stack.trace([-1, +1], PulseEnvelope(total_duration=40e-9), times)
+        n = np.max(np.abs(fields[0, :, :, 0]) ** 2, axis=0)
+        first = int(np.argmax(n > 100.0))
+        assert 0 < first < len(times) - 1
+        stack.check_ceiling(fields, [first, first])
+        for counts in ([first + 1, first], [first, len(times)]):
+            with pytest.raises(PhotonCeilingError, match="exceeds ceiling"):
+                stack.check_ceiling(fields, counts)
+        fields[1, 0, 3, 0] = math.nan
+        with pytest.raises(PhotonCeilingError, match="not finite"):
+            stack.check_ceiling(fields, [first, 4])
+
+
 class TestMeanQuadratures:
     def test_contrast_matches_signal(self, device, gated_pulse, fine_times):
         # at the symmetric drive point the difference lies (almost) along a
@@ -378,6 +421,23 @@ class TestIntegratedRate:
             assert rate == pytest.approx(oracle, rel=1e-12, abs=0.0)
             assert rate == pytest.approx(integrated_rate(trace, tau), rel=1e-12,
                                          abs=0.0)
+
+
+    def test_stacked_signals_equal_single_calls(self, device, gated_pulse,
+                                                fine_times):
+        # one cumulative sum for a stack of signals: each row, at a scalar
+        # tau and at an array, equals the call on that signal alone
+        base = full_model_signal(device, gated_pulse, fine_times).values
+        values = np.stack([base, 0.5 * base, base[::-1].copy()])
+        trace = SignalTrace(times=fine_times, values=values)
+        taus = np.array([3.2e-9, 50e-9, fine_times[-1]])
+        rows = integrated_rate(trace, taus)
+        assert rows.shape == (3, 3)
+        assert integrated_rate(trace, 50e-9).shape == (3,)
+        for v, row in zip(values, rows):
+            one = SignalTrace(times=fine_times, values=v)
+            assert row.tolist() == integrated_rate(one, taus).tolist()
+            assert row[1] == integrated_rate(one, 50e-9)
 
 
 class TestLoPhase:

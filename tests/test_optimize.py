@@ -1,12 +1,18 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import make_device
-from fastreadout.errors import ConfigError
-from fastreadout.dynamics import SignalTrace, integrated_rate, qss_signal
-from fastreadout.optimize import optimal_ratio_vs_tau, power_tradeoff
+from conftest import make_device, random_device
+from fastreadout.errors import ConfigError, PhotonCeilingError
+from fastreadout.dynamics import GRID_STEP, PulseEnvelope, SignalTrace, \
+    TwoCavityModel, full_model_signal, integrated_rate, qss_signal
+from fastreadout.optimize import RATIO_BOUNDS, _full_objective, _maximize, \
+    _qss_objective, optimal_ratio_vs_tau, power_tradeoff
+
+INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def tau_for(device, x):
@@ -158,3 +164,249 @@ class TestPowerTradeoff:
     def test_invalid_power(self, device):
         with pytest.raises(ConfigError, match="drive powers must be positive"):
             power_tradeoff(device, [0.0, 1.0], 56e-9, n_shots=100)
+
+
+# ---------------------------------------------------------------------------
+# the stacked search against one solve per candidate and tau
+# ---------------------------------------------------------------------------
+
+def one_full_rate(device, ratio, tau):
+    """s(tau) of one candidate from its own solve: the device with J set to
+    realize kappa_eff = |chi|/ratio, a gated pulse of tau + 10 ns and the
+    0.5 ns grid of [0, tau]."""
+    kappa_eff = abs(device.chi) / ratio
+    J = math.sqrt(kappa_eff * (device.omega_p + 4.0 * device.delta_p ** 2
+                               * device.Q_p ** 2 / device.omega_p)
+                  / (4.0 * device.Q_p))
+    times = np.arange(0.0, tau + GRID_STEP, GRID_STEP)
+    pulse = PulseEnvelope(kind="gated", total_duration=tau + 10e-9)
+    return integrated_rate(full_model_signal(replace(device, J=J), pulse, times),
+                           tau)
+
+
+def one_qss_rate(device, ratio, tau):
+    t = np.linspace(0.0, tau, 1501)
+    values = qss_signal(device.n_drive, device.chi, abs(device.chi) / ratio, t)
+    return float(np.trapezoid(values, t) / math.sqrt(tau))
+
+
+ONE_RATE = {"full": one_full_rate, "qss": one_qss_rate}
+OBJECTIVE = {"full": _full_objective, "qss": _qss_objective}
+
+
+def serial_golden_section_max(f, lo, hi):
+    a, b = float(lo), float(hi)
+    c = b - INVPHI * (b - a)
+    d = a + INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    width0 = b - a
+    for _ in range(200):
+        if b - a <= 1e-5 * width0:
+            break
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + INVPHI * (b - a)
+            fd = f(d)
+    return c if fc > fd else d
+
+
+def serial_maximize(f, lo, hi):
+    """The scalar search the stacked one replaced: a 17-point pre-scan, a
+    400-point scan when it finds several separated maxima, then a
+    golden-section search around the best point, one f(x) at a time."""
+    for n in (17, 400):
+        xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+        fs = [f(x) for x in xs]
+        peaks = [i for i in range(1, n - 1)
+                 if fs[i] >= fs[i - 1] and fs[i] >= fs[i + 1]]
+        if len(peaks) <= 1:
+            break
+    best = max(range(n), key=fs.__getitem__)
+    return serial_golden_section_max(f, xs[max(best - 1, 0)],
+                                     xs[min(best + 1, n - 1)])
+
+
+def serial_ratio_vs_tau(device, taus, model):
+    one = ONE_RATE[model]
+    return np.array([serial_maximize(lambda r: one(device, r, tau), *RATIO_BOUNDS)
+                     for tau in taus])
+
+
+def detuned_device(seed):
+    """A random device whose filter sits up to 150 MHz off the resonator:
+    the full-model rate then often has several maxima in kappa_eff."""
+    rng = np.random.default_rng(seed)
+    dev = random_device(rng)
+    return replace(dev, omega_p=dev.omega_r + rng.uniform(-150e6, 150e6),
+                   delta_p=None)
+
+
+def case_device(case):
+    return {"reference": make_device(), "random3": random_device(
+        np.random.default_rng(3)), "random8": random_device(
+        np.random.default_rng(8)), "detuned": detuned_device(1009)}[case]
+
+
+class TestStackedRates:
+    """Every rate of a stacked call equals the rate of one solve per
+    candidate and tau, bit for bit."""
+
+    @pytest.mark.parametrize("model", ["full", "qss"])
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3])
+    def test_prescan_and_lockstep_calls(self, model, seed):
+        device = make_device() if seed is None else \
+            random_device(np.random.default_rng(seed))
+        taus = np.array([tau_for(device, x) for x in (2.0, 4.5, 8.0, 12.0, 20.0)])
+        f = OBJECTIVE[model](device, taus)
+        scan = [0.02 + 2.98 * i / 16 for i in range(17)]
+        # the pre-scan: every candidate at every tau, from one call
+        got = f(np.tile(scan, len(taus)), np.repeat(np.arange(len(taus)), 17))
+        want = [ONE_RATE[model](device, r, tau) for tau in taus for r in scan]
+        assert got.tolist() == want
+        # a lockstep step: one candidate per tau, each on its own grid
+        rng = np.random.default_rng(seed)
+        r = rng.uniform(*RATIO_BOUNDS, len(taus))
+        got = f(r, np.arange(len(taus)))
+        assert got.tolist() == [ONE_RATE[model](device, x, tau)
+                                for x, tau in zip(r.tolist(), taus)]
+
+    def test_blocks_stay_within_the_budget(self, device, monkeypatch):
+        # a tenth of the budget forces one candidate per block; the rates
+        # do not depend on the blocking
+        taus = np.array([tau_for(device, x) for x in (2.0, 20.0)])
+        scan = np.linspace(0.1, 2.5, 9)
+        args = (np.tile(scan, 2), np.repeat([0, 1], 9))
+        whole = _full_objective(device, taus)(*args)
+        shapes = []
+        trace = TwoCavityModel.trace
+
+        def spy(self, s0, pulse, times):
+            shapes.append(self.shape + (len(times),))
+            return trace(self, s0, pulse, times)
+
+        monkeypatch.setattr(TwoCavityModel, "trace", spy)
+        import fastreadout.optimize as optimize
+        monkeypatch.setattr(optimize, "_STACK_SAMPLES", 100)
+        assert _full_objective(device, taus)(*args).tolist() == whole.tolist()
+        assert shapes == [(1, len(np.arange(0.0, taus[1] + GRID_STEP, GRID_STEP)))] * 9
+
+    def test_ceiling_crossed_after_tau_does_not_raise(self):
+        # at n_drive = 150 the resonator of ratio 0.05 passes 100 photons
+        # after about 5.5 ns, that of ratio 2.5 after about 23.5 ns: solved
+        # together on the 15 ns grid, the fast one is checked on its 4 ns
+        # grid only
+        device = make_device(n_drive=150.0)
+        taus = np.array([4e-9, 15e-9])
+        f = _full_objective(device, taus)
+        got = f(np.array([0.05, 2.5]), np.array([0, 1]))
+        assert got.tolist() == [one_full_rate(device, 0.05, 4e-9),
+                                one_full_rate(device, 2.5, 15e-9)]
+        with pytest.raises(PhotonCeilingError, match="exceeds ceiling"):
+            one_full_rate(device, 0.05, 15e-9)
+        with pytest.raises(PhotonCeilingError, match="exceeds ceiling"):
+            f(np.array([0.05]), np.array([1]))
+
+    def test_memory_at_most_one_solve_per_candidate(self, device):
+        # at 2e5 grid points each candidate is a block of its own: the call
+        # holds one candidate's solve at a time, as the scalar path does,
+        # plus bookkeeping arrays of a few candidates (64 kB allowed)
+        tau = 1e-4
+        f = _full_objective(device, np.array([tau]))
+        tracemalloc.start()
+        try:
+            one_full_rate(device, 0.5, tau)
+            one_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            f(np.array([0.3, 0.5, 0.9]), np.zeros(3, dtype=int))
+            stacked_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stacked_peak <= one_peak + 2**16
+
+
+class TestSearchMatchesSerial:
+    """optimal_ratio_vs_tau returns exactly the ratios of the scalar search,
+    one objective call at a time."""
+
+    @pytest.mark.parametrize("model", ["full", "qss"])
+    @pytest.mark.parametrize("case,xs", [
+        ("reference", (2.0, 4.5, 8.0, 12.0, 20.0)),
+        # the pre-scan's best ratio on the lower bound at |chi| tau = 0.5
+        ("random3", (0.5, 3.0, 40.0)),
+        ("random8", (1.0, 6.0)),
+        # two of these four tau take the 400-point scan on the full model
+        ("detuned", (4.5, 8.0, 12.0, 20.0)),
+    ])
+    def test_equal_to_serial_search(self, model, case, xs):
+        device = case_device(case)
+        taus = [tau_for(device, x) for x in xs]
+        got = optimal_ratio_vs_tau(device, taus, model)
+        assert got.tolist() == serial_ratio_vs_tau(device, taus, model).tolist()
+
+    def test_cases_reach_bound_and_fallback(self, monkeypatch):
+        # the cases above take the branches they are named for
+        import fastreadout.optimize as optimize
+        calls = []
+        maximize = optimize._maximize
+
+        def spy(f, lo, hi, m):
+            def g(x, k):
+                calls.append(len(x))
+                return f(x, k)
+            return maximize(g, lo, hi, m)
+
+        monkeypatch.setattr(optimize, "_maximize", spy)
+        golden = optimize._golden_section_max
+        brackets = []
+        monkeypatch.setattr(optimize, "_golden_section_max",
+                            lambda f, lo, hi: brackets.append(lo.tolist())
+                            or golden(f, lo, hi))
+        dev = case_device("detuned")
+        optimal_ratio_vs_tau(dev, [tau_for(dev, x) for x in (4.5, 8.0, 12.0, 20.0)],
+                             "full")
+        assert calls[:2] == [4 * 17, 2 * 400]
+        dev = case_device("random3")
+        optimal_ratio_vs_tau(dev, [tau_for(dev, 0.5)], "qss")
+        assert brackets[-1] == [RATIO_BOUNDS[0]]
+
+    @pytest.mark.parametrize("n_drive", [0.0, 30.0, 45.0, 80.0])
+    def test_flat_and_ceiling_cases(self, n_drive):
+        # n_drive = 0 gives zero rates everywhere, so every tau takes the
+        # 400-point scan; from 45 photons up the resonator of some
+        # candidates passes the ceiling, and both searches refuse
+        device = make_device(n_drive=n_drive)
+        taus = [tau_for(device, x) for x in (2.0, 12.0)]
+        for model in ("full", "qss"):
+            try:
+                want = serial_ratio_vs_tau(device, taus, model).tolist()
+            except PhotonCeilingError:
+                with pytest.raises(PhotonCeilingError):
+                    optimal_ratio_vs_tau(device, taus, model)
+            else:
+                assert optimal_ratio_vs_tau(device, taus, model).tolist() == want
+
+    def test_non_positive_tau_refused(self, device):
+        with pytest.raises(ConfigError, match="must be positive"):
+            optimal_ratio_vs_tau(device, [56e-9, 0.0], "full")
+
+
+def test_maximize_with_several_maxima():
+    # functions with several maxima on the 17-point scan take the 400-point
+    # scan, the others do not, within one call; the argmax equals the
+    # scalar search's for each
+    def scalar(k):
+        return lambda x: math.cos((3.0 + 4.0 * k) * x) - 0.1 * (x - 1.2 * k) ** 2
+
+    sizes = []
+
+    def batched(x, k):
+        sizes.append(len(x))
+        return np.array([scalar(j)(v) for v, j in zip(x.tolist(), k.tolist())])
+
+    got = _maximize(batched, 0.0, 3.0, 4)
+    assert sizes[:2] == [4 * 17, 3 * 400]
+    assert got.tolist() == [serial_maximize(scalar(k), 0.0, 3.0) for k in range(4)]
