@@ -127,9 +127,15 @@ def fit_transmission(omega, s21_g, s21_e) -> SpectrumParams:
     # d(parameter)/d(x) of each packed entry
     units = np.array([f0, f0, u, u, 100.0, u, 1.0])
 
+    # x.tobytes() of the last residual -> its (D, E): least_squares asks
+    # for the Jacobian at each point it accepts, right after its residual
+    last = {}
+
     def resid_rel(x):
         p = unpack(x)
-        denom, _ = _denominator(omega2, sign, p)
+        denom, e = _denominator(omega2, sign, p)
+        last.clear()
+        last[x.tobytes()] = denom, e
         return (p.scale * np.abs(p.kappa_p / denom) - data) / weight
 
     def jac_rel(x):
@@ -139,7 +145,7 @@ def fit_transmission(omega, s21_g, s21_e) -> SpectrumParams:
         # dD/dgamma = 1/2 - 2 J^2/E^2; one row per parameter, returned as
         # the (2n, 7) transpose
         p = unpack(x)
-        denom, e = _denominator(omega2, sign, p)
+        denom, e = last.get(x.tobytes()) or _denominator(omega2, sign, p)
         g = 1.0 / denom
         h = g / e                        # 1 / (D E)
         k = h / e                        # 1 / (D E^2)

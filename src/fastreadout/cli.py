@@ -481,7 +481,10 @@ def _read_two_column_csv(path: str):
     refuses (quoted numbers, digits grouped by '_', a bad row) is read
     again row by row with csv and float(), which give the same values."""
     with open(path) as fh:
-        lines = [line for line in fh if not line.startswith("#")]
+        lines = fh.readlines()
+    text = "".join(lines)
+    if text.startswith("#") or "\n#" in text:
+        lines = [line for line in lines if not line.startswith("#")]
     body = lines
     for i, line in enumerate(lines):
         if line.strip("\r\n"):
@@ -603,6 +606,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the grammar, built once per process: `main` may be called many times
+_PARSER = build_parser()
+
 _COMMANDS = {
     "derive": cmd_derive,
     "signal": cmd_signal,
@@ -615,8 +621,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = resolve_config(args.config, args.overrides)
         if args.seed is not None:

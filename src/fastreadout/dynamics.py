@@ -129,12 +129,22 @@ def qss_signal(n_drive: float, chi: float, kappa_eff, t):
     candidates (K, 1) against times (N,) or (K, N).
     """
     t = np.asarray(t, dtype=float)
+    return _qss_from_phases(n_drive, chi, kappa_eff, t, *_qss_phases(chi, t))
+
+
+def _qss_phases(chi: float, t):
+    """sin(2 pi chi t) and cos(2 pi chi t) of qss_signal: they do not depend
+    on kappa_eff, so a search over kappa_eff computes them once per grid."""
+    phase = TWOPI * chi * t
+    return np.sin(phase), np.cos(phase)
+
+
+def _qss_from_phases(n_drive: float, chi: float, kappa_eff, t, sin_t, cos_t):
+    """qss_signal on the grid t whose _qss_phases are sin_t and cos_t."""
     r = chi / kappa_eff
     sss = qss_steady_signal(n_drive, chi, kappa_eff)
     damp = np.exp(-math.pi * kappa_eff * t)
-    bracket = np.abs(
-        2.0 * r - damp * (np.sin(TWOPI * chi * t) + 2.0 * r * np.cos(TWOPI * chi * t))
-    )
+    bracket = np.abs(2.0 * r - damp * (sin_t + 2.0 * r * cos_t))
     return sss / (2.0 * abs(r)) * bracket
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import error_budget, fit_shot_histograms, overlap_vs_power
 from .dynamics import GRID_STEP, PulseEnvelope, SignalTrace, TwoCavityModel, \
-    full_model_signal, integrated_rate, qss_signal
+    _qss_from_phases, _qss_phases, full_model_signal, integrated_rate
 from .errors import ConfigError
 from .params import DeviceParams, effective_linewidth
 from .shots import ReadoutChain, ShotConfig, check_jumps, sample_count, \
@@ -122,16 +122,21 @@ def _j_for_kappa_eff(kappa_eff, Q_p: float, omega_p: float, delta_p: float):
 def _qss_objective(device: DeviceParams, taus: np.ndarray):
     """f(r, k): s(taus[k]) of the closed-form signal at kappa_eff = |chi|/r,
     a trapezoid of _QSS_STEPS steps on [0, tau]; one stacked evaluation per
-    block of (r, tau) pairs."""
+    block of (r, tau) pairs. Each tau's grid and its sin and cos rows are
+    computed once, for every call."""
     chi = device.chi
+    grid = np.ascontiguousarray(np.linspace(0.0, taus, _QSS_STEPS + 1, axis=-1))
+    sin_t, cos_t = _qss_phases(chi, grid)
 
     def f(r, k):
         out = np.empty(len(r))
         for block in _blocks(np.full(len(r), _QSS_STEPS + 1)):
-            tau = taus[k[block]]
-            t = np.ascontiguousarray(np.linspace(0.0, tau, _QSS_STEPS + 1, axis=-1))
-            values = qss_signal(device.n_drive, chi, (abs(chi) / r[block])[:, None], t)
-            out[block] = np.trapezoid(values, t, axis=-1) / np.sqrt(tau)
+            rows = k[block]
+            t = grid[rows]
+            values = _qss_from_phases(device.n_drive, chi,
+                                      (abs(chi) / r[block])[:, None], t,
+                                      sin_t[rows], cos_t[rows])
+            out[block] = np.trapezoid(values, t, axis=-1) / np.sqrt(taus[rows])
         return out
     return f
 

@@ -144,6 +144,24 @@ class TestTransmissionFit:
         assert max(nfev) <= 150, nfev
         assert sum(nfev) <= 296, nfev
 
+    def test_jacobian_reuses_the_residual_denominator(self, monkeypatch):
+        # the solver asks for the Jacobian only at points whose residual it
+        # has just evaluated, so a fit computes D and E once per evaluation
+        calls = []
+        denominator, solve = calib._denominator, calib.least_squares
+
+        def counting(fun, x0, **kwargs):
+            del calls[:]
+            sol = solve(fun, x0, **kwargs)
+            assert len(calls) == sol.nfev, (len(calls), sol.nfev)
+            return sol
+
+        monkeypatch.setattr(calib, "_denominator",
+                            lambda *args: calls.append(1) or denominator(*args))
+        monkeypatch.setattr(calib, "least_squares", counting)
+        for _, omega, s_g, s_e in noisy_spectrum_pairs(23, 5):
+            fit_transmission(omega, s_g, s_e)
+
     def test_jacobian_matches_central_differences(self, monkeypatch):
         # the closed-form Jacobian at random points around the optimum of
         # several devices, spectra in both orders, against 3-point central

@@ -138,6 +138,61 @@ class TestDerive:
             body(tmp_path / "b" / "derived.txt")
 
 
+class TestParser:
+    """main parses with the grammar built once at import: each call sees
+    only its own command line."""
+
+    @staticmethod
+    def header(path: Path) -> list[str]:
+        return [ln for ln in path.read_text().splitlines()
+                if ln.startswith("#") and not ln.startswith("# output_dir")]
+
+    def test_calls_echo_only_their_own_overrides(self, conf, tmp_path):
+        def derive(name, *extra):
+            assert run("derive", "--config", conf,
+                       "--output-dir", str(tmp_path / name), *extra) == 0
+            return self.header(tmp_path / name / "derived.txt")
+
+        plain = derive("plain")
+        assert run("simulate", "--config", conf, "--output-dir",
+                   str(tmp_path / "sim"), "--n-shots", "10", "--seed", "7",
+                   "--set", "n_drive=3.5", "--set", "tau=40ns") == 0
+        sim = self.header(tmp_path / "sim" / "shots.csv")
+        for line in ("# n_shots = 10", "# seed = 7", "# n_drive = 3.5",
+                     "# tau = 4e-08", "# command = simulate"):
+            assert line in sim
+        overridden = derive("eta", "--set", "eta=0.5")
+        assert [ln for ln in overridden if ln not in plain] == ["# eta = 0.5"]
+        assert derive("again") == plain
+        assert derive("seed", "--seed", "3") == \
+            [ln if ln.split(" = ")[0] != "# seed" else "# seed = 3" for ln in plain]
+        assert derive("last") == plain
+
+    @pytest.mark.parametrize("argv", [
+        [], ["derive", "--no-such-flag"], ["optimize", "--mode", "nope"],
+        ["simulate", "--n-shots", "many"], ["transmogrify"]])
+    def test_rejected_command_line_then_a_valid_one(self, conf, tmp_path, capsys,
+                                                    argv):
+        plain = tmp_path / "plain"
+        assert run("derive", "--config", conf, "--output-dir", str(plain)) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        after = tmp_path / "after"
+        assert run("derive", "--config", conf, "--output-dir", str(after)) == 0
+        assert self.header(after / "derived.txt") == \
+            self.header(plain / "derived.txt")
+
+    def test_main_does_not_build_the_parser(self, conf, tmp_path, monkeypatch):
+        def refuse():
+            raise AssertionError("main built the parser")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        for argv in (["derive"], ["optimize", "--mode", "ratio"]):
+            assert run(*argv, "--config", conf, "--output-dir", str(tmp_path)) == 0
+
+
 class TestExitCodes:
     def test_unknown_key(self, conf, tmp_path, capsys):
         # amp_bandwidth was once accepted although no command read it

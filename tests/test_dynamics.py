@@ -78,6 +78,32 @@ class TestQssSignal:
             scale = float(np.max(oracle))
             assert np.allclose(closed, oracle, rtol=1e-6, atol=1e-6 * scale)
 
+    def test_equals_the_closed_form_bit_for_bit(self):
+        # qss_signal is _qss_from_phases of _qss_phases: the same bits as
+        # the expression written out in one piece, for a scalar kappa and a
+        # (K, 1) row of them against t of shape (N,) and (K, N)
+        def closed_form(n_drive, chi, kappa, t):
+            t = np.asarray(t, dtype=float)
+            r = chi / kappa
+            sss = qss_steady_signal(n_drive, chi, kappa)
+            damp = np.exp(-math.pi * kappa * t)
+            bracket = np.abs(2.0 * r - damp * (np.sin(TWOPI * chi * t)
+                                               + 2.0 * r * np.cos(TWOPI * chi * t)))
+            return sss / (2.0 * abs(r)) * bracket
+
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            n = rng.uniform(0.5, 8.0)
+            chi = rng.choice([-1, 1]) * rng.uniform(2e6, 15e6)
+            kappas = abs(chi) / rng.uniform(0.02, 3.0, size=(4, 1))
+            t = np.linspace(0.0, rng.uniform(50e-9, 500e-9), 1501)
+            rows = np.linspace(0.0, rng.uniform(50e-9, 500e-9, size=4), 1501,
+                               axis=-1)
+            for kappa, times in [(kappas[0, 0], t), (kappas[0, 0], rows),
+                                 (kappas, t), (kappas, rows)]:
+                got = qss_signal(n, chi, kappa, times)
+                assert got.tobytes() == closed_form(n, chi, kappa, times).tobytes()
+
     def test_no_late_ringing(self):
         kappa = 37.5e6
         t = np.linspace(3.0 / kappa, 500e-9, 400)

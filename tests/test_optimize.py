@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_device, random_device
+from fastreadout import optimize
 from fastreadout.errors import ConfigError, PhotonCeilingError
 from fastreadout.dynamics import GRID_STEP, PulseEnvelope, SignalTrace, \
     TwoCavityModel, full_model_signal, integrated_rate, qss_signal
@@ -54,6 +55,17 @@ class TestOptimalRatio:
         r_full = optimal_ratio_vs_tau(device, taus, model="full")
         assert np.all(r_full < r_qss)
         assert r_full[0] == pytest.approx(0.372, abs=0.03)
+
+    def test_phases_computed_once_per_search(self, device, monkeypatch):
+        # one (tau, time) grid of sin and cos rows serves every candidate
+        # and step of the closed-form search
+        calls = []
+        phases = optimize._qss_phases
+        monkeypatch.setattr(optimize, "_qss_phases", lambda chi, t: calls.append(
+            t.shape) or phases(chi, t))
+        taus = [tau_for(device, x) for x in (2.0, 4.5, 8.0)]
+        optimal_ratio_vs_tau(device, taus, model="qss")
+        assert calls == [(3, 1501)]
 
     def test_unknown_model(self, device):
         with pytest.raises(ConfigError):
