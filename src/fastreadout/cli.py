@@ -15,6 +15,7 @@ import argparse
 import csv
 import itertools
 import math
+import re
 import sys
 import warnings
 from dataclasses import MISSING, fields
@@ -271,8 +272,7 @@ def _shot_rows(excited, preselect, samples, start: int) -> bytes:
     head[:] = 0
     head[:, :w] = ids.view(np.uint8).reshape(n, w)
     head[:, w:w + 3] = np.where(excited, b",e,", b",g,")[:, None].view(np.uint8)
-    _g9.encode(preselect, rows[:, 1])
-    _g9.encode(samples, rows[:, 2:])
+    _g9.encode(np.column_stack((preselect, samples)), rows[:, 1:])
     rows[:, 1:-1, _g9.SEP] = ord(",")
     rows[:, -1, _g9.SEP:_g9.SEP + 2] = np.frombuffer(b"\r\n", dtype=np.uint8)
     return rows.tobytes().translate(None, b"\0")
@@ -282,23 +282,25 @@ def _write_shot_csv(path: Path, cfg: dict, batches):
     """Write the shot CSV of the ShotBatch chunks `batches`, one after the
     other, shot ids counting on across them, each encoded _ENCODE_CHUNK rows
     at a time (see _shot_rows). The first chunk is drawn before the file is
-    opened."""
+    opened, and each chunk is let go before the next is drawn."""
     batches = iter(batches)
-    first = next(batches)
+    batch = next(batches)
     columns = ["shot_id", "prep", "preselect_value"] + \
-              [f"q{k}" for k in range(first.n_bins)]
+              [f"q{k}" for k in range(batch.n_bins)]
     with open(path, "w", newline="") as fh:
         for line in _header_lines(cfg, "simulate"):
             fh.write(line + "\n")
         csv.writer(fh).writerow(columns)
         fh.flush()
         start = 0
-        for batch in itertools.chain([first], batches):
+        while batch is not None:
             for a in range(0, len(batch), _ENCODE_CHUNK):
                 b = a + _ENCODE_CHUNK
                 fh.buffer.write(_shot_rows(batch.excited[a:b], batch.preselect[a:b],
                                            batch.samples[a:b], start + a))
             start += len(batch)
+            del batch
+            batch = next(batches, None)
 
 
 def cmd_simulate(cfg: dict, args) -> int:
@@ -308,16 +310,15 @@ def cmd_simulate(cfg: dict, args) -> int:
     n = shot_cfg.n_shots
     q_p = np.empty(n) if shot_cfg.preselect else None
 
-    def chunks():
-        for a in range(0, n, _DRAW_CHUNK):
-            batch = shots.simulate_batch(device, pulse, shot_cfg,
-                                         shots=range(a, min(a + _DRAW_CHUNK, n)))
-            if q_p is not None:
-                q_p[a:a + len(batch)] = batch.preselect
-            yield batch
+    def draw(a: int) -> shots.ShotBatch:
+        batch = shots.simulate_batch(device, pulse, shot_cfg,
+                                     shots=range(a, min(a + _DRAW_CHUNK, n)))
+        if q_p is not None:
+            q_p[a:a + len(batch)] = batch.preselect
+        return batch
 
     out_dir = Path(cfg["output_dir"])
-    _write_shot_csv(out_dir / "shots.csv", cfg, chunks())
+    _write_shot_csv(out_dir / "shots.csv", cfg, map(draw, range(0, n, _DRAW_CHUNK)))
     if q_p is not None:
         n_kept = int(np.count_nonzero(q_p <= shots.preselection_threshold(q_p)))
         _write_report(out_dir / "preselect_summary.txt", cfg, "simulate",
@@ -331,9 +332,12 @@ _SHOT_FILE_KEYS = tuple(_key(f) for cls in (DeviceParams, PulseEnvelope)
                         for f in fields(cls)) + ("dt_bin", "measure_duration")
 
 
+_BARE_CR = re.compile(rb"\r(?!\n)")
+
+
 def _check_line_ends(lines: list[bytes], path: str):
     """Every "\r" of the lines, split after "\n", ends a line as "\r\n"."""
-    if b"".join(lines).count(b"\r") != sum(line.endswith(b"\r\n") for line in lines):
+    if _BARE_CR.search(b"".join(lines)):
         raise ConfigError(f"malformed shot file {path}: a line ends in a "
                           "bare carriage return")
 
@@ -388,36 +392,24 @@ def _read_shot_csv(path: str, cfg: dict):
         raise ConfigError(f"shot file {path} holds no shots")
 
 
-def _room(a: np.ndarray, n: int, m: int) -> np.ndarray:
-    """The first n entries of a, in a new array of at least m and 2 n
-    entries; the pages past n stay untouched until written."""
-    out = np.empty(max(m, 2 * n), a.dtype)
-    out[:n] = a[:n]
-    return out
-
-
 def cmd_analyze(cfg: dict, args) -> int:
     if args.input is None:
         raise ConfigError("analyze requires --input shots.csv")
     chain = shots.ReadoutChain(build_device(cfg), build_pulse(cfg),
                                build_shot_config(cfg))
-    # q and the labels of the shots read so far: n entries of arrays that
-    # double their room when a chunk does not fit
-    q, excited, n, weights = np.empty(0), np.empty(0, dtype=bool), 0, None
+    # the bytes of q and the labels, appended chunk by chunk: a large buffer
+    # grows by remapping its pages, so no chunk or old copy outlives the read
+    q, excited, weights = bytearray(), bytearray(), None
     for batch in _read_shot_csv(args.input, cfg):
         if batch.n_bins != chain.n_bins:
             raise ConfigError(f"shot file holds {batch.n_bins} bins, the "
                               f"configuration's window {chain.n_bins}")
         if weights is None:  # a file that fails its checks exits 2 first
             weights = chain.weights(cfg["tau"])
-        q_chunk = analysis.integrate_batch(batch.samples, weights,
-                                           chain.device.kappa_p)
-        m = n + len(batch)
-        if m > len(q):
-            q, excited = _room(q, n, m), _room(excited, n, m)
-        q[n:m], excited[n:m] = q_chunk, batch.excited
-        n = m
-    q, excited = q[:n], excited[:n]
+        q.extend(analysis.integrate_batch(batch.samples, weights,
+                                          chain.device.kappa_p))
+        excited.extend(batch.excited)
+    q, excited = np.frombuffer(q), np.frombuffer(excited, dtype=bool)
     fit, bin_centers, hist_g, hist_e = analysis.fit_shot_histograms(q, excited)
     budget = analysis.error_budget(q, excited, fit)
     out_dir = Path(cfg["output_dir"])

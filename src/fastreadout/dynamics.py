@@ -300,6 +300,10 @@ class TwoCavityModel:
                 self.check_ceiling(self.trace([-1, +1], pulse, fine))
         return fields[..., 1]
 
+    def signal(self, beta: np.ndarray) -> np.ndarray:
+        """S = sqrt(kappa_pa) |beta_e - beta_g| of filter fields g, e on axis -2."""
+        return math.sqrt(self.kappa_pa) * np.abs(beta[..., 1, :] - beta[..., 0, :])
+
     def check_ceiling(self, fields: np.ndarray, n=None):
         """Raise PhotonCeilingError when the resonator photon number of
         `fields` is not finite or exceeds PHOTON_CEILING. With `n`, the
@@ -340,8 +344,7 @@ def _solve_both_states(device: DeviceParams, pulse: PulseEnvelope, times):
                           f"solver's {GRID_STEP:g} s grid")
     model = TwoCavityModel(device)
     beta = model.filter_fields(pulse, times)
-    values = math.sqrt(model.kappa_pa) * np.abs(beta[1] - beta[0])
-    return SignalTrace(times=times, values=values), beta
+    return SignalTrace(times=times, values=model.signal(beta)), beta
 
 
 def full_model_signal(device: DeviceParams, pulse: PulseEnvelope, times,

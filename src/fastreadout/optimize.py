@@ -192,9 +192,7 @@ def _stacked_rates(device: DeviceParams, J: np.ndarray, n_own: np.ndarray,
     model = TwoCavityModel(device, J)
     fields = model.trace([-1, +1], pulse, times)
     model.check_ceiling(fields, n_own)
-    beta = fields[..., 1]
-    values = math.sqrt(model.kappa_pa) * np.abs(beta[:, 1] - beta[:, 0])
-    return integrated_rate(SignalTrace(times, values), taus)
+    return integrated_rate(SignalTrace(times, model.signal(fields[..., 1])), taus)
 
 
 def optimal_ratio_vs_tau(device: DeviceParams, tau_grid,

@@ -690,19 +690,25 @@ def preselection_threshold(q_p) -> float:
     if np.any(~np.isfinite(q_p)):
         raise FitError("records lack preselection values")
 
-    med = float(np.median(q_p))
-    iqr = float(np.subtract(*np.percentile(q_p, [75, 25])))
+    # one copy of q_p, partitioned for the median and the quartiles, then
+    # overwritten with |q_p - med|. The core, the values within 4 sig0 of
+    # med, is an interval: the histogram of q_p over [lo, hi] counts it
+    dev = q_p.copy()
+    med = float(np.median(dev, overwrite_input=True))
+    iqr = float(np.subtract(*np.percentile(dev, [75, 25], overwrite_input=True)))
     sig0 = max(iqr / 1.349, 1e-12 * (1.0 + abs(med)))
-    core = q_p[np.abs(q_p - med) < 4.0 * sig0]
-    lo, hi = float(np.min(core)), float(np.max(core))
-    n_bins = max(40, int(math.sqrt(len(core))))
+    inside = np.abs(np.subtract(q_p, med, out=dev), out=dev) < 4.0 * sig0
+    del dev
+    lo = float(np.min(q_p, where=inside, initial=np.inf))
+    hi = float(np.max(q_p, where=inside, initial=-np.inf))
+    n_bins = max(40, int(math.sqrt(np.count_nonzero(inside))))
     # the bins of np.histogram_bin_edges, which fails on a range it cannot
     # split into n_bins increasing edges
     edges = np.linspace(lo, hi, n_bins + 1) if math.isfinite(hi - lo) else None
     if edges is None or not np.all(edges[1:] > edges[:-1]):
         raise FitError(f"preselection values spread over {hi - lo:g} around "
                        f"{med:g}, too little to histogram in {n_bins} bins")
-    counts, _ = np.histogram(core, bins=edges)
+    counts, _ = np.histogram(q_p, bins=edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
     model = NormalColumns(centers, counts)
     binw = float(centers[1] - centers[0])

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import MISSING, fields
 from importlib import resources
 from pathlib import Path
@@ -656,7 +657,8 @@ class TestSimulateAnalyze:
                                            monkeypatch):
         # the reader splits lines at "\n": "\r\n" and "\n" endings, a missing
         # last one and blank lines give the same rows; a bare "\r" fails
-        # loudly, in the column line or in a chunk of rows
+        # loudly, in the column line, in the first chunk of rows, inside row
+        # 12 of the third five-line chunk or as the file's last byte
         assert run("simulate", "--config", conf, "--output-dir", str(tmp_path),
                    "--wide", "--n-shots", "50") == 0
         cfg = cli.resolve_config(conf, [])
@@ -675,8 +677,13 @@ class TestSimulateAnalyze:
         with pytest.raises(ConfigError, match="holds no shots"):
             read_shots(path, cfg)
         columns, data = rows.split(b"\r\n", 1)
+        before_12, row_12, after = data.partition(b"\r\n12,")
+        monkeypatch.setattr(cli, "_STREAM_CHUNK", 5)
         for edited in (rows.replace(b"\r\n", b"\r"),
-                       columns + b"\r\n" + data.replace(b"\r\n", b"\r", 30)):
+                       columns + b"\r\n" + data.replace(b"\r\n", b"\r", 30),
+                       columns + b"\r\n" + before_12 + row_12
+                       + after.replace(b",", b"\r", 1),
+                       rows + b"\r"):
             path.write_bytes(head + column + edited)
             with pytest.raises(ConfigError, match="carriage return"):
                 read_shots(path, cfg)
@@ -914,6 +921,23 @@ class TestStreaming:
             rep = read_report(tmp_path / "preselect_summary.txt")
             assert (int(rep["n_kept"]), rep["rejected_fraction"]) == \
                 (len(kept), cli._fmt(rejected))
+
+    def test_one_block_in_flight(self, conf, tmp_path, monkeypatch):
+        # every block drawn before is gone when the next draw starts: the
+        # writer and the draws hold only the block being written
+        blocks, alive = [], []
+        draw = shots.simulate_batch
+
+        def spy(*args, **kwargs):
+            alive.append(sum(block() is not None for block in blocks))
+            batch = draw(*args, **kwargs)
+            blocks.append(weakref.ref(batch))
+            return batch
+
+        monkeypatch.setattr(shots, "simulate_batch", spy)
+        monkeypatch.setattr(cli, "_DRAW_CHUNK", 7)
+        assert main(simulate_args(tmp_path / "shots.csv", 50, 0, [])) == 0
+        assert alive == [0] * 8
 
     def test_simulate_working_set_does_not_grow(self, conf, tmp_path):
         # the traced peak of numpy's and Python's allocations, so the bound

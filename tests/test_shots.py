@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 from importlib import resources
 
@@ -308,6 +309,59 @@ class TestPreselection:
             _, mu_o, sigma_o = sol.x
             assert abs(threshold - (mu_o + Z99 * abs(sigma_o))) \
                 <= 1e-9 * (abs(mu_o) + Z99 * abs(sigma_o))
+
+    @staticmethod
+    def threshold_through_core(q_p) -> float:
+        """preselection_threshold as it was written with the core of q_p
+        copied out: a median and quartiles of copies of q_p, and the
+        histogram of the values within 4 sig0 of the median."""
+        med = float(np.median(q_p))
+        iqr = float(np.subtract(*np.percentile(q_p, [75, 25])))
+        sig0 = max(iqr / 1.349, 1e-12 * (1.0 + abs(med)))
+        core = q_p[np.abs(q_p - med) < 4.0 * sig0]
+        edges = np.linspace(core.min(), core.max(),
+                            max(40, int(math.sqrt(len(core)))) + 1)
+        counts, _ = np.histogram(core, bins=edges)
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        model = shots.NormalColumns(centers, counts)
+        sol = shots.least_squares(model.resid, [med, sig0], model.jac,
+                                  bounds=([-np.inf, (centers[1] - centers[0]) / 10.0],
+                                          np.inf), max_nfev=5000)
+        mu, sigma = (float(v) for v in sol.x)
+        return mu + Z99 * sigma
+
+    def test_threshold_equals_the_core_formula(self, gated_pulse):
+        # bit for bit, on random columns of odd and even length with an
+        # excited tail and repeated values, and on the premeasurement
+        # columns of random devices
+        rng = np.random.default_rng(36)
+        columns = []
+        for n in (101, 1000, 4097, 30000):
+            q_p = rng.normal(rng.uniform(-3.0, 3.0), 10 ** rng.uniform(-3, 1), n)
+            q_p[rng.random(n) < 0.03] += 5.0 * q_p.std()
+            columns += [q_p, np.round(q_p, 2)]
+        for seed in range(3):
+            cfg = ShotConfig(n_shots=3001, master_seed=40 + seed, preselect=True,
+                             measure_duration=160e-9)
+            device = random_device(np.random.default_rng(seed))
+            columns.append(simulate_batch(device, gated_pulse, cfg).preselect)
+        for q_p in columns:
+            kept = q_p.copy()
+            assert preselection_threshold(q_p) == self.threshold_through_core(q_p)
+            assert np.array_equal(q_p, kept)
+
+    def test_threshold_working_set(self):
+        # one copy of the column and a mask: at most 10 bytes a value beside
+        # the caller's column, where copying the core out took 16
+        q_p = np.random.default_rng(37).normal(size=10**6)
+        preselection_threshold(q_p[:1000])
+        tracemalloc.start()
+        try:
+            preselection_threshold(q_p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * len(q_p), peak
 
     @pytest.mark.parametrize("values", [
         np.full(200, 0.25),                          # no spread
