@@ -144,12 +144,16 @@ class NormalColumns:
     form, so a fit sees only theta (variable projection; Golub and
     Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)). `resid` gives
     model - counts, histogram after histogram, and `jac` its Jacobian in
-    Kaufman's form, whose J^T r is the exact gradient of the cost.
+    Kaufman's form, whose J^T r is the exact gradient of the cost. The
+    densities, amplitudes and Gram matrix of the last theta are kept, keyed
+    by theta.tobytes(): least_squares asks for the Jacobian at the point
+    whose residual it has just evaluated, so each theta pays them once.
     """
 
     def __init__(self, centers, counts):
         self.centers = np.asarray(centers, dtype=float)
         self.counts = np.asarray(counts, dtype=float).reshape(len(self.centers), -1)
+        self._last = {}
 
     def densities(self, theta):
         """phi (n, k) and its derivatives (n, 2k) in theta's order."""
@@ -158,11 +162,22 @@ class NormalColumns:
         phi = _normal_pdf(self.centers[:, None], mu, sigma)
         return phi, np.hstack([phi * z / sigma, phi * (z * z - 1.0) / sigma])
 
-    def amplitudes(self, phi):
+    def _at(self, theta):
+        """phi, dphi, the amplitudes and the Gram matrix phi^T phi at theta,
+        computed once for the last theta asked for."""
+        key = np.asarray(theta, dtype=float).tobytes()
+        if key not in self._last:
+            phi, dphi = self.densities(theta)
+            gram, proj = phi.T @ phi, phi.T @ self.counts
+            self._last = {key: (phi, dphi, self._amplitudes(gram, proj), gram)}
+        return self._last[key]
+
+    @staticmethod
+    def _amplitudes(gram, proj):
         """The non-negative amplitudes (k, m) that fit each histogram best
-        with the columns of phi: the normal equations' solution, or where
-        a sign fails, the better one-column fit (the optimum for k <= 2)."""
-        gram, proj = phi.T @ phi, phi.T @ self.counts
+        with the columns of phi, from gram = phi^T phi and proj = phi^T
+        counts: the normal equations' solution, or where a sign fails, the
+        better one-column fit (the optimum for k <= 2)."""
         try:
             amps = np.linalg.solve(gram, proj)
         except np.linalg.LinAlgError:
@@ -179,22 +194,31 @@ class NormalColumns:
                 amps[best[h], h] = one[best[h], h]
         return amps
 
+    def amplitudes(self, theta):
+        """The non-negative amplitudes (k, m) at theta (_amplitudes)."""
+        return self._at(theta)[2]
+
     def resid(self, theta):
-        phi, _ = self.densities(theta)
-        return (phi @ self.amplitudes(phi) - self.counts).ravel(order="F")
+        phi, _, amps, _ = self._at(theta)
+        return (phi @ amps - self.counts).ravel(order="F")
 
     def jac(self, theta):
         """(I - P) dphi a per histogram, P the projection onto the columns
-        with a non-zero amplitude."""
-        phi, dphi = self.densities(theta)
-        blocks = []
-        for a in self.amplitudes(phi).T:
-            v = dphi * np.tile(a, 2)
-            used = phi[:, a > 0.0]
-            if used.shape[1]:
-                v -= used @ np.linalg.lstsq(used, v, rcond=None)[0]
-            blocks.append(v)
-        return np.vstack(blocks)
+        with a non-zero amplitude, from the Gram matrix the amplitudes
+        came from: v - phi solve(gram, phi^T v) with both columns, v - col
+        (col^T v) / gram_jj with column j alone."""
+        phi, dphi, amps, gram = self._at(theta)
+        n = len(self.centers)
+        out = np.empty((n * amps.shape[1], dphi.shape[1]))
+        for h, a in enumerate(amps.T):
+            v = np.multiply(dphi, np.tile(a, 2), out=out[h * n:(h + 1) * n])
+            used = np.flatnonzero(a > 0.0)
+            if len(used) == 1:
+                j = used[0]
+                v -= np.outer(phi[:, j], (phi[:, j] @ v) / gram[j, j])
+            elif len(used):
+                v -= phi @ np.linalg.solve(gram, phi.T @ v)
+        return out
 
 
 def fit_mixture(centers, counts_g, counts_e) -> MixtureFit:
@@ -231,7 +255,7 @@ def fit_mixture(centers, counts_g, counts_e) -> MixtureFit:
     mg, me, sg, se = (float(v) for v in sol.x)
     if max(sg, se) / min(sg, se) > 1e3:
         raise FitError("degenerate mixture fit (sigma ratio > 1e3)")
-    (agg, age), (aeg, aee) = model.amplitudes(model.densities(sol.x)[0]).tolist()
+    (agg, age), (aeg, aee) = model.amplitudes(sol.x).tolist()
     fit = MixtureFit(mu_g=mg, mu_e=me, sigma_g=sg, sigma_e=se,
                      A_gg=agg, A_eg=aeg, A_ge=age, A_ee=aee, threshold=0.0)
     fit.threshold = _intersection_threshold(fit)

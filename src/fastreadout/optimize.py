@@ -20,8 +20,8 @@ from .dynamics import GRID_STEP, PulseEnvelope, SignalTrace, TwoCavityModel, \
     _qss_from_phases, _qss_phases, full_model_signal, integrated_rate
 from .errors import ConfigError
 from .params import DeviceParams, effective_linewidth
-from .shots import ReadoutChain, ShotConfig, check_jumps, sample_count, \
-    window_bins
+from .shots import ReadoutChain, ShotConfig, _labels, check_jumps, q_draws, \
+    sample_count, window_bins
 
 #: mixing-rate coefficient (Hz): gamma_mix = MIX_COEFF * lambda * n_drive,
 #: tuned so the simulated excess ground-state error is about 0.23% at the
@@ -227,8 +227,12 @@ def power_tradeoff(device: DeviceParams, n_grid, tau: float,
                    mix_coeff: float | None = DEFAULT_MIX_COEFF,
                    n_shots: int = 20000, master_seed: int = 0) -> list[PowerPoint]:
     """Analytic overlap error and Monte Carlo fidelity versus drive power,
-    with a gated pulse of max(160 ns, tau + 24 ns). Each power's chain
-    draws its shots' q in q space (ReadoutChain.sample_q).
+    with a gated pulse of max(160 ns, tau + 24 ns). The shots' q are drawn
+    in q space: every power reads the same words of the master seed's
+    q-space stream, so each block of shots is drawn once (shots.q_draws)
+    and mapped to q by the chain of every power (ReadoutChain.map_q), bit
+    for bit the q of one sample_q per power. The q of all powers are held
+    at once, len(n_grid) x 8 bytes a shot, and fitted after the last block.
 
     Mixing rates scale as mix_coeff * lambda(n) * n; pass mix_coeff=None to
     disable mixing. The eps_o column is overlap_vs_power's, which checks
@@ -256,10 +260,17 @@ def power_tradeoff(device: DeviceParams, n_grid, tau: float,
                     f"mix_coeff = {mix:g} Hz at n_drive = {n:g} of power_grid: ")
         cfgs.append((dev_n, cfg))
 
+    chains = [ReadoutChain(dev_n, pulse, cfg) for dev_n, cfg in cfgs]
+    weights = [chain.weights(tau) for chain in chains]
+    shots = range(n_shots)
+    excited = _labels(shots, None)
+    qs = np.empty((len(chains), n_shots))
+    for draw in q_draws(master_seed, shots):
+        for chain, w, q in zip(chains, weights, qs):
+            q[draw.rows] = chain.map_q(draw, excited[draw.rows], w)
+
     out = []
-    for n, eps_o, (dev_n, cfg) in zip(n_grid, eps_curve, cfgs):
-        chain = ReadoutChain(dev_n, pulse, cfg)
-        q, excited = chain.sample_q(range(n_shots), tau)
+    for n, eps_o, (_, cfg), q in zip(n_grid, eps_curve, cfgs, qs):
         fit, *_ = fit_shot_histograms(q, excited)
         budget = error_budget(q, excited, fit)
         out.append(PowerPoint(n_drive=float(n), eps_o=float(eps_o),

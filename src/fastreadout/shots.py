@@ -49,6 +49,9 @@ Q_STREAM = 2^63 - 1, a key that no jump round reaches:
 
 Later jump rounds come from the measurement window's round streams above.
 Given its jumps, q = q(noise-free conditioned means) + z / (2 sqrt(eta)).
+These words do not depend on the chain: q_draws draws each block of shots
+once, and ReadoutChain.map_q maps a block to the q of one chain, so the
+chains of one master seed can share the draw (optimize.power_tradeoff).
 
 A batch is held columnar (ShotBatch). The draws of a chunk of shots are
 array operations, one per round for the jump waits, and the conditioned
@@ -71,6 +74,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -399,9 +403,11 @@ class ReadoutChain:
 
     # -- random draws -------------------------------------------------------------
 
-    def _jumps(self, u, s, t1, first, window):
+    def _jumps(self, e, s, t1, first, window):
         """Jumps in [0, t1) of the shots first, first + 1, ... (one per row)
-        from states s and their round-0 jump words u (m, K).
+        from states s and the standard exponentials e = -log(u) (m, K) of
+        their round-0 jump words u; e is left as it is, so the draws of one
+        block can serve several chains.
 
         A row stays open while its round's K-th sum is below t1; round r >= 1
         sums on from there shot i's words [i K, (i + 1) K) of Philox(key=
@@ -417,10 +423,9 @@ class ReadoutChain:
                 bits = np.random.Philox(key=[self._key, 2 * r - 1 + window])
                 bits.advance(int(first + rows[0]))
                 words = bits.random_raw((rows[-1] + 1 - rows[0]) * K_JUMPS)
-                u = _unit(words.reshape(-1, K_JUMPS)[rows - rows[0]])
+                e = -np.log(_unit(words.reshape(-1, K_JUMPS)[rows - rows[0]]))
             s_r = s[rows]
-            waits = -np.log(u)
-            waits *= np.where(s_r[:, None] > 0, self._waits[+1], self._waits[-1])
+            waits = e * np.where(s_r[:, None] > 0, self._waits[+1], self._waits[-1])
             waits[:, 0] += t0
             times = np.cumsum(waits, axis=1)
             inside = times < t1
@@ -567,7 +572,7 @@ class ReadoutChain:
             if cfg.preselect:
                 s_pre[a:b] = s
                 s, over, (row, time, decay) = self._jumps(
-                    u[:, c:c + K_JUMPS], s, cfg.premeasure_duration,
+                    -np.log(u[:, c:c + K_JUMPS]), s, cfg.premeasure_duration,
                     shots.start + a, 0)
                 overflow[a:b] |= over
                 pre_jumps.append((row + a, time, decay))
@@ -582,7 +587,7 @@ class ReadoutChain:
             s_main[a:b] = s
             c += 1
             _, over, (row, time, decay) = self._jumps(
-                u[:, c:c + K_JUMPS], s, self.n_bins * cfg.dt_bin,
+                -np.log(u[:, c:c + K_JUMPS]), s, self.n_bins * cfg.dt_bin,
                 shots.start + a, 1)
             overflow[a:b] |= over
             jumps.append((row + a, time, decay))
@@ -618,6 +623,20 @@ class ReadoutChain:
             q[rows] = integrate_batch(mean, w, kappa_p)
         return q
 
+    def map_q(self, draw: QDraw, excited, w: WeightFunction):
+        """q_tau of the block of shots `draw` (one item of q_draws) with the
+        boolean prepared labels `excited` (one per row), over the weights
+        w: the map of sample_q, which leaves `draw` as it is."""
+        cfg = self.cfg
+        s = np.where(draw.thermal < cfg.p_thermal, 1, -1)
+        s = np.where(excited & (draw.prep >= cfg.prep_error), -s, s)
+        _, _, (row, time, _) = self._jumps(draw.unit_waits, s,
+                                           len(w.w) * cfg.dt_bin, draw.first, 1)
+        q = self._mean_q(s, row, time, w)
+        # the spread 1/(2 sqrt(eta)) of q for unit-norm weights
+        q += draw.z * (0.5 / math.sqrt(self.device.eta))
+        return q
+
     def sample_q(self, shots: range, tau: float, excited=None):
         """q_tau of the shots of the range `shots` with the boolean prepared
         labels `excited` (None: g, e, g, e, ... by index parity), drawn in q
@@ -631,33 +650,55 @@ class ReadoutChain:
         Philox(key=(master_seed, Q_STREAM)): thermal, prep, K jump words over
         [0, len(w) dt_bin) and one normal pair (module docstring); further
         rounds of waits come from the streams of run. The q of a shot is
-        not the one run gives it. _Q_CHUNK shots are one random_raw draw.
-        Preselection raises ValueError: its premeasurement needs run.
+        not the one run gives it. Each block of _Q_CHUNK shots is one draw
+        of q_draws, mapped to q by map_q; the draws do not depend on the
+        chain, so chains that share a master seed can share them
+        (optimize.power_tradeoff). Preselection raises ValueError: its
+        premeasurement needs run.
         """
         if self.cfg.preselect:
             raise ValueError("sample_q draws no premeasurement; use run")
         excited = _labels(shots, excited)
-        cfg = self.cfg
         w = self.weights(tau)
-        # the spread 1/(2 sqrt(eta)) of q for unit-norm weights
-        sigma_q = 0.5 / math.sqrt(self.device.eta)
-        bits = np.random.Philox(key=[self._key, Q_STREAM])
-        bits.advance(shots.start * _Q_WORDS // 4)
         q = np.empty(len(shots))
-        for a in range(0, len(shots), _Q_CHUNK):
-            b = min(a + _Q_CHUNK, len(shots))
-            u = _unit(bits.random_raw((b - a) * _Q_WORDS)).reshape(b - a, -1)
-            s = np.where(u[:, 0] < cfg.p_thermal, 1, -1)
-            s = np.where(excited[a:b] & (u[:, 1] >= cfg.prep_error), -s, s)
-            _, _, (row, time, _) = self._jumps(u[:, 2:2 + K_JUMPS], s,
-                                               len(w.w) * cfg.dt_bin,
-                                               shots.start + a, 1)
-            q[a:b] = self._mean_q(s, row, time, w)
-            z = np.empty((b - a, 1))
-            _box_muller(u[:, -2:], z)
-            z *= sigma_q
-            q[a:b] += z[:, 0]
+        for draw in q_draws(self._key, shots):
+            q[draw.rows] = self.map_q(draw, excited[draw.rows], w)
         return q, excited
+
+
+class QDraw(NamedTuple):
+    """The draws of one block of shots of the q-space stream: rows, the
+    block's place in its range; first, the index of its first shot; and
+    per shot the thermal and prep words u, its round-0 waits in units of
+    the mean wait, the standard exponentials -log(u) (m, K_JUMPS) of its
+    jump words, and the standard normal z of its normal pair."""
+
+    rows: slice
+    first: int
+    thermal: np.ndarray
+    prep: np.ndarray
+    unit_waits: np.ndarray
+    z: np.ndarray
+
+
+def q_draws(master_seed: int, shots: range):
+    """The q-space stream's draws of the range `shots` (a range of
+    consecutive indices), one QDraw per block of _Q_CHUNK shots, each block
+    one random_raw of Philox(key=(master_seed, Q_STREAM)). Shot i's words
+    are [i Q, (i + 1) Q), Q = _Q_WORDS, whatever the chain that maps them
+    (ReadoutChain.map_q)."""
+    bits = np.random.Philox(key=[master_seed, Q_STREAM])
+    bits.advance(shots.start * _Q_WORDS // 4)
+    for a in range(0, len(shots), _Q_CHUNK):
+        b = min(a + _Q_CHUNK, len(shots))
+        u = _unit(bits.random_raw((b - a) * _Q_WORDS)).reshape(b - a, -1)
+        z = np.empty((b - a, 1))
+        _box_muller(u[:, -2:], z)
+        # the draw keeps 7 of the 8 values a shot, not the block of words
+        draw = QDraw(slice(a, b), shots.start + a, u[:, 0].copy(), u[:, 1].copy(),
+                     -np.log(u[:, 2:2 + K_JUMPS]), z[:, 0])
+        del u
+        yield draw
 
 
 def simulate_batch(device: DeviceParams, pulse: PulseEnvelope, cfg: ShotConfig,

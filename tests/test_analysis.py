@@ -381,6 +381,113 @@ class TestSeparableFit:
             ShotBatch(excited=text, samples=q[:, None])
 
 
+def lstsq_jac(model, theta):
+    """Oracle: the variable-projection Jacobian as it was computed with one
+    np.linalg.lstsq projection per histogram, (I - P) dphi a, P onto the
+    columns with a non-zero amplitude, the blocks stacked by np.vstack."""
+    phi, dphi = model.densities(theta)
+    blocks = []
+    for a in model.amplitudes(theta).T:
+        v = dphi * np.tile(a, 2)
+        used = phi[:, a > 0.0]
+        if used.shape[1]:
+            v -= used @ np.linalg.lstsq(used, v, rcond=None)[0]
+        blocks.append(v)
+    return np.vstack(blocks)
+
+
+class TestNormalColumns:
+    """jac's Gram projection against lstsq, and one density evaluation per
+    theta."""
+
+    @staticmethod
+    def histograms(rng, n_bins=120):
+        """Bin centres and (mu, sigma) of two separated normals."""
+        centers = np.linspace(-4.0, 8.0, n_bins)
+        mu = np.array([rng.uniform(-1.0, 1.0), rng.uniform(3.0, 5.0)])
+        sigma = rng.uniform(0.4, 1.2, 2)
+        return centers, mu, sigma
+
+    @staticmethod
+    def assert_matches_oracle(model, theta):
+        got, ref = model.jac(theta), lstsq_jac(model, theta)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.max(np.abs(ref)))
+
+    def test_both_amplitudes_positive(self):
+        rng = np.random.default_rng(51)
+        for _ in range(10):
+            centers, mu, sigma = self.histograms(rng)
+            phi = _normal_pdf(centers[:, None], mu, sigma)
+            counts = phi @ rng.uniform([[900.0, 20.0], [30.0, 800.0]],
+                                       [[1100.0, 80.0], [90.0, 1200.0]])
+            counts += rng.normal(0.0, 2.0, counts.shape)
+            model = analysis.NormalColumns(centers, counts)
+            theta = np.concatenate([mu, sigma]) * rng.uniform(0.97, 1.03, 4)
+            assert np.all(model.amplitudes(theta) > 0.0)
+            self.assert_matches_oracle(model, theta)
+
+    def test_one_amplitude_zero_on_each_side(self):
+        # a negative admixture of the other column: the first histogram
+        # keeps only column 0, the second only column 1
+        rng = np.random.default_rng(52)
+        for _ in range(10):
+            centers, mu, sigma = self.histograms(rng)
+            phi = _normal_pdf(centers[:, None], mu, sigma)
+            counts = phi @ np.array([[1000.0, -30.0], [-30.0, 1000.0]])
+            model = analysis.NormalColumns(centers, counts)
+            theta = np.concatenate([mu, sigma]) * rng.uniform(0.99, 1.01, 4)
+            amps = model.amplitudes(theta)
+            assert amps[1, 0] == amps[0, 1] == 0.0
+            assert amps[0, 0] > 0.0 and amps[1, 1] > 0.0
+            self.assert_matches_oracle(model, theta)
+
+    def test_one_column_model_of_preselection(self):
+        rng = np.random.default_rng(53)
+        for _ in range(10):
+            q_p = rng.normal(rng.uniform(-2.0, 2.0), rng.uniform(0.1, 2.0), 5000)
+            counts, edges = np.histogram(q_p, bins=70)
+            model = analysis.NormalColumns(0.5 * (edges[:-1] + edges[1:]), counts)
+            theta = np.array([np.median(q_p), np.std(q_p)]) \
+                * rng.uniform(0.95, 1.05, 2)
+            assert model.amplitudes(theta)[0, 0] > 0.0
+            self.assert_matches_oracle(model, theta)
+
+    def test_stale_key_recomputes(self):
+        # resid at theta_1 leaves theta_1's densities; jac at theta_2 must
+        # not use them
+        rng = np.random.default_rng(54)
+        centers, mu, sigma = self.histograms(rng)
+        counts = _normal_pdf(centers[:, None], mu, sigma) @ [[1000.0, 50.0],
+                                                              [40.0, 900.0]]
+        theta_1 = np.concatenate([mu, sigma])
+        theta_2 = theta_1 * [1.01, 0.99, 1.02, 0.98]
+        model = analysis.NormalColumns(centers, counts)
+        model.resid(theta_1)
+        fresh = analysis.NormalColumns(centers, counts)
+        assert np.array_equal(model.jac(theta_2), fresh.jac(theta_2))
+        assert np.array_equal(model.resid(theta_1),
+                              analysis.NormalColumns(centers, counts).resid(theta_1))
+
+    def test_densities_once_per_residual_evaluation(self, monkeypatch):
+        calls = []
+        densities = analysis.NormalColumns.densities
+        monkeypatch.setattr(analysis.NormalColumns, "densities",
+                            lambda self, theta: calls.append(1)
+                            or densities(self, theta))
+        q, excited = TestMixtureFit().synth(np.random.default_rng(55), 30000,
+                                            ge_frac=0.02)
+        edges = histogram_bins(q)
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        counts = np.column_stack([np.histogram(q[excited == side], bins=edges)[0]
+                                  for side in (False, True)])
+        model = analysis.NormalColumns(centers, counts)
+        sol = analysis.least_squares(model.resid, [-0.9, 1.1, 0.35, 0.25],
+                                     model.jac, max_nfev=2000)
+        assert sol.success
+        assert 0 < len(calls) <= sol.nfev
+
+
 def brentq_threshold(fit: MixtureFit) -> float:
     """Oracle: bracket the crossing of C_g and C_e between the means with
     brentq; the midpoint when C_g - C_e keeps its sign there."""

@@ -1,3 +1,4 @@
+import collections
 import math
 import tracemalloc
 from dataclasses import replace
@@ -5,13 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import make_device, random_device
-from fastreadout import optimize
+from conftest import DT_BIN, make_device, random_device
+from fastreadout import optimize, shots
+from fastreadout.analysis import error_budget, fit_shot_histograms, \
+    overlap_vs_power
 from fastreadout.errors import ConfigError, PhotonCeilingError
 from fastreadout.dynamics import GRID_STEP, PulseEnvelope, SignalTrace, \
     TwoCavityModel, full_model_signal, integrated_rate, qss_signal
-from fastreadout.optimize import RATIO_BOUNDS, _full_objective, _maximize, \
-    _qss_objective, optimal_ratio_vs_tau, power_tradeoff
+from fastreadout.optimize import RATIO_BOUNDS, PowerPoint, _full_objective, \
+    _maximize, _qss_objective, optimal_ratio_vs_tau, power_tradeoff
+from fastreadout.shots import ReadoutChain, ShotConfig
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -176,6 +180,70 @@ class TestPowerTradeoff:
     def test_invalid_power(self, device):
         with pytest.raises(ConfigError, match="drive powers must be positive"):
             power_tradeoff(device, [0.0, 1.0], 56e-9, n_shots=100)
+
+
+def per_power_rows(device, grid, tau, mix, n_shots, seed):
+    """power_tradeoff's rows from one chain and one sample_q per power, each
+    drawing its own words of the q-space stream."""
+    pulse = PulseEnvelope(kind="gated", total_duration=max(160e-9, tau + 24e-9))
+    times = np.arange(0.0, pulse.total_duration, GRID_STEP)
+    eps = overlap_vs_power(full_model_signal(device, pulse, times), device.eta,
+                           tau, device.n_drive, grid)
+    rows = []
+    for n, eps_o in zip(grid, eps):
+        dev_n = replace(device, n_drive=n)
+        g_mix = mix * dev_n.lambda_mix * n
+        cfg = ShotConfig(n_shots=n_shots, master_seed=seed,
+                         gamma_mix_up=g_mix, gamma_mix_down=g_mix)
+        q, excited = ReadoutChain(dev_n, pulse, cfg).sample_q(range(n_shots), tau)
+        fit, *_ = fit_shot_histograms(q, excited)
+        rows.append(PowerPoint(n_drive=n, eps_o=float(eps_o),
+                               fidelity_mc=error_budget(q, excited, fit).fidelity,
+                               gamma_mix=g_mix))
+    return rows
+
+
+class TestSharedDraw:
+    """Every power maps the same drawn block of the q-space stream."""
+
+    @pytest.mark.parametrize("chunk", [7, 4096])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_equal_one_sample_q_per_power(self, monkeypatch, chunk, seed):
+        # bit for bit, over random devices, with a shot count that is not
+        # a multiple of the block
+        rng = np.random.default_rng(610 + seed)
+        device = random_device(rng)
+        grid = sorted(rng.uniform(0.5, 5.0, 3).tolist())
+        tau = DT_BIN * int(rng.integers(4, 16))
+        mix = rng.uniform(1e6, 3e7)
+        n_shots = chunk + 2003
+        monkeypatch.setattr(shots, "_Q_CHUNK", chunk)
+        got = power_tradeoff(device, grid, tau, mix_coeff=mix, n_shots=n_shots,
+                             master_seed=seed)
+        assert got == per_power_rows(device, grid, tau, mix, n_shots, seed)
+
+    def test_one_draw_per_block_per_sweep(self, device, monkeypatch):
+        # random_raw calls of the q-space stream: one per block of the
+        # sweep, not one per block and power
+        calls = collections.Counter()
+        philox = np.random.Philox
+
+        class Counting:
+            def __init__(self, key):
+                self.key, self.bits = key[1], philox(key=key)
+
+            def advance(self, delta):
+                self.bits.advance(delta)
+
+            def random_raw(self, size):
+                calls[self.key] += 1
+                return self.bits.random_raw(size)
+
+        monkeypatch.setattr(np.random, "Philox", Counting)
+        monkeypatch.setattr(shots, "_Q_CHUNK", 500)
+        power_tradeoff(device, [1.0, 2.5, 5.0], 56e-9, mix_coeff=3e7,
+                       n_shots=2100, master_seed=1)
+        assert calls[shots.Q_STREAM] == 5
 
 
 # ---------------------------------------------------------------------------
