@@ -46,15 +46,16 @@ class LsqResult:
         return self.status > 0
 
 
-def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf),
+def least_squares(model, x0, bounds=(-np.inf, np.inf),
                   max_nfev=1000) -> LsqResult:
-    """Minimize sum(fun(x)**2) / 2 over lo <= x <= hi; jac(x) is the
-    Jacobian of fun, a (len(r), len(x)) array. Raises FitError when fun is
-    not finite at x0 (clipped to the bounds)."""
+    """Minimize sum(r**2) / 2 over lo <= x <= hi, where r, jac = model(x)
+    and jac() gives the (len(r), len(x)) Jacobian of r at x, asked for
+    only at the points the solve accepts. Raises FitError when r is not
+    finite at x0 (clipped to the bounds)."""
     x = np.asarray(x0, dtype=float)
     lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), x.shape) for b in bounds)
     x = np.clip(x, lo, hi)
-    r = fun(x)
+    r, jac = model(x)
     if not np.all(np.isfinite(r)):
         raise FitError("the residuals at the start point are not finite")
     cost = 0.5 * float(r @ r)
@@ -64,7 +65,7 @@ def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf),
         return LsqResult(x, cost, nfev, status, message)
 
     while True:
-        J = jac(x)
+        J = jac()
         grad, hess = J.T @ r, J.T @ J
         diag = np.diag(hess)
         scale = np.diag(np.where(diag > 0.0, diag, 1.0))
@@ -77,7 +78,7 @@ def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf),
             if nfev >= max_nfev:
                 return result(0, f"stopped after max_nfev = {max_nfev} "
                                  "evaluations")
-            r_new = fun(x_new)
+            r_new, jac_new = model(x_new)
             nfev += 1
             cost_new = 0.5 * float(r_new @ r_new)
             if cost_new < cost:
@@ -85,7 +86,7 @@ def least_squares(fun, x0, jac, bounds=(-np.inf, np.inf),
             lam *= 10.0
         predicted = -float(grad @ step + 0.5 * step @ hess @ step)
         reduction = cost - cost_new
-        x, r, cost = x_new, r_new, cost_new
+        x, r, jac, cost = x_new, r_new, jac_new, cost_new
         lam = max(lam / 10.0, 1e-12)
         if reduction <= FTOL * cost and reduction >= 0.25 * predicted:
             return result(2, "the cost reduction is below FTOL")

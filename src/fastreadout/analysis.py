@@ -114,6 +114,8 @@ _MIN_BINS = 60
 #: most histogram bins: 10^5 - 10^6 reference shots take a few hundred, and
 #: a q far from all others (a corrupted sample) would take millions
 _MAX_BINS = 10**5
+#: fewest counts per prepared state the mixture fit takes
+MIN_COUNTS = 1000
 
 
 def histogram_bins(q: np.ndarray) -> np.ndarray:
@@ -142,35 +144,33 @@ class NormalColumns:
     parameters theta = (mu_1..mu_k, sigma_1..sigma_k), k <= 2, the
     amplitudes (k, m) solve a non-negative least-squares problem in closed
     form, so a fit sees only theta (variable projection; Golub and
-    Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)). `resid` gives
-    model - counts, histogram after histogram, and `jac` its Jacobian in
-    Kaufman's form, whose J^T r is the exact gradient of the cost. The
-    densities, amplitudes and Gram matrix of the last theta are kept, keyed
-    by theta.tobytes(): least_squares asks for the Jacobian at the point
-    whose residual it has just evaluated, so each theta pays them once.
+    Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)). Called at theta, the
+    model returns model - counts, histogram after histogram, and a function
+    that gives its Jacobian in Kaufman's form, whose J^T r is the exact
+    gradient of the cost, from that evaluation's densities, amplitudes and
+    Gram matrix: the least_squares model contract.
     """
 
     def __init__(self, centers, counts):
         self.centers = np.asarray(centers, dtype=float)
         self.counts = np.asarray(counts, dtype=float).reshape(len(self.centers), -1)
-        self._last = {}
 
     def densities(self, theta):
         """phi (n, k) and its derivatives (n, 2k) in theta's order."""
-        mu, sigma = np.split(np.asarray(theta, dtype=float), 2)
+        mu, sigma = np.reshape(np.asarray(theta, dtype=float), (2, -1))
         z = (self.centers[:, None] - mu) / sigma
         phi = _normal_pdf(self.centers[:, None], mu, sigma)
-        return phi, np.hstack([phi * z / sigma, phi * (z * z - 1.0) / sigma])
+        dphi = np.empty((len(z), 2 * len(mu)))
+        dphi[:, :len(mu)] = phi * z / sigma
+        dphi[:, len(mu):] = phi * (z * z - 1.0) / sigma
+        return phi, dphi
 
-    def _at(self, theta):
-        """phi, dphi, the amplitudes and the Gram matrix phi^T phi at theta,
-        computed once for the last theta asked for."""
-        key = np.asarray(theta, dtype=float).tobytes()
-        if key not in self._last:
-            phi, dphi = self.densities(theta)
-            gram, proj = phi.T @ phi, phi.T @ self.counts
-            self._last = {key: (phi, dphi, self._amplitudes(gram, proj), gram)}
-        return self._last[key]
+    def __call__(self, theta):
+        phi, dphi = self.densities(theta)
+        gram = phi.T @ phi
+        amps = self._amplitudes(gram, phi.T @ self.counts)
+        resid = (phi @ amps - self.counts).ravel(order="F")
+        return resid, lambda: self._jac(phi, dphi, amps, gram)
 
     @staticmethod
     def _amplitudes(gram, proj):
@@ -182,43 +182,31 @@ class NormalColumns:
             amps = np.linalg.solve(gram, proj)
         except np.linalg.LinAlgError:
             amps = np.full_like(proj, np.nan)
-        failed = ~np.all(amps >= 0.0, axis=0)
-        if np.any(failed):
-            norm2 = np.diag(gram)[:, None]
-            one = np.divide(np.maximum(proj, 0.0), norm2,
-                            out=np.zeros_like(proj), where=norm2 > 0.0)
-            # the column that removes the most squared residual, b^2 / |phi|^2
-            best = np.argmax(one * proj, axis=0)
-            for h in np.flatnonzero(failed):
-                amps[:, h] = 0.0
-                amps[best[h], h] = one[best[h], h]
-        return amps
+        norm2 = np.diag(gram)[:, None]
+        one = np.divide(np.maximum(proj, 0.0), norm2,
+                        out=np.zeros_like(proj), where=norm2 > 0.0)
+        # the column that removes the most squared residual, b^2 / |phi|^2
+        best = np.arange(len(gram))[:, None] == np.argmax(one * proj, axis=0)
+        return np.where(np.all(amps >= 0.0, axis=0), amps, one * best)
 
     def amplitudes(self, theta):
         """The non-negative amplitudes (k, m) at theta (_amplitudes)."""
-        return self._at(theta)[2]
+        phi, _ = self.densities(theta)
+        return self._amplitudes(phi.T @ phi, phi.T @ self.counts)
 
-    def resid(self, theta):
-        phi, _, amps, _ = self._at(theta)
-        return (phi @ amps - self.counts).ravel(order="F")
-
-    def jac(self, theta):
+    @staticmethod
+    def _jac(phi, dphi, amps, gram):
         """(I - P) dphi a per histogram, P the projection onto the columns
-        with a non-zero amplitude, from the Gram matrix the amplitudes
-        came from: v - phi solve(gram, phi^T v) with both columns, v - col
-        (col^T v) / gram_jj with column j alone."""
-        phi, dphi, amps, gram = self._at(theta)
-        n = len(self.centers)
-        out = np.empty((n * amps.shape[1], dphi.shape[1]))
-        for h, a in enumerate(amps.T):
-            v = np.multiply(dphi, np.tile(a, 2), out=out[h * n:(h + 1) * n])
-            used = np.flatnonzero(a > 0.0)
-            if len(used) == 1:
-                j = used[0]
-                v -= np.outer(phi[:, j], (phi[:, j] @ v) / gram[j, j])
-            elif len(used):
-                v -= phi @ np.linalg.solve(gram, phi.T @ v)
-        return out
+        with a non-zero amplitude, in one stacked solve: v - phi_h
+        solve(gram_h, phi_h^T v), where phi_h zeroes the unused columns
+        and gram_h gives them the identity's rows and columns."""
+        used = amps.T > 0.0
+        v = dphi * np.tile(amps.T, 2)[:, None, :]
+        cols = phi * used[:, None, :]
+        grams = np.where(used[:, :, None] & used[:, None, :], gram,
+                         np.eye(len(gram)))
+        v -= cols @ np.linalg.solve(grams, cols.transpose(0, 2, 1) @ v)
+        return v.reshape(-1, v.shape[2])
 
 
 def fit_mixture(centers, counts_g, counts_e) -> MixtureFit:
@@ -230,8 +218,8 @@ def fit_mixture(centers, counts_g, counts_e) -> MixtureFit:
     counts_e = np.asarray(counts_e, dtype=float)
     n_g = float(np.sum(counts_g))
     n_e = float(np.sum(counts_e))
-    if n_g < 1000 or n_e < 1000:
-        raise FitError("need at least 1000 counts per prepared state")
+    if n_g < MIN_COUNTS or n_e < MIN_COUNTS:
+        raise FitError(f"need at least {MIN_COUNTS} counts per prepared state")
     binw = float(centers[1] - centers[0])
 
     def robust_center(counts):
@@ -248,7 +236,7 @@ def fit_mixture(centers, counts_g, counts_e) -> MixtureFit:
     lo = [centers[0] - span, centers[0] - span, binw / 10.0, binw / 10.0]
     hi = [centers[-1] + span, centers[-1] + span, span, span]
     model = NormalColumns(centers, np.column_stack([counts_g, counts_e]))
-    sol = least_squares(model.resid, [mu_g0, mu_e0, sig_g0, sig_e0], model.jac,
+    sol = least_squares(model, [mu_g0, mu_e0, sig_g0, sig_e0],
                         bounds=(lo, hi), max_nfev=2000)
     if not sol.success:
         raise FitError(f"mixture fit did not converge: {sol.message}")

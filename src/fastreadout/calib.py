@@ -127,45 +127,37 @@ def fit_transmission(omega, s21_g, s21_e) -> SpectrumParams:
     # d(parameter)/d(x) of each packed entry
     units = np.array([f0, f0, u, u, 100.0, u, 1.0])
 
-    # x.tobytes() of the last residual -> its (D, E): least_squares asks
-    # for the Jacobian at each point it accepts, right after its residual
-    last = {}
-
-    def resid_rel(x):
+    def model(x):
         p = unpack(x)
         denom, e = _denominator(omega2, sign, p)
-        last.clear()
-        last[x.tobytes()] = denom, e
-        return (p.scale * np.abs(p.kappa_p / denom) - data) / weight
 
-    def jac_rel(x):
-        # d|S21|/dθ = |S21| (dln kappa_p/dθ + dln scale/dθ - Re(dD/dθ / D))
-        # with dD/d(omega_p) = 1/(2 Q_p) + i, dD/dQ_p = -kappa_p/(2 Q_p),
-        # dD/dJ = 4J/E, dD/d(omega_r) = sign dD/dchi = -4i J^2/E^2 and
-        # dD/dgamma = 1/2 - 2 J^2/E^2; one row per parameter, returned as
-        # the (2n, 7) transpose
-        p = unpack(x)
-        denom, e = last.get(x.tobytes()) or _denominator(omega2, sign, p)
-        g = 1.0 / denom
-        h = g / e                        # 1 / (D E)
-        k = h / e                        # 1 / (D E^2)
-        rows = np.empty((7, 2 * n))
-        rows[0] = 1.0 / p.omega_p - 0.5 / p.Q_p * g.real + g.imag
-        rows[1] = -4.0 * p.J ** 2 * k.imag
-        rows[2] = -4.0 * p.J * h.real
-        rows[3] = sign * rows[1]
-        rows[4] = 0.5 * p.kappa_p / p.Q_p * g.real - 1.0 / p.Q_p
-        rows[5] = 2.0 * p.J ** 2 * k.real - 0.5 * g.real
-        rows[6] = 1.0 / p.scale
-        rows *= units[:, None]
-        rows *= p.scale * p.kappa_p * np.abs(g) / weight
-        return rows.T
+        def jac():
+            # d|S21|/dθ = |S21| (dln kappa_p/dθ + dln scale/dθ - Re(dD/dθ / D))
+            # with dD/d(omega_p) = 1/(2 Q_p) + i, dD/dQ_p = -kappa_p/(2 Q_p),
+            # dD/dJ = 4J/E, dD/d(omega_r) = sign dD/dchi = -4i J^2/E^2 and
+            # dD/dgamma = 1/2 - 2 J^2/E^2; one row per parameter, returned
+            # as the (2n, 7) transpose
+            g = 1.0 / denom
+            h = g / e                        # 1 / (D E)
+            k = h / e                        # 1 / (D E^2)
+            rows = np.empty((7, 2 * n))
+            rows[0] = 1.0 / p.omega_p - 0.5 / p.Q_p * g.real + g.imag
+            rows[1] = -4.0 * p.J ** 2 * k.imag
+            rows[2] = -4.0 * p.J * h.real
+            rows[3] = sign * rows[1]
+            rows[4] = 0.5 * p.kappa_p / p.Q_p * g.real - 1.0 / p.Q_p
+            rows[5] = 2.0 * p.J ** 2 * k.real - 0.5 * g.real
+            rows[6] = 1.0 / p.scale
+            rows *= units[:, None]
+            rows *= p.scale * p.kappa_p * np.abs(g) / weight
+            return rows.T
+
+        return (p.scale * np.abs(p.kappa_p / denom) - data) / weight, jac
 
     # omega_p/f0 and omega_r/f0 move by ~1e-3 while the other entries move
     # by O(1); Marquardt's diagonal scaling in _lsq keeps the steps along
     # the two frequencies from crawling
-    sol = least_squares(resid_rel, pack(p0), jac=jac_rel, bounds=(lo, hi),
-                        max_nfev=5000)
+    sol = least_squares(model, pack(p0), bounds=(lo, hi), max_nfev=5000)
     if not sol.success:
         raise FitError(f"transmission fit did not converge: {sol.message}")
     at_bound = np.any(np.isclose(sol.x, lo, rtol=0, atol=1e-12) |

@@ -232,7 +232,8 @@ def cmd_rate(cfg: dict, args) -> int:
     pulse = build_pulse(cfg)
     times = _fine_times(cfg)
     dt, end = cfg["dt_bin"], float(times[-1])
-    shots.sample_count(np.ceil((end - dt) / dt) if dt > 0.0 else 0.0,
+    # max leaves no -0.0, which np.ceil gives of a count just below 0
+    shots.sample_count(max(0.0, np.ceil((end - dt) / dt)) if dt > 0.0 else 0.0,
                        f"dt_bin = {dt:g} s",
                        f"rate points inside the {end:g} s grid")
     trace = full_model_signal(device, pulse, times)

@@ -72,8 +72,13 @@ class PulseEnvelope:
             object.__setattr__(self, "boost_factor", 1.0)
         if self.amplitude < 0.0 or self.boost_factor < 0.0:
             raise ConfigError("pulse_amplitude and boost_factor must be non-negative")
-        if not (0.0 <= self.boost_duration < self.total_duration):
-            raise ConfigError("need 0 <= boost_duration < pulse_duration")
+        if self.boost_duration < 0.0:
+            raise ConfigError("boost_duration must be non-negative")
+        if not self.total_duration > 0.0:
+            raise ConfigError("pulse_duration must be positive")
+        if self.kind == "two_step" and self.boost_duration >= self.total_duration:
+            raise ConfigError("a two_step pulse needs boost_duration < "
+                              "pulse_duration")
 
     def segments(self):
         """Constant-amplitude pieces as (t_start, t_end, amplitude) triples,

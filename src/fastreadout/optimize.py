@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import error_budget, fit_shot_histograms, overlap_vs_power
+from .analysis import MIN_COUNTS, error_budget, fit_shot_histograms, \
+    overlap_vs_power
 from .dynamics import GRID_STEP, PulseEnvelope, SignalTrace, TwoCavityModel, \
     _qss_from_phases, _qss_phases, full_model_signal, integrated_rate
 from .errors import ConfigError
@@ -237,7 +238,8 @@ def power_tradeoff(device: DeviceParams, n_grid, tau: float,
     Mixing rates scale as mix_coeff * lambda(n) * n; pass mix_coeff=None to
     disable mixing. The eps_o column is overlap_vs_power's, which checks
     the drive powers; the mean qubit jumps of every power are checked
-    before any chain is built.
+    before any chain is built, and n_shots // 2 against the mixture fit's
+    MIN_COUNTS before any shot is drawn.
     """
     n_grid = np.asarray(n_grid, dtype=float)
     mix = 0.0 if mix_coeff is None else mix_coeff
@@ -262,6 +264,9 @@ def power_tradeoff(device: DeviceParams, n_grid, tau: float,
 
     chains = [ReadoutChain(dev_n, pulse, cfg) for dev_n, cfg in cfgs]
     weights = [chain.weights(tau) for chain in chains]
+    if n_shots // 2 < MIN_COUNTS:
+        raise ConfigError(f"n_shots = {n_shots} prepares {n_shots // 2} shots in "
+                          f"e, fewer than the fit's {MIN_COUNTS} per state")
     shots = range(n_shots)
     excited = _labels(shots, None)
     qs = np.empty((len(chains), n_shots))

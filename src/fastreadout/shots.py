@@ -753,7 +753,7 @@ def preselection_threshold(q_p) -> float:
     centers = 0.5 * (edges[:-1] + edges[1:])
     model = NormalColumns(centers, counts)
     binw = float(centers[1] - centers[0])
-    sol = least_squares(model.resid, [med, sig0], model.jac,
+    sol = least_squares(model, [med, sig0],
                         bounds=([-np.inf, binw / 10.0], np.inf), max_nfev=5000)
     if not sol.success:
         raise FitError(f"preselection Gaussian fit failed: {sol.message}")

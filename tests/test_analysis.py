@@ -397,8 +397,8 @@ def lstsq_jac(model, theta):
 
 
 class TestNormalColumns:
-    """jac's Gram projection against lstsq, and one density evaluation per
-    theta."""
+    """The Jacobian's Gram projection against lstsq, and one density
+    evaluation per theta."""
 
     @staticmethod
     def histograms(rng, n_bins=120):
@@ -410,7 +410,7 @@ class TestNormalColumns:
 
     @staticmethod
     def assert_matches_oracle(model, theta):
-        got, ref = model.jac(theta), lstsq_jac(model, theta)
+        got, ref = model(theta)[1](), lstsq_jac(model, theta)
         assert got.shape == ref.shape
         assert np.all(np.abs(got - ref) <= 1e-12 * np.max(np.abs(ref)))
 
@@ -454,8 +454,8 @@ class TestNormalColumns:
             self.assert_matches_oracle(model, theta)
 
     def test_stale_key_recomputes(self):
-        # resid at theta_1 leaves theta_1's densities; jac at theta_2 must
-        # not use them
+        # an evaluation at theta_1 leaves theta_1's densities; the Jacobian
+        # at theta_2 must not use them, nor theta_1's those of theta_2
         rng = np.random.default_rng(54)
         centers, mu, sigma = self.histograms(rng)
         counts = _normal_pdf(centers[:, None], mu, sigma) @ [[1000.0, 50.0],
@@ -463,11 +463,13 @@ class TestNormalColumns:
         theta_1 = np.concatenate([mu, sigma])
         theta_2 = theta_1 * [1.01, 0.99, 1.02, 0.98]
         model = analysis.NormalColumns(centers, counts)
-        model.resid(theta_1)
+        resid_1, jac_1 = model(theta_1)
+        _, jac_2 = model(theta_2)
         fresh = analysis.NormalColumns(centers, counts)
-        assert np.array_equal(model.jac(theta_2), fresh.jac(theta_2))
-        assert np.array_equal(model.resid(theta_1),
-                              analysis.NormalColumns(centers, counts).resid(theta_1))
+        assert np.array_equal(jac_2(), fresh(theta_2)[1]())
+        assert np.array_equal(jac_1(), fresh(theta_1)[1]())
+        assert np.array_equal(resid_1,
+                              analysis.NormalColumns(centers, counts)(theta_1)[0])
 
     def test_densities_once_per_residual_evaluation(self, monkeypatch):
         calls = []
@@ -482,8 +484,8 @@ class TestNormalColumns:
         counts = np.column_stack([np.histogram(q[excited == side], bins=edges)[0]
                                   for side in (False, True)])
         model = analysis.NormalColumns(centers, counts)
-        sol = analysis.least_squares(model.resid, [-0.9, 1.1, 0.35, 0.25],
-                                     model.jac, max_nfev=2000)
+        sol = analysis.least_squares(model, [-0.9, 1.1, 0.35, 0.25],
+                                     max_nfev=2000)
         assert sol.success
         assert 0 < len(calls) <= sol.nfev
 

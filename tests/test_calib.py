@@ -124,13 +124,14 @@ class TestTransmissionFit:
         nfev = []
         solve = calib.least_squares
 
-        def counting(fun, x0, **kwargs):
-            assert callable(kwargs.get("jac"))
+        def counting(model, x0, **kwargs):
             calls = []
 
             def counted(x):
                 calls.append(1)
-                return fun(x)
+                resid, jac = model(x)
+                assert callable(jac)
+                return resid, jac
 
             sol = solve(counted, x0, **kwargs)
             assert len(calls) == sol.nfev
@@ -145,14 +146,14 @@ class TestTransmissionFit:
         assert sum(nfev) <= 296, nfev
 
     def test_jacobian_reuses_the_residual_denominator(self, monkeypatch):
-        # the solver asks for the Jacobian only at points whose residual it
-        # has just evaluated, so a fit computes D and E once per evaluation
+        # the Jacobian of an evaluation closes over that evaluation's D and
+        # E, so a fit computes them once per evaluation
         calls = []
         denominator, solve = calib._denominator, calib.least_squares
 
-        def counting(fun, x0, **kwargs):
+        def counting(model, x0, **kwargs):
             del calls[:]
-            sol = solve(fun, x0, **kwargs)
+            sol = solve(model, x0, **kwargs)
             assert len(calls) == sol.nfev, (len(calls), sol.nfev)
             return sol
 
@@ -169,9 +170,9 @@ class TestTransmissionFit:
         fits = []
         solve = calib.least_squares
 
-        def capturing(fun, x0, **kwargs):
-            sol = solve(fun, x0, **kwargs)
-            fits.append((fun, kwargs["jac"], sol.x))
+        def capturing(model, x0, **kwargs):
+            sol = solve(model, x0, **kwargs)
+            fits.append((model, sol.x))
             return sol
 
         monkeypatch.setattr(calib, "least_squares", capturing)
@@ -180,16 +181,17 @@ class TestTransmissionFit:
             fit_transmission(omega, s_e, s_g)
         rng = np.random.default_rng(5)
         worst = 0.0
-        for fun, jac, x_fit in fits:
+        for model, x_fit in fits:
             for _ in range(2):
                 x = x_fit * (1.0 + 1e-3 * rng.standard_normal(len(x_fit)))
-                analytic = jac(x)
+                analytic = model(x)[1]()
                 for j in range(len(x)):
                     errors = []
                     for rel in (1e-6, 1e-7):
                         step = np.zeros(len(x))
                         step[j] = rel * abs(x[j])
-                        central = (fun(x + step) - fun(x - step)) / (2.0 * step[j])
+                        central = (model(x + step)[0]
+                                   - model(x - step)[0]) / (2.0 * step[j])
                         errors.append(np.max(np.abs(central - analytic[:, j])))
                     worst = max(worst, min(errors) / np.max(np.abs(analytic[:, j])))
         assert len(fits) == 6
@@ -224,8 +226,9 @@ class TestTransmissionFit:
         # test_gamma_is_not_trapped_at_zero
         from scipy.optimize import least_squares as scipy_least_squares
 
-        def by_scipy(fun, x0, jac, bounds, max_nfev):
-            return scipy_least_squares(fun, x0, jac=jac, bounds=bounds,
+        def by_scipy(model, x0, bounds, max_nfev):
+            return scipy_least_squares(lambda x: model(x)[0], x0,
+                                       jac=lambda x: model(x)[1](), bounds=bounds,
                                        x_scale="jac", xtol=1e-14, ftol=1e-14,
                                        gtol=1e-14, max_nfev=max_nfev)
 

@@ -410,6 +410,8 @@ class TestExitCodes:
         ("analyze", "tau=1e300", "tau = 1e+300 s"),
         # a premeasurement value window of no whole bin, once one bin
         ("simulate", "premeasure_window=4ns", "0 bins per premeasure_window"),
+        # a grid that ends within one bin: np.ceil gave -0.0 points
+        ("rate", "pulse_duration=8ns", "s gives 0 rate points"),
     ])
     def test_step_and_size_guards(self, conf, tmp_path, capsys, command, value,
                                   key):
@@ -499,6 +501,24 @@ class TestExitCodes:
                         fit_exit_3.add((command, f"{key}={value}"))
         assert wrong == []
         assert fit_exit_3 == self.FIT_EXIT_3
+
+    @pytest.mark.parametrize("command,overrides", [
+        ("signal", ["pulse_duration=3ns"]),
+        ("simulate", ["preselect=true", "dt_bin=1ns", "n_shots=200",
+                      "premeasure_duration=3ns", "premeasure_window=2ns"]),
+    ])
+    def test_gated_pulse_shorter_than_boost_duration(self, conf, tmp_path,
+                                                     capsys, command, overrides):
+        # a gated pulse, or the gated premeasurement pulse, has no boost
+        # segment, so a default boost_duration longer than it is no error;
+        # a two_step pulse still needs its boost inside the pulse
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        argv = (command, "--config", conf, "--output-dir", str(tmp_path), *sets)
+        assert run(*argv) == 0
+        capsys.readouterr()
+        assert run(*argv, "--set", "pulse_kind=two_step",
+                   "--set", "pulse_duration=3ns") == 2
+        assert "boost_duration" in capsys.readouterr().err
 
     def test_unreadable_input(self, conf, tmp_path):
         code = run("analyze", "--config", conf, "--output-dir", str(tmp_path),

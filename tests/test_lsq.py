@@ -7,10 +7,15 @@ from fastreadout._lsq import least_squares
 from fastreadout.errors import FitError
 
 
+def model(fun, jac):
+    """The least_squares model of residuals fun and their Jacobian jac."""
+    return lambda x: (fun(x), lambda: jac(x))
+
+
 def test_linear_problem_reaches_the_normal_equations_solution():
     rng = np.random.default_rng(0)
     A, b = rng.normal(size=(50, 4)), rng.normal(size=50)
-    sol = least_squares(lambda x: A @ x - b, np.zeros(4), lambda x: A)
+    sol = least_squares(model(lambda x: A @ x - b, lambda x: A), np.zeros(4))
     want = np.linalg.lstsq(A, b, rcond=None)[0]
     assert sol.success and sol.status > 0
     assert np.allclose(sol.x, want, rtol=1e-12, atol=1e-12)
@@ -24,15 +29,16 @@ def test_rosenbrock_from_the_classic_start():
     def jac(x):
         return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
 
-    sol = least_squares(fun, [-1.2, 1.0], jac)
+    sol = least_squares(model(fun, jac), [-1.2, 1.0])
     assert sol.success
     assert np.allclose(sol.x, [1.0, 1.0], rtol=0.0, atol=1e-12)
 
 
 def test_a_minimum_beyond_a_bound_stops_on_the_bound():
     # (x - 2)^2 + (y + 1)^2 over x <= 1, y >= 0: the corner (1, 0)
-    sol = least_squares(lambda x: x - np.array([2.0, -1.0]), [0.0, 0.5],
-                        lambda x: np.eye(2), bounds=([-np.inf, 0.0], [1.0, np.inf]))
+    sol = least_squares(model(lambda x: x - np.array([2.0, -1.0]),
+                              lambda x: np.eye(2)),
+                        [0.0, 0.5], bounds=([-np.inf, 0.0], [1.0, np.inf]))
     assert sol.success
     assert sol.x.tolist() == [1.0, 0.0]
     assert sol.cost == 1.0
@@ -45,7 +51,7 @@ def test_max_nfev_stops_without_success():
     def jac(x):
         return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
 
-    sol = least_squares(fun, [-1.2, 1.0], jac, max_nfev=3)
+    sol = least_squares(model(fun, jac), [-1.2, 1.0], max_nfev=3)
     assert sol.nfev == 3 and sol.status == 0 and not sol.success
     assert "max_nfev = 3" in sol.message
 
@@ -60,5 +66,5 @@ def test_non_finite_residuals_at_the_start_raise_fit_error(bad):
         return np.array([x[0] - 1.0, bad])
 
     with pytest.raises(FitError, match="start point"):
-        least_squares(fun, [0.0], lambda x: np.array([[1.0], [0.0]]))
+        least_squares(model(fun, lambda x: np.array([[1.0], [0.0]])), [0.0])
     assert len(calls) == 1

@@ -181,6 +181,19 @@ class TestPowerTradeoff:
         with pytest.raises(ConfigError, match="drive powers must be positive"):
             power_tradeoff(device, [0.0, 1.0], 56e-9, n_shots=100)
 
+    def test_too_few_shots_for_the_fit_refused_before_any_draw(self, device,
+                                                              monkeypatch):
+        # 1999 shots prepare 999 in e, below the mixture fit's floor of
+        # 1000 counts per prepared state; 2000 prepare 1000 in each
+        draws, q_draws = [], optimize.q_draws
+        monkeypatch.setattr(optimize, "q_draws",
+                            lambda *args: draws.append(args) or q_draws(*args))
+        with pytest.raises(ConfigError, match="n_shots = 1999 "):
+            power_tradeoff(device, [1.0, 2.5], 56e-9, n_shots=1999)
+        assert draws == []
+        assert len(power_tradeoff(device, [1.0, 2.5], 56e-9, n_shots=2000)) == 2
+        assert len(draws) == 1
+
 
 def per_power_rows(device, grid, tau, mix, n_shots, seed):
     """power_tradeoff's rows from one chain and one sample_q per power, each

@@ -253,6 +253,30 @@ class TestPreselection:
         with pytest.raises(FitError):
             run_preselection(recs)
 
+    def test_reset_gap_decay_fractions(self):
+        # oracle: no mixing, no preparation error, half the shots start in e
+        # and T1 = 100 ns on the reference windows (152 ns premeasurement,
+        # 100 ns reset gap, 296 ns measurement window). A shot decays in the
+        # measurement window if it is in e there, and it is in e there if
+        # it survived premeasurement and gap (label g) or did not (label e,
+        # whose preparation flips it): p e^{-(T_pre + gap)/T1} (1 - e^{-T_w/T1})
+        # = 3.82 % and (1 - p e^{-(T_pre + gap)/T1}) (1 - e^{-T_w/T1}) = 91.00 %.
+        # A reset probability of 1 - e^{-gap/(2 T1)} would give 6.29 % and
+        # 88.5 %
+        T1, p = 100e-9, 0.5
+        cfg = ShotConfig(n_shots=40000, master_seed=37, p_thermal=p,
+                         preselect=True)
+        batch = simulate_batch(make_device(T1=T1), PulseEnvelope(), cfg)
+        survive = p * math.exp(-(cfg.premeasure_duration + cfg.reset_gap) / T1)
+        decay_in_window = 1.0 - math.exp(-296e-9 / T1)
+        decayed = np.zeros(len(batch), dtype=bool)
+        decayed[batch.jump_shot] = True
+        for label, want in ((False, survive * decay_in_window),
+                            (True, (1.0 - survive) * decay_in_window)):
+            frac = decayed[batch.excited == label]
+            assert abs(frac.mean() - want) \
+                < 3.0 * math.sqrt(want * (1.0 - want) / len(frac)), label
+
     def test_threshold_from_the_column_alone(self, device, gated_pulse):
         cfg = ShotConfig(n_shots=4000, master_seed=34, preselect=True,
                          measure_duration=160e-9)
@@ -274,9 +298,9 @@ class TestPreselection:
         seen = []
         solve = shots.least_squares
 
-        def recording(fun, x0, jac, **kw):
-            seen.append(fun.__self__)
-            return solve(fun, x0, jac, **kw)
+        def recording(model, x0, **kw):
+            seen.append(model)
+            return solve(model, x0, **kw)
 
         monkeypatch.setattr(shots, "least_squares", recording)
         rng = np.random.default_rng(35)
@@ -324,7 +348,7 @@ class TestPreselection:
         counts, _ = np.histogram(core, bins=edges)
         centers = 0.5 * (edges[:-1] + edges[1:])
         model = shots.NormalColumns(centers, counts)
-        sol = shots.least_squares(model.resid, [med, sig0], model.jac,
+        sol = shots.least_squares(model, [med, sig0],
                                   bounds=([-np.inf, (centers[1] - centers[0]) / 10.0],
                                           np.inf), max_nfev=5000)
         mu, sigma = (float(v) for v in sol.x)
