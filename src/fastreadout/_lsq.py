@@ -8,24 +8,32 @@ spectra in `calib`. Each step solves the damped normal equations
 scaling, which also evens out parameters that move on very different
 scales), and clips the trial point to the bounds. A trial that lowers the
 cost is taken and divides lam by 10; one that does not multiplies it by 10.
-The solve stops when a step changes x by at most XTOL relative, when a
+The solve stops when a step changes x by at most XTOL relative; when a
 taken step lowers the cost by at most FTOL relative while its reduction is
-at least a quarter of the one the linear model predicts, or after max_nfev
-evaluations of the residuals. Residuals that are not finite at the start
-point raise FitError. `least_squares` returns an `LsqResult`: x, the
-cost, the evaluation count and a status code.
+at least a quarter of the one the linear model predicts; when a rejected
+trial's predicted reduction is at most FTOL relative, so that a larger lam
+can only shrink the step further at the rounding floor (Moré, The
+Levenberg-Marquardt algorithm: implementation and theory, 1978, as in
+MINPACK); or after max_nfev evaluations of the residuals. x is always the
+point of the lowest cost seen. Residuals that are not finite at the start
+point raise FitError. `least_squares` returns an `LsqResult`: x,
+the cost, the evaluation count and a status code.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FitError
 
-#: relative stopping tolerances on the cost and on x: near the rounding
-#: level, so that a fit's printed digits do not depend on where it stopped
+#: relative stopping tolerances on the cost and on x, near the rounding
+#: level. The cost is so flat there that where a fit stops can still move
+#: its x: of 280 spectrum pairs drawn as criterion 7's, 59 fits moved by
+#: at most 2.1e-9 relative when rejected trials at the floor began to end
+#: the solve
 FTOL = 1e-13
 XTOL = 1e-13
 
@@ -33,7 +41,7 @@ XTOL = 1e-13
 @dataclass
 class LsqResult:
     """x, cost = sum(r**2) / 2 at x, the residual evaluations, and status:
-    0 when max_nfev stopped the solve, 2 the FTOL test, 3 the XTOL test."""
+    0 when max_nfev stopped the solve, 2 an FTOL test, 3 the XTOL test."""
 
     x: np.ndarray
     cost: float
@@ -54,7 +62,7 @@ def least_squares(model, x0, bounds=(-np.inf, np.inf),
     finite at x0 (clipped to the bounds)."""
     x = np.asarray(x0, dtype=float)
     lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), x.shape) for b in bounds)
-    x = np.clip(x, lo, hi)
+    x = np.minimum(np.maximum(x, lo), hi)
     r, jac = model(x)
     if not np.all(np.isfinite(r)):
         raise FitError("the residuals at the start point are not finite")
@@ -70,10 +78,11 @@ def least_squares(model, x0, bounds=(-np.inf, np.inf),
         diag = np.diag(hess)
         scale = np.diag(np.where(diag > 0.0, diag, 1.0))
         while True:
-            x_new = np.clip(x + np.linalg.solve(hess + lam * scale, -grad),
-                            lo, hi)
+            x_new = np.minimum(np.maximum(
+                x + np.linalg.solve(hess + lam * scale, -grad), lo), hi)
             step = x_new - x
-            if np.linalg.norm(step) <= XTOL * (XTOL + np.linalg.norm(x)):
+            if math.sqrt(float(step @ step)) <= \
+                    XTOL * (XTOL + math.sqrt(float(x @ x))):
                 return result(3, "the step is below XTOL")
             if nfev >= max_nfev:
                 return result(0, f"stopped after max_nfev = {max_nfev} "
@@ -81,10 +90,13 @@ def least_squares(model, x0, bounds=(-np.inf, np.inf),
             r_new, jac_new = model(x_new)
             nfev += 1
             cost_new = 0.5 * float(r_new @ r_new)
+            predicted = -float(grad @ step + 0.5 * step @ hess @ step)
             if cost_new < cost:
                 break
+            if predicted <= FTOL * cost:
+                return result(2, "a rejected step predicts a reduction below "
+                                 "FTOL")
             lam *= 10.0
-        predicted = -float(grad @ step + 0.5 * step @ hess @ step)
         reduction = cost - cost_new
         x, r, jac, cost = x_new, r_new, jac_new, cost_new
         lam = max(lam / 10.0, 1e-12)

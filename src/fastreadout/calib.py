@@ -66,9 +66,12 @@ def fit_transmission(omega, s21_g, s21_e) -> SpectrumParams:
     """Joint least-squares fit of both spectra to the shared two-mode model.
 
     The two spectra share (omega_p, omega_r, J, Q_p, gamma, scale) and differ
-    only through ±chi: seven parameters in all. One relative-residual fit
-    runs from a start that takes omega_r and chi from the two notches:
-    |S21|_g is smallest at omega_r - chi and |S21|_e at omega_r + chi.
+    only through ±chi: seven parameters in all. The points are taken in
+    order of frequency (a stable sort), so a sweep from high to low
+    frequency fits as the same rows in ascending order do. One
+    relative-residual fit runs from a start that takes omega_r and chi from
+    the two notches: |S21|_g is smallest at omega_r - chi and |S21|_e at
+    omega_r + chi.
     Raises ConfigError for a non-finite frequency or |S21| and for a
     spectrum with no positive value, and FitError on non-convergence or
     when a parameter lands on a search bound.
@@ -86,6 +89,8 @@ def fit_transmission(omega, s21_g, s21_e) -> SpectrumParams:
                               "finite number")
         if not np.any(s21 > 0.0):
             raise ConfigError(f"the {state} spectrum has no positive |S21|")
+    order = np.argsort(omega, kind="stable")
+    omega, s21_g, s21_e = omega[order], s21_g[order], s21_e[order]
 
     mean = 0.5 * (s21_g + s21_e)
     center = float(np.sum(omega * mean) / np.sum(mean))

@@ -19,7 +19,7 @@ from .analysis import MIN_COUNTS, error_budget, fit_shot_histograms, \
     overlap_vs_power
 from .dynamics import GRID_STEP, PulseEnvelope, SignalTrace, TwoCavityModel, \
     _qss_from_phases, _qss_phases, full_model_signal, integrated_rate
-from .errors import ConfigError
+from .errors import ConfigError, NoSignalError
 from .params import DeviceParams, effective_linewidth
 from .shots import ReadoutChain, ShotConfig, _labels, check_jumps, q_draws, \
     sample_count, window_bins
@@ -36,7 +36,7 @@ _QSS_STEPS = 1500
 #: points of the pre-scan, and of the dense scan that replaces it when it
 #: finds several separated maxima
 _N_SCAN, _N_FALLBACK = 17, 400
-#: golden-section stop: bracket width relative to the start, and most steps
+#: search stop: bracket width relative to the start, and most steps
 _TOL, _MAX_ITER = 1e-5, 200
 #: samples of one stacked solve, summed over its candidates (and the two
 #: prepared states of a two-cavity candidate): about 1.3 MB of temporaries.
@@ -44,47 +44,105 @@ _TOL, _MAX_ITER = 1e-5, 200
 #: where one exceeds it, as every candidate was solved before
 _STACK_SAMPLES = 2**14
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def _golden_section_max(f, lo, hi) -> np.ndarray:
-    """Golden-section searches for the argmax of unimodal functions, search
-    k on [lo[k], hi[k]], stepped in lockstep: f(x, k) takes arrays of
-    points and of the search each belongs to, and each step makes one call
-    for the searches still open."""
-    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    k = np.arange(len(a))
-    fc, fd = np.split(f(np.concatenate((c, d)), np.concatenate((k, k))), 2)
-    width0 = b - a
+def _brent(a: float, b: float, start=()):
+    """Brent's search for the argmax of a unimodal score on [a, b] (Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 5), as a
+    generator: it yields each point to score, is sent that point's score,
+    and returns its best point once the bracket around it is at most _TOL
+    of b - a wide, or after _MAX_ITER steps.
+
+    start is empty, or three scored points (x, score) of [a, b], best
+    first, the best strictly inside: then the search takes a parabolic
+    step through them first, as if its last two steps had spanned [a, b].
+    """
+    tol1 = 0.25 * _TOL * (b - a)  # least step; the stop leaves a bracket of 4 tol1
+    if start:
+        (x, fx), (w, fw), (v, fv) = ((p, -score) for p, score in start)
+        d = e = b - a
+    else:
+        x = w = v = a + _CGOLD * (b - a)
+        fx = fw = fv = -(yield x)
+        d = e = 0.0
     for _ in range(_MAX_ITER):
-        k = np.flatnonzero(~(b - a <= _TOL * width0))
-        if not k.size:
+        m = 0.5 * (a + b)
+        if abs(x - m) <= 2.0 * tol1 - 0.5 * (b - a):
             break
-        left = fc[k] > fd[k]
-        kl, kr = k[left], k[~left]
-        b[kl], d[kl], fd[kl] = d[kl], c[kl], fc[kl]
-        c[kl] = b[kl] - _INVPHI * (b[kl] - a[kl])
-        a[kr], c[kr], fc[kr] = c[kr], d[kr], fd[kr]
-        d[kr] = a[kr] + _INVPHI * (b[kr] - a[kr])
-        fx = f(np.where(left, c[k], d[k]), k)
-        fc[kl], fd[kr] = fx[left], fx[~left]
-    return np.where(fc > fd, c, d)
+        parabolic = False
+        if abs(e) > tol1:
+            # the vertex of the parabola through x, w and v, at x + p / q
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # accepted inside the bracket and below half the step before last
+            parabolic = abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x)
+        if parabolic:
+            e, d = d, p / q
+            if x + d - a < 2.0 * tol1 or b - (x + d) < 2.0 * tol1:
+                d = tol1 if x < m else -tol1
+        else:
+            e = (b if x < m else a) - x
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
+        fu = -(yield u)
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+    return x
+
+
+def _brent_max(f, searches) -> np.ndarray:
+    """The results of _brent searches, stepped in lockstep: f(x, k) takes
+    arrays of points and of the search each belongs to, and each step
+    scores the next point of every search still open in one call."""
+    out = np.empty(len(searches))
+    sent = dict.fromkeys(range(len(searches)))
+    while True:
+        points = {}
+        for k, score in sent.items():
+            try:
+                points[k] = searches[k].send(score)
+            except StopIteration as stop:
+                out[k] = stop.value
+        if not points:
+            return out
+        k = np.fromiter(points, int, len(points))
+        x = np.fromiter(points.values(), float, len(points))
+        sent = dict(zip(points, f(x, k).tolist()))
 
 
 def _maximize(f, lo: float, hi: float, m: int) -> np.ndarray:
-    """Argmax on [lo, hi] of each of m functions: f(x, k) takes arrays of
-    points and of the function each is for (0 <= k < m) and returns f_k(x)
+    """Argmax on [lo, hi] of each of m scores: f(x, k) takes arrays of
+    points and of the score each is for (0 <= k < m) and returns f_k(x)
     for each.
 
     One call scores the pre-scan of _N_SCAN points, the same points for
-    every function. Functions whose scan has several separated maxima are
-    scanned again on _N_FALLBACK points, in one more call. Then a
-    golden-section search refines each best point within its neighbours,
-    all searches in lockstep.
+    every score. Scores whose scan has several separated maxima are
+    scanned again on _N_FALLBACK points, in one more call; a score with
+    no positive value on that scan has no signal to maximize, and raises
+    NoSignalError(k). Then a Brent search refines each best point within
+    its neighbours, all searches in lockstep (_brent_max); a search whose
+    best point is interior starts from it and its two neighbours.
     """
-    lo_k, hi_k = np.empty(m), np.empty(m)
+    searches = [None] * m
     todo = np.arange(m)
     for n in (_N_SCAN, _N_FALLBACK):
         xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
@@ -93,11 +151,16 @@ def _maximize(f, lo: float, hi: float, m: int) -> np.ndarray:
         done = (np.count_nonzero(peaks, axis=1) <= 1) | (n == _N_FALLBACK)
         for k, row in zip(todo[done].tolist(), fs[done].tolist()):
             best = max(range(n), key=row.__getitem__)
-            lo_k[k], hi_k[k] = xs[max(best - 1, 0)], xs[min(best + 1, n - 1)]
+            if n == _N_FALLBACK and not row[best] > 0.0:
+                raise NoSignalError(k)
+            around = range(max(best - 1, 0), min(best + 2, n))
+            start = sorted(((xs[i], row[i]) for i in around),
+                           key=lambda point: -point[1]) if len(around) == 3 else ()
+            searches[k] = _brent(xs[around[0]], xs[around[-1]], start)
         todo = todo[~done]
         if not todo.size:
             break
-    return _golden_section_max(f, lo_k, hi_k)
+    return _brent_max(f, searches)
 
 
 def _blocks(samples: np.ndarray) -> list[np.ndarray]:
@@ -204,6 +267,8 @@ def optimal_ratio_vs_tau(device: DeviceParams, tau_grid,
     model 'qss' uses the closed-form single-cavity signal; 'full' re-solves
     the two-cavity model with J adjusted to realize each candidate
     kappa_eff. The searches of all tau share each step's solve (_maximize).
+    A tau whose rate is not positive at any scanned ratio raises
+    NoSignalError, naming n_drive.
     """
     if model not in ("qss", "full"):
         raise ConfigError(f"unknown model {model!r}")
@@ -211,7 +276,15 @@ def optimal_ratio_vs_tau(device: DeviceParams, tau_grid,
     if not np.all(taus > 0.0):
         raise ConfigError("tau_grid entries must be positive")
     objective = _qss_objective if model == "qss" else _full_objective
-    return _maximize(objective(device, taus), *RATIO_BOUNDS, len(taus))
+    try:
+        return _maximize(objective(device, taus), *RATIO_BOUNDS, len(taus))
+    except NoSignalError as exc:
+        tau = taus[exc.args[0]]
+        lo, hi = RATIO_BOUNDS
+        raise NoSignalError(
+            f"the rate at tau = {tau:g} s is not positive at any of "
+            f"{_N_FALLBACK} ratios in [{lo:g}, {hi:g}]: n_drive = "
+            f"{device.n_drive:g} gives no signal") from None
 
 
 @dataclass

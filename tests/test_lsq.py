@@ -1,9 +1,13 @@
 """The numpy Levenberg-Marquardt solver of the readout and spectrum fits."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from fastreadout._lsq import least_squares
+from conftest import noisy_spectrum_pairs
+from fastreadout import calib
+from fastreadout._lsq import FTOL, least_squares
 from fastreadout.errors import FitError
 
 
@@ -68,3 +72,44 @@ def test_non_finite_residuals_at_the_start_raise_fit_error(bad):
     with pytest.raises(FitError, match="start point"):
         least_squares(model(fun, lambda x: np.array([[1.0], [0.0]])), [0.0])
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("index", [2, 3])
+def test_a_stalled_fit_ends_at_its_first_flat_rejected_trial(monkeypatch, index):
+    # criterion 7's pairs 2 and 3 (generator seed 23) took 20 and 19
+    # evaluations, most of them trials rejected at the rounding floor while
+    # lam grew tenfold each time. Replayed from the evaluations: the solve
+    # ends at the first rejected trial whose predicted reduction is at most
+    # FTOL * cost, and returns the lowest cost seen
+    evals, sols = [], []
+    solve = calib.least_squares
+
+    def recording(model, x0, **kwargs):
+        def recorded(x):
+            r, jac = model(x)
+            evals.append((x.copy(), r, jac))
+            return r, jac
+        sols.append(solve(recorded, x0, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(calib, "least_squares", recording)
+    _, omega, s_g, s_e = next(itertools.islice(noisy_spectrum_pairs(23, 20),
+                                               index, None))
+    calib.fit_transmission(omega, s_g, s_e)
+    (sol,) = sols
+    x, r, jac = evals[0]
+    cost = 0.5 * float(r @ r)
+    for i, (x_new, r_new, jac_new) in enumerate(evals[1:], 1):
+        cost_new = 0.5 * float(r_new @ r_new)
+        J = jac()
+        step = x_new - x
+        grad, hess = J.T @ r, J.T @ J
+        predicted = -float(grad @ step + 0.5 * step @ hess @ step)
+        if cost_new < cost:
+            x, r, jac, cost = x_new, r_new, jac_new, cost_new
+        elif predicted <= FTOL * cost:
+            break
+    assert i == len(evals) - 1 and cost_new >= cost
+    assert sol.status == 2 and sol.nfev == len(evals) <= 10
+    assert sol.cost == cost == min(0.5 * float(r @ r) for _, r, _ in evals)
+    assert sol.x.tolist() == x.tolist()

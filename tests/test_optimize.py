@@ -10,14 +10,13 @@ from conftest import DT_BIN, make_device, random_device
 from fastreadout import optimize, shots
 from fastreadout.analysis import error_budget, fit_shot_histograms, \
     overlap_vs_power
-from fastreadout.errors import ConfigError, PhotonCeilingError
+from fastreadout.errors import ConfigError, NoSignalError, PhotonCeilingError
 from fastreadout.dynamics import GRID_STEP, PulseEnvelope, SignalTrace, \
     TwoCavityModel, full_model_signal, integrated_rate, qss_signal
-from fastreadout.optimize import RATIO_BOUNDS, PowerPoint, _full_objective, \
-    _maximize, _qss_objective, optimal_ratio_vs_tau, power_tradeoff
+from fastreadout.optimize import RATIO_BOUNDS, PowerPoint, _brent, _brent_max, \
+    _full_objective, _maximize, _qss_objective, optimal_ratio_vs_tau, \
+    power_tradeoff
 from fastreadout.shots import ReadoutChain, ShotConfig
-
-INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def tau_for(device, x):
@@ -287,30 +286,10 @@ ONE_RATE = {"full": one_full_rate, "qss": one_qss_rate}
 OBJECTIVE = {"full": _full_objective, "qss": _qss_objective}
 
 
-def serial_golden_section_max(f, lo, hi):
-    a, b = float(lo), float(hi)
-    c = b - INVPHI * (b - a)
-    d = a + INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    width0 = b - a
-    for _ in range(200):
-        if b - a <= 1e-5 * width0:
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + INVPHI * (b - a)
-            fd = f(d)
-    return c if fc > fd else d
-
-
-def serial_maximize(f, lo, hi):
-    """The scalar search the stacked one replaced: a 17-point pre-scan, a
-    400-point scan when it finds several separated maxima, then a
-    golden-section search around the best point, one f(x) at a time."""
+def serial_scan(f, lo, hi):
+    """The scalar pre-scan: 17 points, or 400 when the 17 hold several
+    separated maxima. Returns the points, their scores and the index of
+    the first best."""
     for n in (17, 400):
         xs = [lo + (hi - lo) * i / (n - 1) for i in range(n)]
         fs = [f(x) for x in xs]
@@ -318,9 +297,26 @@ def serial_maximize(f, lo, hi):
                  if fs[i] >= fs[i - 1] and fs[i] >= fs[i + 1]]
         if len(peaks) <= 1:
             break
-    best = max(range(n), key=fs.__getitem__)
-    return serial_golden_section_max(f, xs[max(best - 1, 0)],
-                                     xs[min(best + 1, n - 1)])
+    return xs, fs, max(range(n), key=fs.__getitem__)
+
+
+def serial_maximize(f, lo, hi):
+    """The scalar search the stacked one replaced: the pre-scan, then one
+    Brent search around the best point, started from it and its two
+    neighbours when it is interior, and driven through _brent_max one f(x)
+    at a time. A dense scan with no positive score raises NoSignalError."""
+    xs, fs, best = serial_scan(f, lo, hi)
+    if len(xs) == 400 and not fs[best] > 0.0:
+        raise NoSignalError(0)
+    start = ()
+    if 0 < best < len(xs) - 1:
+        neighbours = sorted([(xs[best - 1], fs[best - 1]),
+                             (xs[best + 1], fs[best + 1])],
+                            key=lambda point: -point[1])
+        start = [(xs[best], fs[best])] + neighbours
+    search = _brent(xs[max(best - 1, 0)], xs[min(best + 1, len(xs) - 1)], start)
+    return _brent_max(lambda x, k: np.array([f(v) for v in x.tolist()]),
+                      [search])[0]
 
 
 def serial_ratio_vs_tau(device, taus, model):
@@ -421,59 +417,109 @@ class TestStackedRates:
         assert stacked_peak <= one_peak + 2**16
 
 
+SEARCH_CASES = [
+    ("reference", (2.0, 4.5, 8.0, 12.0, 20.0)),
+    # the pre-scan's best ratio on the lower bound at |chi| tau = 0.5
+    ("random3", (0.5, 3.0, 40.0)),
+    ("random8", (1.0, 6.0)),
+    # two of these four tau take the 400-point scan on the full model
+    ("detuned", (4.5, 8.0, 12.0, 20.0)),
+]
+
+
+def objective_calls(monkeypatch):
+    """The sizes of the objective calls that _maximize makes from here on."""
+    calls = []
+    maximize = optimize._maximize
+
+    def spy(f, lo, hi, m):
+        def g(x, k):
+            calls.append(len(x))
+            return f(x, k)
+        return maximize(g, lo, hi, m)
+
+    monkeypatch.setattr(optimize, "_maximize", spy)
+    return calls
+
+
 class TestSearchMatchesSerial:
     """optimal_ratio_vs_tau returns exactly the ratios of the scalar search,
-    one objective call at a time."""
+    one objective call at a time, and each lies within the search's stop
+    tolerance of an independent bounded minimizer's."""
 
     @pytest.mark.parametrize("model", ["full", "qss"])
-    @pytest.mark.parametrize("case,xs", [
-        ("reference", (2.0, 4.5, 8.0, 12.0, 20.0)),
-        # the pre-scan's best ratio on the lower bound at |chi| tau = 0.5
-        ("random3", (0.5, 3.0, 40.0)),
-        ("random8", (1.0, 6.0)),
-        # two of these four tau take the 400-point scan on the full model
-        ("detuned", (4.5, 8.0, 12.0, 20.0)),
-    ])
+    @pytest.mark.parametrize("case,xs", SEARCH_CASES)
     def test_equal_to_serial_search(self, model, case, xs):
         device = case_device(case)
         taus = [tau_for(device, x) for x in xs]
         got = optimal_ratio_vs_tau(device, taus, model)
         assert got.tolist() == serial_ratio_vs_tau(device, taus, model).tolist()
 
+    @pytest.mark.parametrize("model", ["full", "qss"])
+    @pytest.mark.parametrize("case,xs", SEARCH_CASES)
+    def test_within_the_bracket_of_scipy(self, model, case, xs):
+        # oracle: scipy's bounded minimizer of the scalar rate's negative on
+        # the pre-scan's bracket, to 1e-12 absolute; the search stops when
+        # its bracket is 1e-5 of that bracket wide
+        from scipy.optimize import minimize_scalar
+        device = case_device(case)
+        taus = [tau_for(device, x) for x in xs]
+        got = optimal_ratio_vs_tau(device, taus, model)
+        for ratio, tau in zip(got.tolist(), taus):
+            def rate(r):
+                return ONE_RATE[model](device, r, tau)
+
+            scan, _, best = serial_scan(rate, *RATIO_BOUNDS)
+            a, b = scan[max(best - 1, 0)], scan[min(best + 1, len(scan) - 1)]
+            want = minimize_scalar(lambda r: -rate(r), bounds=(a, b),
+                                   method="bounded",
+                                   options={"xatol": 1e-12}).x
+            assert abs(ratio - want) <= 1e-5 * (b - a), (tau, ratio, want)
+
+    def test_at_most_12_calls_per_search(self, device, monkeypatch):
+        # reference.conf's five tau: the pre-scan and at most 11 lockstep
+        # Brent steps per model; the golden-section refinement took 26 calls
+        calls = objective_calls(monkeypatch)
+        taus = [tau_for(device, x) for x in (2.0, 4.5, 8.0, 12.0, 20.0)]
+        for model in ("full", "qss"):
+            del calls[:]
+            optimal_ratio_vs_tau(device, taus, model)
+            assert calls[0] == 5 * 17
+            assert len(calls) <= 12, calls
+
     def test_cases_reach_bound_and_fallback(self, monkeypatch):
-        # the cases above take the branches they are named for
-        import fastreadout.optimize as optimize
-        calls = []
-        maximize = optimize._maximize
-
-        def spy(f, lo, hi, m):
-            def g(x, k):
-                calls.append(len(x))
-                return f(x, k)
-            return maximize(g, lo, hi, m)
-
-        monkeypatch.setattr(optimize, "_maximize", spy)
-        golden = optimize._golden_section_max
-        brackets = []
-        monkeypatch.setattr(optimize, "_golden_section_max",
-                            lambda f, lo, hi: brackets.append(lo.tolist())
-                            or golden(f, lo, hi))
+        # the cases above take the branches they are named for: an interior
+        # best point starts its search from three scored points, one on the
+        # bound from none
+        calls = objective_calls(monkeypatch)
+        brent = optimize._brent
+        starts = []
+        monkeypatch.setattr(optimize, "_brent", lambda a, b, start=():
+                            starts.append((a, len(start))) or brent(a, b, start))
         dev = case_device("detuned")
         optimal_ratio_vs_tau(dev, [tau_for(dev, x) for x in (4.5, 8.0, 12.0, 20.0)],
                              "full")
         assert calls[:2] == [4 * 17, 2 * 400]
+        assert [n for _, n in starts] == [3] * 4
         dev = case_device("random3")
         optimal_ratio_vs_tau(dev, [tau_for(dev, 0.5)], "qss")
-        assert brackets[-1] == [RATIO_BOUNDS[0]]
+        assert starts[-1] == (RATIO_BOUNDS[0], 0)
 
     @pytest.mark.parametrize("n_drive", [0.0, 30.0, 45.0, 80.0])
     def test_flat_and_ceiling_cases(self, n_drive):
         # n_drive = 0 gives zero rates everywhere, so every tau takes the
-        # 400-point scan; from 45 photons up the resonator of some
-        # candidates passes the ceiling, and both searches refuse
+        # 400-point scan, finds no positive rate and refuses, naming
+        # n_drive; from 45 photons up the resonator of some candidates
+        # passes the ceiling, and both searches refuse
         device = make_device(n_drive=n_drive)
         taus = [tau_for(device, x) for x in (2.0, 12.0)]
         for model in ("full", "qss"):
+            if n_drive == 0.0:
+                with pytest.raises(NoSignalError, match="n_drive = 0 "):
+                    optimal_ratio_vs_tau(device, taus, model)
+                with pytest.raises(NoSignalError):
+                    serial_ratio_vs_tau(device, taus, model)
+                continue
             try:
                 want = serial_ratio_vs_tau(device, taus, model).tolist()
             except PhotonCeilingError:
