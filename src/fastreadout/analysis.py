@@ -138,61 +138,81 @@ def histogram_bins(q: np.ndarray) -> np.ndarray:
 
 
 class NormalColumns:
-    """Histograms as non-negative combinations of k normal densities.
+    """Histograms as non-negative combinations of k normal densities, for
+    one problem or a stack of them.
 
-    counts (n, m) holds m histograms over the bin centres (n,). At the
-    parameters theta = (mu_1..mu_k, sigma_1..sigma_k), k <= 2, the
-    amplitudes (k, m) solve a non-negative least-squares problem in closed
-    form, so a fit sees only theta (variable projection; Golub and
-    Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)). Called at theta, the
-    model returns model - counts, histogram after histogram, and a function
-    that gives its Jacobian in Kaufman's form, whose J^T r is the exact
-    gradient of the cost, from that evaluation's densities, amplitudes and
-    Gram matrix: the least_squares model contract.
+    counts (..., n, m) holds m histograms over the bin centres (..., n); a
+    leading axis stacks problems of n bins each. At the parameters theta
+    (..., 2k) = (mu_1..mu_k, sigma_1..sigma_k), k <= 2, one row per
+    problem, the amplitudes (..., k, m) solve a non-negative least-squares
+    problem in closed form, so a fit sees only theta (variable projection;
+    Golub and Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)). Called at
+    theta, the model returns model - counts (..., m n), histogram after
+    histogram, and a function that gives its Jacobian (..., m n, 2k) in
+    Kaufman's form, whose J^T r is the exact gradient of the cost, from
+    that evaluation's densities, amplitudes and Gram matrix: the
+    least_squares model contract. Every product and solve is stacked, so
+    a problem's values are those it has alone.
     """
 
     def __init__(self, centers, counts):
         self.centers = np.asarray(centers, dtype=float)
-        self.counts = np.asarray(counts, dtype=float).reshape(len(self.centers), -1)
+        self.counts = np.asarray(counts, dtype=float).reshape(*self.centers.shape, -1)
 
     def densities(self, theta):
-        """phi (n, k) and its derivatives (n, 2k) in theta's order."""
-        mu, sigma = np.reshape(np.asarray(theta, dtype=float), (2, -1))
-        z = (self.centers[:, None] - mu) / sigma
-        phi = _normal_pdf(self.centers[:, None], mu, sigma)
-        dphi = np.empty((len(z), 2 * len(mu)))
-        dphi[:, :len(mu)] = phi * z / sigma
-        dphi[:, len(mu):] = phi * (z * z - 1.0) / sigma
+        """phi (..., n, k) and its derivatives (..., n, 2k) in theta's order."""
+        theta = np.asarray(theta, dtype=float)
+        k = theta.shape[-1] // 2
+        mu, sigma = theta[..., None, :k], theta[..., None, k:]
+        centers = self.centers[..., None]
+        z = (centers - mu) / sigma
+        phi = _normal_pdf(centers, mu, sigma)
+        dphi = np.empty(z.shape[:-1] + (2 * k,))
+        dphi[..., :k] = phi * z / sigma
+        dphi[..., k:] = phi * (z * z - 1.0) / sigma
         return phi, dphi
 
     def __call__(self, theta):
         phi, dphi = self.densities(theta)
-        gram = phi.T @ phi
-        amps = self._amplitudes(gram, phi.T @ self.counts)
-        resid = (phi @ amps - self.counts).ravel(order="F")
-        return resid, lambda: self._jac(phi, dphi, amps, gram)
+        phi_t = np.swapaxes(phi, -1, -2)
+        gram = phi_t @ phi
+        amps = self._amplitudes(gram, phi_t @ self.counts)
+        resid = np.swapaxes(phi @ amps - self.counts, -1, -2)
+        return resid.reshape(*resid.shape[:-2], -1), \
+            lambda: self._jac(phi, dphi, amps, gram)
 
     @staticmethod
     def _amplitudes(gram, proj):
-        """The non-negative amplitudes (k, m) that fit each histogram best
-        with the columns of phi, from gram = phi^T phi and proj = phi^T
-        counts: the normal equations' solution, or where a sign fails, the
-        better one-column fit (the optimum for k <= 2)."""
+        """The non-negative amplitudes (..., k, m) that fit each histogram
+        best with the columns of phi, from gram = phi^T phi and proj = phi^T
+        counts: the normal equations' solution, or where a sign fails or
+        the Gram matrix is singular, the better one-column fit (the optimum
+        for k <= 2)."""
         try:
             amps = np.linalg.solve(gram, proj)
         except np.linalg.LinAlgError:
+            # one singular Gram matrix fails the stacked solve: each
+            # problem is solved alone, and the singular ones have no solution
             amps = np.full_like(proj, np.nan)
-        norm2 = np.diag(gram)[:, None]
+            for i in np.ndindex(gram.shape[:-2]):
+                try:
+                    amps[i] = np.linalg.solve(gram[i], proj[i])
+                except np.linalg.LinAlgError:
+                    pass
+        norm2 = np.diagonal(gram, axis1=-2, axis2=-1)[..., None]
         one = np.divide(np.maximum(proj, 0.0), norm2,
                         out=np.zeros_like(proj), where=norm2 > 0.0)
         # the column that removes the most squared residual, b^2 / |phi|^2
-        best = np.arange(len(gram))[:, None] == np.argmax(one * proj, axis=0)
-        return np.where(np.all(amps >= 0.0, axis=0), amps, one * best)
+        best = np.arange(gram.shape[-1])[:, None] \
+            == np.argmax(one * proj, axis=-2)[..., None, :]
+        return np.where(np.all(amps >= 0.0, axis=-2, keepdims=True), amps,
+                        one * best)
 
     def amplitudes(self, theta):
-        """The non-negative amplitudes (k, m) at theta (_amplitudes)."""
+        """The non-negative amplitudes (..., k, m) at theta (_amplitudes)."""
         phi, _ = self.densities(theta)
-        return self._amplitudes(phi.T @ phi, phi.T @ self.counts)
+        phi_t = np.swapaxes(phi, -1, -2)
+        return self._amplitudes(phi_t @ phi, phi_t @ self.counts)
 
     @staticmethod
     def _jac(phi, dphi, amps, gram):
@@ -200,26 +220,21 @@ class NormalColumns:
         with a non-zero amplitude, in one stacked solve: v - phi_h
         solve(gram_h, phi_h^T v), where phi_h zeroes the unused columns
         and gram_h gives them the identity's rows and columns."""
-        used = amps.T > 0.0
-        v = dphi * np.tile(amps.T, 2)[:, None, :]
-        cols = phi * used[:, None, :]
-        grams = np.where(used[:, :, None] & used[:, None, :], gram,
-                         np.eye(len(gram)))
-        v -= cols @ np.linalg.solve(grams, cols.transpose(0, 2, 1) @ v)
-        return v.reshape(-1, v.shape[2])
+        amps = np.swapaxes(amps, -1, -2)
+        used = amps > 0.0
+        v = dphi[..., None, :, :] * np.tile(amps, 2)[..., :, None, :]
+        cols = phi[..., None, :, :] * used[..., :, None, :]
+        grams = np.where(used[..., :, None] & used[..., None, :],
+                         gram[..., None, :, :], np.eye(gram.shape[-1]))
+        v -= cols @ np.linalg.solve(grams, np.swapaxes(cols, -1, -2) @ v)
+        return v.reshape(*v.shape[:-3], -1, v.shape[-1])
 
 
-def fit_mixture(centers, counts_g, counts_e) -> MixtureFit:
-    """Simultaneous least-squares fit of both histograms to the shared
-    model: (mu_g, mu_e, sigma_g, sigma_e) by `least_squares`, the four
-    amplitudes, each >= 0, in closed form (NormalColumns)."""
-    centers = np.asarray(centers, dtype=float)
-    counts_g = np.asarray(counts_g, dtype=float)
-    counts_e = np.asarray(counts_e, dtype=float)
-    n_g = float(np.sum(counts_g))
-    n_e = float(np.sum(counts_e))
-    if n_g < MIN_COUNTS or n_e < MIN_COUNTS:
-        raise FitError(f"need at least {MIN_COUNTS} counts per prepared state")
+def _mixture_start(centers, counts_g, counts_e):
+    """The start (mu_g, mu_e, sigma_g, sigma_e) and the bounds of the
+    mixture fit of one pair of histograms: each median and quartile spread,
+    and means within a span of the centres, widths from a tenth of a bin
+    to the span."""
     binw = float(centers[1] - centers[0])
 
     def robust_center(counts):
@@ -235,18 +250,63 @@ def fit_mixture(centers, counts_g, counts_e) -> MixtureFit:
     span = float(centers[-1] - centers[0])
     lo = [centers[0] - span, centers[0] - span, binw / 10.0, binw / 10.0]
     hi = [centers[-1] + span, centers[-1] + span, span, span]
-    model = NormalColumns(centers, np.column_stack([counts_g, counts_e]))
-    sol = least_squares(model, [mu_g0, mu_e0, sig_g0, sig_e0],
-                        bounds=(lo, hi), max_nfev=2000)
-    if not sol.success:
-        raise FitError(f"mixture fit did not converge: {sol.message}")
-    mg, me, sg, se = (float(v) for v in sol.x)
+    return [mu_g0, mu_e0, sig_g0, sig_e0], lo, hi
+
+
+def _fit_mixtures(hists) -> list:
+    """fit_mixture of each (centers, counts_g, counts_e) of hists: its
+    MixtureFit, or the FitError that fit_mixture raises for it. The fits
+    of one bin count share one least_squares call on a stack of
+    NormalColumns problems, solved in lockstep; each stacked problem
+    iterates as it would alone, so every fit is fit_mixture's bit for bit.
+    """
+    out = [None] * len(hists)
+    groups = {}
+    for i, (centers, counts_g, counts_e) in enumerate(hists):
+        centers = np.asarray(centers, dtype=float)
+        counts_g = np.asarray(counts_g, dtype=float)
+        counts_e = np.asarray(counts_e, dtype=float)
+        if float(np.sum(counts_g)) < MIN_COUNTS or float(np.sum(counts_e)) < MIN_COUNTS:
+            out[i] = FitError(f"need at least {MIN_COUNTS} counts per prepared state")
+            continue
+        groups.setdefault(len(centers), []).append(
+            (i, centers, np.column_stack([counts_g, counts_e]),
+             *_mixture_start(centers, counts_g, counts_e)))
+    for group in groups.values():
+        index, centers, counts, x0, lo, hi = (np.array(v) for v in zip(*group))
+        model = NormalColumns(centers, counts)
+        sol = least_squares(model, x0, bounds=(lo, hi), max_nfev=2000)
+        for i, x, amps, status, message in zip(
+                index.tolist(), sol.x.tolist(), model.amplitudes(sol.x).tolist(),
+                sol.statuses.tolist(), sol.messages):
+            out[i] = _mixture(x, amps, status, message)
+    return out
+
+
+def _mixture(x, amps, status, message):
+    """The MixtureFit of the fitted (mu_g, mu_e, sigma_g, sigma_e) x and
+    amplitudes [[A_gg, A_ge], [A_eg, A_ee]], or the FitError of a fit that
+    did not converge (status) or whose widths differ over 1e3 times."""
+    if status <= 0:
+        return FitError(f"mixture fit did not converge: {message}")
+    mg, me, sg, se = x
     if max(sg, se) / min(sg, se) > 1e3:
-        raise FitError("degenerate mixture fit (sigma ratio > 1e3)")
-    (agg, age), (aeg, aee) = model.amplitudes(sol.x).tolist()
+        return FitError("degenerate mixture fit (sigma ratio > 1e3)")
+    (agg, age), (aeg, aee) = amps
     fit = MixtureFit(mu_g=mg, mu_e=me, sigma_g=sg, sigma_e=se,
                      A_gg=agg, A_eg=aeg, A_ge=age, A_ee=aee, threshold=0.0)
     fit.threshold = _intersection_threshold(fit)
+    return fit
+
+
+def fit_mixture(centers, counts_g, counts_e) -> MixtureFit:
+    """Simultaneous least-squares fit of both histograms to the shared
+    model: (mu_g, mu_e, sigma_g, sigma_e) by `least_squares`, the four
+    amplitudes, each >= 0, in closed form (NormalColumns); a stack of one
+    of _fit_mixtures."""
+    (fit,) = _fit_mixtures([(centers, counts_g, counts_e)])
+    if isinstance(fit, FitError):
+        raise fit
     return fit
 
 
@@ -296,30 +356,57 @@ def fit_shot_histograms(q: np.ndarray, excited: np.ndarray):
 
     excited: the boolean prepared labels, true for e (TypeError for any
     other dtype). A class's q values are copied out one class at a time, so
-    the peak is q, the labels and the bin edges' percentile copy of q.
+    the peak is q, the labels and the bin edges' percentile copy of q. A
+    stack of one of fit_shot_histogram_stack.
     """
-    q = np.asarray(q, dtype=float)
+    return fit_shot_histogram_stack(np.asarray(q, dtype=float)[None], excited)[0]
+
+
+def fit_shot_histogram_stack(qs, excited) -> list:
+    """fit_shot_histograms of every row of qs (P, N), the q of the same N
+    shots under P settings, as a list of P tuples (fit, centers, hg, he).
+    The rows are binned one after the other, and their mixture fits are
+    solved together (_fit_mixtures). The FitError of the first row that
+    fails is raised, as a loop of fit_shot_histograms over the rows would.
+    """
     excited = _bool_labels(excited)
     n_e = int(np.count_nonzero(excited))
-    if n_e == 0 or n_e == len(q):
+    if n_e == 0 or n_e == np.shape(qs)[-1]:
         raise FitError("need shots for both preparations")
+    rows = [_shot_histograms(np.asarray(q, dtype=float), excited) for q in qs]
+    todo = [i for i, row in enumerate(rows)
+            if not isinstance(row, FitError) and row[0] is None]
+    for i, fit in zip(todo, _fit_mixtures([rows[i][1:] for i in todo])):
+        rows[i] = fit if isinstance(fit, FitError) else (fit, *rows[i][1:])
+    for row in rows:
+        if isinstance(row, FitError):
+            raise row
+    return rows
+
+
+def _shot_histograms(q, excited):
+    """(fit, centers, hg, he) of fit_shot_histograms, fit None where the
+    mixture fit is still to be solved; or the FitError of histogram_bins."""
     (mg, spread_g), (me, spread_e) = (
         (float(np.mean(v)), float(np.ptp(v)))
         for v in (q[excited == side] for side in (False, True)))
     # degenerate (noise-free) batches bypass the histogram fit
     if spread_g == spread_e == 0.0 and mg != me:
+        n_e = int(np.count_nonzero(excited))
         n_g = len(q) - n_e
         sig = abs(me - mg) * 1e-9
         fit = MixtureFit(mu_g=mg, mu_e=me, sigma_g=sig, sigma_e=sig,
                          A_gg=float(n_g), A_eg=0.0, A_ge=0.0, A_ee=float(n_e),
                          threshold=0.5 * (mg + me))
         return fit, np.array([mg, me]), np.array([n_g, 0]), np.array([0, n_e])
-    edges = histogram_bins(q)
+    try:
+        edges = histogram_bins(q)
+    except FitError as exc:
+        return exc
     centers = 0.5 * (edges[:-1] + edges[1:])
     hg, _ = np.histogram(q[~excited], bins=edges)
     he, _ = np.histogram(q[excited], bins=edges)
-    fit = fit_mixture(centers, hg, he)
-    return fit, centers, hg, he
+    return None, centers, hg, he
 
 
 # ---------------------------------------------------------------------------

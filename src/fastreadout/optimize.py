@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import MIN_COUNTS, error_budget, fit_shot_histograms, \
+from .analysis import MIN_COUNTS, error_budget, fit_shot_histogram_stack, \
     overlap_vs_power
 from .dynamics import GRID_STEP, PulseEnvelope, SignalTrace, TwoCavityModel, \
     _qss_from_phases, _qss_phases, full_model_signal, integrated_rate
@@ -306,7 +306,8 @@ def power_tradeoff(device: DeviceParams, n_grid, tau: float,
     q-space stream, so each block of shots is drawn once (shots.q_draws)
     and mapped to q by the chain of every power (ReadoutChain.map_q), bit
     for bit the q of one sample_q per power. The q of all powers are held
-    at once, len(n_grid) x 8 bytes a shot, and fitted after the last block.
+    at once, len(n_grid) x 8 bytes a shot, and fitted after the last block,
+    all powers' mixture fits in lockstep (analysis.fit_shot_histogram_stack).
 
     Mixing rates scale as mix_coeff * lambda(n) * n; pass mix_coeff=None to
     disable mixing. The eps_o column is overlap_vs_power's, which checks
@@ -348,8 +349,8 @@ def power_tradeoff(device: DeviceParams, n_grid, tau: float,
             q[draw.rows] = chain.map_q(draw, excited[draw.rows], w)
 
     out = []
-    for n, eps_o, (_, cfg), q in zip(n_grid, eps_curve, cfgs, qs):
-        fit, *_ = fit_shot_histograms(q, excited)
+    fits = fit_shot_histogram_stack(qs, excited)
+    for n, eps_o, (_, cfg), q, (fit, *_) in zip(n_grid, eps_curve, cfgs, qs, fits):
         budget = error_budget(q, excited, fit)
         out.append(PowerPoint(n_drive=float(n), eps_o=float(eps_o),
                               fidelity_mc=budget.fidelity,

@@ -89,6 +89,10 @@ from .params import DeviceParams
 #: one-sided z score of the 99% Gaussian CDF point
 Z99 = 2.3263478740408408
 
+#: largest chance 0.99^n of an empty tail above the fitted 99% point that
+#: preselection_threshold takes for bad luck rather than a failed fit
+EMPTY_TAIL_P = 1e-6
+
 #: rows per step when drawing; bounds the temporaries of the draws
 _CHUNK = 256
 
@@ -141,6 +145,15 @@ def _box_muller(u, out):
 
 def _even(n: int) -> int:
     return n + n % 2
+
+
+def _runs(ids):
+    """The first index and the length of each run of equal values of the
+    sorted array ids."""
+    start = np.ones(len(ids), dtype=bool)
+    start[1:] = ids[1:] != ids[:-1]
+    first = np.flatnonzero(start)
+    return first, np.diff(np.append(first, len(ids)))
 
 
 def _labels(shots: range, excited):
@@ -409,23 +422,29 @@ class ReadoutChain:
         their round-0 jump words u; e is left as it is, so the draws of one
         block can serve several chains.
 
-        A row stays open while its round's K-th sum is below t1; round r >= 1
-        sums on from there shot i's words [i K, (i + 1) K) of Philox(key=
-        (master_seed, 2 r - 1 + window)), window 0 premeasurement and 1
-        measurement, read as one random_raw over the open rows' span.
-        Returns the final states, the overflow mask (rows that needed round
-        1) and the (row, time, decay) jumps, rows then times ascending.
+        A row whose first wait already reaches t1 cannot jump and is
+        dropped before any sum. A row stays open while its round's K-th sum
+        is below t1; round r >= 1 sums on from there shot i's words [i K,
+        (i + 1) K) of Philox(key=(master_seed, 2 r - 1 + window)), window 0
+        premeasurement and 1 measurement, read as one random_raw over the
+        open rows' span. Returns the final states, the overflow mask (rows
+        that needed round 1) and the (row, time, decay) jumps, rows then
+        times ascending: round 0 lists them so, and later rounds are sorted
+        in.
         """
         s = s.copy()
-        rows, t0, found = np.arange(len(s)), np.zeros(len(s)), []
+        over = np.zeros(len(s), dtype=bool)
+        rows = np.flatnonzero(
+            e[:, 0] * np.where(s > 0, self._waits[+1][0], self._waits[-1][0]) < t1)
+        waits, t0, found = e[rows], np.zeros(len(rows)), []
         for r in itertools.count():
             if r:
                 bits = np.random.Philox(key=[self._key, 2 * r - 1 + window])
                 bits.advance(int(first + rows[0]))
                 words = bits.random_raw((rows[-1] + 1 - rows[0]) * K_JUMPS)
-                e = -np.log(_unit(words.reshape(-1, K_JUMPS)[rows - rows[0]]))
+                waits = -np.log(_unit(words.reshape(-1, K_JUMPS)[rows - rows[0]]))
             s_r = s[rows]
-            waits = e * np.where(s_r[:, None] > 0, self._waits[+1], self._waits[-1])
+            waits *= np.where(s_r[:, None] > 0, self._waits[+1], self._waits[-1])
             waits[:, 0] += t0
             times = np.cumsum(waits, axis=1)
             inside = times < t1
@@ -434,10 +453,12 @@ class ReadoutChain:
             s[rows] = np.where(np.count_nonzero(inside, axis=1) % 2 == 1, -s_r, s_r)
             still = inside[:, -1]
             if r == 0:
-                over = still
+                over[rows] = still
             rows, t0 = rows[still], times[still, -1]
             if not len(rows):
                 break
+        if len(found) == 1:
+            return s, over, found[0]
         row, time, decay = map(np.concatenate, zip(*found))
         order = np.argsort(row, kind="stable")
         return s, over, (row[order], time[order], decay[order])
@@ -465,8 +486,8 @@ class ReadoutChain:
         factor exp(lambda_s (t_k_j - t_j)).
         """
         n = out.shape[1]
-        jump_rows, first, counts = np.unique(jump_shot, return_index=True,
-                                             return_counts=True)
+        first, counts = _runs(jump_shot)
+        jump_rows = jump_shot[first]
         jump_noise = out[jump_rows]
         excited = (s0 > 0)[:, None]
         np.add(out, mean_bins[+1], out=out, where=excited)
@@ -615,8 +636,10 @@ class ReadoutChain:
         means = {s: m[:n] for s, m in self.mean_bins.items()}
         still = integrate_batch(np.array([means[-1], means[+1]]), w, kappa_p)
         q = np.where(s0 > 0, still[1], still[0])
-        rows, jump_row = np.unique(jump_shot, return_inverse=True)
+        first, counts = _runs(jump_shot)
+        rows = jump_shot[first]
         if len(rows):
+            jump_row = np.repeat(np.arange(len(rows)), counts)
             mean = np.zeros((len(rows), n))
             self._add_means(mean, s0[rows], jump_row, jump_time, self.pulse,
                             self.bin_centers[:n], means)
@@ -724,6 +747,10 @@ def preselection_threshold(q_p) -> float:
     and returns the 99% point of the fitted CDF, mu + 2.326 sigma. Fewer
     than 100 values, values that are not finite, a histogram range that is
     zero or not finite, and a fit that does not converge raise FitError.
+    So does a 99% point above every value of a column so long that a
+    Gaussian it fits would leave that tail empty with probability 0.99^n
+    below EMPTY_TAIL_P (n >= 1375): the fit then misses the column, and
+    the threshold would reject no shot.
     """
     q_p = np.asarray(q_p, dtype=float)
     if len(q_p) < 100:
@@ -758,7 +785,13 @@ def preselection_threshold(q_p) -> float:
     if not sol.success:
         raise FitError(f"preselection Gaussian fit failed: {sol.message}")
     mu, sigma = (float(v) for v in sol.x)
-    return mu + Z99 * sigma
+    threshold = mu + Z99 * sigma
+    chance = 0.99 ** len(q_p)
+    if chance < EMPTY_TAIL_P and float(np.max(q_p)) <= threshold:
+        raise FitError(f"preselection Gaussian fit: its 99% point {threshold:g} "
+                       f"lies above all {len(q_p)} premeasurement values, which "
+                       f"a fitting Gaussian gives with probability {chance:.2g}")
+    return threshold
 
 
 def run_preselection(batch: ShotBatch):

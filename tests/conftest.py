@@ -153,3 +153,49 @@ def spectrum_fit_errors(fit, truth) -> list[float]:
             abs(fit.chi / truth.chi - 1.0),
             abs(fit.Q_p / truth.Q_p - 1.0),
             abs(fit.gamma / truth.gamma - 1.0)]
+
+
+def sequential_least_squares(model, x0, bounds=(-np.inf, np.inf), max_nfev=1000):
+    """Oracle: the Levenberg-Marquardt loop of fastreadout._lsq as it was
+    written for one problem, before stacks: a loop of trials, raising lam
+    tenfold after each rejected one, around each accepted point. Takes the
+    model of one problem, r (N,) and jac() (N, n) at x (n,), and returns
+    (x, cost, nfev, status, message)."""
+    from fastreadout._lsq import FTOL, XTOL
+
+    x = np.asarray(x0, dtype=float)
+    lo, hi = (np.broadcast_to(np.asarray(b, dtype=float), x.shape) for b in bounds)
+    x = np.minimum(np.maximum(x, lo), hi)
+    r, jac = model(x)
+    cost = 0.5 * float(r @ r)
+    nfev, lam = 1, 1e-3
+    while True:
+        J = jac()
+        grad, hess = J.T @ r, J.T @ J
+        diag = np.diag(hess)
+        scale = np.diag(np.where(diag > 0.0, diag, 1.0))
+        while True:
+            x_new = np.minimum(np.maximum(
+                x + np.linalg.solve(hess + lam * scale, -grad), lo), hi)
+            step = x_new - x
+            if math.sqrt(float(step @ step)) <= \
+                    XTOL * (XTOL + math.sqrt(float(x @ x))):
+                return x, cost, nfev, 3, "the step is below XTOL"
+            if nfev >= max_nfev:
+                return x, cost, nfev, 0, (f"stopped after max_nfev = {max_nfev} "
+                                          "evaluations")
+            r_new, jac_new = model(x_new)
+            nfev += 1
+            cost_new = 0.5 * float(r_new @ r_new)
+            predicted = -float(grad @ step + 0.5 * step @ hess @ step)
+            if cost_new < cost:
+                break
+            if predicted <= FTOL * cost:
+                return x, cost, nfev, 2, ("a rejected step predicts a reduction "
+                                          "below FTOL")
+            lam *= 10.0
+        reduction = cost - cost_new
+        x, r, jac, cost = x_new, r_new, jac_new, cost_new
+        lam = max(lam / 10.0, 1e-12)
+        if reduction <= FTOL * cost and reduction >= 0.25 * predicted:
+            return x, cost, nfev, 2, "the cost reduction is below FTOL"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from importlib import resources
 
@@ -5,17 +6,18 @@ import numpy as np
 import pytest
 from scipy.special import erfc, ndtr
 
-from conftest import DT_BIN, bin_grid, make_device
-from fastreadout import analysis, cli
+from conftest import DT_BIN, bin_grid, make_device, sequential_least_squares
+from fastreadout import analysis, cli, optimize
 from fastreadout.analysis import (FilterConfig, MixtureFit,
                                   _intersection_threshold, _normal_pdf,
                                   build_weights, error_budget, fit_mixture,
-                                  fit_shot_histograms, histogram_bins,
-                                  integrate_batch, overlap_model,
+                                  fit_shot_histogram_stack, fit_shot_histograms,
+                                  histogram_bins, integrate_batch, overlap_model,
                                   overlap_vs_power)
 from fastreadout.dynamics import (PulseEnvelope, SignalTrace, TWOPI,
                                   full_model_signal, mean_quadrature_traces,
                                   qss_steady_signal)
+from fastreadout._lsq import LsqResult
 from fastreadout.errors import ConfigError, FitError, NoSignalError
 from fastreadout.optimize import power_tradeoff
 from fastreadout.shots import ReadoutChain, ShotBatch, ShotConfig, simulate_batch
@@ -300,14 +302,14 @@ class TestSeparableFit:
     def test_mixing_sweep_powers(self, monkeypatch):
         # the histograms of optimize --mode power under strong mixing
         seen = []
-        solve = analysis.fit_mixture
+        solve = optimize.fit_shot_histogram_stack
 
-        def recording(centers, counts_g, counts_e):
-            fit = solve(centers, counts_g, counts_e)
-            seen.append((fit, centers, counts_g, counts_e))
-            return fit
+        def recording(qs, excited):
+            fits = solve(qs, excited)
+            seen.extend(fits)
+            return fits
 
-        monkeypatch.setattr(analysis, "fit_mixture", recording)
+        monkeypatch.setattr(optimize, "fit_shot_histogram_stack", recording)
         cfg = cli.resolve_config(str(REFERENCE_CONF), [])
         power_tradeoff(cli.build_device(cfg), (1.0, 1.5, 2.0, 2.5, 3.5, 5.0),
                        cfg["tau"], mix_coeff=3e7, n_shots=10000, master_seed=0)
@@ -379,6 +381,98 @@ class TestSeparableFit:
             error_budget(q, text, fit)
         with pytest.raises(TypeError, match="boolean"):
             ShotBatch(excited=text, samples=q[:, None])
+
+
+class TestStackedFit:
+    """fit_shot_histogram_stack, whose mixture fits share one lockstep
+    solve per bin count, against a loop of fit_shot_histograms whose
+    fits run the sequential solver of before (conftest's oracle)."""
+
+    N = 40000
+    excited = np.arange(N) % 2 == 1
+
+    def mixture_row(self, rng, outlier):
+        """q of the N shots: a two-Gaussian mixture, and with outlier > 0
+        1% of the shots spread uniformly over [-outlier, outlier], which
+        widens the range and so the Freedman-Diaconis bin count."""
+        n, excited = self.N, self.excited
+        sg, se = rng.uniform(0.5, 1.0, 2)
+        q = np.where(excited, rng.normal(rng.uniform(2.0, 5.0), se, n),
+                     rng.normal(0.0, sg, n))
+        flip = excited & (rng.random(n) < rng.uniform(0.0, 0.05))
+        q[flip] = rng.normal(0.0, sg, np.count_nonzero(flip))
+        far = rng.random(n) < (0.01 if outlier else 0.0)
+        q[far] = rng.uniform(-outlier, outlier, np.count_nonzero(far))
+        return q
+
+    def failing_rows(self):
+        """q rows whose fit fails, by name: a spike of g beside a broad e
+        class, whose widths differ over 1e3 times; and a q that is not finite."""
+        rng = np.random.default_rng(73)
+        spike = np.where(self.excited, rng.normal(0.08, 1.0, self.N), 0.0)
+        bins = self.mixture_row(rng, 0)
+        bins[5] = np.inf
+        return {"fit": spike, "bins": bins}
+
+    def loop(self, monkeypatch, qs):
+        """fit_shot_histograms row by row, its solves by the sequential
+        oracle, each a stack of one."""
+        def oracle(model, x0, bounds, max_nfev):
+            (x0,) = x0
+            lo, hi = (np.asarray(b)[0] for b in bounds)
+
+            def one(x):
+                r, jac = model(x[None])
+                return r[0], lambda: jac()[0]
+            x, cost, nfev, status, message = sequential_least_squares(
+                one, x0, (lo, hi), max_nfev)
+            return LsqResult(x[None], np.array([cost]), nfev, np.array([status]),
+                             [message])
+
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, "least_squares", oracle)
+            return [fit_shot_histograms(q, self.excited) for q in qs]
+
+    def test_stack_equals_the_loop_bit_for_bit(self, monkeypatch):
+        # unequal bin counts, several rows of one bin count, fits whose
+        # histogram g takes the one-column amplitude fit, and a noise-free
+        # row that bypasses the fit
+        rng = np.random.default_rng(72)
+        qs = [self.mixture_row(rng, outlier) for outlier in (0, 0, 0, 8, 8, 15, 30)]
+        qs.insert(2, np.where(self.excited, 1.0, -1.0))
+        stacks, solve = [], analysis.least_squares
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, "least_squares",
+                          lambda model, x0, **kw: stacks.append(len(x0))
+                          or solve(model, x0, **kw))
+            got = fit_shot_histogram_stack(np.array(qs), self.excited)
+        want = self.loop(monkeypatch, qs)
+        for (fit, *hists), (fit_1, *hists_1) in zip(got, want, strict=True):
+            assert dataclasses.astuple(fit) == dataclasses.astuple(fit_1)
+            assert all(np.array_equal(a, b) for a, b in zip(hists, hists_1))
+        # one lockstep solve per bin count of the fitted rows
+        bins = [len(centers) for i, (_, centers, *_) in enumerate(got) if i != 2]
+        assert bins.count(60) >= 3 and len(set(bins)) >= 5
+        assert sorted(stacks) == sorted(bins.count(n) for n in set(bins))
+        assert sum(fit.A_eg == 0.0 for fit, *_ in got) >= 2
+        assert got[2][0].sigma_g == 2e-9
+
+    @pytest.mark.parametrize("order", [("good", "fit", "bins"),
+                                       ("good", "bins", "fit"),
+                                       ("fit", "degenerate", "bins")])
+    def test_first_failing_row_raises_as_the_loop_does(self, monkeypatch, order):
+        rows = {"good": self.mixture_row(np.random.default_rng(74), 0),
+                "degenerate": np.where(self.excited, 1.0, -1.0),
+                **self.failing_rows()}
+        qs = [rows[name] for name in order]
+        with pytest.raises(FitError) as loop:
+            self.loop(monkeypatch, qs)
+        with pytest.raises(FitError) as stack:
+            fit_shot_histogram_stack(qs, self.excited)
+        assert str(stack.value) == str(loop.value)
+        first = min(order.index("fit"), order.index("bins"))
+        assert ("sigma ratio" if order[first] == "fit" else "not a finite") \
+            in str(stack.value)
 
 
 def lstsq_jac(model, theta):

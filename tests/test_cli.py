@@ -262,6 +262,20 @@ class TestExitCodes:
         assert code == 3
         assert "preselection values spread over 0" in capsys.readouterr().err
 
+    def test_preselection_fit_above_every_value(self, conf, tmp_path, capsys):
+        # CI's overflow configuration: the shot file is written, and the
+        # preselection fit, whose 99% point lies above all 2000
+        # premeasurement values, exits 3 instead of rejecting no shot
+        code = run("simulate", "--config", conf, "--output-dir", str(tmp_path),
+                   "--wide", "--n-shots", "2000", "--set", "preselect=true",
+                   "--set", "gamma_mix_up=2e7", "--set", "gamma_mix_down=2e7")
+        assert code == 3
+        assert re.search(r"preselection Gaussian fit: its 99% point [\d.]+ lies "
+                         r"above all 2000 premeasurement values",
+                         capsys.readouterr().err)
+        assert (tmp_path / "shots.csv").exists()
+        assert not (tmp_path / "preselect_summary.txt").exists()
+
     @pytest.mark.parametrize("module,command", [
         (analysis, "analyze"), (shots, "simulate")])
     def test_fit_stopped_at_max_nfev(self, conf, tmp_path, capsys, monkeypatch,

@@ -387,6 +387,24 @@ class TestPreselection:
             tracemalloc.stop()
         assert peak <= 10 * len(q_p), peak
 
+    def test_empty_tail_raises_once_it_cannot_be_chance(self):
+        # at 2e7 1/s mixing both ways the fitted 99% point of the
+        # premeasurement column lies above every value. A fitting Gaussian
+        # leaves that tail empty with probability 0.99^n: at least
+        # EMPTY_TAIL_P up to n = 1374, so only from 1375 values on is the
+        # fit refused
+        cfg = resolve_config(str(resources.files("fastreadout.data")
+                                 / "reference.conf"),
+                             ["preselect=true", "gamma_mix_up=2e7",
+                              "gamma_mix_down=2e7", "n_shots=2000"])
+        q_p = simulate_batch(build_device(cfg), build_pulse(cfg),
+                             build_shot_config(cfg)).preselect
+        assert 0.99 ** 1374 >= shots.EMPTY_TAIL_P > 0.99 ** 1375
+        assert preselection_threshold(q_p[:1374]) > np.max(q_p[:1374])
+        for n in (1375, 2000):
+            with pytest.raises(FitError, match=f"99% point .* above all {n} "):
+                preselection_threshold(q_p[:n])
+
     @pytest.mark.parametrize("values", [
         np.full(200, 0.25),                          # no spread
         np.full(200, -4.6e299),                      # noise below the last digit
@@ -634,6 +652,73 @@ class TestStreamPinning:
         assert np.array_equal(part.jump_shot + 250, many.jump_shot[rows])
         assert np.array_equal(part.jump_time, many.jump_time[rows])
         assert np.array_equal(part.jump_decay, many.jump_decay[rows])
+
+
+class TestJumpEdges:
+    """ReadoutChain._jumps on blocks built word by word, row by row against
+    the _window_jumps oracle: the jumps, the final state and the overflow
+    mask, and the dtypes of the sparse arrays."""
+
+    FIRST = 1000  # index of the block's first shot
+
+    @staticmethod
+    def block(rng, m):
+        """Round-0 jump words u (m, K_JUMPS) and starting states of m rows."""
+        return rng.uniform(0.01, 1.0, (m, K_JUMPS)), rng.choice([-1, 1], m)
+
+    def check(self, chain, u, s, t1):
+        e = -np.log(u)
+        kept = e.copy()
+        s_end, over, (row, time, decay) = chain._jumps(e, s, t1, self.FIRST, 1)
+        assert np.array_equal(e, kept)
+        assert row.dtype == np.int64 and time.dtype == float and decay.dtype == bool
+        assert np.all(np.diff(row) >= 0)
+        assert over.dtype == bool and over.shape == s.shape
+        for i in range(len(s)):
+            jumps, s_i = _window_jumps(chain.device, chain.cfg, u[i], int(s[i]), t1,
+                                       self.FIRST + i, 1)
+            mine = row == i
+            assert tuple(zip(time[mine].tolist(), decay[mine].tolist())) == jumps
+            assert s_end[i] == s_i and over[i] == (len(jumps) >= K_JUMPS)
+        return s_end, over, row
+
+    def test_no_row_jumps(self, device, gated_pulse):
+        # no mixing and a T1 of a second: every first wait passes the window
+        cfg = _stream_config(8, preselect=False, gamma_mix_up=0.0,
+                             gamma_mix_down=0.0)
+        chain = ReadoutChain(replace(device, T1=1.0), gated_pulse, cfg)
+        u, s = self.block(np.random.default_rng(61), 8)
+        s_end, over, row = self.check(chain, u, s, chain.n_bins * cfg.dt_bin)
+        assert len(row) == 0 and not over.any() and np.array_equal(s_end, s)
+
+    def test_first_wait_equal_to_the_window_end(self, device, gated_pulse):
+        # t1 is row 0's first jump time to the last bit, about 100 ns: a
+        # jump lands inside only when it comes before t1, so row 0 keeps
+        # its state. Row 1's first word is a little larger, so its first
+        # wait is a little shorter
+        cfg = _stream_config(6, preselect=False)
+        chain = ReadoutChain(device, gated_pulse, cfg)
+        u, s = self.block(np.random.default_rng(62), 6)
+        s[:2] = 1
+        u[:2, 0] = 0.8, 0.8000001
+        t1 = float(-np.log(u[0, 0])) * shots.mean_waits(device, cfg)[+1]
+        assert float(-np.log(u[1, 0])) * shots.mean_waits(device, cfg)[+1] < t1
+        _, _, row = self.check(chain, u, s, t1)
+        assert 0 not in row and 1 in row
+
+    def test_every_open_row_needs_round_two(self, device, gated_pulse):
+        # about 64 mean jumps in the window, so each row that jumps at all
+        # needs rounds 1, 2, ...; rows 0, 3 and 6 never jump, their first
+        # word so small that its wait passes the window
+        cfg = _stream_config(9, preselect=False, gamma_mix_up=4e8,
+                             gamma_mix_down=4e8)
+        chain = ReadoutChain(device, gated_pulse, cfg)
+        u, s = self.block(np.random.default_rng(63), 9)
+        u[::3, 0] = 1e-300
+        s_end, over, row = self.check(chain, u, s, chain.n_bins * cfg.dt_bin)
+        counts = np.bincount(row, minlength=9)
+        assert np.all(counts[::3] == 0) and not over[::3].any()
+        assert np.all(np.delete(counts, [0, 3, 6]) > 2 * K_JUMPS)
 
 
 # ---------------------------------------------------------------------------
