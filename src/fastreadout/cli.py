@@ -318,6 +318,11 @@ def cmd_simulate(cfg: dict, args) -> int:
             q_p[a:a + len(batch)] = batch.preselect
         return batch
 
+    if q_p is not None and n < shots.MIN_PRESELECT:
+        # a chain names any other key that is wrong first
+        shots.ReadoutChain(device, pulse, shot_cfg)
+        raise ConfigError(f"n_shots = {n} with preselect = true: the preselection "
+                          f"fit needs at least {shots.MIN_PRESELECT} shots")
     out_dir = Path(cfg["output_dir"])
     _write_shot_csv(out_dir / "shots.csv", cfg, map(draw, range(0, n, _DRAW_CHUNK)))
     if q_p is not None:
@@ -413,6 +418,8 @@ def cmd_analyze(cfg: dict, args) -> int:
     q, excited = np.frombuffer(q), np.frombuffer(excited, dtype=bool)
     fit, bin_centers, hist_g, hist_e = analysis.fit_shot_histograms(q, excited)
     budget = analysis.error_budget(q, excited, fit)
+    # the headers give the count of shots fitted, which the file sets
+    cfg = {**cfg, "n_shots": len(q)}
     out_dir = Path(cfg["output_dir"])
     _write_report(out_dir / "report.txt", cfg, "analyze", [
         ("fidelity", budget.fidelity),

@@ -93,6 +93,9 @@ Z99 = 2.3263478740408408
 #: preselection_threshold takes for bad luck rather than a failed fit
 EMPTY_TAIL_P = 1e-6
 
+#: fewest premeasurement values preselection_threshold fits
+MIN_PRESELECT = 100
+
 #: rows per step when drawing; bounds the temporaries of the draws
 _CHUNK = 256
 
@@ -745,16 +748,17 @@ def preselection_threshold(q_p) -> float:
     Fits a single Gaussian to the q_p histogram, (mu, sigma) by
     least_squares and its amplitude in closed form (analysis.NormalColumns),
     and returns the 99% point of the fitted CDF, mu + 2.326 sigma. Fewer
-    than 100 values, values that are not finite, a histogram range that is
-    zero or not finite, and a fit that does not converge raise FitError.
+    than MIN_PRESELECT values, values that are not finite, a histogram
+    range that is zero or not finite, and a fit that does not converge
+    raise FitError.
     So does a 99% point above every value of a column so long that a
     Gaussian it fits would leave that tail empty with probability 0.99^n
     below EMPTY_TAIL_P (n >= 1375): the fit then misses the column, and
     the threshold would reject no shot.
     """
     q_p = np.asarray(q_p, dtype=float)
-    if len(q_p) < 100:
-        raise FitError("preselection needs at least 100 records")
+    if len(q_p) < MIN_PRESELECT:
+        raise FitError(f"preselection needs at least {MIN_PRESELECT} records")
     if np.any(~np.isfinite(q_p)):
         raise FitError("records lack preselection values")
 

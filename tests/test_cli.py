@@ -276,6 +276,24 @@ class TestExitCodes:
         assert (tmp_path / "shots.csv").exists()
         assert not (tmp_path / "preselect_summary.txt").exists()
 
+    def test_preselection_below_its_floor(self, conf, tmp_path, capsys):
+        # fewer shots than the preselection fit takes can never succeed: the
+        # run is refused before shots.csv is opened, which keeps its bytes
+        out = str(tmp_path)
+        assert run("simulate", "--config", conf, "--output-dir", out,
+                   "--n-shots", "50") == 0
+        before = (tmp_path / "shots.csv").read_bytes()
+        capsys.readouterr()
+        for n in (1, shots.MIN_PRESELECT - 1):
+            assert run("simulate", "--config", conf, "--output-dir", out,
+                       "--n-shots", str(n), "--set", "preselect=true") == 2
+            err = capsys.readouterr().err
+            assert "n_shots" in err and "preselect" in err
+            assert (tmp_path / "shots.csv").read_bytes() == before
+        assert not (tmp_path / "preselect_summary.txt").exists()
+        assert run("simulate", "--config", conf, "--output-dir", out, "--n-shots",
+                   str(shots.MIN_PRESELECT), "--set", "preselect=true") == 0
+
     @pytest.mark.parametrize("module,command", [
         (analysis, "analyze"), (shots, "simulate")])
     def test_fit_stopped_at_max_nfev(self, conf, tmp_path, capsys, monkeypatch,
@@ -686,6 +704,18 @@ class TestSimulateAnalyze:
         header, rows = read_csv(tmp_path / "histogram.csv")
         assert header == ["bin_center", "count_g", "count_e", "fit_g", "fit_e"]
         assert len(rows) >= 60
+
+    def test_headers_echo_the_shot_count_read(self, conf, tmp_path):
+        # reference.conf sets n_shots = 20000; the file holds 3000 shots
+        out = str(tmp_path)
+        assert run("simulate", "--config", conf, "--output-dir", out,
+                   "--n-shots", "3000") == 0
+        assert run("analyze", "--config", conf, "--output-dir", out,
+                   "--input", str(tmp_path / "shots.csv")) == 0
+        for name in ("report.txt", "histogram.csv"):
+            header = (tmp_path / name).read_text().splitlines()
+            assert "# n_shots = 3000" in header
+            assert "# n_shots = 20000" not in header
 
     def test_line_endings_of_the_shot_file(self, conf, tmp_path, capsys,
                                            monkeypatch):

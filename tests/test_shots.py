@@ -151,6 +151,29 @@ class TestMeanReproduction:
         assert np.all(np.abs(mean - qt.q_e[idx]) < 3.5 * se)
 
 
+class TestThermalPopulation:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_g_shots_on_the_e_side(self, device, gated_pulse, seed):
+        # p_thermal = 0.05 and a 160 ns integration whose overlap error is
+        # about 1e-8, with no decay or mixing: a g-prepared shot of run lies
+        # on the e side of the midpoint exactly when it started thermally
+        # excited, one Bernoulli(p_thermal) draw per shot
+        n, p = 40000, 0.05
+        dev = replace(device, T1=1.0)
+        chain = ReadoutChain(dev, gated_pulse,
+                             ShotConfig(n_shots=n, master_seed=seed, p_thermal=p))
+        w = chain.weights(160e-9)
+        still = integrate_batch(np.array([chain.mean_bins[-1], chain.mean_bins[+1]]),
+                                w, dev.kappa_p)
+        sigma_q = 0.5 / math.sqrt(dev.eta)
+        assert stats.norm.sf(abs(still[1] - still[0]) / (2 * sigma_q)) < 1e-7
+        batch = chain.run(range(n))
+        g = ~batch.excited
+        q = integrate_batch(batch.samples[g], w, dev.kappa_p)
+        frac = np.mean(_e_side(q, still))
+        assert abs(frac - p) <= 3.0 * math.sqrt(p * (1.0 - p) / len(q))
+
+
 class TestJumpStatistics:
     def test_decay_fraction(self, device, gated_pulse):
         cfg = ShotConfig(n_shots=50000, master_seed=21, p_thermal=0.0)
@@ -964,6 +987,27 @@ class TestSampleQ:
                 ref = integrate_batch(record, w, chain.device.kappa_p)
                 got = chain._mean_q(s0, jump_shot, jump_time, w)
                 assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_spread_about_the_noise_free_q(self, seed):
+        # no mixing, thermal population, prep error or decay: every shot
+        # keeps its prepared state, so q minus its state's noise-free q is
+        # the noise alone, and 4 eta times the sum of its squares is
+        # chi-square with n degrees of freedom
+        n = 40000
+        rng = np.random.default_rng(900 + seed)
+        device = replace(random_device(rng), T1=1.0)
+        pulse = PulseEnvelope(kind="gated", total_duration=160e-9)
+        cfg = ShotConfig(n_shots=n, master_seed=seed, p_thermal=0.0,
+                         prep_error=0.0)
+        chain = ReadoutChain(device, pulse, cfg)
+        tau = DT_BIN * int(rng.integers(1, chain.n_bins + 1))
+        q, excited = chain.sample_q(range(n), tau)
+        w = chain.weights(tau)
+        still = integrate_batch(np.array([chain.mean_bins[s][:len(w.w)]
+                                          for s in (-1, +1)]), w, device.kappa_p)
+        chi2 = 4.0 * device.eta * float(np.sum((q - still[excited.astype(int)]) ** 2))
+        assert stats.chi2.ppf(1e-4, n) < chi2 < stats.chi2.isf(1e-4, n)
 
     def test_preselection_refused(self, device, gated_pulse):
         chain = ReadoutChain(device, gated_pulse, _q_config(10, preselect=True))
