@@ -349,8 +349,9 @@ def _check_line_ends(lines: list[bytes], path: str):
 
 
 def _read_shot_csv(path: str, cfg: dict):
-    """Yield the shots of a shot CSV that matches the configuration, as
-    ShotBatch chunks of at most _STREAM_CHUNK shots (prep 'e' is excited).
+    """Yield the shots of a shot CSV that matches the configuration in
+    chunks of at most _STREAM_CHUNK shots, each the arrays (excited,
+    samples, preselect) (prep 'e' is excited).
 
     The '#' header must echo the same device, pulse, dt_bin and
     measure_duration as `cfg`; otherwise ConfigError names the difference.
@@ -392,8 +393,7 @@ def _read_shot_csv(path: str, cfg: dict):
                                   "holds a sample that is not finite")
             if len(data):
                 n += len(data)
-                yield shots.ShotBatch(excited=data[:, 1] == 1.0,
-                                      samples=data[:, 3:], preselect=data[:, 2])
+                yield data[:, 1] == 1.0, data[:, 3:], data[:, 2]
     if n == 0:
         raise ConfigError(f"shot file {path} holds no shots")
 
@@ -406,15 +406,14 @@ def cmd_analyze(cfg: dict, args) -> int:
     # the bytes of q and the labels, appended chunk by chunk: a large buffer
     # grows by remapping its pages, so no chunk or old copy outlives the read
     q, excited, weights = bytearray(), bytearray(), None
-    for batch in _read_shot_csv(args.input, cfg):
-        if batch.n_bins != chain.n_bins:
-            raise ConfigError(f"shot file holds {batch.n_bins} bins, the "
+    for labels, samples, _ in _read_shot_csv(args.input, cfg):
+        if samples.shape[1] != chain.n_bins:
+            raise ConfigError(f"shot file holds {samples.shape[1]} bins, the "
                               f"configuration's window {chain.n_bins}")
         if weights is None:  # a file that fails its checks exits 2 first
             weights = chain.weights(cfg["tau"])
-        q.extend(analysis.integrate_batch(batch.samples, weights,
-                                          chain.device.kappa_p))
-        excited.extend(batch.excited)
+        q.extend(analysis.integrate_batch(samples, weights, chain.device.kappa_p))
+        excited.extend(labels)
     q, excited = np.frombuffer(q), np.frombuffer(excited, dtype=bool)
     fit, bin_centers, hist_g, hist_e = analysis.fit_shot_histograms(q, excited)
     budget = analysis.error_budget(q, excited, fit)
@@ -463,10 +462,9 @@ def cmd_optimize(cfg: dict, args) -> int:
         _write_csv(out_dir / "ratio.csv", cfg, "optimize",
                    ("tau_ns", "ratio_qss", "ratio_full"), rows)
     else:
-        points = optimize.power_tradeoff(
-            device, cfg["power_grid"], cfg["tau"],
-            mix_coeff=cfg["mix_coeff"], n_shots=cfg["n_shots"],
-            master_seed=cfg["seed"])
+        points = optimize.power_tradeoff(device, build_shot_config(cfg),
+                                         cfg["power_grid"], cfg["tau"],
+                                         mix_coeff=cfg["mix_coeff"])
         rows = [(p.n_drive, p.eps_o, 1.0 - p.fidelity_mc) for p in points]
         _write_csv(out_dir / "power.csv", cfg, "optimize",
                    ("n_drive", "eps_o", "infidelity_mc"), rows)
@@ -488,8 +486,12 @@ def _read_two_column_csv(path: str):
     body = lines
     for i, line in enumerate(lines):
         if line.strip("\r\n"):
-            if _header(next(csv.reader([line]))):
-                body = lines[:i] + lines[i + 1:]
+            row = next(csv.reader([line]))
+            try:
+                float(row[0]), float(row[1])
+            except (ValueError, IndexError):
+                if len(row) >= 2:  # the column header
+                    body = lines[:i] + lines[i + 1:]
             break
     if any(line.strip() for line in body):  # np.loadtxt warns on no data
         try:
@@ -499,29 +501,17 @@ def _read_two_column_csv(path: str):
             pass
         else:
             return tuple(np.ascontiguousarray(data.T))
-    return _read_rows(path, lines)
-
-
-def _header(row: list[str]) -> bool:
-    """Whether a first row is the column header: two or more fields, the
-    first two not both numbers."""
-    try:
-        float(row[0]), float(row[1])
-    except (ValueError, IndexError):
-        return len(row) >= 2
-    return False
+    return _read_rows(path, body)
 
 
 def _read_rows(path: str, lines: list[str]):
-    """_read_two_column_csv, one csv row and float() call at a time."""
+    """_read_two_column_csv of the lines without their column header, one
+    csv row and float() call at a time."""
     xs, ys = [], []
-    rows = [row for row in csv.reader(lines) if row]
-    for i, row in enumerate(rows):
+    for row in filter(None, csv.reader(lines)):
         try:
             x, y = float(row[0]), float(row[1])
         except (ValueError, IndexError) as exc:
-            if i == 0 and _header(row):
-                continue
             raise ConfigError(f"{path}: row {','.join(row)!r} is not two numbers") \
                 from exc
         xs.append(x)

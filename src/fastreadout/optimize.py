@@ -297,23 +297,28 @@ class PowerPoint:
     gamma_mix: float
 
 
-def power_tradeoff(device: DeviceParams, n_grid, tau: float,
-                   mix_coeff: float | None = DEFAULT_MIX_COEFF,
-                   n_shots: int = 20000, master_seed: int = 0) -> list[PowerPoint]:
-    """Analytic overlap error and Monte Carlo fidelity versus drive power,
-    with a gated pulse of max(160 ns, tau + 24 ns). The shots' q are drawn
-    in q space: every power reads the same words of the master seed's
-    q-space stream, so each block of shots is drawn once (shots.q_draws)
-    and mapped to q by the chain of every power (ReadoutChain.map_q), bit
-    for bit the q of one sample_q per power. The q of all powers are held
-    at once, len(n_grid) x 8 bytes a shot, and fitted after the last block,
-    all powers' mixture fits in lockstep (analysis.fit_shot_histogram_stack).
+def power_tradeoff(device: DeviceParams, shot_cfg: ShotConfig, n_grid,
+                   tau: float, mix_coeff: float | None = DEFAULT_MIX_COEFF
+                   ) -> list[PowerPoint]:
+    """Analytic overlap error and Monte Carlo fidelity versus drive power.
+    Each power's chain is the run's `device` and `shot_cfg` with three
+    things set by the sweep: n_drive, the power; both mixing rates,
+    mix_coeff * lambda(n) * n (mix_coeff=None disables mixing); and a gated
+    pulse of max(160 ns, tau + 24 ns), which measure_duration must not
+    outlast. Preselection is refused: map_q draws no premeasurement.
 
-    Mixing rates scale as mix_coeff * lambda(n) * n; pass mix_coeff=None to
-    disable mixing. The eps_o column is overlap_vs_power's, which checks
-    the drive powers; the mean qubit jumps of every power are checked
-    before any chain is built, and n_shots // 2 against the mixture fit's
-    MIN_COUNTS before any shot is drawn.
+    The shots' q are drawn in q space: every power reads the same words of
+    the master seed's q-space stream, so each block of shots is drawn once
+    (shots.q_draws) and mapped to q by the chain of every power
+    (ReadoutChain.map_q), bit for bit the q of one sample_q per power. The
+    q of all powers are held at once, len(n_grid) x 8 bytes a shot, and
+    fitted after the last block, all powers' mixture fits in lockstep
+    (analysis.fit_shot_histogram_stack).
+
+    The eps_o column is overlap_vs_power's, which checks the drive powers;
+    the mean qubit jumps of every power, n_shots // 2 against the mixture
+    fit's MIN_COUNTS, and then preselect are checked before any chain is
+    built.
     """
     n_grid = np.asarray(n_grid, dtype=float)
     mix = 0.0 if mix_coeff is None else mix_coeff
@@ -329,22 +334,25 @@ def power_tradeoff(device: DeviceParams, n_grid, tau: float,
     for n in n_grid:
         dev_n = replace(device, n_drive=float(n))
         g_mix = mix * dev_n.lambda_mix * float(n)
-        cfg = ShotConfig(n_shots=n_shots, master_seed=master_seed,
-                         gamma_mix_up=g_mix, gamma_mix_down=g_mix)
+        cfg = replace(shot_cfg, gamma_mix_up=g_mix, gamma_mix_down=g_mix)
         check_jumps(dev_n, cfg,
                     {"measurement window": window_bins(pulse, cfg) * cfg.dt_bin},
                     f"mix_coeff = {mix:g} Hz at n_drive = {n:g} of power_grid: ")
         cfgs.append((dev_n, cfg))
-
-    chains = [ReadoutChain(dev_n, pulse, cfg) for dev_n, cfg in cfgs]
-    weights = [chain.weights(tau) for chain in chains]
+    n_shots = shot_cfg.n_shots
     if n_shots // 2 < MIN_COUNTS:
         raise ConfigError(f"n_shots = {n_shots} prepares {n_shots // 2} shots in "
                           f"e, fewer than the fit's {MIN_COUNTS} per state")
+    if shot_cfg.preselect:
+        raise ConfigError("preselect = true: the power sweep draws its shots "
+                          "in q space, which holds no premeasurement")
+
+    chains = [ReadoutChain(dev_n, pulse, cfg) for dev_n, cfg in cfgs]
+    weights = [chain.weights(tau) for chain in chains]
     shots = range(n_shots)
     excited = _labels(shots, None)
     qs = np.empty((len(chains), n_shots))
-    for draw in q_draws(master_seed, shots):
+    for draw in q_draws(shot_cfg.master_seed, shots):
         for chain, w, q in zip(chains, weights, qs):
             q[draw.rows] = chain.map_q(draw, excited[draw.rows], w)
 

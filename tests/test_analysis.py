@@ -311,8 +311,8 @@ class TestSeparableFit:
 
         monkeypatch.setattr(optimize, "fit_shot_histogram_stack", recording)
         cfg = cli.resolve_config(str(REFERENCE_CONF), [])
-        power_tradeoff(cli.build_device(cfg), (1.0, 1.5, 2.0, 2.5, 3.5, 5.0),
-                       cfg["tau"], mix_coeff=3e7, n_shots=10000, master_seed=0)
+        power_tradeoff(cli.build_device(cfg), ShotConfig(n_shots=10000),
+                       (1.0, 1.5, 2.0, 2.5, 3.5, 5.0), cfg["tau"], mix_coeff=3e7)
         assert len(seen) == 6
         for fit, centers, hg, he in seen:
             assert mixture_cost(fit, centers, hg, he) \

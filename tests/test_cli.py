@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fastreadout import analysis, cli, shots
+from fastreadout import analysis, cli, optimize, shots
 from fastreadout.analysis import build_weights
 from fastreadout.calib import SpectrumParams, transmission
 from fastreadout.cli import main
@@ -422,6 +422,8 @@ class TestExitCodes:
         ("optimize --mode power", "mix_coeff=-1", "mix_coeff"),
         ("optimize --mode power", "tau=1e300", "tau = 1e+300 s"),
         ("optimize --mode power", "power_grid=1e300", "power_grid"),
+        # a window past the sweep's gated pulse of max(160 ns, tau + 24 ns)
+        ("optimize --mode power", "measure_duration=400ns", "measure_duration"),
         # configuration errors that exited 3 as numerical failures: a qubit
         # inside the dispersive guard or on the resonator, a window longer
         # than the pulse, a tau shorter than one bin or outside the window's
@@ -477,8 +479,8 @@ class TestExitCodes:
         "signal": DEVICE_KEYS + PULSE_KEYS + ["grid_step"],
         "rate": DEVICE_KEYS + PULSE_KEYS + ["grid_step", "dt_bin"],
         "analyze": DEVICE_KEYS + PULSE_KEYS + SHOT_KEYS + ["tau"],
-        "optimize --mode power": DEVICE_KEYS + ["tau", "power_grid", "mix_coeff",
-                                                "n_shots", "seed"],
+        "optimize --mode power": DEVICE_KEYS + SHOT_KEYS + ["tau", "power_grid",
+                                                            "mix_coeff"],
         "optimize --mode ratio": DEVICE_KEYS + ["ratio_tau_grid"],
     }
 
@@ -874,10 +876,10 @@ def reference_shot_csv(path: Path, cfg: dict, batch: ShotBatch):
 
 
 def read_shots(path: Path, cfg: dict) -> ShotBatch:
-    """The chunks _read_shot_csv yields, concatenated."""
+    """The (excited, samples, preselect) chunks _read_shot_csv yields,
+    concatenated."""
     chunks = list(cli._read_shot_csv(str(path), cfg))
-    return ShotBatch(*(np.concatenate([getattr(c, name) for c in chunks])
-                       for name in ("excited", "samples", "preselect")))
+    return ShotBatch(*map(np.concatenate, zip(*chunks)))
 
 
 def split(batch: ShotBatch, size: int) -> list[ShotBatch]:
@@ -1082,6 +1084,39 @@ class TestOptimize:
         assert header == ["n_drive", "eps_o", "infidelity_mc"]
         eps = [float(r[1]) for r in rows]
         assert eps == sorted(eps, reverse=True)
+
+    def test_power_mode_reads_the_shot_configuration(self, conf, tmp_path):
+        # the rows come from the run's ShotConfig, whose keys the header
+        # echoes; a thermal population of 0.2 takes about 0.4 off the fidelity
+        overrides = ["power_grid=1.5,5", "n_shots=4000", "p_thermal=0.2",
+                     "prep_error=0.05", "dt_bin=4ns", "measure_duration=96ns"]
+        assert run("optimize", "--config", conf, "--output-dir", str(tmp_path),
+                   "--mode", "power", "--seed", "2",
+                   *(a for o in overrides for a in ("--set", o))) == 0
+        _, rows = read_csv(tmp_path / "power.csv")
+        cfg = cli.resolve_config(conf, overrides + ["seed=2"])
+        points = optimize.power_tradeoff(
+            cli.build_device(cfg), cli.build_shot_config(cfg), cfg["power_grid"],
+            cfg["tau"], mix_coeff=cfg["mix_coeff"])
+        assert rows == [[cli._fmt(v) for v in (p.n_drive, p.eps_o,
+                                               1.0 - p.fidelity_mc)]
+                        for p in points]
+        assert all(float(r[2]) > 0.3 for r in rows)
+
+    def test_power_mode_refuses_preselection(self, conf, tmp_path, capsys,
+                                             monkeypatch):
+        # map_q draws no premeasurement; a shot count below the fit's floor
+        # is named first
+        built = []
+        monkeypatch.setattr(shots.ReadoutChain, "__init__",
+                            lambda self, *args: built.append(args))
+        for n_shots, message in ((2000, "preselect"), (1999, "n_shots = 1999 ")):
+            assert run("optimize", "--config", conf, "--output-dir", str(tmp_path),
+                       "--mode", "power", "--set", f"n_shots={n_shots}",
+                       "--set", "preselect=true") == 2
+            assert message in capsys.readouterr().err
+        assert built == []
+        assert not (tmp_path / "power.csv").exists()
 
 
 class TestCalibrate:

@@ -116,8 +116,8 @@ class TestSignalFamily:
 
 class TestPowerTradeoff:
     def test_no_mixing_monotone(self, device):
-        pts = power_tradeoff(device, [1.0, 2.5, 5.0], 56e-9, mix_coeff=None,
-                             n_shots=8000, master_seed=7)
+        pts = power_tradeoff(device, ShotConfig(n_shots=8000, master_seed=7),
+                             [1.0, 2.5, 5.0], 56e-9, mix_coeff=None)
         eps = [p.eps_o for p in pts]
         fid = [p.fidelity_mc for p in pts]
         assert np.all(np.diff(eps) < 0)
@@ -126,8 +126,8 @@ class TestPowerTradeoff:
 
     def test_interior_optimum_with_mixing(self, device):
         grid = [0.6, 1.2, 2.5, 5.0, 10.0]
-        pts = power_tradeoff(device, grid, 56e-9, n_shots=20000,
-                             master_seed=7)
+        pts = power_tradeoff(device, ShotConfig(n_shots=20000, master_seed=7),
+                             grid, 56e-9)
         infid = [1.0 - p.fidelity_mc for p in pts]
         best = int(np.argmin(infid))
         assert 0 < best < len(grid) - 1
@@ -141,15 +141,17 @@ class TestPowerTradeoff:
         from fastreadout.dynamics import full_model_signal
         # gated_pulse is power_tradeoff's pulse at tau = 56 ns
         grid = np.array([1.0, 2.5])
-        pts = power_tradeoff(device, grid, 56e-9, mix_coeff=None,
-                             n_shots=2000, master_seed=1)
+        pts = power_tradeoff(device, ShotConfig(n_shots=2000, master_seed=1),
+                             grid, 56e-9, mix_coeff=None)
         times = np.arange(0.0, gated_pulse.total_duration, 0.5e-9)
         trace = full_model_signal(device, gated_pulse, times)
         expected = overlap_vs_power(trace, device.eta, 56e-9,
                                     device.n_drive, grid)
         assert [p.eps_o for p in pts] == pytest.approx(list(expected), rel=1e-12)
 
-    def test_one_chain_per_power(self, device, monkeypatch):
+    def test_one_chain_per_power(self, device, gated_pulse, monkeypatch):
+        # each power's chain is the run's device and shot configuration
+        # with the power's n_drive and mixing rates, under the sweep's pulse
         from fastreadout.shots import ReadoutChain
         built = []
         init = ReadoutChain.__init__
@@ -160,8 +162,17 @@ class TestPowerTradeoff:
 
         monkeypatch.setattr(ReadoutChain, "__init__", counting_init)
         grid = [1.0, 2.5, 5.0]
-        power_tradeoff(device, grid, 56e-9, n_shots=2000, master_seed=1)
+        shot_cfg = ShotConfig(n_shots=2000, master_seed=1, p_thermal=0.2,
+                              prep_error=0.05, dt_bin=4e-9,
+                              measure_duration=96e-9)
+        pts = power_tradeoff(device, shot_cfg, grid, 56e-9)
         assert len(built) == len(grid)
+        for (dev_n, pulse, cfg), n, p in zip(built, grid, pts):
+            g = optimize.DEFAULT_MIX_COEFF * dev_n.lambda_mix * n
+            assert dev_n == replace(device, n_drive=n)
+            assert pulse == gated_pulse
+            assert cfg == replace(shot_cfg, gamma_mix_up=g, gamma_mix_down=g)
+            assert p.gamma_mix == g
 
     def test_too_many_jumps_refused_before_any_chain(self, device, monkeypatch):
         # at mix_coeff = 5e9 Hz the 160 ns window holds about 26 mean jumps
@@ -172,13 +183,13 @@ class TestPowerTradeoff:
                             lambda self, *args: built.append(args))
         with pytest.raises(ConfigError, match=r"mix_coeff = 5e\+09 Hz at "
                                               r"n_drive = 5 "):
-            power_tradeoff(device, [1.0, 5.0], 56e-9, mix_coeff=5e9,
-                           n_shots=100)
+            power_tradeoff(device, ShotConfig(n_shots=100), [1.0, 5.0], 56e-9,
+                           mix_coeff=5e9)
         assert built == []
 
     def test_invalid_power(self, device):
         with pytest.raises(ConfigError, match="drive powers must be positive"):
-            power_tradeoff(device, [0.0, 1.0], 56e-9, n_shots=100)
+            power_tradeoff(device, ShotConfig(n_shots=100), [0.0, 1.0], 56e-9)
 
     def test_too_few_shots_for_the_fit_refused_before_any_draw(self, device,
                                                               monkeypatch):
@@ -188,13 +199,14 @@ class TestPowerTradeoff:
         monkeypatch.setattr(optimize, "q_draws",
                             lambda *args: draws.append(args) or q_draws(*args))
         with pytest.raises(ConfigError, match="n_shots = 1999 "):
-            power_tradeoff(device, [1.0, 2.5], 56e-9, n_shots=1999)
+            power_tradeoff(device, ShotConfig(n_shots=1999), [1.0, 2.5], 56e-9)
         assert draws == []
-        assert len(power_tradeoff(device, [1.0, 2.5], 56e-9, n_shots=2000)) == 2
+        assert len(power_tradeoff(device, ShotConfig(n_shots=2000),
+                                  [1.0, 2.5], 56e-9)) == 2
         assert len(draws) == 1
 
 
-def per_power_rows(device, grid, tau, mix, n_shots, seed):
+def per_power_rows(device, shot_cfg, grid, tau, mix):
     """power_tradeoff's rows from one chain and one sample_q per power, each
     drawing its own words of the q-space stream."""
     pulse = PulseEnvelope(kind="gated", total_duration=max(160e-9, tau + 24e-9))
@@ -205,9 +217,9 @@ def per_power_rows(device, grid, tau, mix, n_shots, seed):
     for n, eps_o in zip(grid, eps):
         dev_n = replace(device, n_drive=n)
         g_mix = mix * dev_n.lambda_mix * n
-        cfg = ShotConfig(n_shots=n_shots, master_seed=seed,
-                         gamma_mix_up=g_mix, gamma_mix_down=g_mix)
-        q, excited = ReadoutChain(dev_n, pulse, cfg).sample_q(range(n_shots), tau)
+        cfg = replace(shot_cfg, gamma_mix_up=g_mix, gamma_mix_down=g_mix)
+        q, excited = ReadoutChain(dev_n, pulse, cfg).sample_q(
+            range(cfg.n_shots), tau)
         fit, *_ = fit_shot_histograms(q, excited)
         rows.append(PowerPoint(n_drive=n, eps_o=float(eps_o),
                                fidelity_mc=error_budget(q, excited, fit).fidelity,
@@ -228,11 +240,23 @@ class TestSharedDraw:
         grid = sorted(rng.uniform(0.5, 5.0, 3).tolist())
         tau = DT_BIN * int(rng.integers(4, 16))
         mix = rng.uniform(1e6, 3e7)
-        n_shots = chunk + 2003
+        shot_cfg = ShotConfig(n_shots=chunk + 2003, master_seed=seed)
         monkeypatch.setattr(shots, "_Q_CHUNK", chunk)
-        got = power_tradeoff(device, grid, tau, mix_coeff=mix, n_shots=n_shots,
-                             master_seed=seed)
-        assert got == per_power_rows(device, grid, tau, mix, n_shots, seed)
+        got = power_tradeoff(device, shot_cfg, grid, tau, mix_coeff=mix)
+        assert got == per_power_rows(device, shot_cfg, grid, tau, mix)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_rows_follow_the_run_configuration(self, device, seed):
+        # the sweep reads p_thermal, prep_error, dt_bin and measure_duration
+        # of the run, as one sample_q per power does
+        shot_cfg = ShotConfig(n_shots=4000, master_seed=seed, p_thermal=0.2,
+                              prep_error=0.05, dt_bin=4e-9,
+                              measure_duration=96e-9)
+        grid = [1.0, 2.5, 5.0]
+        got = power_tradeoff(device, shot_cfg, grid, 56e-9, mix_coeff=3e7)
+        assert got == per_power_rows(device, shot_cfg, grid, 56e-9, 3e7)
+        # a thermal population of 0.2 flips a fifth of each prepared state
+        assert all(p.fidelity_mc < 0.7 for p in got)
 
     def test_one_draw_per_block_per_sweep(self, device, monkeypatch):
         # random_raw calls of the q-space stream: one per block of the
@@ -253,8 +277,8 @@ class TestSharedDraw:
 
         monkeypatch.setattr(np.random, "Philox", Counting)
         monkeypatch.setattr(shots, "_Q_CHUNK", 500)
-        power_tradeoff(device, [1.0, 2.5, 5.0], 56e-9, mix_coeff=3e7,
-                       n_shots=2100, master_seed=1)
+        power_tradeoff(device, ShotConfig(n_shots=2100, master_seed=1),
+                       [1.0, 2.5, 5.0], 56e-9, mix_coeff=3e7)
         assert calls[shots.Q_STREAM] == 5
 
 

@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from fastreadout import cli
 from fastreadout.analysis import error_budget, fit_shot_histograms, overlap_vs_power
 from fastreadout.calib import SpectrumParams, transmission
 from fastreadout.dynamics import GRID_STEP, PulseEnvelope, full_model_signal
-from fastreadout.shots import ReadoutChain, ShotConfig
+from fastreadout.shots import ReadoutChain
 
 ROOT = Path(__file__).resolve().parents[1]
 CONF = "src/fastreadout/data/reference.conf"
@@ -184,7 +185,7 @@ def power_sweep_equals_one_fit_per_power():
     with open(out / "power.csv") as fh:
         rows = list(csv.reader(line for line in fh if not line.startswith("#")))[1:]
     cfg = cli.resolve_config(CONF, settings)
-    device, tau, n_shots = cli.build_device(cfg), cfg["tau"], cfg["n_shots"]
+    device, run_cfg, tau = cli.build_device(cfg), cli.build_shot_config(cfg), cfg["tau"]
     pulse = PulseEnvelope(kind="gated", total_duration=max(160e-9, tau + 24e-9))
     trace = full_model_signal(device, pulse,
                               np.arange(0.0, pulse.total_duration, GRID_STEP))
@@ -194,10 +195,9 @@ def power_sweep_equals_one_fit_per_power():
     for row, n, eps_o in zip(rows, cfg["power_grid"], eps):
         dev_n = replace(device, n_drive=float(n))
         g_mix = cfg["mix_coeff"] * dev_n.lambda_mix * float(n)
-        shot_cfg = ShotConfig(n_shots=n_shots, master_seed=cfg["seed"],
-                              gamma_mix_up=g_mix, gamma_mix_down=g_mix)
+        shot_cfg = replace(run_cfg, gamma_mix_up=g_mix, gamma_mix_down=g_mix)
         q, excited = ReadoutChain(dev_n, pulse, shot_cfg).sample_q(
-            range(n_shots), tau)
+            range(shot_cfg.n_shots), tau)
         fit, centers, _, _ = fit_shot_histograms(q, excited)
         bins.append(len(centers))
         want = [float(n), eps_o, 1.0 - error_budget(q, excited, fit).fidelity]
@@ -362,8 +362,10 @@ def main(argv: list[str]):
             return checks[argv[0]]()
         for name in checks:
             print(f"== {name}", flush=True)
+            start = time.perf_counter()
             if subprocess.run([sys.executable, __file__, name]).returncode:
                 raise SystemExit(f"{name} failed")
+            print(f"== {name}: {time.perf_counter() - start:.1f} s", flush=True)
 
 
 if __name__ == "__main__":
